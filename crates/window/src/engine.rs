@@ -1343,15 +1343,10 @@ impl<S: ArrivalSource> Engine<S> {
                         None => return, // empty initial window: round over
                         Some(sib) => {
                             // sib is known to hold >= 2 arrivals.
-                            match sib.split() {
-                                Some((older, younger)) => {
+                            match self.policy.split_window(sib, &mut self.rng_policy) {
+                                Some((first, second)) => {
                                     pm.preimage_into(sib, &mut bufs.sib_segments);
                                     obs.on_immediate_split(self.timeline.now(), &bufs.sib_segments);
-                                    let (first, second) = self.policy.order_halves(
-                                        older,
-                                        younger,
-                                        &mut self.rng_policy,
-                                    );
                                     current = first;
                                     sibling = Some(second);
                                 }

@@ -205,11 +205,8 @@ impl EngineObserver for StationMirror {
                 match round.sibling.take() {
                     None => {} // empty initial window: round over
                     Some(sib) => {
-                        match sib.split() {
-                            Some((older, younger)) => {
-                                let (first, second) =
-                                    self.policy
-                                        .order_halves(older, younger, &mut self.rng_policy);
+                        match self.policy.split_window(sib, &mut self.rng_policy) {
+                            Some((first, second)) => {
                                 round.current = first;
                                 round.sibling = Some(second);
                             }
@@ -229,11 +226,11 @@ impl EngineObserver for StationMirror {
                 // round over
             }
             SlotOutcome::Collision(_) => {
-                match round.current.split() {
-                    Some((older, younger)) => {
-                        let (first, second) =
-                            self.policy
-                                .order_halves(older, younger, &mut self.rng_policy);
+                match self
+                    .policy
+                    .split_window(round.current, &mut self.rng_policy)
+                {
+                    Some((first, second)) => {
                         round.current = first;
                         round.sibling = Some(second);
                     }
@@ -616,6 +613,17 @@ mod tests {
     #[test]
     fn mirror_tracks_random_policy() {
         check_policy(ControlPolicy::random(Dur::from_ticks(12)), 4);
+    }
+
+    #[test]
+    fn mirror_tracks_biased_split() {
+        // Collided windows and immediately split siblings are both cut at
+        // the policy's split fraction, on the engine and in the mirror.
+        let policy = ControlPolicy {
+            split_fraction: 0.3,
+            ..ControlPolicy::controlled(Dur::from_ticks(400), Dur::from_ticks(12))
+        };
+        check_policy(policy, 5);
     }
 
     #[test]
