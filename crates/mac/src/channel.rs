@@ -42,6 +42,16 @@ impl ChannelConfig {
         Dur::from_ticks(self.ticks_per_tau * self.message_slots)
     }
 
+    /// Channel time of a successful protocol step: the transmission,
+    /// plus one guard `tau` if configured.
+    pub fn success_duration(&self) -> Dur {
+        if self.guard {
+            self.message_duration() + self.tau()
+        } else {
+            self.message_duration()
+        }
+    }
+
     /// Converts a count of `tau` units into ticks.
     pub fn taus(&self, n: u64) -> Dur {
         Dur::from_ticks(self.ticks_per_tau * n)
@@ -103,14 +113,10 @@ impl Medium {
     pub fn probe(&self, transmitters: &[MessageId]) -> (SlotOutcome, Dur) {
         match transmitters.len() {
             0 => (SlotOutcome::Idle, self.cfg.tau()),
-            1 => {
-                let d = if self.cfg.guard {
-                    self.cfg.message_duration() + self.cfg.tau()
-                } else {
-                    self.cfg.message_duration()
-                };
-                (SlotOutcome::Success(transmitters[0]), d)
-            }
+            1 => (
+                SlotOutcome::Success(transmitters[0]),
+                self.cfg.success_duration(),
+            ),
             n => (SlotOutcome::Collision(n as u32), self.cfg.tau()),
         }
     }

@@ -234,13 +234,7 @@ impl FaultyMedium {
     fn dur_of(&self, observed: &Feedback) -> Dur {
         let cfg = self.inner.config();
         match observed {
-            Feedback::Observed(SlotOutcome::Success(_)) => {
-                if cfg.guard {
-                    cfg.message_duration() + cfg.tau()
-                } else {
-                    cfg.message_duration()
-                }
-            }
+            Feedback::Observed(SlotOutcome::Success(_)) => cfg.success_duration(),
             // Idle, collision and erased slots all cost one tau: an erased
             // or collided transmission is aborted at collision-detect time.
             _ => cfg.tau(),

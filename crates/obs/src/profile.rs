@@ -176,7 +176,7 @@ mod gated {
             self.batched_runs
         }
 
-        /// Rounds resolved by the batched kernel.
+        /// Probe slots resolved by the batched kernel.
         pub fn batched_slots(&self) -> u64 {
             self.batched_slots
         }

@@ -7,9 +7,9 @@
 //! [`EngineObserver::slow_path`] at `false`: span events are emitted on
 //! the event-horizon fast path too. That is sound because no message
 //! event can occur inside a jumped idle run (the pending book is empty by
-//! construction) and the batched resolution kernel reports its singleton
-//! window memberships and deliveries through the same callbacks, at the
-//! same instants, as the slot-stepped path — pinned by the
+//! construction) and the batched resolution kernel reports its rounds'
+//! window memberships, collision episodes and deliveries through the same
+//! callbacks, at the same instants, as the slot-stepped path — pinned by the
 //! `span_stream_is_identical_on_both_paths` A-B property test in
 //! `tcw-window`.
 //!

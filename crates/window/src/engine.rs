@@ -81,7 +81,7 @@
 use crate::controller::{SlotContext, StaticController, WindowController};
 use crate::interval::Interval;
 use crate::metrics::{MeasureConfig, Metrics};
-use crate::policy::{ControlPolicy, WindowPosition};
+use crate::policy::{ControlPolicy, SplitRule, WindowPosition};
 use crate::pseudo::{PseudoInterval, PseudoMap};
 use crate::timeline::Timeline;
 use crate::trace::{DropCause, EngineObserver};
@@ -175,7 +175,7 @@ const SNAP_FORMAT: u64 = 3;
 
 /// Telemetry of the event-horizon fast path: how much work the engine
 /// avoided by jumping over analytically known idle runs and by resolving
-/// contiguous singleton/empty windows in the batched kernel. Purely
+/// whole FCFS windowing rounds in the batched kernel. Purely
 /// observational — both paths are bit-identical in every protocol metric,
 /// so these counters are excluded from equivalence fingerprints.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -186,7 +186,10 @@ pub struct HorizonStats {
     pub slots_skipped: u64,
     /// Batched-kernel activations.
     pub batched_runs: u64,
-    /// Rounds resolved by the batched kernel without generic dispatch.
+    /// Probe slots the batched kernel resolved without generic dispatch:
+    /// one per empty or singleton round, and every probe of a collision
+    /// round, sub-tick coin slots included. With `slots_skipped` this is
+    /// the fast path's share of all probe slots.
     pub batched_slots: u64,
 }
 
@@ -211,7 +214,7 @@ impl HorizonStats {
         );
         sink.counter(
             "tcw_horizon_batched_slots_total",
-            "rounds resolved by the batched kernel",
+            "probe slots resolved by the batched kernel",
             self.batched_slots,
         );
     }
@@ -238,7 +241,10 @@ pub struct Engine<S: ArrivalSource> {
     /// Finite-population sensitivity mode: each station buffers at most
     /// one message; arrivals at a busy station are blocked (lost).
     single_buffer: bool,
-    busy_stations: HashSet<StationId>,
+    /// Per-station busy flags, indexed by station id (ids are dense):
+    /// set on admission, cleared when the message is delivered,
+    /// discarded or dropped. Read only in single-buffer mode.
+    busy: Vec<bool>,
     /// Retry/backoff budget for detectably corrupted slots.
     resync: ResyncPolicy,
     /// Messages stranded in examined time by a misread slot; their arrival
@@ -315,7 +321,7 @@ impl<S: ArrivalSource> Engine<S> {
             rng_source,
             last_tx_end: Time::ZERO,
             single_buffer: false,
-            busy_stations: HashSet::new(),
+            busy: Vec::new(),
             resync: ResyncPolicy::default(),
             orphans: Vec::new(),
             fault_touched: HashSet::new(),
@@ -471,11 +477,9 @@ impl<S: ArrivalSource> Engine<S> {
         }
         w.push(self.last_tx_end.ticks());
         w.push_bool(self.single_buffer);
-        let mut busy: Vec<u32> = self.busy_stations.iter().map(|s| s.0).collect();
-        busy.sort_unstable();
-        w.push_usize(busy.len());
-        for s in busy {
-            w.push(u64::from(s));
+        w.push_usize(self.busy.iter().filter(|&&b| b).count());
+        for (s, _) in self.busy.iter().enumerate().filter(|(_, &b)| b) {
+            w.push(s as u64);
         }
         w.push(u64::from(self.resync.max_retries));
         w.push(self.resync.backoff_cap_slots);
@@ -611,12 +615,20 @@ impl<S: ArrivalSource> Engine<S> {
         }
         self.last_tx_end = Time::from_ticks(r.take()?);
         self.single_buffer = r.take_bool()?;
-        self.busy_stations.clear();
+        self.busy.clear();
         let n = r.take_len()?;
         for _ in 0..n {
-            self.busy_stations.insert(StationId(
+            let s = StationId(
                 u32::try_from(r.take()?).map_err(|_| SnapError::new("station id overflows u32"))?,
-            ));
+            );
+            // A flag is set when one of the station's messages is admitted
+            // and cleared when any of them leaves the book, so a busy
+            // station always holds a pending message. Checking it also
+            // bounds the flag vector by the restored book.
+            if !self.pending.values().any(|m| m.station == s) {
+                return Err(SnapError::new("busy station holds no pending message"));
+            }
+            self.mark_busy(s);
         }
         self.resync = ResyncPolicy {
             max_retries: u32::try_from(r.take()?)
@@ -755,10 +767,10 @@ impl<S: ArrivalSource> Engine<S> {
     ///   clock, examined prefix, idle counters and controller feedback are
     ///   all advanced in O(1) + the controller's own feedback cost;
     /// * **batched resolution** — pending book nonempty, single trailing
-    ///   gap, Oldest position: maximal runs of empty/singleton initial
-    ///   windows are resolved without pseudo-map rebuilds or generic
-    ///   round dispatch, bailing to the slow path on the first window
-    ///   holding two or more live arrivals.
+    ///   gap, Oldest position: whole windowing rounds are resolved
+    ///   without pseudo-map rebuilds or generic round dispatch, collision
+    ///   rounds included when splits are `OlderFirst` and no membership
+    ///   transition is pending.
     ///
     /// Both kernels require a fault-free medium, no pending recovery work
     /// (orphans/rejoining) and a non-RANDOM window position, and replicate
@@ -850,33 +862,37 @@ impl<S: ArrivalSource> Engine<S> {
     }
 
     /// Batched resolution kernel: under the Oldest (FCFS) position with a
-    /// single trailing gap, an initial window is one contiguous actual
-    /// interval at the gap's old edge, so counting its live occupants is
-    /// one `BTreeMap` range probe — no pseudo-map rebuild, no segment
-    /// materialization. Empty and singleton windows resolve in one step
-    /// (idle round / immediate success); the first window holding two or
-    /// more live arrivals ends the batch and falls back to the generic
-    /// round (re-entry is idempotent: nothing beyond `ingest`, the
-    /// discard sweep and an idempotent `next_length` has happened for the
-    /// aborted round, and no RNG was drawn).
+    /// single trailing gap, whole windowing rounds resolve without the
+    /// pseudo-map rebuild, segment materialization and generic dispatch
+    /// of `cycle`. The pseudo-projection is then the identity shifted by
+    /// the gap's old edge, so each round costs one `BTreeMap` range probe
+    /// of its initial window (see [`Engine::batched_round`]).
+    ///
+    /// A round of one probe (empty or singleton window) needs only the
+    /// next churn slot to be transition-free. A collision round takes an
+    /// unknown number of probe slots and splits, so it also needs the
+    /// `OlderFirst` rule (which draws no policy RNG) and a membership
+    /// process with no transition pending at all. Otherwise the batch
+    /// ends and the caller runs the generic round; re-entry is
+    /// idempotent, since nothing beyond `ingest`, the discard sweep and
+    /// an idempotent `next_length` has happened for the aborted round and
+    /// no RNG was drawn.
     fn batched_rounds(&mut self, limit: Time, tau: Dur, obs: &mut dyn EngineObserver) -> bool {
         if !matches!(self.policy.position, WindowPosition::Oldest) {
             return false;
         }
         let from = self.timeline.now();
-        let mut done: u64 = 0;
+        let probe_slots = |c: &ChannelStats| c.idle_slots + c.collision_slots + c.successes;
+        let slots_before = probe_slots(&self.channel_stats);
+        // No membership transition happens inside a batch, so one query
+        // bounds it: every round's first churn slot must come before the
+        // next scheduled transition.
+        let next_transition = self.churn.next_scheduled_transition();
+        let collisions = self.policy.split == SplitRule::OlderFirst && next_transition.is_none();
+        let mut bufs = std::mem::take(&mut self.scratch);
         loop {
             let now = self.timeline.now();
-            if now >= limit {
-                break;
-            }
-            // The single churn slot this round consumes must be
-            // transition-free; an eventful slot needs `cycle`'s handlers.
-            if self
-                .churn
-                .next_scheduled_transition()
-                .is_some_and(|s| s <= self.churn.slot() + 1)
-            {
+            if now >= limit || next_transition.is_some_and(|s| s <= self.churn.slot() + 1) {
                 break;
             }
             self.ingest(now, obs);
@@ -891,27 +907,7 @@ impl<S: ArrivalSource> Engine<S> {
             {
                 break;
             }
-            // Policy element (4), replicated from `cycle`.
-            if let Some(k) = self.policy.discard_after {
-                let cutoff = now.saturating_sub(k);
-                while let Some((&key, _)) = self.pending.iter().next() {
-                    if key.0 >= cutoff {
-                        break;
-                    }
-                    let msg = self.pending.remove(&key).expect("key just observed");
-                    self.busy_stations.remove(&msg.station);
-                    let counted = self.metrics.config().counts(msg.arrival);
-                    if self.fault_touched.remove(&msg.id) && counted {
-                        self.metrics.on_fault_loss();
-                    }
-                    if self.churn_touched.remove(&msg.id) && counted {
-                        self.metrics.on_churn_loss();
-                    }
-                    self.metrics.on_sender_discard(msg.arrival);
-                    obs.on_sender_discard(&msg, now);
-                }
-                self.timeline.discard_before(cutoff);
-            }
+            self.discard_expired(now, obs);
             let Some(gap) = self.timeline.trailing_gap() else {
                 // Zero backlog (or interior gaps): slow path.
                 break;
@@ -919,78 +915,147 @@ impl<S: ArrivalSource> Engine<S> {
             debug_assert_eq!(gap.hi, now);
             let backlog = gap.width();
             let length = self.controller.next_length(now, backlog, &self.policy);
-            // Mirrors `choose_window_with_length` under Oldest: pseudo
-            // `[0, w)` is actual `[gap.lo, gap.lo + w)` when the
-            // unexamined region is one interval.
-            let w = length.max(1).min(backlog.ticks());
-            let span = Interval::new(gap.lo, gap.lo + Dur::from_ticks(w));
-            let filter_churn = !self.churn.plan().is_none();
-            let mut first: Option<Message> = None;
-            let mut live = 0usize;
-            for m in self
-                .pending
-                .range((span.lo, MessageId(0))..(span.hi, MessageId(0)))
-                .map(|(_, m)| m)
-            {
-                if filter_churn && !self.churn.is_up(m.station) {
-                    continue;
-                }
-                live += 1;
-                if live == 1 {
-                    first = Some(*m);
-                } else {
-                    break;
-                }
+            let initial = self
+                .policy
+                .choose_window_with_length(backlog, length, &mut self.rng_policy)
+                .expect("a trailing gap is nonempty");
+            bufs.txs.clear();
+            bufs.txs.extend(
+                self.pending
+                    .range(
+                        (gap.lo, MessageId(0))
+                            ..(gap.lo + Dur::from_ticks(initial.hi), MessageId(0)),
+                    )
+                    .map(|(_, m)| *m),
+            );
+            if !self.churn.plan().is_none() {
+                self.churn.retain_up(&mut bufs.txs);
             }
-            if live >= 2 {
-                break; // genuine collision: generic splitting machinery
+            if bufs.txs.len() >= 2 && !collisions {
+                break;
             }
-            // Operation order replicates the slow path exactly: stats,
-            // controller feedback, clock, delivery, churn slot, examined
-            // marking.
-            match first {
-                None => {
-                    self.channel_stats.record(&SlotOutcome::Idle, tau);
-                    self.controller
-                        .on_slot(SlotContext::Initial { width: w }, &SlotOutcome::Idle);
-                    self.timeline.advance(now + tau);
-                    self.churn.skip_slots(1);
-                    self.timeline.mark_examined(span);
-                }
-                Some(msg) => {
-                    let (outcome, dur) = (
-                        SlotOutcome::Success(msg.id),
-                        if self.medium.config().guard {
-                            self.medium.config().message_duration() + tau
-                        } else {
-                            self.medium.config().message_duration()
-                        },
-                    );
-                    self.channel_stats.record(&outcome, dur);
-                    self.controller
-                        .on_slot(SlotContext::Initial { width: w }, &outcome);
-                    self.timeline.advance(now + dur);
-                    // The singleton's span events (window membership, then
-                    // delivery inside `complete_transmission`) are emitted
-                    // here with the same instants as the slow path's
-                    // round, so a span stream never needs the slow path.
-                    obs.on_window_member(&msg, now);
-                    // Delivery precedes the end-of-slot churn transitions,
-                    // as in the slow path.
-                    self.complete_transmission(msg, now, now, 0, obs);
-                    self.churn.skip_slots(1);
-                    self.timeline.mark_examined(span);
-                }
-            }
-            done += 1;
+            self.batched_round(gap.lo, initial, tau, &mut bufs, obs);
         }
-        if done == 0 {
+        self.scratch = bufs;
+        let slots = probe_slots(&self.channel_stats) - slots_before;
+        if slots == 0 {
             return false;
         }
         self.horizon_stats.batched_runs += 1;
-        self.horizon_stats.batched_slots += done;
-        obs.on_batched_run(from, self.timeline.now(), done);
+        self.horizon_stats.batched_slots += slots;
+        obs.on_batched_run(from, self.timeline.now(), slots);
         true
+    }
+
+    /// One FCFS windowing round of the batched kernel, from the pseudo
+    /// window `initial` over a single unexamined interval starting at
+    /// `base`. On entry `bufs.txs` holds the initial window's live
+    /// members, oldest first.
+    ///
+    /// Under the Oldest position and the `OlderFirst` rule the examined
+    /// set stays a prefix (Lemma 2), so every window the round probes is
+    /// the actual interval `base + [p.lo, p.hi)`. Arrivals are admitted
+    /// only at decision points and a delivery ends the round, so the
+    /// member list never changes mid-round: each probe's transmitter set
+    /// is a `partition_point` slice of it. A same-tick cluster goes to
+    /// [`Engine::resolve_cluster`] with the same coin draws as the slow
+    /// path.
+    ///
+    /// Operation order, RNG draws and span callbacks replicate
+    /// `windowing_round` on a fault-free medium exactly: stats,
+    /// controller feedback, clock, delivery, churn slot, examined
+    /// marking. Per-slot callbacks (`on_probe`, `on_immediate_split`)
+    /// are not reported.
+    fn batched_round(
+        &mut self,
+        base: Time,
+        initial: PseudoInterval,
+        tau: Dur,
+        bufs: &mut RoundScratch,
+        obs: &mut dyn EngineObserver,
+    ) {
+        let round_start = self.timeline.now();
+        for m in &bufs.txs {
+            obs.on_window_member(m, round_start);
+        }
+        let mut overhead: u64 = 0;
+        let mut ctx = SlotContext::Initial {
+            width: initial.width(),
+        };
+        let mut current = initial;
+        // As in `windowing_round`: current ∪ sibling holds >= 2 arrivals.
+        let mut sibling: Option<PseudoInterval> = None;
+        loop {
+            let now = self.timeline.now();
+            let span = Interval::new(
+                base + Dur::from_ticks(current.lo),
+                base + Dur::from_ticks(current.hi),
+            );
+            let lo = bufs.txs.partition_point(|m| m.arrival < span.lo);
+            let hi = bufs.txs.partition_point(|m| m.arrival < span.hi);
+            let txs = &bufs.txs[lo..hi];
+            let (outcome, dur) = match txs {
+                [] => (SlotOutcome::Idle, tau),
+                [m] => (
+                    SlotOutcome::Success(m.id),
+                    self.medium.config().success_duration(),
+                ),
+                _ => (SlotOutcome::Collision(txs.len() as u32), tau),
+            };
+            self.channel_stats.record(&outcome, dur);
+            if txs.len() >= 2 {
+                for m in txs {
+                    obs.on_collision_member(m, now);
+                }
+            }
+            self.controller.on_slot(ctx, &outcome);
+            ctx = SlotContext::Resolution;
+            self.timeline.advance(now + dur);
+            if let SlotOutcome::Success(_) = outcome {
+                self.complete_transmission(bufs.txs[lo], now, round_start, overhead, obs);
+            }
+            self.churn.skip_slots(1);
+            match outcome {
+                SlotOutcome::Idle => {
+                    overhead += 1;
+                    self.timeline.mark_examined(span);
+                    let Some(sib) = sibling.take() else {
+                        return; // empty initial window: round over
+                    };
+                    match self.policy.split_window(sib, &mut self.rng_policy) {
+                        Some((first, second)) => {
+                            current = first;
+                            sibling = Some(second);
+                        }
+                        None => current = sib,
+                    }
+                }
+                SlotOutcome::Success(_) => {
+                    self.timeline.mark_examined(span);
+                    return;
+                }
+                SlotOutcome::Collision(_) => {
+                    overhead += 1;
+                    match self.policy.split_window(current, &mut self.rng_policy) {
+                        Some((first, second)) => {
+                            current = first;
+                            sibling = Some(second);
+                        }
+                        None => {
+                            bufs.txs.truncate(hi);
+                            bufs.txs.drain(..lo);
+                            let end =
+                                self.resolve_cluster(bufs, &mut overhead, round_start, false, obs);
+                            debug_assert!(
+                                matches!(end, ClusterEnd::Delivered),
+                                "a fault-free cluster of live stations always delivers"
+                            );
+                            return;
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Admits arrivals with time `<= now` into the pending set. Each
@@ -1017,14 +1082,14 @@ impl<S: ArrivalSource> Engine<S> {
                         self.metrics.on_churn_blocked(a.time);
                         continue;
                     }
-                    if self.single_buffer && self.busy_stations.contains(&a.station) {
+                    if self.single_buffer && self.busy.get(a.station.0 as usize) == Some(&true) {
                         self.metrics.on_blocked(a.time);
                         continue;
                     }
                     let msg = Message::new(MessageId(self.next_id), a.station, a.time);
                     self.next_id += 1;
                     self.metrics.on_offered(a.time);
-                    self.busy_stations.insert(a.station);
+                    self.mark_busy(a.station);
                     self.pending.insert((a.time, msg.id), msg);
                     obs.on_arrival(&msg, now);
                 }
@@ -1075,13 +1140,9 @@ impl<S: ArrivalSource> Engine<S> {
                             self.metrics.on_churn_reopen();
                         }
                     } else {
-                        let msg = self
-                            .pending
-                            .remove(&(arrival, id))
-                            .expect("key just observed");
-                        self.busy_stations.remove(&msg.station);
-                        self.fault_touched.remove(&msg.id);
-                        self.churn_touched.remove(&msg.id);
+                        let msg = self.unbook((arrival, id));
+                        take_touched(&mut self.fault_touched, msg.id);
+                        take_touched(&mut self.churn_touched, msg.id);
                         self.metrics.on_churn_drop(msg.arrival);
                         obs.on_message_drop(&msg, now, DropCause::RejoinExpired);
                     }
@@ -1111,28 +1172,7 @@ impl<S: ArrivalSource> Engine<S> {
             self.orphans_swap.clear();
         }
 
-        // Policy element (4): discard over-age messages by marking their
-        // arrival intervals examined.
-        if let Some(k) = self.policy.discard_after {
-            let cutoff = now.saturating_sub(k);
-            while let Some((&key, _)) = self.pending.iter().next() {
-                if key.0 >= cutoff {
-                    break;
-                }
-                let msg = self.pending.remove(&key).expect("key just observed");
-                self.busy_stations.remove(&msg.station);
-                let counted = self.metrics.config().counts(msg.arrival);
-                if self.fault_touched.remove(&msg.id) && counted {
-                    self.metrics.on_fault_loss();
-                }
-                if self.churn_touched.remove(&msg.id) && counted {
-                    self.metrics.on_churn_loss();
-                }
-                self.metrics.on_sender_discard(msg.arrival);
-                obs.on_sender_discard(&msg, now);
-            }
-            self.timeline.discard_before(cutoff);
-        }
+        self.discard_expired(now, obs);
 
         obs.on_beacon(now, &self.timeline, &self.rng_policy);
 
@@ -1389,7 +1429,8 @@ impl<S: ArrivalSource> Engine<S> {
                         }
                         None => {
                             // Sub-tick cluster: resolve by fair coins.
-                            match self.resolve_cluster(bufs, &mut overhead, round_start, obs) {
+                            match self.resolve_cluster(bufs, &mut overhead, round_start, true, obs)
+                            {
                                 ClusterEnd::Delivered => {}
                                 ClusterEnd::PhantomSuccess => {
                                     // Stations saw a success; the tick is
@@ -1456,10 +1497,9 @@ impl<S: ArrivalSource> Engine<S> {
                                 .map(|(&k, _)| k),
                         );
                         for &key in &keys {
-                            let msg = self.pending.remove(&key).expect("key just observed");
-                            self.busy_stations.remove(&msg.station);
-                            self.fault_touched.remove(&msg.id);
-                            self.churn_touched.remove(&msg.id);
+                            let msg = self.unbook(key);
+                            take_touched(&mut self.fault_touched, msg.id);
+                            take_touched(&mut self.churn_touched, msg.id);
                             self.metrics.on_churn_drop(msg.arrival);
                             obs.on_message_drop(&msg, now, DropCause::StationLeft);
                         }
@@ -1504,11 +1544,14 @@ impl<S: ArrivalSource> Engine<S> {
     /// On entry `bufs.txs` holds the colliding cluster; the active set
     /// lives there throughout, with `bufs.older` as the partition buffer
     /// (swapped in on a collision) — no per-iteration allocation.
+    /// `per_slot` reports each probe through `on_probe`; the batched
+    /// kernel passes `false`, as it reports only span callbacks.
     fn resolve_cluster(
         &mut self,
         bufs: &mut RoundScratch,
         overhead: &mut u64,
         round_start: Time,
+        per_slot: bool,
         obs: &mut dyn EngineObserver,
     ) -> ClusterEnd {
         // Slots wasted by injected faults during this resolution. Bounded
@@ -1588,7 +1631,9 @@ impl<S: ArrivalSource> Engine<S> {
                 futile += 1;
             }
             self.channel_stats.record(&outcome, report.dur);
-            obs.on_probe(now, &[], &outcome, report.dur);
+            if per_slot {
+                obs.on_probe(now, &[], &outcome, report.dur);
+            }
             if matches!(outcome, SlotOutcome::Collision(_)) {
                 // Sub-tick collision episode among the live "older" half
                 // (the actual transmitter set of this probe).
@@ -1609,14 +1654,8 @@ impl<S: ArrivalSource> Engine<S> {
                         .copied()
                         .find(|m| m.id == id)
                         .expect("delivered message came from the probed set");
-                    let tx_start = self.timeline.now()
-                        - self.medium.config().message_duration()
-                        - if self.medium.config().guard {
-                            self.medium.config().tau()
-                        } else {
-                            Dur::ZERO
-                        };
-                    self.complete_transmission(winner, tx_start, round_start, *overhead, obs);
+                    // The transmission started with this probe slot.
+                    self.complete_transmission(winner, now, round_start, *overhead, obs);
                     self.churn_step(obs);
                     return ClusterEnd::Delivered;
                 }
@@ -1642,6 +1681,53 @@ impl<S: ArrivalSource> Engine<S> {
         }
     }
 
+    /// Policy element (4): discards every pending message older than the
+    /// deadline `K` and marks its arrival interval examined.
+    fn discard_expired(&mut self, now: Time, obs: &mut dyn EngineObserver) {
+        let Some(k) = self.policy.discard_after else {
+            return;
+        };
+        let cutoff = now.saturating_sub(k);
+        while let Some((&key, _)) = self.pending.first_key_value() {
+            if key.0 >= cutoff {
+                break;
+            }
+            let msg = self.unbook(key);
+            let counted = self.metrics.config().counts(msg.arrival);
+            if take_touched(&mut self.fault_touched, msg.id) && counted {
+                self.metrics.on_fault_loss();
+            }
+            if take_touched(&mut self.churn_touched, msg.id) && counted {
+                self.metrics.on_churn_loss();
+            }
+            self.metrics.on_sender_discard(msg.arrival);
+            obs.on_sender_discard(&msg, now);
+        }
+        self.timeline.discard_before(cutoff);
+    }
+
+    /// Sets `station`'s busy flag, growing the flag vector on first use.
+    fn mark_busy(&mut self, station: StationId) {
+        let i = station.0 as usize;
+        if i >= self.busy.len() {
+            self.busy.resize(i + 1, false);
+        }
+        self.busy[i] = true;
+    }
+
+    /// Removes a resolved message from the pending book and clears its
+    /// station's busy flag.
+    fn unbook(&mut self, key: (Time, MessageId)) -> Message {
+        let msg = self
+            .pending
+            .remove(&key)
+            .expect("resolved message was pending");
+        if let Some(busy) = self.busy.get_mut(msg.station.0 as usize) {
+            *busy = false;
+        }
+        msg
+    }
+
     /// Bookkeeping for a completed transmission.
     fn complete_transmission(
         &mut self,
@@ -1651,10 +1737,7 @@ impl<S: ArrivalSource> Engine<S> {
         overhead: u64,
         obs: &mut dyn EngineObserver,
     ) {
-        self.pending
-            .remove(&(msg.arrival, msg.id))
-            .expect("transmitted message was pending");
-        self.busy_stations.remove(&msg.station);
+        self.unbook((msg.arrival, msg.id));
         let paper_delay = round_start - msg.arrival;
         let true_delay = tx_start - msg.arrival;
         let sched_start = self.last_tx_end.max(msg.arrival);
@@ -1665,10 +1748,10 @@ impl<S: ArrivalSource> Engine<S> {
         // disturbance.
         let counted_late = self.metrics.config().counts(msg.arrival)
             && true_delay > self.metrics.config().deadline;
-        if self.fault_touched.remove(&msg.id) && counted_late {
+        if take_touched(&mut self.fault_touched, msg.id) && counted_late {
             self.metrics.on_fault_loss();
         }
-        if self.churn_touched.remove(&msg.id) && counted_late {
+        if take_touched(&mut self.churn_touched, msg.id) && counted_late {
             self.metrics.on_churn_loss();
         }
         self.metrics
@@ -1682,6 +1765,13 @@ impl<S: ArrivalSource> Engine<S> {
             .on_delivery(msg.station, msg.arrival, self.timeline.now());
         obs.on_transmit(&msg, tx_start, paper_delay, true_delay);
     }
+}
+
+/// Removes `id` from a loss-attribution set, returning whether it was
+/// there. Both sets stay empty on fault- and crash-free runs, where this
+/// skips hashing the id.
+fn take_touched(set: &mut HashSet<MessageId>, id: MessageId) -> bool {
+    !set.is_empty() && set.remove(&id)
 }
 
 /// Convenience: builds an engine fed by aggregate Poisson arrivals with
@@ -2054,6 +2144,17 @@ mod tests {
         eng.run_until(Time::from_ticks(200_000), &mut NoopObserver);
         eng.drain(&mut NoopObserver);
         assert_eq!(eng.metrics.blocked(), 0);
+    }
+
+    #[test]
+    fn restore_rejects_busy_station_without_pending_message() {
+        let mut eng = fcfs_engine(&[(2, 0)], 16);
+        eng.run_until(Time::from_ticks(8), &mut NoopObserver);
+        let words = eng.snapshot().expect("trace source checkpoints");
+        assert!(fcfs_engine(&[(2, 0)], 16).restore(&words).is_ok());
+        eng.mark_busy(StationId(3));
+        let words = eng.snapshot().expect("trace source checkpoints");
+        assert!(fcfs_engine(&[(2, 0)], 16).restore(&words).is_err());
     }
 
     #[test]

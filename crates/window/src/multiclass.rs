@@ -345,13 +345,7 @@ impl MulticlassEngine {
                         }
                         None => {
                             let winner = self.resolve_cluster(txs, &mut overhead);
-                            let tx_start = self.now
-                                - self.medium.config().message_duration()
-                                - if self.medium.config().guard {
-                                    self.medium.config().tau()
-                                } else {
-                                    Dur::ZERO
-                                };
+                            let tx_start = self.now - self.medium.config().success_duration();
                             self.complete(c, winner, tx_start, round_start, overhead);
                             return;
                         }

@@ -114,9 +114,12 @@ pub trait EngineObserver {
     /// callbacks for those rounds are suppressed.
     fn on_idle_jump(&mut self, _from: Time, _to: Time, _slots: u64) {}
 
-    /// The batched resolution kernel resolved `slots` contiguous
-    /// singleton/empty rounds between `from` and `to` without per-slot
-    /// re-dispatch. Per-event callbacks for those rounds are suppressed.
+    /// The batched resolution kernel resolved whole windowing rounds,
+    /// `slots` probe slots in all, between `from` and `to` without
+    /// per-slot re-dispatch. Per-event callbacks for those rounds are
+    /// suppressed; the span callbacks (`on_window_member`,
+    /// `on_collision_member`, `on_transmit`, ...) fire as on the slow
+    /// path.
     fn on_batched_run(&mut self, _from: Time, _to: Time, _slots: u64) {}
 
     /// A message was admitted into the protocol (lifecycle span opens).
@@ -124,7 +127,7 @@ pub trait EngineObserver {
     /// protocol and never open a span. Fired on both the slot-stepped and
     /// the event-horizon fast path — a span stream does **not** force the
     /// slow path, because no message event can occur inside an idle jump
-    /// and the batched kernel reports its singleton deliveries itself.
+    /// and the batched kernel reports its rounds' span events itself.
     fn on_arrival(&mut self, _msg: &Message, _now: Time) {}
 
     /// A pending message became a member of the window about to be

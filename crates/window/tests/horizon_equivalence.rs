@@ -12,19 +12,22 @@
 //! 200 randomized configurations sweep offered load (weighted toward
 //! the light-load regime where the jump engages), population, channel
 //! geometry, window policy, all three controllers, fault plans and
-//! churn plans. Cases reproduce from their index (deterministic
-//! `tcw_sim` RNG, no external framework).
+//! churn plans. 60 more stay in the regime where most windows collide,
+//! which the batched kernel resolves in place. Cases reproduce from their
+//! index (deterministic `tcw_sim` RNG, no external framework).
 
-use tcw_mac::{ChannelConfig, ChurnPlan, FaultPlan, PoissonArrivals};
+use tcw_mac::{ChannelConfig, ChurnPlan, FaultPlan, PoissonArrivals, SlotOutcome};
 use tcw_sim::rng::Rng;
 use tcw_sim::time::{Dur, Time};
-use tcw_window::engine::{poisson_engine, Engine};
+use tcw_window::engine::{poisson_engine, Engine, HorizonStats};
+use tcw_window::interval::Interval;
 use tcw_window::metrics::MeasureConfig;
 use tcw_window::policy::ControlPolicy;
-use tcw_window::trace::NoopObserver;
+use tcw_window::trace::{EngineObserver, NoopObserver};
 use tcw_window::{AimdConfig, ControllerConfig, EstimatorConfig};
 
 const CASES: u64 = 200;
+const HEAVY_CASES: u64 = 60;
 
 /// One randomized engine configuration, reproducible from the case
 /// index.
@@ -96,6 +99,62 @@ fn draw_case(case: u64) -> Case {
     }
 }
 
+/// A heavy-load configuration: Oldest position and `OlderFirst` splits
+/// at rho' in [0.85, 0.98], where most windows collide. Two or four
+/// ticks per `tau` make same-tick clusters common; biased split
+/// fractions exercise `split_window`; a third of the cases schedule
+/// joins and leaves early, so collision rounds leave the fast path only
+/// until the last transition.
+fn draw_heavy_case(case: u64) -> Case {
+    let mut rng = Rng::new(0x4EA7_0001 ^ (case.wrapping_mul(0x9E37_79B9)));
+    let ticks_per_tau = [2, 4][rng.below(2) as usize];
+    let channel = ChannelConfig {
+        ticks_per_tau,
+        message_slots: 5 + rng.below(21),
+        guard: rng.below(2) == 0,
+    };
+    let rho = 0.85 + rng.f64() * 0.13;
+    let w = Dur::from_ticks(ticks_per_tau * (1 + rng.below(6)));
+    let k = Dur::from_ticks(ticks_per_tau * (20 + rng.below(100)));
+    let base = if rng.below(3) == 0 {
+        ControlPolicy::fcfs(w)
+    } else {
+        ControlPolicy::controlled(k, w)
+    };
+    let policy = ControlPolicy {
+        split_fraction: [0.5, 0.5, 0.3, 0.7][rng.below(4) as usize],
+        ..base
+    };
+    let ctl = match case % 3 {
+        0 => ControllerConfig::Static,
+        1 => ControllerConfig::Aimd(AimdConfig::around(w.ticks())),
+        _ => ControllerConfig::Estimator(EstimatorConfig::around(w.ticks())),
+    };
+    let churn = if rng.below(3) == 0 {
+        ChurnPlan {
+            late_join_frac: 0.2,
+            join_slot: 100 + rng.below(300),
+            leave_frac: 0.2,
+            leave_slot: 200 + rng.below(600),
+            catch_up_slots: 50,
+            ..ChurnPlan::none()
+        }
+    } else {
+        ChurnPlan::none()
+    };
+    Case {
+        channel,
+        policy,
+        rho,
+        stations: 5 + rng.below(30) as u32,
+        seed: 0xCD00 ^ case,
+        plan: FaultPlan::none(),
+        churn,
+        ctl,
+        horizon: 20_000 + rng.below(20_000),
+    }
+}
+
 fn build(case: &Case) -> Engine<PoissonArrivals> {
     let measure = MeasureConfig {
         start: Time::from_ticks(500),
@@ -121,6 +180,7 @@ fn build(case: &Case) -> Engine<PoissonArrivals> {
 fn summary(eng: &Engine<PoissonArrivals>) -> String {
     let m = &eng.metrics;
     let c = &eng.channel_stats;
+    let h = m.paper_delay_histogram();
     format!(
         "offered={} sender={} receiver={} loss={:016x} now={} succ={} coll={} idle={} \
          idle_dur={} erased={} quiet={} paper_mean={:016x} paper_max={:016x} \
@@ -128,7 +188,8 @@ fn summary(eng: &Engine<PoissonArrivals>) -> String {
          reopened={} fault_losses={} churn_blocked={} churn_losses={} churn_reopened={} \
          crashes={} restarts={} churn_slot={} ctl_window={} ctl_shrinks={} ctl_grows={} \
          fragments={} backlog={} pending={} aoi_n={} aoi_st={} aoi_mean={:016x} \
-         aoi_viol={:016x} aoi_peak_n={} aoi_peak_mean={:016x}",
+         aoi_viol={:016x} aoi_peak_n={} aoi_peak_mean={:016x} true_p95={:?} true_p99={:?} \
+         paper_hist={:?}",
         m.offered(),
         m.sender_lost(),
         m.receiver_lost(),
@@ -168,6 +229,63 @@ fn summary(eng: &Engine<PoissonArrivals>) -> String {
         m.aoi().violation_fraction().unwrap_or(-1.0).to_bits(),
         m.aoi().peak_age().count(),
         m.aoi().peak_age().mean().to_bits(),
+        // The P² estimators depend on the order of the deliveries, so
+        // they catch a reordering that leaves every mean unchanged.
+        m.true_delay_p95().map(f64::to_bits),
+        m.true_delay_p99().map(f64::to_bits),
+        (
+            h.underflow(),
+            (0..h.bins()).map(|i| h.bin_count(i)).collect::<Vec<_>>(),
+            h.overflow(),
+        ),
+    )
+}
+
+/// Counts the collision probes reported one by one through `on_probe`
+/// while leaving the fast path on. The batched kernel reports none, so
+/// the channel's collision count minus this tally is the number of
+/// collision probes the kernel resolved.
+#[derive(Default)]
+struct CollisionTally(u64);
+
+impl EngineObserver for CollisionTally {
+    fn on_probe(&mut self, _start: Time, _segments: &[Interval], outcome: &SlotOutcome, _dur: Dur) {
+        if matches!(outcome, SlotOutcome::Collision(_)) {
+            self.0 += 1;
+        }
+    }
+}
+
+/// Runs `cfg` with the fast path on and forced off, asserts the two runs
+/// are bit-identical, and returns the fast run's fast-path counters and
+/// the collision probes its batched kernel resolved.
+fn run_both_paths(cfg: &Case, label: &str) -> (HorizonStats, u64) {
+    let horizon = Time::from_ticks(cfg.horizon);
+
+    let mut fast = build(cfg);
+    assert!(fast.jump_ahead(), "jump-ahead must default on");
+    let mut tally = CollisionTally::default();
+    fast.run_until(horizon, &mut tally);
+    fast.drain(&mut tally);
+
+    let mut slow = build(cfg);
+    slow.set_jump_ahead(false);
+    slow.run_until(horizon, &mut NoopObserver);
+    slow.drain(&mut NoopObserver);
+
+    assert_eq!(
+        summary(&fast),
+        summary(&slow),
+        "{label}: fast path diverged from slot stepping"
+    );
+    assert_eq!(
+        slow.horizon_stats.jumps + slow.horizon_stats.batched_runs,
+        0,
+        "{label}: disabled fast path must not activate"
+    );
+    (
+        fast.horizon_stats,
+        fast.channel_stats.collision_slots - tally.0,
     )
 }
 
@@ -180,36 +298,30 @@ fn jump_ahead_is_bit_identical_to_slot_stepping() {
     let mut total_jumps = 0u64;
     let mut total_batched = 0u64;
     for case in 0..CASES {
-        let cfg = draw_case(case);
-        let horizon = Time::from_ticks(cfg.horizon);
-
-        let mut fast = build(&cfg);
-        assert!(fast.jump_ahead(), "jump-ahead must default on");
-        fast.run_until(horizon, &mut NoopObserver);
-        fast.drain(&mut NoopObserver);
-
-        let mut slow = build(&cfg);
-        slow.set_jump_ahead(false);
-        slow.run_until(horizon, &mut NoopObserver);
-        slow.drain(&mut NoopObserver);
-
-        assert_eq!(
-            summary(&fast),
-            summary(&slow),
-            "case {case}: fast path diverged from slot stepping"
-        );
-        assert_eq!(
-            slow.horizon_stats.jumps + slow.horizon_stats.batched_runs,
-            0,
-            "case {case}: disabled fast path must not activate"
-        );
-        total_jumps += fast.horizon_stats.jumps;
-        total_batched += fast.horizon_stats.batched_runs;
+        let (stats, _) = run_both_paths(&draw_case(case), &format!("case {case}"));
+        total_jumps += stats.jumps;
+        total_batched += stats.batched_runs;
     }
     assert!(
         total_jumps > 0 && total_batched > 0,
         "fast path never engaged: jumps={total_jumps} batched={total_batched}"
     );
+}
+
+/// Heavy load: bit-identical on both paths, and in every case the
+/// batched kernel resolved collision probes itself instead of handing
+/// the round to the slot-stepped cycle.
+#[test]
+fn heavy_load_collisions_stay_on_the_fast_path() {
+    for case in 0..HEAVY_CASES {
+        let cfg = draw_heavy_case(case);
+        let label = format!("heavy case {case}");
+        let (_, kernel_collisions) = run_both_paths(&cfg, &label);
+        assert!(
+            kernel_collisions > 0,
+            "{label}: no collision probe was resolved on the fast path"
+        );
+    }
 }
 
 /// A slow-path-demanding observer disables the fast path even when
@@ -290,8 +402,10 @@ impl tcw_window::trace::EngineObserver for SpanLog {
 #[test]
 fn span_stream_is_identical_on_both_paths() {
     let mut engaged = 0u64;
-    for case in 0..CASES / 4 {
-        let cfg = draw_case(case);
+    let general = (0..CASES / 4).map(|case| (format!("case {case}"), draw_case(case)));
+    let heavy =
+        (0..HEAVY_CASES / 4).map(|case| (format!("heavy case {case}"), draw_heavy_case(case)));
+    for (label, cfg) in general.chain(heavy) {
         let horizon = Time::from_ticks(cfg.horizon);
 
         let mut fast = build(&cfg);
@@ -310,15 +424,15 @@ fn span_stream_is_identical_on_both_paths() {
         assert_eq!(
             slow.horizon_stats.jumps + slow.horizon_stats.batched_runs,
             0,
-            "case {case}: slow_path() observer must force slot stepping"
+            "{label}: slow_path() observer must force slot stepping"
         );
 
         assert_eq!(
             fast_log.lines.join("\n"),
             slow_log.lines.join("\n"),
-            "case {case}: span stream diverged between paths"
+            "{label}: span stream diverged between paths"
         );
-        assert_eq!(summary(&fast), summary(&slow), "case {case}");
+        assert_eq!(summary(&fast), summary(&slow), "{label}");
     }
     assert!(engaged > 0, "fast path never engaged under the span log");
 }
