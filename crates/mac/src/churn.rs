@@ -169,6 +169,13 @@ enum MemberState {
 }
 
 /// The membership state machine, stepped once per channel probe slot.
+///
+/// A step costs O(1) plus one crash draw per up station when
+/// `crash > 0`: the per-station passes run only when a join, leave or
+/// restart can be due, which the derived counts below tell without a
+/// scan. The derived values are rebuilt from `state` and `leave_at` on
+/// construction and on [`load_state`](Self::load_state) and are not
+/// serialized, so the snapshot format does not depend on them.
 #[derive(Clone, Debug)]
 pub struct ChurnProcess {
     plan: ChurnPlan,
@@ -181,6 +188,15 @@ pub struct ChurnProcess {
     restarts: u64,
     joins: u64,
     leaves: u64,
+    /// Derived: stations still absent (waiting for `join_slot`).
+    absent: usize,
+    /// Derived: stations down.
+    down: usize,
+    /// Derived: the earliest `leave_at` of a station that has not left
+    /// (`u64::MAX` = none).
+    next_leave: u64,
+    /// Derived: [`Rng::chance_threshold`] of `plan.crash`.
+    crash_threshold: u64,
 }
 
 impl ChurnProcess {
@@ -211,7 +227,7 @@ impl ChurnProcess {
         for l in leave_at.iter_mut().take(leavers) {
             *l = plan.leave_slot;
         }
-        ChurnProcess {
+        let mut p = ChurnProcess {
             plan,
             rng,
             state,
@@ -221,6 +237,29 @@ impl ChurnProcess {
             restarts: 0,
             joins: 0,
             leaves: 0,
+            absent: 0,
+            down: 0,
+            next_leave: u64::MAX,
+            crash_threshold: Rng::chance_threshold(plan.crash),
+        };
+        p.derive();
+        p
+    }
+
+    /// Recomputes the derived counts from `state` and `leave_at`.
+    fn derive(&mut self) {
+        self.absent = 0;
+        self.down = 0;
+        self.next_leave = u64::MAX;
+        for (m, &l) in self.state.iter().zip(&self.leave_at) {
+            match m {
+                MemberState::Absent => self.absent += 1,
+                MemberState::Down { .. } => self.down += 1,
+                MemberState::Up | MemberState::Left => {}
+            }
+            if *m != MemberState::Left {
+                self.next_leave = self.next_leave.min(l);
+            }
         }
     }
 
@@ -314,33 +353,24 @@ impl ChurnProcess {
     /// which [`step`](Self::step) could emit an event or mutate any
     /// member's state, or `None` if no transition will ever occur. With a
     /// positive crash probability (or any station mid-outage) every slot
-    /// can transition, so the answer is the very next slot. The engine's
-    /// event-horizon fast path uses this to bound how many slots it may
-    /// [`skip_slots`](Self::skip_slots) past.
+    /// can transition, so the answer is the very next slot. O(1), from
+    /// the derived counts. The engine's event-horizon fast path uses this
+    /// to bound how many slots it may [`skip_slots`](Self::skip_slots)
+    /// past.
     pub fn next_scheduled_transition(&self) -> Option<u64> {
         if self.plan.is_none() {
             return None;
         }
-        if self.plan.crash > 0.0 {
+        // A down station mutates (counts down) on every step.
+        if self.plan.crash > 0.0 || self.down > 0 {
             return Some(self.slot + 1);
         }
-        let mut next: Option<u64> = None;
-        let consider = |candidate: u64, next: &mut Option<u64>| {
-            let c = candidate.max(self.slot + 1);
-            *next = Some(next.map_or(c, |n: u64| n.min(c)));
-        };
-        for (i, m) in self.state.iter().enumerate() {
-            match m {
-                MemberState::Absent => consider(self.plan.join_slot, &mut next),
-                // A down station mutates (counts down) on every step.
-                MemberState::Down { .. } => consider(self.slot + 1, &mut next),
-                MemberState::Up | MemberState::Left => {}
-            }
-            if self.leave_at[i] != u64::MAX && !matches!(m, MemberState::Left) {
-                consider(self.leave_at[i], &mut next);
-            }
-        }
-        next
+        let join = (self.absent > 0).then_some(self.plan.join_slot);
+        let leave = (self.next_leave != u64::MAX).then_some(self.next_leave);
+        join.into_iter()
+            .chain(leave)
+            .min()
+            .map(|s| s.max(self.slot + 1))
     }
 
     /// Advances the slot clock by `n` without stepping the state machine,
@@ -370,40 +400,54 @@ impl ChurnProcess {
         let slot = self.slot;
         // Scheduled membership first: joins and permanent leaves happen at
         // exact slots, independent of the crash process.
-        for i in 0..self.state.len() {
-            let id = StationId(i as u32);
-            if self.state[i] == MemberState::Absent && slot >= self.plan.join_slot {
-                self.state[i] = MemberState::Up;
-                self.joins += 1;
-                events.push(ChurnEvent::Join(id));
+        if (self.absent > 0 && slot >= self.plan.join_slot) || self.next_leave <= slot {
+            for i in 0..self.state.len() {
+                let id = StationId(i as u32);
+                if self.state[i] == MemberState::Absent && slot >= self.plan.join_slot {
+                    self.state[i] = MemberState::Up;
+                    self.joins += 1;
+                    events.push(ChurnEvent::Join(id));
+                }
+                if self.leave_at[i] <= slot && self.state[i] != MemberState::Left {
+                    self.state[i] = MemberState::Left;
+                    self.leaves += 1;
+                    events.push(ChurnEvent::Leave(id));
+                }
             }
-            if self.leave_at[i] <= slot && self.state[i] != MemberState::Left {
-                self.state[i] = MemberState::Left;
-                self.leaves += 1;
-                events.push(ChurnEvent::Leave(id));
-            }
+            self.derive();
         }
-        // Crash/restart dynamics: exactly one RNG draw per live station
-        // per slot (when crash > 0), in station order, so the stream is
-        // reproducible regardless of what the protocol is doing.
-        for i in 0..self.state.len() {
-            match self.state[i] {
+        if self.crash_threshold > 0 || self.down > 0 {
+            self.crash_and_restart(events);
+        }
+    }
+
+    /// Crash/restart dynamics: exactly one RNG draw per live station per
+    /// slot (when crash > 0), in station order, so the stream is
+    /// reproducible regardless of what the protocol is doing. The draws
+    /// run on a local copy of the stream, written back once.
+    fn crash_and_restart(&mut self, events: &mut Vec<ChurnEvent>) {
+        let threshold = self.crash_threshold;
+        let mut rng = self.rng.clone();
+        for (i, m) in self.state.iter_mut().enumerate() {
+            match *m {
                 MemberState::Up => {
-                    if self.plan.crash > 0.0 && self.rng.chance(self.plan.crash) {
-                        self.state[i] = MemberState::Down {
+                    if threshold > 0 && rng.chance_below(threshold) {
+                        *m = MemberState::Down {
                             remaining: self.plan.down_slots,
                         };
                         self.crashes += 1;
+                        self.down += 1;
                         events.push(ChurnEvent::Crash(StationId(i as u32)));
                     }
                 }
                 MemberState::Down { remaining } => {
                     if remaining <= 1 {
-                        self.state[i] = MemberState::Up;
+                        *m = MemberState::Up;
                         self.restarts += 1;
+                        self.down -= 1;
                         events.push(ChurnEvent::Restart(StationId(i as u32)));
                     } else {
-                        self.state[i] = MemberState::Down {
+                        *m = MemberState::Down {
                             remaining: remaining - 1,
                         };
                     }
@@ -411,6 +455,7 @@ impl ChurnProcess {
                 MemberState::Absent | MemberState::Left => {}
             }
         }
+        self.rng = rng;
     }
 }
 
@@ -496,17 +541,16 @@ impl ChurnProcess {
         for _ in 0..n {
             leave_at.push(r.take()?);
         }
-        Ok(ChurnProcess {
-            plan,
-            rng,
-            state,
-            leave_at,
-            slot: r.take()?,
-            crashes: r.take()?,
-            restarts: r.take()?,
-            joins: r.take()?,
-            leaves: r.take()?,
-        })
+        let mut p = ChurnProcess::new(plan, 0, rng);
+        p.state = state;
+        p.leave_at = leave_at;
+        p.slot = r.take()?;
+        p.crashes = r.take()?;
+        p.restarts = r.take()?;
+        p.joins = r.take()?;
+        p.leaves = r.take()?;
+        p.derive();
+        Ok(p)
     }
 }
 
@@ -615,6 +659,192 @@ mod tests {
         let p = ChurnProcess::new(ChurnPlan::crash_restart(1.0, 2, 10), 2, Rng::new(5));
         assert!(p.is_up(StationId(99)));
         assert!(p.is_present(StationId(99)));
+    }
+
+    /// The per-station process as it was before the derived counts: both
+    /// passes scan every station on every slot, and the next transition
+    /// is found by a scan. The event-cost process must match it exactly.
+    struct Reference {
+        plan: ChurnPlan,
+        rng: Rng,
+        state: Vec<MemberState>,
+        leave_at: Vec<u64>,
+        slot: u64,
+        counters: [u64; 4],
+    }
+
+    impl Reference {
+        fn of(p: &ChurnProcess) -> Self {
+            Reference {
+                plan: p.plan,
+                rng: p.rng.clone(),
+                state: p.state.clone(),
+                leave_at: p.leave_at.clone(),
+                slot: p.slot,
+                counters: [p.crashes, p.restarts, p.joins, p.leaves],
+            }
+        }
+
+        fn step(&mut self, events: &mut Vec<ChurnEvent>) {
+            self.slot += 1;
+            if self.plan.is_none() {
+                return;
+            }
+            let slot = self.slot;
+            for i in 0..self.state.len() {
+                let id = StationId(i as u32);
+                if self.state[i] == MemberState::Absent && slot >= self.plan.join_slot {
+                    self.state[i] = MemberState::Up;
+                    self.counters[2] += 1;
+                    events.push(ChurnEvent::Join(id));
+                }
+                if self.leave_at[i] <= slot && self.state[i] != MemberState::Left {
+                    self.state[i] = MemberState::Left;
+                    self.counters[3] += 1;
+                    events.push(ChurnEvent::Leave(id));
+                }
+            }
+            for i in 0..self.state.len() {
+                match self.state[i] {
+                    MemberState::Up => {
+                        if self.plan.crash > 0.0 && self.rng.chance(self.plan.crash) {
+                            self.state[i] = MemberState::Down {
+                                remaining: self.plan.down_slots,
+                            };
+                            self.counters[0] += 1;
+                            events.push(ChurnEvent::Crash(StationId(i as u32)));
+                        }
+                    }
+                    MemberState::Down { remaining } => {
+                        if remaining <= 1 {
+                            self.state[i] = MemberState::Up;
+                            self.counters[1] += 1;
+                            events.push(ChurnEvent::Restart(StationId(i as u32)));
+                        } else {
+                            self.state[i] = MemberState::Down {
+                                remaining: remaining - 1,
+                            };
+                        }
+                    }
+                    MemberState::Absent | MemberState::Left => {}
+                }
+            }
+        }
+
+        fn next_scheduled_transition(&self) -> Option<u64> {
+            if self.plan.is_none() {
+                return None;
+            }
+            if self.plan.crash > 0.0 {
+                return Some(self.slot + 1);
+            }
+            let mut next: Option<u64> = None;
+            let consider = |candidate: u64, next: &mut Option<u64>| {
+                let c = candidate.max(self.slot + 1);
+                *next = Some(next.map_or(c, |n: u64| n.min(c)));
+            };
+            for (i, m) in self.state.iter().enumerate() {
+                match m {
+                    MemberState::Absent => consider(self.plan.join_slot, &mut next),
+                    MemberState::Down { .. } => consider(self.slot + 1, &mut next),
+                    MemberState::Up | MemberState::Left => {}
+                }
+                if self.leave_at[i] != u64::MAX && !matches!(m, MemberState::Left) {
+                    consider(self.leave_at[i], &mut next);
+                }
+            }
+            next
+        }
+    }
+
+    fn random_plan(rng: &mut Rng) -> ChurnPlan {
+        let crash = match rng.below(4) {
+            0 => 0.0,
+            1 => 1.0,
+            _ => 0.001 + rng.f64() * 0.05,
+        };
+        let join_slot = rng.below(120);
+        ChurnPlan {
+            crash,
+            down_slots: if rng.below(3) == 0 {
+                1
+            } else {
+                1 + rng.below(30)
+            },
+            // Fractions up to 0.8 each, so joiners and leavers overlap
+            // in some plans; some plans join and leave at the same slot
+            // and some leave before they join.
+            late_join_frac: [0.0, rng.f64() * 0.8][rng.below(2) as usize],
+            join_slot,
+            leave_frac: [0.0, rng.f64() * 0.8][rng.below(2) as usize],
+            leave_slot: match rng.below(3) {
+                0 => join_slot,
+                1 => join_slot / 2,
+                _ => rng.below(240),
+            },
+            catch_up_slots: 10,
+            ..ChurnPlan::none()
+        }
+    }
+
+    fn round_trip(p: &ChurnProcess) -> ChurnProcess {
+        let mut w = tcw_sim::snap::SnapWriter::new();
+        p.save_state(&mut w);
+        let words = w.into_words();
+        let mut r = tcw_sim::snap::SnapReader::new(&words);
+        let q = ChurnProcess::load_state(&mut r).expect("round trip");
+        r.finish().expect("whole state consumed");
+        q
+    }
+
+    #[test]
+    fn event_cost_process_matches_the_per_station_reference() {
+        let mut draws = Rng::new(0xC4_0001);
+        // Events of each kind over the suite, so it cannot pass vacuously.
+        let mut seen = [0u64; 4];
+        for case in 0..300u64 {
+            let plan = random_plan(&mut draws);
+            let stations = 1 + draws.below(20) as u32;
+            let mut p = ChurnProcess::new(plan, stations, Rng::new(case));
+            let mut r = Reference::of(&p);
+            let restore_at = draws.below(300);
+            let (mut ep, mut er) = (Vec::new(), Vec::new());
+            for slot in 0..300 {
+                if slot == restore_at {
+                    p = round_trip(&p);
+                }
+                assert_eq!(
+                    p.next_scheduled_transition(),
+                    r.next_scheduled_transition(),
+                    "case {case} slot {slot}: {plan:?}"
+                );
+                p.step(&mut ep);
+                r.step(&mut er);
+                assert_eq!(ep, er, "case {case} slot {slot}: {plan:?}");
+                assert_eq!(p.rng.state(), r.rng.state(), "case {case} slot {slot}");
+                assert_eq!(
+                    [p.crashes(), p.restarts(), p.joins(), p.leaves()],
+                    r.counters,
+                    "case {case} slot {slot}"
+                );
+                assert_eq!(p.slot(), r.slot);
+                for (i, m) in r.state.iter().enumerate() {
+                    let id = StationId(i as u32);
+                    assert_eq!(p.is_up(id), *m == MemberState::Up, "case {case}");
+                    assert_eq!(p.is_present(id), *m != MemberState::Left, "case {case}");
+                }
+                assert_eq!(p.state, r.state, "case {case} slot {slot}");
+            }
+            for ev in &ep {
+                seen[match ev {
+                    ChurnEvent::Crash(_) => 0,
+                    ChurnEvent::Restart(_) => 1,
+                    ChurnEvent::Join(_) => 2,
+                    ChurnEvent::Leave(_) => 3,
+                }] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "event mix {seen:?}");
     }
 
     #[test]

@@ -255,10 +255,51 @@ impl FaultyMedium {
                 fault: None,
             };
         }
-        // One uniform draw per probe decides the fault class via cumulative
-        // thresholds over the classes applicable to the physical outcome.
         let u = self.rng.f64();
-        let (observed, fault) = match actual {
+        let (observed, fault) = self.inject(actual, u, transmitters);
+        let dur = self.dur_of(&observed);
+        ProbeReport {
+            actual,
+            observed,
+            dur,
+            fault,
+        }
+    }
+
+    /// Whether probing an empty window now would be observed cleanly.
+    /// Looks at the probe's fault draw without taking it, so the caller
+    /// can still decide not to probe.
+    pub fn idle_probe_is_clean(&self) -> bool {
+        self.plan.is_none()
+            || self
+                .inject(SlotOutcome::Idle, self.rng.clone().f64(), &[])
+                .1
+                .is_none()
+    }
+
+    /// Probes an empty window that [`idle_probe_is_clean`] reported clean:
+    /// takes the fault draw, exactly as `probe(&[])` would, and nothing
+    /// else. The observation is a plain idle slot of one `tau`.
+    ///
+    /// [`idle_probe_is_clean`]: FaultyMedium::idle_probe_is_clean
+    pub fn take_clean_idle(&mut self) {
+        debug_assert!(self.idle_probe_is_clean(), "idle probe would be faulted");
+        if !self.plan.is_none() {
+            self.rng.next_u64();
+        }
+    }
+
+    /// What the stations observe of `actual` given the probe's uniform
+    /// draw `u`: one draw per probe decides the fault class via
+    /// cumulative thresholds over the classes applicable to the physical
+    /// outcome.
+    fn inject(
+        &self,
+        actual: SlotOutcome,
+        u: f64,
+        transmitters: &[MessageId],
+    ) -> (Feedback, Option<FaultKind>) {
+        match actual {
             SlotOutcome::Idle => {
                 if u < self.plan.erasure {
                     (Feedback::Erased, Some(FaultKind::Erasure))
@@ -305,13 +346,6 @@ impl FaultyMedium {
                     (Feedback::Observed(SlotOutcome::Collision(n)), None)
                 }
             }
-        };
-        let dur = self.dur_of(&observed);
-        ProbeReport {
-            actual,
-            observed,
-            dur,
-            fault,
         }
     }
 }
@@ -464,6 +498,42 @@ mod tests {
         assert_eq!(r.observed, Feedback::Erased);
         assert_eq!(r.dur, Dur::from_ticks(10));
         assert_eq!(r.delivered(), None);
+    }
+
+    #[test]
+    fn idle_peek_agrees_with_probe_and_takes_the_same_draw() {
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::uniform(0.2),
+            FaultPlan {
+                idle_to_collision: 0.5,
+                ..FaultPlan::none()
+            },
+            FaultPlan {
+                success_to_collision: 0.9,
+                ..FaultPlan::none()
+            },
+        ];
+        for (k, plan) in plans.into_iter().enumerate() {
+            let mut peeked = FaultyMedium::new(Medium::new(cfg()), plan, Rng::new(k as u64));
+            let mut probed = peeked.clone();
+            let mut clean = 0;
+            for _ in 0..500 {
+                let is_clean = peeked.idle_probe_is_clean();
+                let report = probed.probe(&[]);
+                assert_eq!(is_clean, report.fault.is_none(), "plan {k}");
+                if is_clean {
+                    clean += 1;
+                    assert_eq!(report.observed, Feedback::Observed(SlotOutcome::Idle));
+                    assert_eq!(report.dur, cfg().tau());
+                    peeked.take_clean_idle();
+                } else {
+                    peeked.probe(&[]);
+                }
+                assert_eq!(peeked.rng.state(), probed.rng.state(), "plan {k}");
+            }
+            assert!(clean > 0, "plan {k}");
+        }
     }
 
     #[test]

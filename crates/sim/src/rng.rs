@@ -180,6 +180,24 @@ impl Rng {
     pub fn chance(&mut self, p: f64) -> bool {
         self.f64() < p
     }
+
+    /// The integer threshold of [`Rng::chance`]: `chance(p)` succeeds
+    /// exactly when the 53 high bits of its draw are below
+    /// `ceil(p * 2^53)`, because `f64()` is exactly `(x >> 11) * 2^-53`
+    /// and scaling by a power of two is exact. The cast saturates, so
+    /// negative and NaN probabilities give 0 (never) and anything at or
+    /// above 1 gives at least `2^53` (always).
+    pub fn chance_threshold(p: f64) -> u64 {
+        (p * (1u64 << 53) as f64).ceil() as u64
+    }
+
+    /// [`Rng::chance`] against a precomputed
+    /// [`chance_threshold`](Rng::chance_threshold): the same single draw
+    /// and the same outcome, without the float conversion.
+    #[inline]
+    pub fn chance_below(&mut self, threshold: u64) -> bool {
+        (self.next_u64() >> 11) < threshold
+    }
 }
 
 #[cfg(test)]
@@ -317,5 +335,26 @@ mod tests {
         let mut r = Rng::new(11);
         assert!(!(0..100).any(|_| r.chance(0.0)));
         assert!((0..100).all(|_| r.chance(1.0)));
+    }
+
+    #[test]
+    fn chance_threshold_equals_chance() {
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let top = (1u64 << 53) - 1;
+        for p in [0.0, scale, 1e-300, 2e-4, 0.5, 1.0 - scale, 1.0] {
+            let t = Rng::chance_threshold(p);
+            // The predicate on the draw's 53 high bits, at the edges of
+            // the threshold and of the draw's range.
+            for k in [0, 1, t.saturating_sub(1), t, t + 1, top] {
+                let k = k.min(top);
+                assert_eq!(k < t, (k as f64) * scale < p, "p={p:e} k={k}");
+            }
+            let mut a = Rng::new(p.to_bits());
+            let mut b = a.clone();
+            for _ in 0..1_000 {
+                assert_eq!(a.chance(p), b.chance_below(t), "p={p:e}");
+            }
+            assert_eq!(a.state(), b.state());
+        }
     }
 }

@@ -144,6 +144,24 @@ pub trait WindowController {
     }
 }
 
+/// `x.round() as u64` without a libm call (`f64::round` compiles to one
+/// on baseline x86-64): rounds half away from zero and saturates, so NaN
+/// and negatives give 0 and anything from `2^64` up gives `u64::MAX`.
+fn round_u64(x: f64) -> u64 {
+    // NaN, negatives and [0, 0.5) all round to 0.
+    if x.is_nan() || x < 0.5 {
+        return 0;
+    }
+    // Truncation (saturating); `x - t` is the exact fractional part below
+    // 2^52 and zero from there on, where every `f64` is an integer.
+    let t = x as u64;
+    if x - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
+}
+
 /// The static oracle: element (2) exactly as configured in the
 /// [`ControlPolicy`]. Feedback is ignored; the engine behaves
 /// bit-identically to a controller-free build.
@@ -269,7 +287,16 @@ impl AimdController {
     }
 
     fn commanded(&self) -> u64 {
-        (self.window.round() as u64).clamp(self.cfg.min, self.cfg.max)
+        round_u64(self.window).clamp(self.cfg.min, self.cfg.max)
+    }
+
+    /// Counts a command change as a shrink or a grow.
+    fn count(&mut self, before: u64, after: u64) {
+        if after < before {
+            self.shrinks += 1;
+        } else if after > before {
+            self.grows += 1;
+        }
     }
 }
 
@@ -289,11 +316,30 @@ impl WindowController for AimdController {
             }
         }
         let after = self.commanded();
-        if after < before {
-            self.shrinks += 1;
-        } else if after > before {
-            self.grows += 1;
+        self.count(before, after);
+    }
+
+    /// The default replay with one rounding per slot instead of three:
+    /// a slot's command after its feedback is the next slot's bail check.
+    /// Idle feedback only grows the window, and once it stops changing
+    /// (at `max`) every remaining slot is a no-op, so the loop ends there.
+    fn on_idle_run(&mut self, _now: Time, width: u64, n: u64, _policy: &ControlPolicy) -> u64 {
+        let max = self.cfg.max as f64;
+        let mut command = self.commanded();
+        for i in 0..n {
+            if command < width {
+                return i;
+            }
+            let window = (self.window + self.cfg.grow).min(max);
+            if window == self.window {
+                break;
+            }
+            self.window = window;
+            let after = self.commanded();
+            self.count(command, after);
+            command = after;
         }
+        n
     }
 
     fn window_ticks(&self) -> u64 {
@@ -428,7 +474,7 @@ impl EstimatorController {
 
     fn commanded(&self) -> u64 {
         let w = self.mu_star / self.lambda_hat();
-        (w.round() as u64).clamp(self.cfg.min, self.cfg.max)
+        round_u64(w).clamp(self.cfg.min, self.cfg.max)
     }
 }
 
@@ -616,6 +662,107 @@ mod tests {
             c.on_slot(SlotContext::Resolution, &SlotOutcome::Idle);
         }
         assert_eq!(c.window_ticks(), 6);
+    }
+
+    #[test]
+    fn round_u64_matches_libm_round() {
+        let two52 = (1u64 << 52) as f64;
+        let mut cases = vec![
+            2.5,
+            3.5,
+            0.5,
+            0.49999999999999994,
+            two52 - 0.5,
+            2.0 * two52 + 2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.7,
+            -0.0,
+            1.8446744073709552e19,
+            1e300,
+        ];
+        let mut rng = tcw_sim::rng::Rng::new(3);
+        for _ in 0..10_000 {
+            cases.push(f64::from_bits(rng.next_u64()));
+            cases.push(rng.f64() * 1e6);
+            cases.push((rng.below(1 << 20) as f64) + 0.5);
+        }
+        for x in cases {
+            assert_eq!(round_u64(x), x.round() as u64, "x = {x:e}");
+        }
+    }
+
+    /// The trait's default `on_idle_run`, which the AIMD override must
+    /// reproduce bit for bit.
+    fn default_idle_replay(c: &mut AimdController, width: u64, n: u64) -> u64 {
+        let p = policy();
+        for i in 0..n {
+            if c.next_length(Time::ZERO, d(width), &p) < width {
+                return i;
+            }
+            c.on_slot(SlotContext::Initial { width }, &SlotOutcome::Idle);
+        }
+        n
+    }
+
+    fn words(c: &AimdController) -> Vec<u64> {
+        let mut w = tcw_sim::snap::SnapWriter::new();
+        c.save_state(&mut w);
+        w.into_words()
+    }
+
+    #[test]
+    fn aimd_idle_run_matches_the_default_replay() {
+        let mut rng = tcw_sim::rng::Rng::new(11);
+        let grows = [0.25, 0.5, 0.999, 1.0, 1.5, 3.7];
+        for case in 0..4_000u64 {
+            let min = 1 + rng.below(8);
+            let max = match case % 5 {
+                // Above 2^53 the clamp bound itself rounds as an f64.
+                0 => (1u64 << 53) + 1 + rng.below(8),
+                _ => min + rng.below(400),
+            };
+            let grow = if case % 7 == 0 {
+                0.01 + rng.f64() * 3.0
+            } else {
+                grows[rng.below(grows.len() as u64) as usize]
+            };
+            let cfg = AimdConfig {
+                initial: min,
+                min,
+                max,
+                shrink: 0.5,
+                grow,
+            };
+            let mut a = AimdController::new(cfg);
+            // Restored states cover ties, windows just below a tie whose
+            // `+ 1` rounds up to it, and windows above `max`.
+            a.window = match case % 4 {
+                0 => (min + rng.below(max - min + 1)) as f64 + 0.5,
+                1 => 7.5 - 2f64.powi(-50),
+                2 => max as f64 + rng.f64() * 10.0,
+                _ => min as f64 + rng.f64() * (max - min) as f64,
+            };
+            a.shrinks = rng.below(100);
+            a.grows = rng.below(100);
+            let mut b = a.clone();
+            // Mostly gaps the first command covers, so the replay runs.
+            let width = if case % 9 == 0 {
+                1 + rng.below(2 * max.min(500))
+            } else {
+                1 + rng.below(a.commanded())
+            };
+            let n = rng.below(600);
+            let got = a.on_idle_run(Time::ZERO, width, n, &policy());
+            let want = default_idle_replay(&mut b, width, n);
+            assert_eq!(got, want, "case {case}: {cfg:?} width={width} n={n}");
+            assert_eq!(
+                words(&a),
+                words(&b),
+                "case {case}: {cfg:?} width={width} n={n}"
+            );
+        }
     }
 
     #[test]

@@ -765,23 +765,26 @@ impl<S: ArrivalSource> Engine<S> {
     ///   next arrival (bounded by the horizon and the next scheduled churn
     ///   transition) probes the whole one-`tau` trailing gap idle, so the
     ///   clock, examined prefix, idle counters and controller feedback are
-    ///   all advanced in O(1) + the controller's own feedback cost;
+    ///   all advanced in O(1) + the controller's own feedback cost; under
+    ///   feedback faults or random crashes the slots are stepped one by
+    ///   one up to the first faulted probe or membership transition;
     /// * **batched resolution** — pending book nonempty, single trailing
     ///   gap, Oldest position: whole windowing rounds are resolved
     ///   without pseudo-map rebuilds or generic round dispatch, collision
     ///   rounds included when splits are `OlderFirst` and no membership
     ///   transition is pending.
     ///
-    /// Both kernels require a fault-free medium, no pending recovery work
-    /// (orphans/rejoining) and a non-RANDOM window position, and replicate
-    /// the slow path's operation order exactly — no RNG stream is touched
-    /// differently, so the runs are bit-identical (pinned by the A-B
-    /// property tests). Per-event observer callbacks inside the stretch
-    /// are suppressed; `fast_forward` is only reached when the observer
+    /// Both kernels require no pending recovery work (orphans/rejoining)
+    /// and a non-RANDOM window position; the batched kernel also needs a
+    /// fault-free medium, since mid-round fault recovery stays in
+    /// `windowing_round`. Both replicate the slow path's operation order
+    /// exactly — no RNG stream is touched differently, so the runs are
+    /// bit-identical (pinned by the A-B property tests). Per-event
+    /// observer callbacks inside the stretch are suppressed (churn events
+    /// excepted); `fast_forward` is only reached when the observer
     /// declared itself aggregate-only via [`EngineObserver::slow_path`].
     fn fast_forward(&mut self, limit: Time, obs: &mut dyn EngineObserver) -> bool {
-        if !self.medium.plan().is_none()
-            || !self.orphans.is_empty()
+        if !self.orphans.is_empty()
             || !self.rejoining.is_empty()
             || matches!(self.policy.position, WindowPosition::Random)
         {
@@ -794,7 +797,7 @@ impl<S: ArrivalSource> Engine<S> {
         if self.pending.is_empty() {
             self.idle_jump(limit, tau, obs)
         } else {
-            self.batched_rounds(limit, tau, obs)
+            self.medium.plan().is_none() && self.batched_rounds(limit, tau, obs)
         }
     }
 
@@ -804,10 +807,16 @@ impl<S: ArrivalSource> Engine<S> {
     /// idle probe of the whole gap. `n` such cycles leave the system in a
     /// closed-form state: clock `+n*tau`, examined prefix extended by
     /// `(n-1)*tau` (the final gap stays unexamined), `n` idle slots of
-    /// channel time, `n` churn slots with no transitions, and `n`
-    /// identical `Initial`/`Idle` feedback events — which
-    /// [`WindowController::on_idle_run`] applies (or replays) exactly.
-    /// No RNG stream is touched, matching the slow path draw-for-draw.
+    /// channel time, `n` churn slots, and `n` identical `Initial`/`Idle`
+    /// feedback events — which [`WindowController::on_idle_run`] applies
+    /// (or replays) exactly.
+    ///
+    /// Without feedback faults or random crashes no RNG stream is
+    /// touched and no churn transition happens before the bound, so the
+    /// jump is O(1) plus the controller's feedback cost. With either, each
+    /// slot draws, and [`Engine::step_idle_slots`] walks the slots one at
+    /// a time, stopping before the first faulted probe and after the
+    /// first membership transition.
     fn idle_jump(&mut self, limit: Time, tau: Dur, obs: &mut dyn EngineObserver) -> bool {
         // A sub-`tau` discard deadline would eat into the trailing gap at
         // every cycle; leave that pathology to the slow path.
@@ -836,13 +845,22 @@ impl<S: ArrivalSource> Engine<S> {
             // exhausted, so there is no arrival bound.
             None => debug_assert!(self.source_done),
         }
-        if let Some(s) = self.churn.next_scheduled_transition() {
-            n = n.min(s - self.churn.slot() - 1);
+        let per_slot = !self.medium.plan().is_none() || self.churn.plan().crash > 0.0;
+        if !per_slot {
+            if let Some(s) = self.churn.next_scheduled_transition() {
+                n = n.min(s - self.churn.slot() - 1);
+            }
         }
         if n == 0 {
             return false;
         }
-        let consumed = self.controller.on_idle_run(now, tau_ticks, n, &self.policy);
+        let consumed = if per_slot {
+            self.step_idle_slots(now, tau, n, obs)
+        } else {
+            let consumed = self.controller.on_idle_run(now, tau_ticks, n, &self.policy);
+            self.churn.skip_slots(consumed);
+            consumed
+        };
         if consumed == 0 {
             return false;
         }
@@ -854,11 +872,53 @@ impl<S: ArrivalSource> Engine<S> {
         ));
         self.channel_stats.idle += Dur::from_ticks(consumed * tau_ticks);
         self.channel_stats.idle_slots += consumed;
-        self.churn.skip_slots(consumed);
         self.horizon_stats.jumps += 1;
         self.horizon_stats.slots_skipped += consumed;
         obs.on_idle_jump(now, to, consumed);
         true
+    }
+
+    /// Up to `n` idle slots of the jump, one at a time, for runs with
+    /// feedback faults or random crashes; returns the slots consumed.
+    /// Per slot, in three steps that each leave nothing to undo:
+    ///
+    /// 1. the probe's fault draw is peeked — a faulted probe ends the
+    ///    jump before its slot, with the fault stream untouched;
+    /// 2. the controller takes the slot's `Initial`/`Idle` feedback, or
+    ///    bails and ends the jump before the slot; then the fault draw is
+    ///    committed;
+    /// 3. churn steps through [`Engine::churn_step`], and a slot with a
+    ///    membership transition ends the jump after it. With an empty
+    ///    book only a restart leaves work behind (`rejoining`), which the
+    ///    next `cycle` handles as on the slow path.
+    ///
+    /// Fault, churn and controller state are independent, and each clean
+    /// idle slot takes one fault draw, one churn step and one feedback on
+    /// either path, so the two paths agree up to the stopping slot. The
+    /// clock moves per slot so churn callbacks carry the slow path's
+    /// times; `idle_jump` applies the rest in aggregate.
+    fn step_idle_slots(
+        &mut self,
+        now: Time,
+        tau: Dur,
+        n: u64,
+        obs: &mut dyn EngineObserver,
+    ) -> u64 {
+        let mut t = now;
+        for i in 0..n {
+            if !self.medium.idle_probe_is_clean()
+                || self.controller.on_idle_run(t, tau.ticks(), 1, &self.policy) == 0
+            {
+                return i;
+            }
+            self.medium.take_clean_idle();
+            t += tau;
+            self.timeline.advance(t);
+            if self.churn_step(obs) {
+                return i + 1;
+            }
+        }
+        n
     }
 
     /// Batched resolution kernel: under the Oldest (FCFS) position with a
@@ -1464,11 +1524,13 @@ impl<S: ArrivalSource> Engine<S> {
     /// * **join** — nothing to do; the station simply starts buffering
     ///   arrivals.
     ///
-    /// With [`ChurnPlan::none`] only the slot counter moves.
-    fn churn_step(&mut self, obs: &mut dyn EngineObserver) {
+    /// With [`ChurnPlan::none`] only the slot counter moves. Returns
+    /// whether any transition happened.
+    fn churn_step(&mut self, obs: &mut dyn EngineObserver) -> bool {
         let mut events = std::mem::take(&mut self.churn_events);
         self.churn.step(&mut events);
-        if !events.is_empty() {
+        let transition = !events.is_empty();
+        if transition {
             let now = self.timeline.now();
             for ev in events.drain(..) {
                 obs.on_churn_event(now, &ev);
@@ -1509,6 +1571,7 @@ impl<S: ArrivalSource> Engine<S> {
             }
         }
         self.churn_events = events;
+        transition
     }
 
     /// Holds a capped-exponential quiet backoff before re-probing a window

@@ -111,7 +111,11 @@ pub trait EngineObserver {
 
     /// The event-horizon fast path advanced the clock from `from` to `to`
     /// in one jump, aggregating `slots` idle decision rounds. Per-event
-    /// callbacks for those rounds are suppressed.
+    /// callbacks for those rounds are suppressed, except
+    /// [`on_churn_event`](Self::on_churn_event): under feedback faults or
+    /// random crashes the jump steps churn slot by slot, so a membership
+    /// transition reports at its slot's end time, as on the slow path,
+    /// before this callback. The jump ends with that slot.
     fn on_idle_jump(&mut self, _from: Time, _to: Time, _slots: u64) {}
 
     /// The batched resolution kernel resolved whole windowing rounds,

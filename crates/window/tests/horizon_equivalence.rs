@@ -5,18 +5,22 @@
 //! fixed seed, a run with `jump_ahead` on is bit-identical — every
 //! metric bit pattern, the channel accounting, the clock, the
 //! controller's internal state, the churn counters and the examined-set
-//! shape — to the same run forced through the slot-stepped path. The
-//! only permitted difference is [`tcw_window::engine::HorizonStats`],
-//! which counts the fast path's own activations and is excluded here.
+//! shape — to the same run forced through the slot-stepped path, and so
+//! is the engine's snapshot word stream, which holds every RNG stream
+//! position and every station's churn state. The only permitted
+//! difference is [`tcw_window::engine::HorizonStats`], which counts the
+//! fast path's own activations and is excluded here.
 //!
 //! 200 randomized configurations sweep offered load (weighted toward
 //! the light-load regime where the jump engages), population, channel
 //! geometry, window policy, all three controllers, fault plans and
 //! churn plans. 60 more stay in the regime where most windows collide,
-//! which the batched kernel resolves in place. Cases reproduce from their
-//! index (deterministic `tcw_sim` RNG, no external framework).
+//! which the batched kernel resolves in place. 45 more compose feedback
+//! faults or random crashes with scheduled joins and leaves at light
+//! load, where the idle jump steps slot by slot. Cases reproduce from
+//! their index (deterministic `tcw_sim` RNG, no external framework).
 
-use tcw_mac::{ChannelConfig, ChurnPlan, FaultPlan, PoissonArrivals, SlotOutcome};
+use tcw_mac::{ChannelConfig, ChurnEvent, ChurnPlan, FaultPlan, PoissonArrivals, SlotOutcome};
 use tcw_sim::rng::Rng;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::engine::{poisson_engine, Engine, HorizonStats};
@@ -24,10 +28,11 @@ use tcw_window::interval::Interval;
 use tcw_window::metrics::MeasureConfig;
 use tcw_window::policy::ControlPolicy;
 use tcw_window::trace::{EngineObserver, NoopObserver};
-use tcw_window::{AimdConfig, ControllerConfig, EstimatorConfig};
+use tcw_window::{AimdConfig, ControllerConfig, EstimatorConfig, SlotContext, WindowController};
 
 const CASES: u64 = 200;
 const HEAVY_CASES: u64 = 60;
+const MIXED_CASES: u64 = 45;
 
 /// One randomized engine configuration, reproducible from the case
 /// index.
@@ -40,6 +45,8 @@ struct Case {
     plan: FaultPlan,
     churn: ChurnPlan,
     ctl: ControllerConfig,
+    /// Install [`Fickle`] instead of `ctl`.
+    fickle: bool,
     horizon: u64,
 }
 
@@ -95,6 +102,7 @@ fn draw_case(case: u64) -> Case {
         plan,
         churn,
         ctl,
+        fickle: false,
         horizon: 20_000 + rng.below(40_000),
     }
 }
@@ -151,7 +159,74 @@ fn draw_heavy_case(case: u64) -> Case {
         plan: FaultPlan::none(),
         churn,
         ctl,
+        fickle: false,
         horizon: 20_000 + rng.below(20_000),
+    }
+}
+
+/// A light-load configuration with feedback faults, random crashes or
+/// both, so every idle slot draws, plus late joins and permanent leaves
+/// scheduled early in the run (some leaves before the joins).
+fn draw_mixed_case(case: u64) -> Case {
+    let mut rng = Rng::new(0x313E_0001 ^ (case.wrapping_mul(0x9E37_79B9)));
+    let ticks_per_tau = [2, 4, 8, 16][rng.below(4) as usize];
+    let channel = ChannelConfig {
+        ticks_per_tau,
+        message_slots: 1 + rng.below(8),
+        guard: rng.below(2) == 0,
+    };
+    let rho = 0.02 + rng.f64() * 0.28;
+    let w = Dur::from_ticks(ticks_per_tau * (1 + rng.below(6)));
+    let k = Dur::from_ticks(ticks_per_tau * (20 + rng.below(100)));
+    // Off the LCFS livelock boundary, as in `draw_case`.
+    let w_lcfs = Dur::from_ticks(ticks_per_tau * (2 + rng.below(5)));
+    let policy = match rng.below(3) {
+        0 => ControlPolicy::controlled(k, w),
+        1 => ControlPolicy::fcfs(w),
+        _ => ControlPolicy::lcfs(w_lcfs),
+    };
+    let ctl = match case % 3 {
+        0 => ControllerConfig::Static,
+        1 => ControllerConfig::Aimd(AimdConfig::around(w.ticks())),
+        _ => ControllerConfig::Estimator(EstimatorConfig::around(w.ticks())),
+    };
+    // Faults only, crashes only, or both.
+    let mode = (case / 3) % 3;
+    let plan = if mode != 1 {
+        FaultPlan::uniform(0.01 + rng.f64() * 0.05)
+    } else {
+        FaultPlan::none()
+    };
+    let join_slot = 50 + rng.below(700);
+    let churn = ChurnPlan {
+        crash: if mode != 0 {
+            0.0005 + rng.f64() * 0.003
+        } else {
+            0.0
+        },
+        down_slots: 20 + rng.below(60),
+        late_join_frac: 0.1 + rng.f64() * 0.3,
+        join_slot,
+        leave_frac: 0.1 + rng.f64() * 0.3,
+        leave_slot: if rng.below(3) == 0 {
+            join_slot / 2
+        } else {
+            join_slot + rng.below(500)
+        },
+        catch_up_slots: 100,
+        ..ChurnPlan::none()
+    };
+    Case {
+        channel,
+        policy,
+        rho,
+        stations: 5 + rng.below(30) as u32,
+        seed: 0xEF00 ^ case,
+        plan,
+        churn,
+        ctl,
+        fickle: false,
+        horizon: 20_000 + rng.below(40_000),
     }
 }
 
@@ -171,7 +246,11 @@ fn build(case: &Case) -> Engine<PoissonArrivals> {
     );
     eng.set_fault_plan(case.plan);
     eng.set_churn_plan(case.churn, case.stations);
-    eng.set_controller(case.ctl.build());
+    eng.set_controller(if case.fickle {
+        Box::<Fickle>::default()
+    } else {
+        case.ctl.build()
+    });
     eng
 }
 
@@ -241,30 +320,103 @@ fn summary(eng: &Engine<PoissonArrivals>) -> String {
     )
 }
 
-/// Counts the collision probes reported one by one through `on_probe`
-/// while leaving the fast path on. The batched kernel reports none, so
-/// the channel's collision count minus this tally is the number of
-/// collision probes the kernel resolved.
-#[derive(Default)]
-struct CollisionTally(u64);
+/// The engine snapshot without its last six words (`jump_ahead`, the
+/// four horizon counters and the checksum). It holds every RNG stream
+/// position and every station's churn state, so a stream drawn once too
+/// often on one path shows here even when no metric moves.
+fn state_words(eng: &Engine<PoissonArrivals>) -> Vec<u64> {
+    let mut words = eng.snapshot().expect("Poisson sources checkpoint");
+    words.truncate(words.len() - 6);
+    words
+}
 
-impl EngineObserver for CollisionTally {
+/// A controller that commands the whole backlog, except one tick for the
+/// decision after every seventh idle initial probe. Inside an idle jump
+/// that decision is a bail: the jump must end before the slot with no
+/// fault draw taken, or the fault stream drifts from the slow path's.
+#[derive(Default)]
+struct Fickle {
+    idle_initials: u64,
+    last: u64,
+}
+
+impl WindowController for Fickle {
+    fn next_length(&mut self, _now: Time, backlog: Dur, _policy: &ControlPolicy) -> u64 {
+        self.last = if self.idle_initials % 7 == 6 {
+            1
+        } else {
+            backlog.ticks().max(1)
+        };
+        self.last
+    }
+    fn on_slot(&mut self, ctx: SlotContext, outcome: &SlotOutcome) {
+        if matches!(ctx, SlotContext::Initial { .. }) && *outcome == SlotOutcome::Idle {
+            self.idle_initials += 1;
+        }
+    }
+    fn window_ticks(&self) -> u64 {
+        self.last
+    }
+    fn save_state(&self, w: &mut tcw_sim::snap::SnapWriter) {
+        w.push(self.idle_initials);
+        w.push(self.last);
+    }
+    fn load_state(
+        &mut self,
+        r: &mut tcw_sim::snap::SnapReader<'_>,
+    ) -> Result<(), tcw_sim::snap::SnapError> {
+        self.idle_initials = r.take()?;
+        self.last = r.take()?;
+        Ok(())
+    }
+}
+
+/// Watches a run that leaves the fast path on. It counts the collision
+/// probes reported one by one through `on_probe`; the batched kernel
+/// reports none, so the channel's collision count minus this tally is the
+/// number of collision probes the kernel resolved. It also counts the
+/// idle jumps that ended with a membership transition, whose callback
+/// fires inside the jump.
+#[derive(Default)]
+struct FastTally {
+    collisions: u64,
+    last_churn: Option<Time>,
+    transition_jumps: u64,
+}
+
+impl EngineObserver for FastTally {
     fn on_probe(&mut self, _start: Time, _segments: &[Interval], outcome: &SlotOutcome, _dur: Dur) {
         if matches!(outcome, SlotOutcome::Collision(_)) {
-            self.0 += 1;
+            self.collisions += 1;
+        }
+    }
+    fn on_churn_event(&mut self, now: Time, _ev: &ChurnEvent) {
+        self.last_churn = Some(now);
+    }
+    fn on_idle_jump(&mut self, from: Time, _to: Time, _slots: u64) {
+        if self.last_churn.is_some_and(|t| t > from) {
+            self.transition_jumps += 1;
         }
     }
 }
 
+/// What the fast run of [`run_both_paths`] did on its fast path.
+struct FastRun {
+    stats: HorizonStats,
+    /// Collision probes the batched kernel resolved.
+    kernel_collisions: u64,
+    /// Idle jumps that ended with a membership transition.
+    transition_jumps: u64,
+}
+
 /// Runs `cfg` with the fast path on and forced off, asserts the two runs
-/// are bit-identical, and returns the fast run's fast-path counters and
-/// the collision probes its batched kernel resolved.
-fn run_both_paths(cfg: &Case, label: &str) -> (HorizonStats, u64) {
+/// are bit-identical, and returns what the fast run did on its fast path.
+fn run_both_paths(cfg: &Case, label: &str) -> FastRun {
     let horizon = Time::from_ticks(cfg.horizon);
 
     let mut fast = build(cfg);
     assert!(fast.jump_ahead(), "jump-ahead must default on");
-    let mut tally = CollisionTally::default();
+    let mut tally = FastTally::default();
     fast.run_until(horizon, &mut tally);
     fast.drain(&mut tally);
 
@@ -279,32 +431,61 @@ fn run_both_paths(cfg: &Case, label: &str) -> (HorizonStats, u64) {
         "{label}: fast path diverged from slot stepping"
     );
     assert_eq!(
+        state_words(&fast),
+        state_words(&slow),
+        "{label}: engine state diverged from slot stepping"
+    );
+    assert_eq!(
         slow.horizon_stats.jumps + slow.horizon_stats.batched_runs,
         0,
         "{label}: disabled fast path must not activate"
     );
-    (
-        fast.horizon_stats,
-        fast.channel_stats.collision_slots - tally.0,
-    )
+    FastRun {
+        stats: fast.horizon_stats,
+        kernel_collisions: fast.channel_stats.collision_slots - tally.collisions,
+        transition_jumps: tally.transition_jumps,
+    }
 }
 
 /// Jump-ahead on vs. forced slot stepping: bit-identical on every
 /// configuration, and the fast path genuinely engages across the suite
 /// (a vacuously-equal test with the jump never firing would prove
-/// nothing).
+/// nothing) — idle jumps included in the cases with feedback faults and
+/// in those with random crashes, where every slot draws.
 #[test]
 fn jump_ahead_is_bit_identical_to_slot_stepping() {
     let mut total_jumps = 0u64;
     let mut total_batched = 0u64;
+    // (cases, cases with idle jumps) with a fault plan / with crashes.
+    let mut faulty = (0u64, 0u64);
+    let mut crashing = (0u64, 0u64);
     for case in 0..CASES {
-        let (stats, _) = run_both_paths(&draw_case(case), &format!("case {case}"));
+        let cfg = draw_case(case);
+        let stats = run_both_paths(&cfg, &format!("case {case}")).stats;
         total_jumps += stats.jumps;
         total_batched += stats.batched_runs;
+        for (on, tally) in [
+            (!cfg.plan.is_none(), &mut faulty),
+            (cfg.churn.crash > 0.0, &mut crashing),
+        ] {
+            if on {
+                tally.0 += 1;
+                tally.1 += u64::from(stats.jumps > 0);
+            }
+        }
     }
     assert!(
         total_jumps > 0 && total_batched > 0,
         "fast path never engaged: jumps={total_jumps} batched={total_batched}"
+    );
+    // Two heavy-load AIMD fault cases never reach the steady idle shape.
+    assert!(
+        faulty.0 > 0 && faulty.1 * 10 >= faulty.0 * 9,
+        "idle jumps in too few fault cases: {faulty:?}"
+    );
+    assert!(
+        crashing.0 > 0 && crashing.1 == crashing.0,
+        "idle jumps missing in crash cases: {crashing:?}"
     );
 }
 
@@ -316,10 +497,45 @@ fn heavy_load_collisions_stay_on_the_fast_path() {
     for case in 0..HEAVY_CASES {
         let cfg = draw_heavy_case(case);
         let label = format!("heavy case {case}");
-        let (_, kernel_collisions) = run_both_paths(&cfg, &label);
         assert!(
-            kernel_collisions > 0,
+            run_both_paths(&cfg, &label).kernel_collisions > 0,
             "{label}: no collision probe was resolved on the fast path"
+        );
+    }
+}
+
+/// Feedback faults, random crashes or both, composed with scheduled
+/// joins and leaves: bit-identical on both paths, every case takes idle
+/// jumps, and across the suite jumps end with a membership transition,
+/// so the per-slot jump's hand-off to `churn_step` is exercised.
+#[test]
+fn idle_jumps_step_through_faults_and_churn_transitions() {
+    let mut transition_jumps = 0u64;
+    for case in 0..MIXED_CASES {
+        let label = format!("mixed case {case}");
+        let run = run_both_paths(&draw_mixed_case(case), &label);
+        assert!(run.stats.jumps > 0, "{label}: no idle jump");
+        transition_jumps += run.transition_jumps;
+    }
+    assert!(
+        transition_jumps > 0,
+        "no idle jump ended with a membership transition"
+    );
+}
+
+/// The same compositions under a controller that bails out of idle jumps
+/// every few slots: the bail leaves no fault draw behind.
+#[test]
+fn idle_jump_bails_leave_every_stream_untouched() {
+    for case in 0..MIXED_CASES / 3 {
+        let cfg = Case {
+            fickle: true,
+            ..draw_mixed_case(case)
+        };
+        let label = format!("fickle case {case}");
+        assert!(
+            run_both_paths(&cfg, &label).stats.jumps > 0,
+            "{label}: no idle jump"
         );
     }
 }
@@ -355,7 +571,8 @@ fn slow_path_observer_forces_slot_stepping() {
     }
 }
 
-/// Records every lifecycle-span callback as text while keeping
+/// Records every lifecycle-span callback, and every membership
+/// transition (which also fires inside idle jumps), as text while keeping
 /// `slow_path()` = false, like the real span tracer: the stream must be
 /// byte-identical whether the fast path engages or is forced off.
 #[derive(Default)]
@@ -394,6 +611,9 @@ impl tcw_window::trace::EngineObserver for SpanLog {
         self.lines
             .push(format!("drop {:?} {} {}", msg.id, now, cause.label()));
     }
+    fn on_churn_event(&mut self, now: Time, ev: &ChurnEvent) {
+        self.lines.push(format!("churn {ev:?} {now}"));
+    }
 }
 
 /// The lifecycle-span stream is a fast-path-safe observation: recording
@@ -405,7 +625,9 @@ fn span_stream_is_identical_on_both_paths() {
     let general = (0..CASES / 4).map(|case| (format!("case {case}"), draw_case(case)));
     let heavy =
         (0..HEAVY_CASES / 4).map(|case| (format!("heavy case {case}"), draw_heavy_case(case)));
-    for (label, cfg) in general.chain(heavy) {
+    let mixed =
+        (0..MIXED_CASES / 3).map(|case| (format!("mixed case {case}"), draw_mixed_case(case)));
+    for (label, cfg) in general.chain(heavy).chain(mixed) {
         let horizon = Time::from_ticks(cfg.horizon);
 
         let mut fast = build(&cfg);
