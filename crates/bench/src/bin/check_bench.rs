@@ -26,42 +26,27 @@
 //!   bench cannot ship without a re-measured committed baseline.
 //!
 //! Usage: `check_bench <committed.json> <fresh.json>`. Both files are
-//! the flat single-level JSON the engine bench writes; parsing is done
-//! by hand because the workspace is dependency-free. Exit codes follow
+//! the flat single-level JSON the engine bench writes, read with the
+//! workspace's record codec ([`tcw_sim::record`]). Exit codes follow
 //! the [`tcw_experiments::diag`] convention: 1 = usage, 2 = stale or
 //! corrupt snapshot, or a gate failure.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use tcw_experiments::diag;
+use tcw_sim::record::Record;
 
-/// Parses the flat `{"key": number, ...}` JSON the benches emit.
-fn parse_flat_json(text: &str) -> Result<BTreeMap<String, f64>, String> {
-    let inner = text
-        .trim()
-        .strip_prefix('{')
-        .and_then(|t| t.strip_suffix('}'))
-        .ok_or("not a JSON object")?;
-    let mut out = BTreeMap::new();
-    for field in inner.split(',') {
-        let field = field.trim();
-        if field.is_empty() {
-            continue;
-        }
-        let (key, value) = field
-            .split_once(':')
-            .ok_or_else(|| format!("bad field {field:?}"))?;
-        let key = key.trim().trim_matches('"').to_string();
-        let value: f64 = value
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad number for {key:?}: {e}"))?;
-        out.insert(key, value);
-    }
-    if out.is_empty() {
+/// Parses the flat `{"key": number, ...}` snapshot the benches emit.
+fn parse_snapshot(text: &str) -> Result<BTreeMap<String, f64>, String> {
+    let rec = Record::parse(text)?;
+    let fields = rec
+        .keys()
+        .map(|k| Ok((k.to_string(), rec.f64(k)?)))
+        .collect::<Result<BTreeMap<_, _>, String>>()?;
+    if fields.is_empty() {
         return Err("no fields".into());
     }
-    Ok(out)
+    Ok(fields)
 }
 
 /// Fields that describe the machine the bench ran on, not the code.
@@ -90,7 +75,7 @@ fn main() -> ExitCode {
     };
     let read = |path: &str| -> Result<BTreeMap<String, f64>, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        parse_flat_json(&text).map_err(|e| format!("{path}: {e}"))
+        parse_snapshot(&text).map_err(|e| format!("{path}: {e}"))
     };
     let (committed, fresh) = match (read(committed_path), read(fresh_path)) {
         (Ok(c), Ok(f)) => (c, f),
@@ -191,12 +176,12 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_flat_json;
+    use super::parse_snapshot;
 
     #[test]
     fn parses_the_engine_bench_shape() {
         let json = "{\n  \"engine_steps_per_sec_clean\": 7153396,\n  \"engine_allocs_per_slot\": 0.0012,\n  \"host_parallelism\": 1\n}\n";
-        let map = parse_flat_json(json).unwrap();
+        let map = parse_snapshot(json).unwrap();
         assert_eq!(map.len(), 3);
         assert_eq!(map["host_parallelism"], 1.0);
         assert!((map["engine_allocs_per_slot"] - 0.0012).abs() < 1e-12);
@@ -204,8 +189,9 @@ mod tests {
 
     #[test]
     fn rejects_garbage() {
-        assert!(parse_flat_json("[]").is_err());
-        assert!(parse_flat_json("{\"k\": nope}").is_err());
-        assert!(parse_flat_json("{}").is_err());
+        assert!(parse_snapshot("[]").is_err());
+        assert!(parse_snapshot("{\"k\": nope}").is_err());
+        assert!(parse_snapshot("{}").is_err());
+        assert!(parse_snapshot("{\"k\": 1, \"k\": 2}").is_err());
     }
 }

@@ -28,7 +28,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use crate::replay::{load_artifact, panic_message, save_artifact, ArtifactReader, ArtifactWriter};
+use crate::replay::{load_artifact, panic_message, read_artifact, ArtifactWriter};
 use crate::runner::run_to_horizon;
 use tcw_mac::traffic::{VoiceConfig, VoiceSource};
 use tcw_mac::{
@@ -472,25 +472,25 @@ impl AdaptiveRecord {
 
     /// Parses a record previously written by [`AdaptiveRecord::to_json`].
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let r = ArtifactReader::parse(text, Some("adaptive"))?;
+        let r = read_artifact(text, Some("adaptive"))?;
         let scenario_label = r.str("scenario")?;
-        let scenario = Scenario::parse(&scenario_label)
+        let scenario = Scenario::parse(scenario_label)
             .ok_or_else(|| format!("unknown scenario {scenario_label:?}"))?;
         let controller_label = r.str("controller")?;
-        let controller = ControllerKind::parse(&controller_label)
+        let controller = ControllerKind::parse(controller_label)
             .ok_or_else(|| format!("unknown controller {controller_label:?}"))?;
         Ok(AdaptiveRecord {
             scenario,
             controller,
             replicate: r.u64("replicate")?,
-            kind: r.str("kind")?,
-            detail: r.str("detail")?,
+            kind: r.str("kind")?.to_string(),
+            detail: r.str("detail")?.to_string(),
         })
     }
 
-    /// Writes the record to `path`, creating parent directories.
+    /// Writes the record to `path` atomically, creating parent directories.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        save_artifact(path, &self.to_json())
+        tcw_sim::record::write_atomic(path, &self.to_json())
     }
 
     /// Loads a record from `path`.

@@ -131,7 +131,7 @@ fn main() {
             std::process::exit(diag::EXIT_USAGE);
         }
     };
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args("ablate", &args);
     let settings = SimSettings {
         messages: 30_000,
         warmup: 3_000,

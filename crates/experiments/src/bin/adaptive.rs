@@ -133,7 +133,7 @@ fn main() {
     if args.first().is_some_and(|a| a == "--episode") {
         std::process::exit(episode_mode());
     }
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args("adaptive", &args);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");

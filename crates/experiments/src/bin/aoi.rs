@@ -127,7 +127,7 @@ fn main() {
     if args.iter().any(|a| a == "--obs-cell") {
         std::process::exit(run_obs_cell(&obs));
     }
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args("aoi", &args);
     let results = Path::new("results");
     std::fs::create_dir_all(results).expect("create results dir");
 

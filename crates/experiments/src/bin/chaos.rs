@@ -247,7 +247,7 @@ fn main() {
     if args.first().is_some_and(|a| a == "--inject") {
         std::process::exit(inject_mode(&args[1..]));
     }
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args("chaos", &args);
     let configs = args
         .iter()
         .position(|a| a == "--configs")

@@ -106,7 +106,7 @@ fn main() {
         };
         std::process::exit(replay(Path::new(path)));
     }
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args("churn", &args);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");

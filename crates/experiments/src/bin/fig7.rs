@@ -449,7 +449,7 @@ fn main() {
         std::process::exit(run_obs_cell(&obs));
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let jobs = tcw_experiments::jobs_from_args(&args);
+    let jobs = tcw_experiments::jobs_from_args("fig7", &args);
     let panel_filter: Vec<&String> = args
         .iter()
         .filter(|a| !a.starts_with("--") && a.parse::<u64>().is_err())

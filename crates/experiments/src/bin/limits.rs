@@ -117,7 +117,7 @@ fn main() {
             std::process::exit(diag::EXIT_USAGE);
         }
     };
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args("limits", &args);
     let mut failures = 0u32;
     println!("eq. 4.7 boundary checks\n");
 

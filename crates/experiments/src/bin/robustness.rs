@@ -110,7 +110,7 @@ fn main() {
         };
         std::process::exit(replay(Path::new(path)));
     }
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args("robustness", &args);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");

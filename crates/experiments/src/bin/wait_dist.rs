@@ -39,7 +39,7 @@ fn main() {
             std::process::exit(diag::EXIT_USAGE);
         }
     };
-    let jobs = jobs_from_args(&args);
+    let jobs = jobs_from_args("wait_dist", &args);
     let (rho_prime, m, k_tau) = (0.75f64, 25u64, 200.0f64);
     let lambda = rho_prime / m as f64;
     println!("waiting-time distribution at rho' = {rho_prime}, M = {m}, K = {k_tau} tau\n");

@@ -28,7 +28,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use crate::replay::{load_artifact, panic_message, save_artifact, ArtifactReader, ArtifactWriter};
+use crate::replay::{load_artifact, panic_message, read_artifact, ArtifactWriter};
 use crate::runner::run_to_horizon;
 use tcw_mac::{
     AdversarialInjector, AdversaryPlan, ArrivalSource, ChannelConfig, ChurnPlan, FaultPlan,
@@ -925,12 +925,12 @@ impl ChaosRecord {
     /// Parses a record previously written by [`ChaosRecord::to_json`],
     /// rejecting stale versions and out-of-range parameters.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let r = ArtifactReader::parse(text, Some("chaos"))?;
+        let r = read_artifact(text, Some("chaos"))?;
         let controller_label = r.str("controller")?;
-        let controller = ChaosController::parse(&controller_label)
+        let controller = ChaosController::parse(controller_label)
             .ok_or_else(|| format!("unknown controller {controller_label:?}"))?;
         let mutation_label = r.str("mutation")?;
-        let mutation = Mutation::parse(&mutation_label)
+        let mutation = Mutation::parse(mutation_label)
             .ok_or_else(|| format!("unknown mutation {mutation_label:?}"))?;
         let mut segments = Vec::new();
         for part in r.str("segments")?.split(';') {
@@ -948,7 +948,8 @@ impl ChaosRecord {
         let config = ChaosConfig {
             seed: r.u64("seed")?,
             horizon_ticks: r.u64("horizon_ticks")?,
-            stations: r.u64("stations")? as u32,
+            stations: u32::try_from(r.u64("stations")?)
+                .map_err(|e| format!("field \"stations\": {e}"))?,
             ticks_per_tau: r.u64("ticks_per_tau")?,
             message_slots: r.u64("message_slots")?,
             k_ticks: r.u64("k_ticks")?,
@@ -975,22 +976,23 @@ impl ChaosRecord {
             },
             segments,
             adv_rate: r.f64("adv_rate")?,
-            adv_burst: r.u64("adv_burst")? as u32,
+            adv_burst: u32::try_from(r.u64("adv_burst")?)
+                .map_err(|e| format!("field \"adv_burst\": {e}"))?,
             adv_start: r.u64("adv_start")?,
             mutation,
         };
         config.check()?;
         Ok(ChaosRecord {
             config,
-            kind: r.str("kind")?,
-            class: r.str("class")?,
-            detail: r.str("detail")?,
+            kind: r.str("kind")?.to_string(),
+            class: r.str("class")?.to_string(),
+            detail: r.str("detail")?.to_string(),
         })
     }
 
-    /// Writes the record to `path`, creating parent directories.
+    /// Writes the record to `path` atomically, creating parent directories.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        save_artifact(path, &self.to_json())
+        tcw_sim::record::write_atomic(path, &self.to_json())
     }
 
     /// Loads a record from `path`.

@@ -56,8 +56,7 @@ pub use runner::{
     FaultSimPoint, PolicyKind, SimPoint, SimSettings,
 };
 pub use supervise::{
-    load_engine_snapshot, run_supervised, save_engine_snapshot, snapshot_from_artifact,
-    snapshot_to_artifact, supervised_cells, Journal, JournalItem, Quarantined, SupervisorOptions,
+    run_supervised, supervised_cells, Journal, JournalItem, Quarantined, SupervisorOptions,
     SweepOutcome,
 };
 pub use sweep::{jobs_from_args, run_parallel, run_parallel_with_progress, Cell};

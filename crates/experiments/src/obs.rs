@@ -225,12 +225,16 @@ pub struct SweepMeta {
 /// additionally carries the executor's own `tcw_sweep_cells` gauge.
 ///
 /// Metrics format is chosen by extension: `.prom` writes the Prometheus
-/// text exposition format, anything else the JSON export.
+/// text exposition format, anything else the JSON export. Every file is
+/// written atomically ([`tcw_sim::record::write_atomic`]).
 pub fn write_observability(
     cfg: &ObsConfig,
     artifacts: &[CellArtifacts],
     meta: SweepMeta,
 ) -> Result<(), String> {
+    let write = |path: &Path, text: &str| {
+        tcw_sim::record::write_atomic(path, text).map_err(|e| format!("{}: {e}", path.display()))
+    };
     if let Some(path) = &cfg.trace_events {
         let mut text = String::new();
         for a in artifacts {
@@ -238,7 +242,7 @@ pub fn write_observability(
                 text.push_str(t);
             }
         }
-        write_creating_dirs(path, &text)?;
+        write(path, &text)?;
     }
     if let Some(path) = &cfg.spans {
         let mut text = String::new();
@@ -247,7 +251,7 @@ pub fn write_observability(
                 text.push_str(t);
             }
         }
-        write_creating_dirs(path, &text)?;
+        write(path, &text)?;
     }
     if let Some(path) = &cfg.metrics {
         let mut merged = Registry::new();
@@ -268,18 +272,9 @@ pub fn write_observability(
         } else {
             merged.to_json()
         };
-        write_creating_dirs(path, &text)?;
+        write(path, &text)?;
     }
     Ok(())
-}
-
-fn write_creating_dirs(path: &Path, text: &str) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-        }
-    }
-    std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 #[cfg(test)]

@@ -9,21 +9,21 @@
 //! record re-executes the identical timeline and must reproduce the
 //! identical failure.
 //!
-//! The format is deliberately flat (one JSON object, scalar values only)
-//! so it can be written and parsed without a serialization dependency.
-//! Each artifact is stamped with the workspace version that wrote it;
-//! loading a stale or corrupted artifact returns an error (the replay
-//! binaries exit with code 2) instead of silently replaying a different
-//! timeline.
+//! The format is a flat record (one JSON object, scalar values only),
+//! read through the workspace's one codec, [`tcw_sim::record`], and
+//! written atomically so a crash never leaves a torn artifact. Each
+//! artifact is stamped with the workspace version that wrote it; loading
+//! a stale or corrupted artifact returns an error (the replay binaries
+//! exit with code 2) instead of silently replaying a different timeline.
 
 use crate::panels::Panel;
 use crate::runner::{simulate_churn, simulate_churn_with_detector, PolicyKind, SimSettings};
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_sim::record::{self, Record};
 
 /// The workspace version stamped into every artifact.
 pub const ARTIFACT_VERSION: &str = env!("CARGO_PKG_VERSION");
@@ -51,47 +51,6 @@ pub struct FailureRecord {
     pub detail: String,
 }
 
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some('t') => out.push('\t'),
-            Some('u') => {
-                let hex: String = chars.by_ref().take(4).collect();
-                if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                    out.push(c);
-                }
-            }
-            Some(c) => out.push(c),
-            None => {}
-        }
-    }
-    out
-}
-
 /// Incremental writer for the flat-JSON artifact envelope shared by every
 /// record/replay binary (`robustness`, `churn`, `adaptive`, `chaos`).
 ///
@@ -110,7 +69,7 @@ impl ArtifactWriter {
         let mut w = ArtifactWriter {
             out: String::from("{\n"),
         };
-        w.raw("version", &format!("\"{ARTIFACT_VERSION}\""));
+        w.str("version", ARTIFACT_VERSION);
         if let Some(tag) = experiment {
             w.str("experiment", tag);
         }
@@ -118,7 +77,7 @@ impl ArtifactWriter {
     }
 
     /// Appends a field with an already-JSON-formatted value.
-    pub fn raw(&mut self, key: &str, value: &str) {
+    fn raw(&mut self, key: &str, value: &str) {
         self.out.push_str(&format!("  \"{key}\": {value},\n"));
     }
 
@@ -140,7 +99,9 @@ impl ArtifactWriter {
 
     /// Appends an escaped, quoted string field.
     pub fn str(&mut self, key: &str, value: &str) {
-        self.raw(key, &format!("\"{}\"", escape(value)));
+        let mut quoted = String::with_capacity(value.len() + 2);
+        record::push_quoted(&mut quoted, value);
+        self.raw(key, &quoted);
     }
 
     /// Closes the object and returns the JSON text.
@@ -152,88 +113,16 @@ impl ArtifactWriter {
     }
 }
 
-/// Typed reader over a parsed artifact envelope.
-///
-/// [`ArtifactReader::parse`] enforces the version stamp (and the
-/// `experiment` family tag when one is expected) *before* any field is
-/// read — a stale or corrupted artifact would replay a different
-/// timeline, so every loader rejects it up front (the binaries then exit
-/// with [`crate::diag::EXIT_FAILURE`]).
-pub struct ArtifactReader {
-    fields: BTreeMap<String, String>,
-}
-
-impl ArtifactReader {
-    /// Parses the envelope and verifies version + family tag.
-    pub fn parse(text: &str, experiment: Option<&str>) -> Result<Self, String> {
-        let fields = parse_flat(text)?;
-        match fields.get("version").map(String::as_str) {
-            None => {
-                return Err(format!(
-                    "artifact has no version stamp (predates {ARTIFACT_VERSION}); \
-                     regenerate it with the current binaries"
-                ))
-            }
-            Some(v) if v != ARTIFACT_VERSION => {
-                return Err(format!(
-                    "artifact was written by version {v}, this binary is \
-                     {ARTIFACT_VERSION}; regenerate it with the current binaries"
-                ))
-            }
-            Some(_) => {}
-        }
-        if let Some(tag) = experiment {
-            match fields.get("experiment").map(String::as_str) {
-                Some(t) if t == tag => {}
-                other => return Err(format!("not a {tag} artifact: {other:?}")),
-            }
-        }
-        Ok(ArtifactReader { fields })
-    }
-
-    /// A float field.
-    pub fn f64(&self, key: &str) -> Result<f64, String> {
-        self.fields
-            .get(key)
-            .ok_or_else(|| format!("missing field {key:?}"))?
-            .parse::<f64>()
-            .map_err(|e| format!("field {key:?}: {e}"))
-    }
-
-    /// An unsigned integer field (accepts the float spelling too, as the
-    /// historical readers did).
-    pub fn u64(&self, key: &str) -> Result<u64, String> {
-        // Parse the raw token directly when possible: the f64 path loses
-        // precision above 2^53 (e.g. stream seeds).
-        if let Some(raw) = self.fields.get(key) {
-            if let Ok(v) = raw.parse::<u64>() {
-                return Ok(v);
-            }
-        }
-        Ok(self.f64(key)? as u64)
-    }
-
-    /// An unescaped string field.
-    pub fn str(&self, key: &str) -> Result<String, String> {
-        Ok(unescape(
-            self.fields
-                .get(key)
-                .ok_or_else(|| format!("missing field {key:?}"))?,
-        ))
-    }
-
-    /// A boolean field, defaulting when absent.
-    pub fn bool_or(&self, key: &str, default: bool) -> bool {
-        self.fields.get(key).map(|v| v == "true").unwrap_or(default)
-    }
-}
-
-/// Writes artifact text to `path`, creating parent directories.
-pub fn save_artifact(path: &Path, text: &str) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, text)
+/// Parses artifact text and verifies its envelope — the version stamp and
+/// the `experiment` family tag (`None` for the untagged robustness/churn
+/// format) — *before* any field is read: a stale or foreign artifact
+/// would replay a different timeline, so every loader rejects it up front
+/// (the binaries then exit with [`crate::diag::EXIT_FAILURE`]).
+pub fn read_artifact(text: &str, experiment: Option<&str>) -> Result<Record, String> {
+    let r = Record::parse(text)?;
+    r.check_envelope(ARTIFACT_VERSION, experiment)
+        .map_err(|e| format!("artifact {e}; regenerate it with the current binaries"))?;
+    Ok(r)
 }
 
 /// Reads artifact text from `path`.
@@ -245,47 +134,34 @@ impl FailureRecord {
     /// Serializes the record as one flat JSON object.
     pub fn to_json(&self) -> String {
         let mut w = ArtifactWriter::new(None);
-        let out = &mut w;
-        let mut field = |key: &str, value: String| {
-            out.raw(key, &value);
-        };
-        field("seed", self.seed.to_string());
-        field(
-            "success_to_collision",
-            fmt_f64(self.plan.success_to_collision),
-        );
-        field(
-            "collision_to_success",
-            fmt_f64(self.plan.collision_to_success),
-        );
-        field("collision_to_idle", fmt_f64(self.plan.collision_to_idle));
-        field("idle_to_collision", fmt_f64(self.plan.idle_to_collision));
-        field("erasure", fmt_f64(self.plan.erasure));
-        field("deafness", fmt_f64(self.plan.deafness));
-        field("deaf_slots", self.plan.deaf_slots.to_string());
-        field("crash", fmt_f64(self.churn.crash));
-        field("down_slots", self.churn.down_slots.to_string());
-        field("late_join_frac", fmt_f64(self.churn.late_join_frac));
-        field("join_slot", self.churn.join_slot.to_string());
-        field("leave_frac", fmt_f64(self.churn.leave_frac));
-        field("leave_slot", self.churn.leave_slot.to_string());
-        field("catch_up_slots", self.churn.catch_up_slots.to_string());
-        field(
-            "outage_start_slot",
-            self.churn.outage_start_slot.to_string(),
-        );
-        field("outage_slots", self.churn.outage_slots.to_string());
-        field("rho_prime", fmt_f64(self.panel.rho_prime));
-        field("m", self.panel.m.to_string());
-        field("policy", format!("\"{}\"", self.policy.label()));
-        field("k_tau", fmt_f64(self.k_tau));
-        field("ticks_per_tau", self.settings.ticks_per_tau.to_string());
-        field("messages", self.settings.messages.to_string());
-        field("warmup", self.settings.warmup.to_string());
-        field("stations", self.settings.stations.to_string());
-        field("guard", self.settings.guard.to_string());
-        field("kind", format!("\"{}\"", escape(&self.kind)));
-        field("detail", format!("\"{}\"", escape(&self.detail)));
+        w.u64("seed", self.seed);
+        w.f64("success_to_collision", self.plan.success_to_collision);
+        w.f64("collision_to_success", self.plan.collision_to_success);
+        w.f64("collision_to_idle", self.plan.collision_to_idle);
+        w.f64("idle_to_collision", self.plan.idle_to_collision);
+        w.f64("erasure", self.plan.erasure);
+        w.f64("deafness", self.plan.deafness);
+        w.u64("deaf_slots", self.plan.deaf_slots);
+        w.f64("crash", self.churn.crash);
+        w.u64("down_slots", self.churn.down_slots);
+        w.f64("late_join_frac", self.churn.late_join_frac);
+        w.u64("join_slot", self.churn.join_slot);
+        w.f64("leave_frac", self.churn.leave_frac);
+        w.u64("leave_slot", self.churn.leave_slot);
+        w.u64("catch_up_slots", self.churn.catch_up_slots);
+        w.u64("outage_start_slot", self.churn.outage_start_slot);
+        w.u64("outage_slots", self.churn.outage_slots);
+        w.f64("rho_prime", self.panel.rho_prime);
+        w.u64("m", self.panel.m);
+        w.str("policy", self.policy.label());
+        w.f64("k_tau", self.k_tau);
+        w.u64("ticks_per_tau", self.settings.ticks_per_tau);
+        w.u64("messages", self.settings.messages);
+        w.u64("warmup", self.settings.warmup);
+        w.u64("stations", u64::from(self.settings.stations));
+        w.bool("guard", self.settings.guard);
+        w.str("kind", &self.kind);
+        w.str("detail", &self.detail);
         w.finish()
     }
 
@@ -296,11 +172,10 @@ impl FailureRecord {
     /// stale or corrupted artifact would replay a *different* timeline and
     /// report a spurious divergence.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let r = ArtifactReader::parse(text, None)?;
-        let num = |key: &str| -> Result<f64, String> { r.f64(key) };
-        let int = |key: &str| -> Result<u64, String> { r.u64(key) };
-        let string = |key: &str| -> Result<String, String> { r.str(key) };
-        let policy = match string("policy")?.as_str() {
+        let r = read_artifact(text, None)?;
+        let num = |key: &str| r.f64(key);
+        let int = |key: &str| r.u64(key);
+        let policy = match r.str("policy")? {
             "controlled" => PolicyKind::Controlled,
             "fcfs" => PolicyKind::Fcfs,
             "lcfs" => PolicyKind::Lcfs,
@@ -346,17 +221,19 @@ impl FailureRecord {
                 ticks_per_tau: int("ticks_per_tau")?,
                 messages: int("messages")?,
                 warmup: int("warmup")?,
-                stations: int("stations")? as u32,
-                guard: r.bool_or("guard", false),
+                stations: u32::try_from(int("stations")?)
+                    .map_err(|e| format!("field \"stations\": {e}"))?,
+                // Absent in artifacts that predate the guard flag.
+                guard: r.contains("guard") && r.bool("guard")?,
             },
-            kind: string("kind")?,
-            detail: string("detail")?,
+            kind: r.str("kind")?.to_string(),
+            detail: r.str("detail")?.to_string(),
         })
     }
 
-    /// Writes the record to `path`, creating parent directories.
+    /// Writes the record to `path` atomically, creating parent directories.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        save_artifact(path, &self.to_json())
+        record::write_atomic(path, &self.to_json())
     }
 
     /// Loads a record from `path`.
@@ -466,65 +343,6 @@ pub(crate) fn fmt_f64(x: f64) -> String {
     } else {
         format!("{s}.0")
     }
-}
-
-/// Parses one flat JSON object into raw (still-escaped) value strings.
-pub(crate) fn parse_flat(text: &str) -> Result<BTreeMap<String, String>, String> {
-    let mut out = BTreeMap::new();
-    let body = text
-        .trim()
-        .strip_prefix('{')
-        .and_then(|t| t.trim_end().strip_suffix('}'))
-        .ok_or("not a JSON object")?;
-    let bytes = body.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        // Skip whitespace and separators up to the next key.
-        while i < bytes.len() && (bytes[i].is_ascii_whitespace() || bytes[i] == b',') {
-            i += 1;
-        }
-        if i >= bytes.len() {
-            break;
-        }
-        if bytes[i] != b'"' {
-            return Err(format!("expected key at byte {i}"));
-        }
-        i += 1;
-        let key_start = i;
-        while i < bytes.len() && bytes[i] != b'"' {
-            i += 1;
-        }
-        let key = body[key_start..i].to_string();
-        i += 1; // closing quote
-        while i < bytes.len() && (bytes[i].is_ascii_whitespace() || bytes[i] == b':') {
-            i += 1;
-        }
-        if i < bytes.len() && bytes[i] == b'"' {
-            // String value: scan to the first unescaped quote.
-            i += 1;
-            let val_start = i;
-            while i < bytes.len() {
-                if bytes[i] == b'\\' {
-                    i += 2;
-                    continue;
-                }
-                if bytes[i] == b'"' {
-                    break;
-                }
-                i += 1;
-            }
-            out.insert(key, body[val_start..i.min(bytes.len())].to_string());
-            i += 1;
-        } else {
-            // Bare scalar: up to the next comma or end.
-            let val_start = i;
-            while i < bytes.len() && bytes[i] != b',' {
-                i += 1;
-            }
-            out.insert(key, body[val_start..i].trim().to_string());
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -34,16 +34,8 @@
 //! abandoned (detached) and its eventual result is discarded. Abandoned
 //! threads hold no locks — cells share no state — so they can only waste
 //! a core until the cell returns or the process exits.
-//!
-//! This module also provides the version-stamped artifact envelope for
-//! **engine checkpoints** ([`snapshot_to_artifact`] /
-//! [`snapshot_from_artifact`]): the word stream of
-//! `tcw_window::Engine::snapshot` wrapped in the same flat-JSON envelope
-//! as every replay artifact, with an explicit whole-stream checksum.
 
-use crate::replay::{
-    load_artifact, panic_message, parse_flat, ArtifactReader, ArtifactWriter, ARTIFACT_VERSION,
-};
+use crate::replay::{panic_message, ARTIFACT_VERSION};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -51,13 +43,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 use tcw_obs::Progress;
+use tcw_sim::record::{self, Record};
 use tcw_sim::snap::{self, SnapError, SnapReader, SnapWriter};
 
 /// Journal file format version; bumped on any layout change.
-pub const JOURNAL_FORMAT: u64 = 2;
-
-/// `experiment` tag of the engine-checkpoint artifact envelope.
-pub const SNAPSHOT_EXPERIMENT: &str = "engine-snapshot";
+pub const JOURNAL_FORMAT: u64 = 3;
 
 // ---------------------------------------------------------------------------
 // Options
@@ -319,49 +309,12 @@ impl JournalItem for crate::chaos::ChaosOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Hex word streams
-
-fn words_to_hex(words: &[u64]) -> String {
-    let mut s = String::with_capacity(words.len() * 16);
-    for w in words {
-        s.push_str(&format!("{w:016x}"));
-    }
-    s
-}
-
-fn hex_to_words(s: &str) -> Result<Vec<u64>, String> {
-    if s.len() % 16 != 0 {
-        return Err(format!(
-            "hex word stream has {} chars (not a multiple of 16)",
-            s.len()
-        ));
-    }
-    s.as_bytes()
-        .chunks(16)
-        .map(|c| {
-            let t =
-                std::str::from_utf8(c).map_err(|_| "non-ASCII byte in hex stream".to_string())?;
-            u64::from_str_radix(t, 16).map_err(|e| format!("bad hex word {t:?}: {e}"))
-        })
-        .collect()
-}
-
-fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-// ---------------------------------------------------------------------------
 // Journal
 
 /// Crash-consistent sweep journal: a header line naming the format,
 /// binary version, experiment and grid fingerprint, then one checksummed
 /// NDJSON line per completed cell. Every update rewrites the whole file
-/// through `PATH.tmp` + atomic `rename`, so a crash at any instant leaves
+/// through [`record::write_atomic`], so a crash at any instant leaves
 /// either the previous or the new journal — never a torn one.
 #[derive(Debug)]
 pub struct Journal {
@@ -390,13 +343,23 @@ impl Journal {
         }
     }
 
+    /// Checksum over the header fields, packed as a word stream.
+    fn header_crc(experiment: &str, fingerprint: u64) -> u64 {
+        let mut w = SnapWriter::new();
+        w.push(JOURNAL_FORMAT);
+        w.push_str(ARTIFACT_VERSION);
+        w.push_str(experiment);
+        w.push(fingerprint);
+        snap::checksum(&w.into_words())
+    }
+
     fn header(experiment: &str, fingerprint: u64) -> String {
-        let crc = fnv_bytes(
-            format!("{JOURNAL_FORMAT}|{ARTIFACT_VERSION}|{experiment}|{fingerprint}").as_bytes(),
-        );
+        let mut tag = String::new();
+        record::push_quoted(&mut tag, experiment);
+        let crc = Self::header_crc(experiment, fingerprint);
         format!(
             "{{\"journal_format\": {JOURNAL_FORMAT}, \"version\": \"{ARTIFACT_VERSION}\", \
-             \"experiment\": \"{experiment}\", \"fingerprint\": \"{fingerprint:016x}\", \
+             \"experiment\": {tag}, \"fingerprint\": \"{fingerprint:016x}\", \
              \"crc\": \"{crc:016x}\"}}"
         )
     }
@@ -409,30 +372,18 @@ impl Journal {
     ) -> Result<Self, String> {
         let mut lines = text.lines();
         let header = lines.next().ok_or("empty journal file")?;
-        let fields = parse_flat(header).map_err(|e| format!("bad header: {e}"))?;
-        let field = |k: &str| -> Result<&String, String> {
-            fields.get(k).ok_or(format!("header missing {k:?}"))
-        };
-        if field("journal_format")? != &JOURNAL_FORMAT.to_string() {
+        let fields = Record::parse(header).map_err(|e| format!("bad header: {e}"))?;
+        let format = fields.u64("journal_format")?;
+        if format != JOURNAL_FORMAT {
             return Err(format!(
-                "unsupported journal format {} (this binary writes {JOURNAL_FORMAT})",
-                field("journal_format")?
+                "unsupported journal format {format} (this binary writes {JOURNAL_FORMAT})"
             ));
         }
-        if field("version")? != ARTIFACT_VERSION {
-            return Err(format!(
-                "stale journal: written by version {}, this binary is {ARTIFACT_VERSION}",
-                field("version")?
-            ));
-        }
-        if field("experiment")? != experiment {
-            return Err(format!(
-                "journal belongs to experiment {:?}, not {experiment:?}",
-                field("experiment")?
-            ));
-        }
+        fields
+            .check_envelope(ARTIFACT_VERSION, Some(experiment))
+            .map_err(|e| format!("journal {e}"))?;
         let parse_hex = |k: &str| -> Result<u64, String> {
-            u64::from_str_radix(field(k)?, 16).map_err(|e| format!("bad {k} field: {e}"))
+            u64::from_str_radix(fields.str(k)?, 16).map_err(|e| format!("bad {k} field: {e}"))
         };
         if parse_hex("fingerprint")? != fingerprint {
             return Err(
@@ -441,10 +392,7 @@ impl Journal {
                     .to_string(),
             );
         }
-        let expect = fnv_bytes(
-            format!("{JOURNAL_FORMAT}|{ARTIFACT_VERSION}|{experiment}|{fingerprint}").as_bytes(),
-        );
-        if parse_hex("crc")? != expect {
+        if parse_hex("crc")? != Self::header_crc(experiment, fingerprint) {
             return Err("header failed its checksum (corrupted journal)".to_string());
         }
 
@@ -470,14 +418,12 @@ impl Journal {
     }
 
     fn parse_entry(line: &str) -> Result<(usize, Vec<u64>), String> {
-        let fields = parse_flat(line)?;
-        let field =
-            |k: &str| -> Result<&String, String> { fields.get(k).ok_or(format!("missing {k:?}")) };
-        let cell: usize = field("cell")?
-            .parse()
-            .map_err(|e| format!("bad cell index: {e}"))?;
-        let words = hex_to_words(field("data")?)?;
-        let crc = u64::from_str_radix(field("crc")?, 16).map_err(|e| format!("bad crc: {e}"))?;
+        let fields = Record::parse(line)?;
+        let cell =
+            usize::try_from(fields.u64("cell")?).map_err(|e| format!("bad cell index: {e}"))?;
+        let words = record::hex_to_words(fields.str("data")?)?;
+        let crc =
+            u64::from_str_radix(fields.str("crc")?, 16).map_err(|e| format!("bad crc: {e}"))?;
         let mut checked = Vec::with_capacity(words.len() + 1);
         checked.push(cell as u64);
         checked.extend_from_slice(&words);
@@ -510,26 +456,17 @@ impl Journal {
         let crc = snap::checksum(&checked);
         self.lines.push(format!(
             "{{\"cell\": {cell}, \"data\": \"{}\", \"crc\": \"{crc:016x}\"}}",
-            words_to_hex(words)
+            record::words_to_hex(words)
         ));
         self.completed.insert(cell, words.to_vec());
         self.write_all()
     }
 
     fn write_all(&self) -> Result<(), String> {
-        if let Some(dir) = self.path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            }
-        }
         let mut content = self.lines.join("\n");
         content.push('\n');
-        let tmp = self.path.with_extension("journal.tmp");
-        std::fs::write(&tmp, &content)
-            .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| format!("cannot rename {} into place: {e}", tmp.display()))
+        record::write_atomic(&self.path, &content)
+            .map_err(|e| format!("cannot write journal {}: {e}", self.path.display()))
     }
 }
 
@@ -888,61 +825,6 @@ where
     outcome.into_results()
 }
 
-// ---------------------------------------------------------------------------
-// Engine-checkpoint artifact envelope
-
-/// Wraps an engine snapshot word stream in the shared flat-JSON artifact
-/// envelope: version stamp, `engine-snapshot` experiment tag, declared
-/// word count, hex payload and a whole-stream checksum.
-pub fn snapshot_to_artifact(words: &[u64]) -> String {
-    let mut w = ArtifactWriter::new(Some(SNAPSHOT_EXPERIMENT));
-    w.u64("words", words.len() as u64);
-    w.str("data", &words_to_hex(words));
-    w.str("crc", &format!("{:016x}", snap::checksum(words)));
-    w.finish()
-}
-
-/// Recovers an engine snapshot word stream from its artifact envelope,
-/// rejecting stale versions, foreign experiment tags, corrupted payloads
-/// and checksum mismatches (the binaries exit with
-/// [`crate::diag::EXIT_FAILURE`] on `Err`).
-pub fn snapshot_from_artifact(text: &str) -> Result<Vec<u64>, String> {
-    let r = ArtifactReader::parse(text, Some(SNAPSHOT_EXPERIMENT))?;
-    let declared = r.u64("words")?;
-    let words = hex_to_words(&r.str("data")?)?;
-    if words.len() as u64 != declared {
-        return Err(format!(
-            "snapshot declares {declared} words but its payload holds {}",
-            words.len()
-        ));
-    }
-    let crc = u64::from_str_radix(&r.str("crc")?, 16).map_err(|e| format!("bad crc field: {e}"))?;
-    if crc != snap::checksum(&words) {
-        return Err("snapshot artifact failed its checksum (corrupted or tampered)".to_string());
-    }
-    Ok(words)
-}
-
-/// Writes an engine snapshot artifact atomically (temp file + rename).
-pub fn save_engine_snapshot(path: &Path, words: &[u64]) -> Result<(), String> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)
-                .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-        }
-    }
-    let tmp = path.with_extension("snap.tmp");
-    std::fs::write(&tmp, snapshot_to_artifact(words))
-        .map_err(|e| format!("cannot write {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path)
-        .map_err(|e| format!("cannot rename {} into place: {e}", tmp.display()))
-}
-
-/// Reads and validates an engine snapshot artifact.
-pub fn load_engine_snapshot(path: &Path) -> Result<Vec<u64>, String> {
-    snapshot_from_artifact(&load_artifact(path)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1021,7 +903,9 @@ mod tests {
         assert_eq!(reopened.completed(0), Some(&[1u64, 2, 3][..]));
         assert_eq!(reopened.completed(1), None);
         assert_eq!(reopened.completed(2), Some(&[u64::MAX][..]));
-        assert!(!path.with_extension("journal.tmp").exists());
+        let mut tmp = path.clone().into_os_string();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1057,6 +941,16 @@ mod tests {
         std::fs::write(&path, &stale).unwrap();
         let e = Journal::open(&path, "test", 7).unwrap_err();
         assert!(e.contains("version"), "{e}");
+
+        // A format-2 header names the format, not a checksum failure.
+        let old = good.replacen(
+            &format!("\"journal_format\": {JOURNAL_FORMAT}"),
+            "\"journal_format\": 2",
+            1,
+        );
+        std::fs::write(&path, &old).unwrap();
+        let e = Journal::open(&path, "test", 7).unwrap_err();
+        assert!(e.contains("unsupported journal format"), "{e}");
 
         // Garbage is rejected.
         std::fs::write(&path, "not a journal\n").unwrap();
@@ -1176,31 +1070,6 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 1);
         assert_eq!(out.into_results(), vec![V(0), V(7), V(14)]);
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn snapshot_artifact_round_trips_and_rejects_tampering() {
-        let words: Vec<u64> = vec![0x7463_775f_736e_6170, 1, 42, u64::MAX, 0];
-        let text = snapshot_to_artifact(&words);
-        assert_eq!(snapshot_from_artifact(&text).unwrap(), words);
-
-        // A flipped payload digit fails the checksum.
-        let pos = text.find("\"data\"").unwrap() + 10;
-        let mut bad = text.clone();
-        let orig = bad.as_bytes()[pos] as char;
-        let flip = if orig == '0' { '1' } else { '0' };
-        bad.replace_range(pos..pos + 1, &flip.to_string());
-        let e = snapshot_from_artifact(&bad).unwrap_err();
-        assert!(e.contains("checksum") || e.contains("hex"), "{e}");
-
-        // A stale version stamp is rejected before the payload is read.
-        let stale = text.replace(ARTIFACT_VERSION, "0.0.0-stale");
-        let e = snapshot_from_artifact(&stale).unwrap_err();
-        assert!(e.contains("version"), "{e}");
-
-        // A foreign experiment tag is rejected.
-        let foreign = text.replace(SNAPSHOT_EXPERIMENT, "robustness");
-        assert!(snapshot_from_artifact(&foreign).is_err());
     }
 
     #[test]

@@ -237,22 +237,29 @@ pub fn default_jobs() -> usize {
 /// Parses `--jobs N` (or `--jobs=N`) out of a raw argument list,
 /// defaulting to [`default_jobs`]. `--jobs 1` forces the serial path.
 ///
-/// # Panics
-/// Panics with a usage message when the flag is present but malformed.
-pub fn jobs_from_args(args: &[String]) -> usize {
+/// A present but malformed flag is a usage error: it is reported as
+/// `tool: message` and the process exits with [`crate::diag::EXIT_USAGE`].
+pub fn jobs_from_args(tool: &str, args: &[String]) -> usize {
+    fn usage(tool: &str, msg: &str) -> ! {
+        crate::diag::error(tool, msg);
+        std::process::exit(crate::diag::EXIT_USAGE)
+    }
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let v = it.next().unwrap_or_else(|| panic!("--jobs needs a value"));
-            return v
-                .parse()
-                .unwrap_or_else(|_| panic!("--jobs expects a positive integer, got {v:?}"));
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v
-                .parse()
-                .unwrap_or_else(|_| panic!("--jobs expects a positive integer, got {v:?}"));
-        }
+        let value = match a.strip_prefix("--jobs=") {
+            Some(v) => v,
+            None if a == "--jobs" => match it.next() {
+                Some(v) => v,
+                None => usage(tool, "--jobs needs a value"),
+            },
+            None => continue,
+        };
+        return value.parse().unwrap_or_else(|_| {
+            usage(
+                tool,
+                &format!("--jobs expects a positive integer, got {value:?}"),
+            )
+        });
     }
     default_jobs()
 }
@@ -285,9 +292,12 @@ mod tests {
     #[test]
     fn jobs_flag_parsing() {
         let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        assert_eq!(jobs_from_args(&args(&["--quick", "--jobs", "3"])), 3);
-        assert_eq!(jobs_from_args(&args(&["--jobs=7"])), 7);
-        assert_eq!(jobs_from_args(&args(&["--quick"])), default_jobs());
+        assert_eq!(
+            jobs_from_args("test", &args(&["--quick", "--jobs", "3"])),
+            3
+        );
+        assert_eq!(jobs_from_args("test", &args(&["--jobs=7"])), 7);
+        assert_eq!(jobs_from_args("test", &args(&["--quick"])), default_jobs());
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Structured event tracing: an [`EngineObserver`] that encodes protocol
-//! events into a preallocated ring of fixed-size records and drains them
-//! as schema-versioned NDJSON (one JSON object per line).
+//! Structured event tracing: an [`EngineObserver`] that writes each
+//! protocol event as one schema-versioned NDJSON line (one JSON object
+//! per line).
 //!
 //! The tracer is strictly passive: it copies scalars out of the engine's
 //! callbacks and never draws from an RNG stream, so enabling it cannot
@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 
 use tcw_mac::{ChurnEvent, Message, SlotOutcome};
+use tcw_sim::record;
 use tcw_sim::rng::Rng;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::interval::Interval;
@@ -19,265 +20,99 @@ use tcw_window::trace::EngineObserver;
 /// Version stamped into every NDJSON line as `"schema_version"`.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Capacity of the preallocated record ring: events are encoded to text in
-/// batches of this many, so the steady-state cost per event is one `Copy`
-/// store plus amortized text growth.
-const RING_CAP: usize = 4096;
-
-/// Compact payload of one traced event. Fixed-size and `Copy` so ring
-/// storage never allocates.
-#[derive(Clone, Copy, Debug)]
-enum Ev {
-    /// Decision point chose an initial window.
-    Decision {
-        segments: u32,
-        win_start: u64,
-        win_end: u64,
-    },
-    /// Decision point found nothing unexamined.
-    DecisionIdle,
-    /// One probe slot resolved idle.
-    ProbeIdle { dur: u64, segments: u32 },
-    /// One probe slot resolved as a success.
-    ProbeSuccess { msg: u64, dur: u64, segments: u32 },
-    /// One probe slot resolved as a collision among `n`.
-    ProbeCollision { n: u32, dur: u64, segments: u32 },
-    /// Window known to hold two or more arrivals split unprobed.
-    Split {
-        segments: u32,
-        win_start: u64,
-        win_end: u64,
-    },
-    /// Successful delivery. `start` is the transmission's start tick; it
-    /// can precede the line's `t` because the engine reports deliveries
-    /// at completion, after later-timestamped slot events.
-    Transmit {
-        start: u64,
-        msg: u64,
-        station: u32,
-        paper_delay: u64,
-        true_delay: u64,
-    },
-    /// Sender discard (policy element 4).
-    Discard { msg: u64, station: u32 },
-    /// Slot feedback corrupted by an injected fault.
-    Corrupted { dur: u64 },
-    /// Quiet backoff before re-probe.
-    Backoff { dur: u64 },
-    /// Windowing round abandoned after repeated corruption.
-    Abandoned,
-    /// Examined interval reopened for stranded arrivals.
-    Reopen { start: u64, end: u64 },
-    /// Membership transition.
-    Churn { what: u8, station: u32 },
-}
-
-/// One ring entry: event time, probe-slot index and payload.
-#[derive(Clone, Copy, Debug)]
-struct EventRecord {
-    t: u64,
-    slot: u64,
-    ev: Ev,
-}
-
-/// Ring-buffered NDJSON event tracer. See the crate root for the schema.
-///
-/// Use [`EventTracer::begin_cell`] to mark the start of each sweep cell's
-/// stream and [`EventTracer::finish`] to flush and take the text.
-#[derive(Debug)]
-pub struct EventTracer {
-    ring: Vec<EventRecord>,
+/// NDJSON output shared by the event and span tracers: the accumulated
+/// text and the per-cell line counter behind `seq`.
+#[derive(Debug, Default)]
+pub(crate) struct Lines {
     out: String,
     /// Line number within the current cell (the `cell` header excluded).
     seq: u64,
+}
+
+impl Lines {
+    /// Writes a `cell` header line and restarts `seq` from zero, so each
+    /// cell's stream is self-contained.
+    pub(crate) fn begin_cell(&mut self, index: usize, label: &str) {
+        let _ = write!(
+            self.out,
+            "{{\"schema_version\":{SCHEMA_VERSION},\"ev\":\"cell\",\"cell\":{index},\"label\":"
+        );
+        record::push_quoted(&mut self.out, label);
+        self.out.push_str("}\n");
+        self.seq = 0;
+    }
+
+    /// Opens the next line with its `schema_version`, `seq`, `slot` (event
+    /// streams only) and `t` prefix; the caller appends the event fields
+    /// and the closing `}\n`.
+    pub(crate) fn open(&mut self, slot: Option<u64>, t: u64) -> &mut String {
+        let seq = self.seq;
+        self.seq += 1;
+        let _ = match slot {
+            Some(slot) => write!(
+                self.out,
+                "{{\"schema_version\":{SCHEMA_VERSION},\"seq\":{seq},\"slot\":{slot},\"t\":{t},"
+            ),
+            None => write!(
+                self.out,
+                "{{\"schema_version\":{SCHEMA_VERSION},\"seq\":{seq},\"t\":{t},"
+            ),
+        };
+        &mut self.out
+    }
+
+    /// Takes the accumulated text, leaving the writer empty.
+    pub(crate) fn take(&mut self) -> String {
+        std::mem::take(&mut self.out)
+    }
+}
+
+/// NDJSON event tracer. See the crate root for the schema.
+///
+/// Use [`EventTracer::begin_cell`] to mark the start of each sweep cell's
+/// stream and [`EventTracer::finish`] to take the text.
+#[derive(Debug, Default)]
+pub struct EventTracer {
+    lines: Lines,
     /// Probe slots consumed so far in the current cell.
     slot: u64,
     /// Most recent event time, for events reported without one (`reopen`).
     last_t: u64,
 }
 
-impl Default for EventTracer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl EventTracer {
-    /// Creates a tracer with a preallocated record ring.
+    /// Creates an empty tracer.
     pub fn new() -> Self {
-        EventTracer {
-            ring: Vec::with_capacity(RING_CAP),
-            out: String::new(),
-            seq: 0,
-            slot: 0,
-            last_t: 0,
-        }
+        Self::default()
     }
 
-    /// Flushes pending records and writes a `cell` header line; `seq` and
-    /// `slot` restart from zero so each cell's stream is self-contained.
+    /// Writes a `cell` header line; `seq` and `slot` restart from zero so
+    /// each cell's stream is self-contained.
     pub fn begin_cell(&mut self, index: usize, label: &str) {
-        self.flush();
-        let _ = write!(
-            self.out,
-            "{{\"schema_version\":{SCHEMA_VERSION},\"ev\":\"cell\",\"cell\":{index},\"label\":"
-        );
-        escape_json_str(label, &mut self.out);
-        self.out.push_str("}\n");
-        self.seq = 0;
+        self.lines.begin_cell(index, label);
         self.slot = 0;
         self.last_t = 0;
     }
 
-    /// Flushes pending records and returns the accumulated NDJSON text,
-    /// leaving the tracer empty and reusable.
+    /// Returns the accumulated NDJSON text, leaving the tracer empty and
+    /// reusable.
     pub fn finish(&mut self) -> String {
-        self.flush();
-        std::mem::take(&mut self.out)
+        self.lines.take()
     }
 
-    fn record(&mut self, t: Time, ev: Ev) {
-        self.last_t = t.ticks();
-        if self.ring.len() == RING_CAP {
-            self.flush();
-        }
-        self.ring.push(EventRecord {
-            t: t.ticks(),
-            slot: self.slot,
-            ev,
-        });
-    }
-
-    fn flush(&mut self) {
-        // Swap the ring out so encoding can borrow `self.out` mutably.
-        let ring = std::mem::take(&mut self.ring);
-        for rec in &ring {
-            let _ = write!(
-                self.out,
-                "{{\"schema_version\":{SCHEMA_VERSION},\"seq\":{},\"slot\":{},\"t\":{},",
-                self.seq, rec.slot, rec.t
-            );
-            self.seq += 1;
-            match rec.ev {
-                Ev::Decision {
-                    segments,
-                    win_start,
-                    win_end,
-                } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"decision\",\"segments\":{segments},\"win_start\":{win_start},\"win_end\":{win_end}"
-                    );
-                }
-                Ev::DecisionIdle => {
-                    self.out.push_str("\"ev\":\"decision_idle\"");
-                }
-                Ev::ProbeIdle { dur, segments } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"probe\",\"outcome\":\"idle\",\"dur\":{dur},\"segments\":{segments}"
-                    );
-                }
-                Ev::ProbeSuccess { msg, dur, segments } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"probe\",\"outcome\":\"success\",\"msg\":{msg},\"dur\":{dur},\"segments\":{segments}"
-                    );
-                }
-                Ev::ProbeCollision { n, dur, segments } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"probe\",\"outcome\":\"collision\",\"n\":{n},\"dur\":{dur},\"segments\":{segments}"
-                    );
-                }
-                Ev::Split {
-                    segments,
-                    win_start,
-                    win_end,
-                } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"split\",\"segments\":{segments},\"win_start\":{win_start},\"win_end\":{win_end}"
-                    );
-                }
-                Ev::Transmit {
-                    start,
-                    msg,
-                    station,
-                    paper_delay,
-                    true_delay,
-                } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"transmit\",\"start\":{start},\"msg\":{msg},\"station\":{station},\"paper_delay\":{paper_delay},\"true_delay\":{true_delay}"
-                    );
-                }
-                Ev::Discard { msg, station } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"discard\",\"msg\":{msg},\"station\":{station}"
-                    );
-                }
-                Ev::Corrupted { dur } => {
-                    let _ = write!(self.out, "\"ev\":\"corrupted_slot\",\"dur\":{dur}");
-                }
-                Ev::Backoff { dur } => {
-                    let _ = write!(self.out, "\"ev\":\"backoff\",\"dur\":{dur}");
-                }
-                Ev::Abandoned => {
-                    self.out.push_str("\"ev\":\"round_abandoned\"");
-                }
-                Ev::Reopen { start, end } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"reopen\",\"start\":{start},\"end\":{end}"
-                    );
-                }
-                Ev::Churn { what, station } => {
-                    let what = match what {
-                        0 => "crash",
-                        1 => "restart",
-                        2 => "join",
-                        _ => "leave",
-                    };
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"churn\",\"what\":\"{what}\",\"station\":{station}"
-                    );
-                }
-            }
-            self.out.push_str("}\n");
-        }
-        // Hand the (cleared) allocation back to the ring.
-        self.ring = ring;
-        self.ring.clear();
+    /// Opens the line of an event observed at tick `t`.
+    fn line(&mut self, t: u64) -> &mut String {
+        self.last_t = t;
+        self.lines.open(Some(self.slot), t)
     }
 }
 
 /// Window bounds as (segment count, first lo, last hi); zeros when empty.
-fn window_bounds(segments: &[Interval]) -> (u32, u64, u64) {
+fn window_bounds(segments: &[Interval]) -> (usize, u64, u64) {
     match (segments.first(), segments.last()) {
-        (Some(a), Some(b)) => (segments.len() as u32, a.lo.ticks(), b.hi.ticks()),
+        (Some(a), Some(b)) => (segments.len(), a.lo.ticks(), b.hi.ticks()),
         _ => (0, 0, 0),
     }
-}
-
-pub(crate) fn escape_json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl EngineObserver for EventTracer {
@@ -288,104 +123,99 @@ impl EngineObserver for EventTracer {
     }
 
     fn on_decision(&mut self, now: Time, segments: Option<&[Interval]>) {
-        match segments {
+        let out = self.line(now.ticks());
+        let _ = match segments {
             Some(s) => {
-                let (segments, win_start, win_end) = window_bounds(s);
-                self.record(
-                    now,
-                    Ev::Decision {
-                        segments,
-                        win_start,
-                        win_end,
-                    },
-                );
+                let (n, lo, hi) = window_bounds(s);
+                writeln!(
+                    out,
+                    "\"ev\":\"decision\",\"segments\":{n},\"win_start\":{lo},\"win_end\":{hi}}}"
+                )
             }
-            None => self.record(now, Ev::DecisionIdle),
-        }
+            None => writeln!(out, "\"ev\":\"decision_idle\"}}"),
+        };
     }
 
     fn on_probe(&mut self, start: Time, segments: &[Interval], outcome: &SlotOutcome, dur: Dur) {
-        let n_segments = segments.len() as u32;
-        let ev = match outcome {
-            SlotOutcome::Idle => Ev::ProbeIdle {
-                dur: dur.ticks(),
-                segments: n_segments,
-            },
-            SlotOutcome::Success(id) => Ev::ProbeSuccess {
-                msg: id.0,
-                dur: dur.ticks(),
-                segments: n_segments,
-            },
-            SlotOutcome::Collision(n) => Ev::ProbeCollision {
-                n: *n,
-                dur: dur.ticks(),
-                segments: n_segments,
-            },
+        let (n, dur) = (segments.len(), dur.ticks());
+        let out = self.line(start.ticks());
+        let _ = match outcome {
+            SlotOutcome::Idle => writeln!(
+                out,
+                "\"ev\":\"probe\",\"outcome\":\"idle\",\"dur\":{dur},\"segments\":{n}}}"
+            ),
+            SlotOutcome::Success(id) => writeln!(
+                out,
+                "\"ev\":\"probe\",\"outcome\":\"success\",\"msg\":{},\"dur\":{dur},\"segments\":{n}}}",
+                id.0
+            ),
+            SlotOutcome::Collision(k) => writeln!(
+                out,
+                "\"ev\":\"probe\",\"outcome\":\"collision\",\"n\":{k},\"dur\":{dur},\"segments\":{n}}}"
+            ),
         };
-        self.record(start, ev);
         self.slot += 1;
     }
 
     fn on_immediate_split(&mut self, now: Time, segments: &[Interval]) {
-        let (segments, win_start, win_end) = window_bounds(segments);
-        self.record(
-            now,
-            Ev::Split {
-                segments,
-                win_start,
-                win_end,
-            },
+        let (n, lo, hi) = window_bounds(segments);
+        let out = self.line(now.ticks());
+        let _ = writeln!(
+            out,
+            "\"ev\":\"split\",\"segments\":{n},\"win_start\":{lo},\"win_end\":{hi}}}"
         );
     }
 
     fn on_transmit(&mut self, msg: &Message, start: Time, paper_delay: Dur, true_delay: Dur) {
         // Deliveries are reported at completion, so `start` can precede
-        // events already recorded; keep the line's `t` monotone (the
+        // events already written; keep the line's `t` monotone (the
         // observation time) and carry the raw start in the payload.
-        self.record(
-            Time::from_ticks(self.last_t.max(start.ticks())),
-            Ev::Transmit {
-                start: start.ticks(),
-                msg: msg.id.0,
-                station: msg.station.0,
-                paper_delay: paper_delay.ticks(),
-                true_delay: true_delay.ticks(),
-            },
+        let out = self.line(self.last_t.max(start.ticks()));
+        let _ = writeln!(
+            out,
+            "\"ev\":\"transmit\",\"start\":{},\"msg\":{},\"station\":{},\"paper_delay\":{},\"true_delay\":{}}}",
+            start.ticks(),
+            msg.id.0,
+            msg.station.0,
+            paper_delay.ticks(),
+            true_delay.ticks()
         );
     }
 
     fn on_sender_discard(&mut self, msg: &Message, now: Time) {
-        self.record(
-            now,
-            Ev::Discard {
-                msg: msg.id.0,
-                station: msg.station.0,
-            },
+        let out = self.line(now.ticks());
+        let _ = writeln!(
+            out,
+            "\"ev\":\"discard\",\"msg\":{},\"station\":{}}}",
+            msg.id.0, msg.station.0
         );
     }
 
     fn on_corrupted_slot(&mut self, now: Time, dur: Dur) {
-        self.record(now, Ev::Corrupted { dur: dur.ticks() });
+        let out = self.line(now.ticks());
+        let _ = writeln!(out, "\"ev\":\"corrupted_slot\",\"dur\":{}}}", dur.ticks());
         self.slot += 1;
     }
 
     fn on_backoff(&mut self, now: Time, dur: Dur) {
-        self.record(now, Ev::Backoff { dur: dur.ticks() });
+        let out = self.line(now.ticks());
+        let _ = writeln!(out, "\"ev\":\"backoff\",\"dur\":{}}}", dur.ticks());
     }
 
     fn on_round_abandoned(&mut self, now: Time) {
-        self.record(now, Ev::Abandoned);
+        self.line(now.ticks())
+            .push_str("\"ev\":\"round_abandoned\"}\n");
     }
 
     fn on_reopen(&mut self, iv: Interval) {
         // The engine reports reopens without a timestamp; attribute them to
         // the most recent event time so `t` stays non-decreasing.
-        self.record(
-            Time::from_ticks(self.last_t),
-            Ev::Reopen {
-                start: iv.lo.ticks(),
-                end: iv.hi.ticks(),
-            },
+        let out = self.line(self.last_t);
+        let _ = writeln!(
+            out,
+            "\"ev\":\"reopen\",\"start\":{},\"end\":{}}}",
+            iv.lo.ticks(),
+            iv.hi.ticks()
         );
     }
 
@@ -396,12 +226,16 @@ impl EngineObserver for EventTracer {
 
     fn on_churn_event(&mut self, now: Time, ev: &ChurnEvent) {
         let (what, station) = match ev {
-            ChurnEvent::Crash(s) => (0u8, s.0),
-            ChurnEvent::Restart(s) => (1, s.0),
-            ChurnEvent::Join(s) => (2, s.0),
-            ChurnEvent::Leave(s) => (3, s.0),
+            ChurnEvent::Crash(s) => ("crash", s.0),
+            ChurnEvent::Restart(s) => ("restart", s.0),
+            ChurnEvent::Join(s) => ("join", s.0),
+            ChurnEvent::Leave(s) => ("leave", s.0),
         };
-        self.record(now, Ev::Churn { what, station });
+        let out = self.line(now.ticks());
+        let _ = writeln!(
+            out,
+            "\"ev\":\"churn\",\"what\":\"{what}\",\"station\":{station}}}"
+        );
     }
 }
 
@@ -492,18 +326,19 @@ mod tests {
 
     #[test]
     fn ring_overflow_flushes_in_order() {
+        // A stream longer than 4096 lines stays dense and in order.
+        const N: usize = 4096 + 10;
         let mut tr = EventTracer::new();
         tr.begin_cell(0, "big");
-        for i in 0..(super::RING_CAP as u64 + 10) {
+        for i in 0..N as u64 {
             tr.on_round_abandoned(Time::from_ticks(i));
         }
         let text = tr.finish();
-        assert_eq!(text.lines().count(), super::RING_CAP + 11);
-        let last = text.lines().last().unwrap();
-        assert!(
-            last.contains(&format!("\"seq\":{}", super::RING_CAP + 9)),
-            "{last}"
-        );
+        assert_eq!(text.lines().count(), N + 1);
+        for (i, line) in text.lines().skip(1).enumerate() {
+            let prefix = format!("{{\"schema_version\":1,\"seq\":{i},\"slot\":0,\"t\":{i},");
+            assert!(line.starts_with(&prefix), "{line}");
+        }
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! [`tcw_window::trace::EngineObserver`] hook and the online collectors in
 //! [`tcw_sim::stats`]. Four pieces:
 //!
-//! * [`event::EventTracer`] — an `EngineObserver` that encodes
-//!   decision/probe/split/transmit/discard/fault/churn events into a
-//!   preallocated ring buffer and drains them as schema-versioned NDJSON
-//!   (the `--trace-events PATH` flag of the experiment binaries);
-//! * [`span::SpanTracer`] — an `EngineObserver` that encodes each
+//! * [`event::EventTracer`] — an `EngineObserver` that writes each
+//!   decision/probe/split/transmit/discard/fault/churn event as one
+//!   schema-versioned NDJSON line (the `--trace-events PATH` flag of the
+//!   experiment binaries);
+//! * [`span::SpanTracer`] — an `EngineObserver` that writes each
 //!   message's lifecycle (admission → window membership → collision
 //!   episodes → delivery/discard/drop) as NDJSON spans (the
 //!   `--spans PATH` flag); unlike the event tracer it does **not**
@@ -21,9 +21,6 @@
 //!   the churn process and the divergence detector, snapshotted per sweep
 //!   cell and exportable as Prometheus text exposition format or JSON
 //!   (the `--metrics PATH[.prom|.json]` flag);
-//! * [`profile`] — log-scale latency histograms plus (behind the
-//!   `obs-profile` feature) a wall-clock slot-phase profiler for the
-//!   engine's decision/probe/reopen phases;
 //! * [`progress::Progress`] — per-cell state and worker heartbeats for the
 //!   parallel sweep executor, rendered as a stderr progress line with ETA
 //!   and stall detection.
@@ -66,8 +63,10 @@
 //! | `reopen` | `start`, `end` | examined interval reopened for stranded arrivals |
 //! | `churn` | `what` (`crash`\|`restart`\|`join`\|`leave`), `station` | membership transition |
 //!
-//! Durations and times are integer ticks. The `obs_lint` binary validates
-//! streams against this schema.
+//! Durations and times are integer ticks. Every line is a flat record in
+//! the sense of [`tcw_sim::record`], which both writes (escaping) and reads
+//! (the strict parser behind [`lint`] and [`report`]) it. The `obs_lint`
+//! binary validates streams against this schema.
 //!
 //! ## Span schema (`schema_version` 1, `*.spans.ndjson`)
 //!
@@ -96,7 +95,6 @@
 
 pub mod event;
 pub mod lint;
-pub mod profile;
 pub mod progress;
 pub mod registry;
 pub mod report;

@@ -5,6 +5,8 @@
 
 use std::collections::BTreeMap;
 
+use tcw_sim::record::Record;
+
 use crate::event::SCHEMA_VERSION;
 use crate::registry::valid_metric_name;
 
@@ -19,87 +21,20 @@ pub struct EventStats {
     pub events: usize,
 }
 
-/// Scalar values the flat-JSON line parser distinguishes.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum Scalar {
-    Num(f64),
-    Str(String),
-}
-
-/// Parses one flat JSON object (`{"k":scalar,...}`, no nesting) into its
-/// fields. Returns an error describing the first malformation.
-pub(crate) fn parse_flat_line(line: &str) -> Result<BTreeMap<String, Scalar>, String> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or("not a JSON object")?;
-    let mut fields = BTreeMap::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        let (key, after_key) = parse_string(rest)?;
-        rest = after_key
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or("missing ':' after key")?
-            .trim_start();
-        let (value, after_value) = if rest.starts_with('"') {
-            let (s, r) = parse_string(rest)?;
-            (Scalar::Str(s), r)
-        } else {
-            let end = rest.find([',', '}']).unwrap_or(rest.len()).min(rest.len());
-            let token = rest[..end].trim();
-            let n: f64 = token
-                .parse()
-                .map_err(|_| format!("unparseable value {token:?}"))?;
-            (Scalar::Num(n), &rest[end..])
-        };
-        if fields.insert(key.clone(), value).is_some() {
-            return Err(format!("duplicate key {key:?}"));
-        }
-        rest = after_value.trim_start();
-        match rest.strip_prefix(',') {
-            Some(r) => rest = r.trim_start(),
-            None if rest.is_empty() => break,
-            None => return Err("missing ',' between fields".to_string()),
-        }
+/// Parses one NDJSON line as a flat record and checks what every line
+/// carries: `schema_version` == [`SCHEMA_VERSION`], a string `ev`, and
+/// for a `cell` header its `cell` index and `label`.
+pub(crate) fn parse_line(line: &str) -> Result<Record, String> {
+    let rec = Record::parse(line)?;
+    let v = rec.u64("schema_version")?;
+    if v != u64::from(SCHEMA_VERSION) {
+        return Err(format!("schema_version {v} != {SCHEMA_VERSION}"));
     }
-    Ok(fields)
-}
-
-/// Parses a leading JSON string, returning it unescaped plus the rest.
-fn parse_string(s: &str) -> Result<(String, &str), String> {
-    let rest = s.strip_prefix('"').ok_or("expected '\"'")?;
-    let mut out = String::new();
-    let mut chars = rest.char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => return Ok((out, &rest[i + 1..])),
-            '\\' => match chars.next() {
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'u')) => {
-                    // Skip 4 hex digits; keep a placeholder.
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                    out.push('\u{fffd}');
-                }
-                Some((_, e)) => out.push(e),
-                None => return Err("dangling escape".to_string()),
-            },
-            c => out.push(c),
-        }
+    if rec.str("ev")? == "cell" {
+        rec.u64("cell")?;
+        rec.str("label")?;
     }
-    Err("unterminated string".to_string())
-}
-
-pub(crate) fn num(fields: &BTreeMap<String, Scalar>, key: &str) -> Option<f64> {
-    match fields.get(key) {
-        Some(Scalar::Num(n)) => Some(*n),
-        _ => None,
-    }
+    Ok(rec)
 }
 
 /// Validates an NDJSON event stream against the schema documented at the
@@ -115,23 +50,9 @@ pub fn lint_events(text: &str) -> Result<EventStats, String> {
     for (lineno, line) in text.lines().enumerate() {
         let n = lineno + 1;
         stats.lines += 1;
-        let fields = parse_flat_line(line).map_err(|e| format!("line {n}: {e}"))?;
-        match num(&fields, "schema_version") {
-            Some(v) if v == SCHEMA_VERSION as f64 => {}
-            Some(v) => return Err(format!("line {n}: schema_version {v} != {SCHEMA_VERSION}")),
-            None => return Err(format!("line {n}: missing schema_version")),
-        }
-        let ev = match fields.get("ev") {
-            Some(Scalar::Str(s)) => s.clone(),
-            _ => return Err(format!("line {n}: missing string field \"ev\"")),
-        };
-        if ev == "cell" {
-            if num(&fields, "cell").is_none() {
-                return Err(format!("line {n}: cell header missing \"cell\""));
-            }
-            if !matches!(fields.get("label"), Some(Scalar::Str(_))) {
-                return Err(format!("line {n}: cell header missing \"label\""));
-            }
+        let at = |e: String| format!("line {n}: {e}");
+        let fields = parse_line(line).map_err(at)?;
+        if fields.str("ev").map_err(at)? == "cell" {
             stats.cells += 1;
             expected_seq = 0;
             last_slot = 0;
@@ -139,17 +60,17 @@ pub fn lint_events(text: &str) -> Result<EventStats, String> {
             continue;
         }
         stats.events += 1;
-        let seq = num(&fields, "seq").ok_or(format!("line {n}: missing seq"))? as u64;
+        let seq = fields.u64("seq").map_err(at)?;
         if seq != expected_seq {
             return Err(format!("line {n}: seq {seq}, expected {expected_seq}"));
         }
         expected_seq += 1;
-        let slot = num(&fields, "slot").ok_or(format!("line {n}: missing slot"))? as u64;
+        let slot = fields.u64("slot").map_err(at)?;
         if slot < last_slot {
             return Err(format!("line {n}: slot {slot} < previous {last_slot}"));
         }
         last_slot = slot;
-        let t = num(&fields, "t").ok_or(format!("line {n}: missing t"))? as u64;
+        let t = fields.u64("t").map_err(at)?;
         if t < last_t {
             return Err(format!("line {n}: t {t} < previous {last_t}"));
         }
@@ -199,43 +120,30 @@ pub fn lint_spans(text: &str) -> Result<SpanStats, String> {
     for (lineno, line) in text.lines().enumerate() {
         let n = lineno + 1;
         stats.lines += 1;
-        let fields = parse_flat_line(line).map_err(|e| format!("line {n}: {e}"))?;
-        match num(&fields, "schema_version") {
-            Some(v) if v == SCHEMA_VERSION as f64 => {}
-            Some(v) => return Err(format!("line {n}: schema_version {v} != {SCHEMA_VERSION}")),
-            None => return Err(format!("line {n}: missing schema_version")),
-        }
-        let ev = match fields.get("ev") {
-            Some(Scalar::Str(s)) => s.clone(),
-            _ => return Err(format!("line {n}: missing string field \"ev\"")),
-        };
+        let at = |e: String| format!("line {n}: {e}");
+        let fields = parse_line(line).map_err(at)?;
+        let ev = fields.str("ev").map_err(at)?;
         if ev == "cell" {
-            if num(&fields, "cell").is_none() {
-                return Err(format!("line {n}: cell header missing \"cell\""));
-            }
-            if !matches!(fields.get("label"), Some(Scalar::Str(_))) {
-                return Err(format!("line {n}: cell header missing \"label\""));
-            }
             cell_end(&mut open, &mut closed).map_err(|e| format!("line {n}: {e}"))?;
             stats.cells += 1;
             expected_seq = 0;
             last_t = 0;
             continue;
         }
-        let seq = num(&fields, "seq").ok_or(format!("line {n}: missing seq"))? as u64;
+        let seq = fields.u64("seq").map_err(at)?;
         if seq != expected_seq {
             return Err(format!("line {n}: seq {seq}, expected {expected_seq}"));
         }
         expected_seq += 1;
-        let t = num(&fields, "t").ok_or(format!("line {n}: missing t"))? as u64;
+        let t = fields.u64("t").map_err(at)?;
         if t < last_t {
             return Err(format!("line {n}: t {t} < previous {last_t}"));
         }
         last_t = t;
-        let msg = num(&fields, "msg").ok_or(format!("line {n}: missing msg"))? as u64;
-        match ev.as_str() {
+        let msg = fields.u64("msg").map_err(at)?;
+        match ev {
             "span_open" => {
-                if num(&fields, "station").is_none() || num(&fields, "arrival").is_none() {
+                if fields.u64("station").is_err() || fields.u64("arrival").is_err() {
                     return Err(format!("line {n}: span_open missing station/arrival"));
                 }
                 if open.contains(&msg) || closed.contains(&msg) {
@@ -254,19 +162,18 @@ pub fn lint_spans(text: &str) -> Result<SpanStats, String> {
                 }
                 closed.insert(msg);
                 stats.spans += 1;
-                let outcome = match fields.get("outcome") {
-                    Some(Scalar::Str(s)) => s.as_str(),
-                    _ => return Err(format!("line {n}: span_close missing \"outcome\"")),
-                };
+                let outcome = fields
+                    .str("outcome")
+                    .map_err(|e| at(format!("span_close: {e}")))?;
                 match outcome {
                     "delivered" => {
-                        if num(&fields, "true_delay").is_none() {
+                        if fields.u64("true_delay").is_err() {
                             return Err(format!("line {n}: delivered close missing true_delay"));
                         }
                     }
                     "discarded" => {}
-                    "dropped" => match fields.get("cause") {
-                        Some(Scalar::Str(c)) if c == "station_left" || c == "rejoin_expired" => {}
+                    "dropped" => match fields.str("cause") {
+                        Ok("station_left" | "rejoin_expired") => {}
                         _ => return Err(format!("line {n}: dropped close missing valid cause")),
                     },
                     other => return Err(format!("line {n}: unknown outcome {other:?}")),
@@ -574,11 +481,16 @@ mod tests {
 
     #[test]
     fn flat_parser_handles_escapes_and_rejects_junk() {
-        let f = parse_flat_line(r#"{"a":"x\"y","b":3.5}"#).unwrap();
-        assert_eq!(f.get("a"), Some(&Scalar::Str("x\"y".to_string())));
-        assert_eq!(f.get("b"), Some(&Scalar::Num(3.5)));
-        assert!(parse_flat_line(r#"{"a":}"#).is_err());
-        assert!(parse_flat_line(r#"{"a":1 "b":2}"#).is_err());
-        assert!(parse_flat_line(r#"{"a":1,"a":2}"#).is_err());
+        let header = r#"{"schema_version":1,"ev":"cell","cell":0,"label":"x\"y\u0001"}"#;
+        let f = parse_line(header).unwrap();
+        assert_eq!(f.str("label").unwrap(), "x\"y\u{1}");
+        assert_eq!(lint_events(&format!("{header}\n")).unwrap().cells, 1);
+        let ok = r#"{"schema_version":1,"seq":0,"slot":0,"t":0,"ev":"a""#;
+        for junk in [",\"b\":}", " \"b\":2}", ",\"ev\":\"b\"}", "} x"] {
+            let e = lint_events(&format!("{ok}{junk}\n")).unwrap_err();
+            assert!(e.starts_with("line 1: "), "{e}");
+        }
+        let e = parse_line(r#"{"schema_version":1,"ev":"cell","cell":0}"#).unwrap_err();
+        assert!(e.contains("label"), "{e}");
     }
 }

@@ -12,6 +12,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use tcw_sim::record::push_quoted;
 use tcw_sim::stats::{Histogram, MetricSink};
 
 /// Version stamped into the JSON export as `"schema_version"`.
@@ -187,9 +188,9 @@ impl Registry {
             if i > 0 {
                 out.push(',');
             }
-            json_str(name, &mut out);
+            push_quoted(&mut out, name);
             out.push_str(":{\"help\":");
-            json_str(&m.help, &mut out);
+            push_quoted(&mut out, &m.help);
             let _ = write!(out, ",\"kind\":\"{}\",\"samples\":[", m.kind.as_str());
             for (j, s) in m.samples.iter().enumerate() {
                 if j > 0 {
@@ -200,9 +201,9 @@ impl Registry {
                     if k > 0 {
                         out.push(',');
                     }
-                    json_str(lk, &mut out);
+                    push_quoted(&mut out, lk);
                     out.push(':');
-                    json_str(lv, &mut out);
+                    push_quoted(&mut out, lv);
                 }
                 out.push('}');
                 match &s.value {
@@ -325,24 +326,6 @@ fn escape_label(v: &str) -> String {
     v.replace('\\', "\\\\")
         .replace('"', "\\\"")
         .replace('\n', "\\n")
-}
-
-fn json_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

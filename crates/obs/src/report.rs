@@ -16,8 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::lint::{num, parse_flat_line, Scalar};
-use crate::SCHEMA_VERSION;
+use crate::lint::parse_line;
 
 /// How a message's lifecycle span closed.
 #[derive(Clone, Debug, PartialEq)]
@@ -130,39 +129,27 @@ pub fn parse_spans(text: &str) -> Result<Vec<Cell>, String> {
     };
     for (lineno, line) in text.lines().enumerate() {
         let n = lineno + 1;
-        let fields = parse_flat_line(line).map_err(|e| format!("line {n}: {e}"))?;
-        match num(&fields, "schema_version") {
-            Some(v) if v == SCHEMA_VERSION as f64 => {}
-            _ => return Err(format!("line {n}: bad or missing schema_version")),
-        }
-        let ev = match fields.get("ev") {
-            Some(Scalar::Str(s)) => s.clone(),
-            _ => return Err(format!("line {n}: missing string field \"ev\"")),
-        };
+        let at = |e: String| format!("line {n}: {e}");
+        let fields = parse_line(line).map_err(at)?;
+        let ev = fields.str("ev").map_err(at)?;
         if ev == "cell" {
-            let idx = num(&fields, "cell").ok_or(format!("line {n}: cell missing index"))? as u64;
-            let label = match fields.get("label") {
-                Some(Scalar::Str(s)) => s.clone(),
-                _ => return Err(format!("line {n}: cell missing label")),
-            };
             cells.push(Cell {
-                index: idx,
-                label,
+                index: fields.u64("cell").map_err(at)?,
+                label: fields.str("label").map_err(at)?.to_string(),
                 messages: Vec::new(),
             });
             index.clear();
             continue;
         }
-        let t = num(&fields, "t").ok_or(format!("line {n}: missing t"))? as u64;
-        let msg = num(&fields, "msg").ok_or(format!("line {n}: missing msg"))? as u64;
+        let t = fields.u64("t").map_err(at)?;
+        let msg = fields.u64("msg").map_err(at)?;
         ensure_cell(&mut cells);
         let cell = cells.last_mut().expect("ensured above");
-        match ev.as_str() {
+        match ev {
             "span_open" => {
-                let station =
-                    num(&fields, "station").ok_or(format!("line {n}: missing station"))? as u32;
-                let arrival =
-                    num(&fields, "arrival").ok_or(format!("line {n}: missing arrival"))? as u64;
+                let station = u32::try_from(fields.u64("station").map_err(at)?)
+                    .map_err(|e| at(format!("station: {e}")))?;
+                let arrival = fields.u64("arrival").map_err(at)?;
                 index.insert(msg, cell.messages.len());
                 cell.messages.push(MessageLife {
                     msg,
@@ -181,7 +168,7 @@ pub fn parse_spans(text: &str) -> Result<Vec<Cell>, String> {
                     .get(&msg)
                     .ok_or(format!("line {n}: {ev} for unopened msg {msg}"))?;
                 let life = &mut cell.messages[pos];
-                match ev.as_str() {
+                match ev {
                     "span_window" => {
                         life.windows += 1;
                         life.first_window_t.get_or_insert(t);
@@ -194,34 +181,21 @@ pub fn parse_spans(text: &str) -> Result<Vec<Cell>, String> {
                         if life.close.is_some() {
                             return Err(format!("line {n}: msg {msg} closed twice"));
                         }
-                        let outcome = match fields.get("outcome") {
-                            Some(Scalar::Str(s)) => s.clone(),
-                            _ => return Err(format!("line {n}: span_close missing outcome")),
-                        };
-                        life.close = Some(match outcome.as_str() {
+                        life.close = Some(match fields.str("outcome").map_err(at)? {
                             "delivered" => Close::Delivered {
                                 t,
-                                start: num(&fields, "start")
-                                    .ok_or(format!("line {n}: missing start"))?
-                                    as u64,
-                                paper_delay: num(&fields, "paper_delay")
-                                    .ok_or(format!("line {n}: missing paper_delay"))?
-                                    as u64,
-                                true_delay: num(&fields, "true_delay")
-                                    .ok_or(format!("line {n}: missing true_delay"))?
-                                    as u64,
+                                start: fields.u64("start").map_err(at)?,
+                                paper_delay: fields.u64("paper_delay").map_err(at)?,
+                                true_delay: fields.u64("true_delay").map_err(at)?,
                             },
                             "discarded" => Close::Discarded {
                                 t,
-                                age: num(&fields, "age").unwrap_or(0.0) as u64,
+                                age: fields.u64("age").unwrap_or(0),
                             },
                             "dropped" => Close::Dropped {
                                 t,
-                                age: num(&fields, "age").unwrap_or(0.0) as u64,
-                                cause: match fields.get("cause") {
-                                    Some(Scalar::Str(c)) => c.clone(),
-                                    _ => return Err(format!("line {n}: dropped missing cause")),
-                                },
+                                age: fields.u64("age").unwrap_or(0),
+                                cause: fields.str("cause").map_err(at)?.to_string(),
                             },
                             other => return Err(format!("line {n}: unknown outcome {other:?}")),
                         });

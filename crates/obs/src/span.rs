@@ -1,4 +1,4 @@
-//! Message-lifecycle span tracing: an [`EngineObserver`] that encodes
+//! Message-lifecycle span tracing: an [`EngineObserver`] that writes
 //! every message's protocol lifecycle (admission → window membership →
 //! collision episodes → delivery / discard / drop) as schema-versioned
 //! NDJSON, one JSON object per line.
@@ -24,178 +24,53 @@ use tcw_mac::Message;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::trace::{DropCause, EngineObserver};
 
-use crate::event::SCHEMA_VERSION;
+use crate::event::Lines;
 
-/// Capacity of the preallocated record ring (see [`crate::EventTracer`]).
-const RING_CAP: usize = 4096;
-
-/// Compact payload of one span event. Fixed-size and `Copy` so ring
-/// storage never allocates.
-#[derive(Clone, Copy, Debug)]
-enum Sp {
-    /// Lifecycle opens: the message was admitted into the protocol.
-    Open {
-        msg: u64,
-        station: u32,
-        arrival: u64,
-    },
-    /// The message joined the initial window of a windowing round.
-    Window { msg: u64, age: u64 },
-    /// The message transmitted into a collision episode.
-    Collision { msg: u64, age: u64 },
-    /// Lifecycle closes: delivered.
-    Delivered {
-        msg: u64,
-        station: u32,
-        start: u64,
-        paper_delay: u64,
-        true_delay: u64,
-    },
-    /// Lifecycle closes: discarded at the sender (policy element 4).
-    Discarded { msg: u64, station: u32, age: u64 },
-    /// Lifecycle closes: dropped by churn.
-    Dropped {
-        msg: u64,
-        station: u32,
-        age: u64,
-        cause: DropCause,
-    },
-}
-
-/// One ring entry: event time plus payload.
-#[derive(Clone, Copy, Debug)]
-struct SpanRecord {
-    t: u64,
-    ev: Sp,
-}
-
-/// Ring-buffered NDJSON lifecycle-span tracer. See the crate root for the
-/// schema; use [`SpanTracer::begin_cell`] / [`SpanTracer::finish`] exactly
-/// like the event tracer.
-#[derive(Debug)]
+/// NDJSON lifecycle-span tracer. See the crate root for the schema; use
+/// [`SpanTracer::begin_cell`] / [`SpanTracer::finish`] exactly like the
+/// event tracer.
+#[derive(Debug, Default)]
 pub struct SpanTracer {
-    ring: Vec<SpanRecord>,
-    out: String,
-    /// Line number within the current cell (the `cell` header excluded).
-    seq: u64,
+    lines: Lines,
     /// Most recent event time, to keep `t` non-decreasing for deliveries
     /// reported at completion with an earlier transmission start.
     last_t: u64,
 }
 
-impl Default for SpanTracer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl SpanTracer {
-    /// Creates a tracer with a preallocated record ring.
+    /// Creates an empty tracer.
     pub fn new() -> Self {
-        SpanTracer {
-            ring: Vec::with_capacity(RING_CAP),
-            out: String::new(),
-            seq: 0,
-            last_t: 0,
-        }
+        Self::default()
     }
 
-    /// Flushes pending records and writes a `cell` header line; `seq`
-    /// restarts from zero so each cell's stream is self-contained.
+    /// Writes a `cell` header line; `seq` restarts from zero so each
+    /// cell's stream is self-contained.
     pub fn begin_cell(&mut self, index: usize, label: &str) {
-        self.flush();
-        let _ = write!(
-            self.out,
-            "{{\"schema_version\":{SCHEMA_VERSION},\"ev\":\"cell\",\"cell\":{index},\"label\":"
-        );
-        crate::event::escape_json_str(label, &mut self.out);
-        self.out.push_str("}\n");
-        self.seq = 0;
+        self.lines.begin_cell(index, label);
         self.last_t = 0;
     }
 
-    /// Flushes pending records and returns the accumulated NDJSON text,
-    /// leaving the tracer empty and reusable.
+    /// Returns the accumulated NDJSON text, leaving the tracer empty and
+    /// reusable.
     pub fn finish(&mut self) -> String {
-        self.flush();
-        std::mem::take(&mut self.out)
+        self.lines.take()
     }
 
-    fn record(&mut self, t: Time, ev: Sp) {
-        self.last_t = t.ticks();
-        if self.ring.len() == RING_CAP {
-            self.flush();
-        }
-        self.ring.push(SpanRecord { t: t.ticks(), ev });
+    /// Opens the line of a span event observed at tick `t`.
+    fn line(&mut self, t: u64) -> &mut String {
+        self.last_t = t;
+        self.lines.open(None, t)
     }
 
-    fn flush(&mut self) {
-        let ring = std::mem::take(&mut self.ring);
-        for rec in &ring {
-            let _ = write!(
-                self.out,
-                "{{\"schema_version\":{SCHEMA_VERSION},\"seq\":{},\"t\":{},",
-                self.seq, rec.t
-            );
-            self.seq += 1;
-            match rec.ev {
-                Sp::Open {
-                    msg,
-                    station,
-                    arrival,
-                } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_open\",\"msg\":{msg},\"station\":{station},\"arrival\":{arrival}"
-                    );
-                }
-                Sp::Window { msg, age } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_window\",\"msg\":{msg},\"age\":{age}"
-                    );
-                }
-                Sp::Collision { msg, age } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_collision\",\"msg\":{msg},\"age\":{age}"
-                    );
-                }
-                Sp::Delivered {
-                    msg,
-                    station,
-                    start,
-                    paper_delay,
-                    true_delay,
-                } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_close\",\"outcome\":\"delivered\",\"msg\":{msg},\"station\":{station},\"start\":{start},\"paper_delay\":{paper_delay},\"true_delay\":{true_delay}"
-                    );
-                }
-                Sp::Discarded { msg, station, age } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_close\",\"outcome\":\"discarded\",\"msg\":{msg},\"station\":{station},\"age\":{age}"
-                    );
-                }
-                Sp::Dropped {
-                    msg,
-                    station,
-                    age,
-                    cause,
-                } => {
-                    let _ = write!(
-                        self.out,
-                        "\"ev\":\"span_close\",\"outcome\":\"dropped\",\"msg\":{msg},\"station\":{station},\"age\":{age},\"cause\":\"{}\"",
-                        cause.label()
-                    );
-                }
-            }
-            self.out.push_str("}\n");
-        }
-        self.ring = ring;
-        self.ring.clear();
+    /// Writes a `span_window`/`span_collision` line.
+    fn membership(&mut self, ev: &str, msg: &Message, now: Time) {
+        let out = self.line(now.ticks());
+        let _ = writeln!(
+            out,
+            "\"ev\":\"{ev}\",\"msg\":{},\"age\":{}}}",
+            msg.id.0,
+            msg.age_at(now).ticks()
+        );
     }
 }
 
@@ -204,72 +79,60 @@ impl EngineObserver for SpanTracer {
     // event-horizon fast path bit-for-bit (see the module doc).
 
     fn on_arrival(&mut self, msg: &Message, now: Time) {
-        self.record(
-            now,
-            Sp::Open {
-                msg: msg.id.0,
-                station: msg.station.0,
-                arrival: msg.arrival.ticks(),
-            },
+        let out = self.line(now.ticks());
+        let _ = writeln!(
+            out,
+            "\"ev\":\"span_open\",\"msg\":{},\"station\":{},\"arrival\":{}}}",
+            msg.id.0,
+            msg.station.0,
+            msg.arrival.ticks()
         );
     }
 
     fn on_window_member(&mut self, msg: &Message, now: Time) {
-        self.record(
-            now,
-            Sp::Window {
-                msg: msg.id.0,
-                age: msg.age_at(now).ticks(),
-            },
-        );
+        self.membership("span_window", msg, now);
     }
 
     fn on_collision_member(&mut self, msg: &Message, now: Time) {
-        self.record(
-            now,
-            Sp::Collision {
-                msg: msg.id.0,
-                age: msg.age_at(now).ticks(),
-            },
-        );
+        self.membership("span_collision", msg, now);
     }
 
     fn on_transmit(&mut self, msg: &Message, start: Time, paper_delay: Dur, true_delay: Dur) {
         // Deliveries are reported at completion, so `start` can precede
-        // the latest recorded instant; keep `t` monotone like the event
+        // the latest written instant; keep `t` monotone like the event
         // tracer and carry the raw start in the payload.
-        self.record(
-            Time::from_ticks(self.last_t.max(start.ticks())),
-            Sp::Delivered {
-                msg: msg.id.0,
-                station: msg.station.0,
-                start: start.ticks(),
-                paper_delay: paper_delay.ticks(),
-                true_delay: true_delay.ticks(),
-            },
+        let out = self.line(self.last_t.max(start.ticks()));
+        let _ = writeln!(
+            out,
+            "\"ev\":\"span_close\",\"outcome\":\"delivered\",\"msg\":{},\"station\":{},\"start\":{},\"paper_delay\":{},\"true_delay\":{}}}",
+            msg.id.0,
+            msg.station.0,
+            start.ticks(),
+            paper_delay.ticks(),
+            true_delay.ticks()
         );
     }
 
     fn on_sender_discard(&mut self, msg: &Message, now: Time) {
-        self.record(
-            now,
-            Sp::Discarded {
-                msg: msg.id.0,
-                station: msg.station.0,
-                age: msg.age_at(now).ticks(),
-            },
+        let out = self.line(now.ticks());
+        let _ = writeln!(
+            out,
+            "\"ev\":\"span_close\",\"outcome\":\"discarded\",\"msg\":{},\"station\":{},\"age\":{}}}",
+            msg.id.0,
+            msg.station.0,
+            msg.age_at(now).ticks()
         );
     }
 
     fn on_message_drop(&mut self, msg: &Message, now: Time, cause: DropCause) {
-        self.record(
-            now,
-            Sp::Dropped {
-                msg: msg.id.0,
-                station: msg.station.0,
-                age: msg.age_at(now).ticks(),
-                cause,
-            },
+        let out = self.line(now.ticks());
+        let _ = writeln!(
+            out,
+            "\"ev\":\"span_close\",\"outcome\":\"dropped\",\"msg\":{},\"station\":{},\"age\":{},\"cause\":\"{}\"}}",
+            msg.id.0,
+            msg.station.0,
+            msg.age_at(now).ticks(),
+            cause.label()
         );
     }
 }
@@ -368,18 +231,19 @@ mod tests {
 
     #[test]
     fn ring_overflow_flushes_in_order() {
+        // A stream longer than 4096 lines stays dense and in order.
+        const N: usize = 4096 + 10;
         let mut tr = SpanTracer::new();
         tr.begin_cell(0, "big");
         let m = msg(1, 0, 0);
-        for i in 0..(super::RING_CAP as u64 + 10) {
+        for i in 0..N as u64 {
             tr.on_window_member(&m, Time::from_ticks(i));
         }
         let text = tr.finish();
-        assert_eq!(text.lines().count(), super::RING_CAP + 11);
-        let last = text.lines().last().unwrap();
-        assert!(
-            last.contains(&format!("\"seq\":{}", super::RING_CAP + 9)),
-            "{last}"
-        );
+        assert_eq!(text.lines().count(), N + 1);
+        for (i, line) in text.lines().skip(1).enumerate() {
+            let prefix = format!("{{\"schema_version\":1,\"seq\":{i},\"t\":{i},");
+            assert!(line.starts_with(&prefix), "{line}");
+        }
     }
 }

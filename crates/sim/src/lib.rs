@@ -19,7 +19,11 @@
 //!   histograms with quantiles, ratio/loss counters, batch-means confidence
 //!   intervals;
 //! * [`snap`] — the flat word-stream codec engine checkpoints are encoded
-//!   with ([`snap::SnapWriter`], [`snap::SnapReader`], FNV checksum).
+//!   with ([`snap::SnapWriter`], [`snap::SnapReader`], FNV checksum);
+//! * [`record`] — the flat text-record codec every workspace file is
+//!   written and read with: JSON string escaping, a strict flat-object
+//!   parser, the version/family envelope check, hex word payloads and an
+//!   atomic file write.
 //!
 //! Determinism is a design requirement (the paper's Figure 7 simulation
 //! points must be regenerable bit-for-bit), which is why the RNG is
@@ -42,6 +46,7 @@
 #![forbid(unsafe_code)]
 
 pub mod events;
+pub mod record;
 pub mod rng;
 pub mod snap;
 pub mod stats;

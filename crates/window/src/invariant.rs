@@ -1,4 +1,4 @@
-//! Runtime invariant monitor (feature `monitor`).
+//! Runtime invariant monitor.
 //!
 //! An [`crate::trace::EngineObserver`] that checks, on every reported
 //! protocol event, the safety invariants the property-test suite
@@ -33,9 +33,9 @@
 //!   determinism is covered by the controller property tests instead).
 //!
 //! The monitor allocates only when recording a violation (bounded at
-//! [`MAX_STORED`] stored reports) and is compiled out of default builds —
-//! the `monitor` feature is additive and off for the golden-fingerprint
-//! and bench configurations.
+//! [`MAX_STORED`] stored reports). It is an ordinary observer: runs that
+//! do not attach it execute no monitor code, so the golden fingerprints
+//! and bench numbers are those of an unobserved engine.
 
 use std::collections::HashSet;
 

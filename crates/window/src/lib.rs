@@ -55,10 +55,10 @@
 //! * [`controller`] — online control of element (2): static oracle, AIMD
 //!   feedback control, and a rate estimator re-solving §4.1's recurrence
 //!   at runtime, for loads the offline tuning never anticipated;
-//! * `invariant` (feature `monitor`) — a runtime invariant monitor: an
-//!   observer checking message conservation, FCFS order, deadline/age
-//!   bounds, clock consistency and mirror consensus on every reported
-//!   event, powering the `chaos` stress harness.
+//! * [`invariant`] — a runtime invariant monitor: an observer checking
+//!   message conservation, FCFS order, deadline/age bounds, clock
+//!   consistency and mirror consensus on every reported event, powering
+//!   the `chaos` stress harness. It costs nothing unless attached.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,7 +67,6 @@ pub mod analysis;
 pub mod controller;
 pub mod engine;
 pub mod interval;
-#[cfg(feature = "monitor")]
 pub mod invariant;
 pub mod metrics;
 pub mod mirror;
@@ -83,7 +82,6 @@ pub use controller::{
 };
 pub use engine::{Engine, EngineConfig, ResyncPolicy};
 pub use interval::Interval;
-#[cfg(feature = "monitor")]
 pub use invariant::{InvariantClass, InvariantMonitor, MonitorConfig, Violation};
 pub use metrics::Metrics;
 pub use mirror::{DivergenceDetector, StationMirror};

@@ -196,7 +196,8 @@ fn corrupted_or_stale_journal_is_rejected() {
 }
 
 /// Supervision flags compose with neither the observability exports nor
-/// bare inject flags: both are usage errors (exit 1).
+/// bare inject flags, and `--jobs` takes a number: all are usage errors
+/// (exit 1).
 #[test]
 fn incompatible_flag_combinations_are_usage_errors() {
     let dir = fresh_dir("usage");
@@ -214,6 +215,9 @@ fn incompatible_flag_combinations_are_usage_errors() {
     assert_eq!(code(&out), 1, "{}", stderr(&out));
 
     let out = chaos_in(&dir, &["--configs", "2", "--inject-panic", "0"]);
+    assert_eq!(code(&out), 1, "{}", stderr(&out));
+
+    let out = chaos_in(&dir, &["--configs", "2", "--jobs", "x"]);
     assert_eq!(code(&out), 1, "{}", stderr(&out));
     let _ = fs::remove_dir_all(&dir);
 }

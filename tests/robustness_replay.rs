@@ -1,13 +1,17 @@
 //! End-to-end checks of the fault-injection sweep machinery and the
-//! deterministic failure-replay artifact.
+//! deterministic failure-replay artifacts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::Path;
+use tcw_experiments::adaptive::AdaptiveRecord;
 use tcw_experiments::replay::FailureRecord;
 use tcw_experiments::runner::{
     simulate_panel, simulate_panel_faulty, simulate_with_detector, PolicyKind, SimSettings,
 };
+use tcw_experiments::ChaosRecord;
 use tcw_experiments::Panel;
 use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_sim::record::Record;
 
 fn quick() -> SimSettings {
     SimSettings {
@@ -152,4 +156,30 @@ fn panics_are_catchable_for_the_harness() {
         simulate_panel_faulty(panel(), PolicyKind::Controlled, 100.0, quick(), 7, bad)
     }));
     assert!(result.is_err(), "oversubscribed plan must be rejected");
+}
+
+/// Every committed artifact under `results/failures/` loads through the
+/// record type of its family and re-serializes to identical bytes.
+#[test]
+fn committed_failure_artifacts_reserialize_byte_for_byte() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/failures");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&dir).expect("read results/failures") {
+        let path = entry.expect("directory entry").path();
+        let text = std::fs::read_to_string(&path).expect("read artifact");
+        let record = Record::parse(&text).expect("artifact is a flat record");
+        let family = record
+            .contains("experiment")
+            .then(|| record.str("experiment"));
+        let again = match family.transpose().expect("string family tag") {
+            None => FailureRecord::load(&path).map(|r| r.to_json()),
+            Some("chaos") => ChaosRecord::load(&path).map(|r| r.to_json()),
+            Some("adaptive") => AdaptiveRecord::load(&path).map(|r| r.to_json()),
+            Some(other) => panic!("{}: unknown family {other:?}", path.display()),
+        };
+        let again = again.unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(again, text, "{} does not round-trip", path.display());
+        seen += 1;
+    }
+    assert!(seen >= 4, "found only {seen} committed artifacts");
 }
