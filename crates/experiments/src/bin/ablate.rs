@@ -23,7 +23,7 @@
 
 use tcw_experiments::plot::write_csv;
 use tcw_experiments::runner::{measure_window, run_to_horizon};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::{jobs_from_args, run_parallel};
 use tcw_experiments::{
     diag, observe_engine_cell, write_observability, Capture, CellArtifacts, ObsConfig, Panel,
     SimSettings, SweepMeta,
@@ -124,13 +124,7 @@ fn controlled_with(
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("ablate", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
+    let (obs, args) = diag::or_usage("ablate", ObsConfig::split_args(&raw));
     let jobs = jobs_from_args("ablate", &args);
     let settings = SimSettings {
         messages: 30_000,
@@ -343,14 +337,7 @@ fn main() {
     }
 
     let caps = obs.capture();
-    let progress = obs
-        .progress
-        .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-    let outcomes =
-        run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, c| run_cell(c, i, caps));
-    if let Some(p) = &progress {
-        p.finish();
-    }
+    let outcomes = run_parallel(&cells, jobs, obs.progress, |i, c, _| run_cell(c, i, caps));
     let (outcomes, cell_artifacts): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
 
     let mut rows: Vec<Vec<String>> = Vec::new();

@@ -17,7 +17,6 @@
 //! adaptive --replay PATH                  # must reproduce the recorded outcome
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use tcw_experiments::adaptive::{
     episode, execute, replay, run_cell, AdaptiveRecord, CellOutcome, ControllerKind, Scenario,
@@ -25,11 +24,10 @@ use tcw_experiments::adaptive::{
 };
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::panic_message;
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
-    observe_engine_cell, write_observability, Capture, CellArtifacts, ObsConfig, SweepMeta,
+    observe_engine_cell, write_observability, CellArtifacts, Failure, ObsConfig, SweepMeta,
 };
 use tcw_sim::rng::stream_seed;
 
@@ -92,27 +90,11 @@ fn record_mode(args: &[String]) -> i32 {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("adaptive", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("adaptive", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "adaptive",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
-    }
+    let (obs, args) = diag::or_usage("adaptive", ObsConfig::split_args(&raw));
+    let (sup, args) = diag::or_usage(
+        "adaptive",
+        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
+    );
     if args.first().is_some_and(|a| a == "--replay") {
         let Some(path) = args.get(1) else {
             diag::error("adaptive", "--replay needs an artifact path");
@@ -156,109 +138,68 @@ fn main() {
                 .flat_map(move |&c| (0..REPLICATES).map(move |r| (s, c, r)))
         })
         .collect();
-    let (outcomes, cell_artifacts): (Vec<Result<CellOutcome, String>>, Vec<CellArtifacts>) =
-        if let Some(sup) = &sup {
-            // Base seed, replicate count, deadline and grid size define the
-            // cells; any change invalidates a resume journal.
-            let fingerprint = tcw_sim::snap::checksum(&[
-                BASE_SEED,
-                REPLICATES,
-                tcw_experiments::adaptive::K_TICKS,
-                cells.len() as u64,
-            ]);
-            let sup_cells = cells.clone();
-            let points = supervised_cells(
-                "adaptive",
-                "adaptive",
-                cells.len(),
-                jobs,
-                sup,
-                obs.progress,
-                fingerprint,
-                |cell| {
-                    let (s, c, r) = cells[cell];
-                    format!(
-                        "{} {} rep{r} seed {}",
-                        s.label(),
-                        c.label(),
-                        stream_seed(BASE_SEED, r)
-                    )
-                },
-                move |i| {
-                    let (s, c, r) = sup_cells[i];
-                    observe_engine_cell(Capture::OFF, i, "", &[], |obs, sink| {
-                        run_cell(s, c, r, obs, sink)
-                    })
-                    .0
-                },
+    // Base seed, replicate count, deadline and grid size define the
+    // cells; any change invalidates a resume journal.
+    let fingerprint = tcw_sim::snap::checksum(&[
+        BASE_SEED,
+        REPLICATES,
+        tcw_experiments::adaptive::K_TICKS,
+        cells.len() as u64,
+    ]);
+    let caps = obs.capture();
+    // A cell that keeps panicking is quarantined, and its replay artifact
+    // is written from the quarantine report.
+    let (resolved, cell_artifacts): (Vec<CellOutcome>, Vec<CellArtifacts>) = supervised_cells(
+        "adaptive",
+        &cells,
+        jobs,
+        &sup,
+        obs.progress,
+        fingerprint,
+        |&(s, c, r), q| {
+            let cell = format!(
+                "{} {} rep{r} seed {}",
+                s.label(),
+                c.label(),
+                stream_seed(BASE_SEED, r)
             );
-            let n = points.len();
-            (
-                points.into_iter().map(Ok).collect(),
-                (0..n).map(|_| CellArtifacts::default()).collect(),
+            let Failure::Panic(message) = &q.failure else {
+                return cell;
+            };
+            let rec = AdaptiveRecord {
+                scenario: s,
+                controller: c,
+                replicate: r,
+                kind: "panic".to_string(),
+                detail: message.clone(),
+            };
+            let path = failures_dir.join(format!(
+                "adaptive_panic_{}_{}_rep{r}.json",
+                s.label(),
+                c.label()
+            ));
+            rec.save(&path).expect("write replay artifact");
+            format!(
+                "{cell}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin adaptive -- --replay {}",
+                path.display(),
+                path.display()
             )
-        } else {
-            let caps = obs.capture();
-            let progress = obs
-                .progress
-                .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-            let outcomes: Vec<(Result<CellOutcome, String>, CellArtifacts)> =
-                run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &(s, c, r)| {
-                    let label = format!("{} {} rep{r}", s.label(), c.label());
-                    let s_l = s.label();
-                    let c_l = c.label();
-                    let r_s = format!("{r}");
-                    let labels = [
-                        ("scenario", s_l),
-                        ("controller", c_l),
-                        ("replicate", r_s.as_str()),
-                    ];
-                    catch_unwind(AssertUnwindSafe(|| {
-                        observe_engine_cell(caps, i, &label, &labels, |obs, sink| {
-                            run_cell(s, c, r, obs, sink)
-                        })
-                    }))
-                    .map(|(out, art)| (Ok(out), art))
-                    .unwrap_or_else(|e| (Err(panic_message(e)), CellArtifacts::default()))
-                });
-            if let Some(p) = &progress {
-                p.finish();
-            }
-            outcomes.into_iter().unzip()
-        };
-
-    // Surface panics in deterministic cell order, writing the replay
-    // artifact for the first one.
-    let mut resolved: Vec<CellOutcome> = Vec::with_capacity(cells.len());
-    for (&(s, c, r), outcome) in cells.iter().zip(outcomes) {
-        match outcome {
-            Ok(out) => resolved.push(out),
-            Err(message) => {
-                let rec = AdaptiveRecord {
-                    scenario: s,
-                    controller: c,
-                    replicate: r,
-                    kind: "panic".to_string(),
-                    detail: message,
-                };
-                let path = failures_dir.join(format!(
-                    "adaptive_panic_{}_{}_rep{r}.json",
-                    s.label(),
-                    c.label()
-                ));
-                rec.save(&path).expect("write replay artifact");
-                diag::error(
-                    "adaptive",
-                    &format!(
-                        "cell panicked; replay artifact written to {}\n  reproduce: cargo run --release -p tcw-experiments --bin adaptive -- --replay {}",
-                        path.display(),
-                        path.display()
-                    ),
-                );
-                std::process::exit(diag::EXIT_FAILURE);
-            }
-        }
-    }
+        },
+        move |i, &(s, c, r), _| {
+            let label = format!("{} {} rep{r}", s.label(), c.label());
+            let r_s = format!("{r}");
+            let labels = [
+                ("scenario", s.label()),
+                ("controller", c.label()),
+                ("replicate", r_s.as_str()),
+            ];
+            observe_engine_cell(caps, i, &label, &labels, |obs, sink| {
+                run_cell(s, c, r, obs, sink)
+            })
+        },
+    )
+    .into_iter()
+    .unzip();
 
     // Oracle loss per (scenario, replicate) — the regret baseline.
     let oracle_loss = |scenario: Scenario, replicate: u64| -> f64 {

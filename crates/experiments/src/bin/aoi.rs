@@ -23,7 +23,7 @@ use std::path::Path;
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
 use tcw_experiments::runner::{simulate_aoi, AoiRun, PolicyKind, SimSettings};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::{jobs_from_args, run_parallel};
 use tcw_experiments::{
     observe_engine_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
 };
@@ -117,13 +117,7 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("aoi", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
+    let (obs, args) = diag::or_usage("aoi", ObsConfig::split_args(&raw));
     if args.iter().any(|a| a == "--obs-cell") {
         std::process::exit(run_obs_cell(&obs));
     }
@@ -135,11 +129,8 @@ fn main() {
 
     let cells = grid();
     let caps = obs.capture();
-    let progress = obs
-        .progress
-        .then(|| tcw_obs::Progress::new(cells.len(), jobs));
     let outcomes: Vec<(AoiRun, CellArtifacts)> =
-        run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, c| {
+        run_parallel(&cells, jobs, obs.progress, |i, c, progress| {
             let label = format!("rho'={:.2} {} K={}", c.rho_prime, c.kind.label(), c.k);
             let k_s = format!("{}", c.k);
             let rho_s = format!("{}", c.rho_prime);
@@ -170,15 +161,12 @@ fn main() {
                     CellArtifacts::default(),
                 )
             };
-            if let Some(p) = &progress {
+            if let Some(p) = progress {
                 let h = run.horizon;
                 p.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
             }
             (run, art)
         });
-    if let Some(p) = &progress {
-        p.finish();
-    }
     let (runs, cell_artifacts): (Vec<AoiRun>, Vec<CellArtifacts>) = outcomes.into_iter().unzip();
 
     let mut rows: Vec<Vec<String>> = Vec::new();

@@ -14,10 +14,11 @@
 //! chaos --inject MUTATION [PATH]  # seed a violation, shrink it, verify replay
 //! ```
 //!
-//! Crash-safe supervision (`--resume PATH`, `--cell-timeout SECS`,
-//! `--retries N`) journals completed cells and quarantines hopeless ones
-//! instead of aborting the sweep; `--inject-panic CELL` /
-//! `--inject-slow CELL` exist to exercise exactly that machinery from CI.
+//! Every sweep runs supervised: a panicking cell is retried, then
+//! quarantined (`--retries N`, default 2), `--cell-timeout SECS` adds a
+//! watchdog and `--resume PATH` a journal of completed cells.
+//! `--inject-panic CELL` and `--inject-slow CELL` (which needs
+//! `--cell-timeout`) exist to exercise exactly that machinery from CI.
 //!
 //! `MUTATION` is one of `drop_delivery`, `reorder_pair`, `stale_clock`.
 //! Exit codes follow the shared convention: `0` clean, `1` usage,
@@ -26,13 +27,13 @@
 
 use std::path::Path;
 use tcw_experiments::chaos::{
-    execute, inject_config, replay, run_observed, shrink, ChaosConfig, ChaosOutcome, ChaosRecord,
-    Mutation, BASE_SEED, DEFAULT_CONFIGS,
+    execute, execute_observed, inject_config, replay, shrink, ChaosConfig, ChaosOutcome,
+    ChaosRecord, Mutation, BASE_SEED, DEFAULT_CONFIGS,
 };
 use tcw_experiments::diag;
 use tcw_experiments::plot::write_csv;
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
     observe_engine_cell, write_observability, CellArtifacts, ObsConfig, SweepMeta,
 };
@@ -157,83 +158,19 @@ fn take_cell_flag(args: &mut Vec<String>, name: &str) -> Option<usize> {
     Some(cell)
 }
 
-/// Runs the sweep under the crash-safe supervisor: journaled cells are
-/// skipped, failures retried then quarantined. Exits with
-/// [`diag::EXIT_FAILURE`] (outputs unwritten, journal intact) when any
-/// cell is quarantined, so a later `--resume` run can finish the sweep
-/// byte-identically.
-fn supervised_outcomes(
-    configs: usize,
-    jobs: usize,
-    sup: &SupervisorOptions,
-    show_progress: bool,
-    inject_panic: Option<usize>,
-    inject_slow: Option<usize>,
-) -> Vec<(ChaosConfig, ChaosOutcome, CellArtifacts)> {
-    // The fingerprint covers everything that defines the cell grid; the
-    // inject flags are deliberately excluded so a clean resume can reuse
-    // the journal of an injected (crashed) run.
-    let fingerprint = tcw_sim::snap::checksum(&[BASE_SEED, configs as u64]);
-    supervised_cells(
-        "chaos",
-        "chaos",
-        configs,
-        jobs,
-        sup,
-        show_progress,
-        fingerprint,
-        |cell| format!("seed {}", ChaosConfig::sample(BASE_SEED, cell as u64).seed),
-        move |i| {
-            if inject_panic == Some(i) {
-                panic!("injected panic in cell {i}");
-            }
-            if inject_slow == Some(i) {
-                std::thread::sleep(std::time::Duration::from_secs(3600));
-            }
-            execute(&ChaosConfig::sample(BASE_SEED, i as u64))
-        },
-    )
-    .into_iter()
-    .enumerate()
-    .map(|(i, out)| {
-        (
-            ChaosConfig::sample(BASE_SEED, i as u64),
-            out,
-            CellArtifacts::default(),
-        )
-    })
-    .collect()
-}
-
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("chaos", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, mut args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("chaos", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "chaos",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
-    }
+    let (obs, args) = diag::or_usage("chaos", ObsConfig::split_args(&raw));
+    let (sup, mut args) = diag::or_usage(
+        "chaos",
+        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
+    );
     let inject_panic = take_cell_flag(&mut args, "--inject-panic");
     let inject_slow = take_cell_flag(&mut args, "--inject-slow");
-    if (inject_panic.is_some() || inject_slow.is_some()) && sup.is_none() {
+    if inject_slow.is_some() && sup.cell_timeout.is_none() {
         diag::error(
             "chaos",
-            "--inject-panic/--inject-slow need a supervision flag (--resume/--cell-timeout/--retries)",
+            "--inject-slow needs --cell-timeout (the injected cell sleeps for an hour)",
         );
         std::process::exit(diag::EXIT_USAGE);
     }
@@ -267,44 +204,48 @@ fn main() {
          invariant monitor on, base seed {BASE_SEED:#x}\n"
     );
 
-    let outcomes: Vec<(ChaosConfig, ChaosOutcome, CellArtifacts)> = if let Some(sup) = &sup {
-        supervised_outcomes(configs, jobs, sup, obs.progress, inject_panic, inject_slow)
-    } else {
-        let cells: Vec<u64> = (0..configs as u64).collect();
-        let caps = obs.capture();
-        let progress = obs
-            .progress
-            .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-        let outcomes = run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &index| {
-            let cfg = ChaosConfig::sample(BASE_SEED, index);
-            let label = format!("config {index} ({})", cfg.controller.label());
-            let idx_s = format!("{index}");
+    let cells: Vec<ChaosConfig> = (0..configs as u64)
+        .map(|index| ChaosConfig::sample(BASE_SEED, index))
+        .collect();
+    // The fingerprint covers everything that defines the cell grid; the
+    // inject flags are deliberately excluded so a clean resume can reuse
+    // the journal of an injected (crashed) run.
+    let fingerprint = tcw_sim::snap::checksum(&[BASE_SEED, configs as u64]);
+    let caps = obs.capture();
+    let (outcomes, cell_artifacts): (Vec<ChaosOutcome>, Vec<CellArtifacts>) = supervised_cells(
+        "chaos",
+        &cells,
+        jobs,
+        &sup,
+        obs.progress,
+        fingerprint,
+        |cfg, _| format!("seed {}", cfg.seed),
+        move |i, cfg, _| {
+            if inject_panic == Some(i) {
+                panic!("injected panic in cell {i}");
+            }
+            if inject_slow == Some(i) {
+                std::thread::sleep(std::time::Duration::from_secs(3600));
+            }
+            let label = format!("config {i} ({})", cfg.controller.label());
+            let idx_s = format!("{i}");
             let labels = [
                 ("config", idx_s.as_str()),
                 ("controller", cfg.controller.label()),
             ];
-            if caps.any() {
-                let (out, art) = observe_engine_cell(caps, i, &label, &labels, {
-                    let cfg = cfg.clone();
-                    move |obs, sink| run_observed(&cfg, obs, sink)
-                });
-                (cfg, out, art)
-            } else {
-                let out = execute(&cfg);
-                (cfg, out, CellArtifacts::default())
-            }
-        });
-        if let Some(p) = &progress {
-            p.finish();
-        }
-        outcomes
-    };
+            observe_engine_cell(caps, i, &label, &labels, |obs, sink| {
+                execute_observed(cfg, obs, sink)
+            })
+        },
+    )
+    .into_iter()
+    .unzip();
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut report = String::new();
     let mut failures: Vec<(u64, ChaosConfig, ChaosOutcome)> = Vec::new();
     let mut kind_counts = [0u64; 4];
-    for (i, (cfg, out, _art)) in outcomes.iter().enumerate() {
+    for (i, (cfg, out)) in cells.iter().zip(&outcomes).enumerate() {
         let index = i as u64;
         let kind_idx = match out.kind.as_str() {
             "ok" => 0,
@@ -343,8 +284,8 @@ fn main() {
     );
     println!("{summary}");
     report.push_str(&summary);
-    let total_checks: u64 = outcomes.iter().map(|(_, o, _)| o.checks).sum();
-    let total_deliveries: u64 = outcomes.iter().map(|(_, o, _)| o.deliveries).sum();
+    let total_checks: u64 = outcomes.iter().map(|o| o.checks).sum();
+    let total_deliveries: u64 = outcomes.iter().map(|o| o.deliveries).sum();
     let detail = format!(
         "monitor checks={total_checks} deliveries={total_deliveries} (base seed {BASE_SEED:#x})\n"
     );
@@ -393,7 +334,6 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("chaos.txt"), &report).expect("write report");
-    let cell_artifacts: Vec<CellArtifacts> = outcomes.into_iter().map(|(_, _, art)| art).collect();
     if let Err(e) = write_observability(
         &obs,
         &cell_artifacts,

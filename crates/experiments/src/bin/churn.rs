@@ -19,16 +19,15 @@
 //! re-executes the identical timeline and must reproduce the identical
 //! failure (the binary exits non-zero if it does not).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, panic_message, replay, FailureRecord};
+use tcw_experiments::replay::{execute, replay, FailureRecord};
 use tcw_experiments::runner::{ChurnSimPoint, PolicyKind, SimSettings};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
+    observed_cell, write_observability, CellArtifacts, Failure, ObsConfig, Panel, SweepMeta,
 };
 use tcw_mac::{ChurnPlan, FaultPlan};
 
@@ -78,27 +77,11 @@ fn base_record(rho_prime: f64, churn: ChurnPlan) -> FailureRecord {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("churn", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("churn", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "churn",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
-    }
+    let (obs, args) = diag::or_usage("churn", ObsConfig::split_args(&raw));
+    let (sup, args) = diag::or_usage(
+        "churn",
+        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
+    );
     if args.first().is_some_and(|a| a == "--replay") {
         let Some(path) = args.get(1) else {
             diag::error("churn", "--replay needs an artifact path");
@@ -117,135 +100,87 @@ fn main() {
 
     println!("station-churn sweep: controlled protocol, M={M}, K={K_TAU} tau, down={DOWN_SLOTS} slots, catch-up={CATCH_UP_SLOTS} slots\n");
 
-    // One parallel sweep over the whole load × crash-rate grid; panics
-    // are caught per cell so failure reporting (and the replay artifact)
-    // still happens in deterministic cell order below.
+    // One supervised sweep over the whole load × crash-rate grid. A cell
+    // that keeps panicking is quarantined, and its replay artifact is
+    // written from the quarantine report.
     let cells: Vec<(f64, f64)> = LOADS
         .iter()
         .flat_map(|&rho| CRASH_RATES.iter().map(move |&c| (rho, c)))
         .collect();
-    let (outcomes, cell_artifacts): (Vec<Result<ChurnSimPoint, String>>, Vec<CellArtifacts>) =
-        if let Some(sup) = &sup {
-            // The seed, panel shape and grid size define the cells; any
-            // change to them invalidates a resume journal.
-            let fingerprint = tcw_sim::snap::checksum(&[
-                SEED,
-                M,
-                K_TAU.to_bits(),
-                DOWN_SLOTS,
-                CATCH_UP_SLOTS,
-                cells.len() as u64,
-            ]);
-            let points = supervised_cells(
-                "churn",
-                "churn",
-                cells.len(),
-                jobs,
-                sup,
-                obs.progress,
-                fingerprint,
-                |cell| {
-                    let rho = LOADS[cell / CRASH_RATES.len()];
-                    let c = CRASH_RATES[cell % CRASH_RATES.len()];
-                    format!("rho'={rho:.2} crash={c:.4} seed {SEED}")
-                },
-                |i| {
-                    let rho = LOADS[i / CRASH_RATES.len()];
-                    let c = CRASH_RATES[i % CRASH_RATES.len()];
-                    let rec = base_record(rho, sweep_plan(c));
-                    tcw_experiments::runner::simulate_churn(
-                        rec.panel,
-                        rec.policy,
-                        rec.k_tau,
-                        rec.settings,
-                        rec.seed,
-                        rec.plan,
-                        rec.churn,
-                    )
-                },
-            );
-            let n = points.len();
-            (
-                points.into_iter().map(Ok).collect(),
-                (0..n).map(|_| CellArtifacts::default()).collect(),
+    // The seed, panel shape and grid size define the cells; any change to
+    // them invalidates a resume journal.
+    let fingerprint = tcw_sim::snap::checksum(&[
+        SEED,
+        M,
+        K_TAU.to_bits(),
+        DOWN_SLOTS,
+        CATCH_UP_SLOTS,
+        cells.len() as u64,
+    ]);
+    let caps = obs.capture();
+    let (outcomes, cell_artifacts): (Vec<ChurnSimPoint>, Vec<CellArtifacts>) = supervised_cells(
+        "churn",
+        &cells,
+        jobs,
+        &sup,
+        obs.progress,
+        fingerprint,
+        |&(rho, c), q| {
+            let cell = format!("rho'={rho:.2} crash={c:.4} seed {SEED}");
+            let Failure::Panic(message) = &q.failure else {
+                return cell;
+            };
+            let mut failed = base_record(rho, sweep_plan(c));
+            failed.kind = "panic".to_string();
+            failed.detail = message.clone();
+            let path = failures_dir.join(format!(
+                "failure_panic_seed{}_rho{:02}_c{:04}.json",
+                failed.seed,
+                (rho * 100.0) as u32,
+                (c * 10_000.0).round() as u32
+            ));
+            failed.save(&path).expect("write replay artifact");
+            format!(
+                "{cell}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",
+                path.display(),
+                path.display()
             )
-        } else {
-            let caps = obs.capture();
-            let progress = obs
-                .progress
-                .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-            let outcomes: Vec<(Result<ChurnSimPoint, String>, CellArtifacts)> =
-                run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &(rho, c)| {
-                    let rec = base_record(rho, sweep_plan(c));
-                    let label = format!("rho={rho:.2} crash={c:.4}");
-                    let rho_s = format!("{rho}");
-                    let c_s = format!("{c}");
-                    let labels = [("rho", rho_s.as_str()), ("crash_rate", c_s.as_str())];
-                    catch_unwind(AssertUnwindSafe(|| {
-                        observed_cell(
-                            caps,
-                            i,
-                            &label,
-                            &labels,
-                            rec.panel,
-                            rec.policy,
-                            rec.k_tau,
-                            rec.settings,
-                            rec.seed,
-                            rec.plan,
-                            rec.churn,
-                        )
-                    }))
-                    .map(|(csp, art)| {
-                        if let Some(p) = &progress {
-                            let h = csp.horizon;
-                            p.note_horizon(
-                                h.jumps,
-                                h.slots_skipped,
-                                h.batched_runs,
-                                h.batched_slots,
-                            );
-                        }
-                        (Ok(csp), art)
-                    })
-                    .unwrap_or_else(|e| (Err(panic_message(e)), CellArtifacts::default()))
-                });
-            if let Some(p) = &progress {
-                p.finish();
+        },
+        move |i, &(rho, c), progress| {
+            let rec = base_record(rho, sweep_plan(c));
+            let label = format!("rho={rho:.2} crash={c:.4}");
+            let rho_s = format!("{rho}");
+            let c_s = format!("{c}");
+            let labels = [("rho", rho_s.as_str()), ("crash_rate", c_s.as_str())];
+            let (csp, art) = observed_cell(
+                caps,
+                i,
+                &label,
+                &labels,
+                rec.panel,
+                rec.policy,
+                rec.k_tau,
+                rec.settings,
+                rec.seed,
+                rec.plan,
+                rec.churn,
+            );
+            if let Some(p) = progress {
+                let h = csp.horizon;
+                p.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
             }
-            outcomes.into_iter().unzip()
-        };
+            (csp, art)
+        },
+    )
+    .into_iter()
+    .unzip();
 
     let mut outcome_iter = outcomes.into_iter();
     for (li, &rho) in LOADS.iter().enumerate() {
         let mut points = Vec::new();
         let mut baseline_loss = 0.0;
         for &c in &CRASH_RATES {
-            let rec = base_record(rho, sweep_plan(c));
-            let csp: ChurnSimPoint = match outcome_iter.next().expect("one outcome per cell") {
-                Ok(csp) => csp,
-                Err(message) => {
-                    let mut failed = rec.clone();
-                    failed.kind = "panic".to_string();
-                    failed.detail = message;
-                    let path = failures_dir.join(format!(
-                        "failure_panic_seed{}_rho{:02}_c{:04}.json",
-                        rec.seed,
-                        (rho * 100.0) as u32,
-                        (c * 10_000.0).round() as u32
-                    ));
-                    failed.save(&path).expect("write replay artifact");
-                    diag::error(
-                        "churn",
-                        &format!(
-                            "run panicked; replay artifact written to {}\n  reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",
-                            path.display(),
-                            path.display()
-                        ),
-                    );
-                    std::process::exit(diag::EXIT_FAILURE);
-                }
-            };
+            let csp = outcome_iter.next().expect("one outcome per cell");
             if c == 0.0 {
                 baseline_loss = csp.point.loss;
             }

@@ -26,7 +26,6 @@ use std::path::{Path, PathBuf};
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::run_parallel_with_progress;
 use tcw_experiments::{
     observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, PolicyKind, SimPoint,
     SimSettings, SweepMeta, PANELS,
@@ -62,7 +61,7 @@ const KINDS: [(PolicyKind, u64); 3] = [
 ];
 
 /// Runs every selected panel: analytic curves inline (cheap marching),
-/// all simulated points of all panels through one parallel sweep, then
+/// all simulated points of all panels through one supervised sweep, then
 /// reassembles each panel's three point series in grid order. Telemetry,
 /// when requested, is captured per cell and returned in cell order.
 fn run_panels(
@@ -71,7 +70,7 @@ fn run_panels(
     seed: u64,
     jobs: usize,
     obs: &ObsConfig,
-    sup: Option<&SupervisorOptions>,
+    sup: &SupervisorOptions,
 ) -> (Vec<PanelResult>, Vec<CellArtifacts>) {
     let mut cells = Vec::new();
     for &panel in panels {
@@ -86,67 +85,43 @@ fn run_panels(
             }
         }
     }
-    let (points, artifacts): (Vec<SimPoint>, Vec<CellArtifacts>) = if let Some(sup) = sup {
-        // The settings plus every job's full specification define the
-        // grid; any change invalidates a resume journal. The per-job seed
-        // already mixes in the policy salt, so the policy is covered.
-        let mut words = vec![
-            settings.ticks_per_tau,
-            settings.messages,
-            settings.warmup,
-            u64::from(settings.stations),
-            u64::from(settings.guard),
-        ];
-        for j in &cells {
-            words.extend([
-                j.panel.rho_prime.to_bits(),
-                j.panel.m,
-                j.k.to_bits(),
-                j.seed,
-            ]);
-        }
-        let fingerprint = tcw_sim::snap::checksum(&words);
-        let sup_jobs = cells.clone();
-        let points = supervised_cells(
-            "fig7",
-            "fig7",
-            cells.len(),
-            jobs,
-            sup,
-            obs.progress,
-            fingerprint,
-            |cell| {
-                let j = &cells[cell];
-                format!(
-                    "{} {} K={} seed {}",
-                    j.panel.id(),
-                    j.kind.label(),
-                    j.k,
-                    j.seed
-                )
-            },
-            move |i| {
-                let j = sup_jobs[i];
-                tcw_experiments::runner::simulate_churn(
-                    j.panel,
-                    j.kind,
-                    j.k,
-                    settings,
-                    j.seed,
-                    FaultPlan::none(),
-                    ChurnPlan::none(),
-                )
-                .point
-            },
-        );
-        let n = points.len();
-        (points, (0..n).map(|_| CellArtifacts::default()).collect())
-    } else {
-        let caps = obs.capture();
-        let progress = obs
-            .progress
-            .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-        let outcomes = run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, j| {
+    // The settings plus every job's full specification define the grid;
+    // any change invalidates a resume journal. The per-job seed already
+    // mixes in the policy salt, so the policy is covered.
+    let mut words = vec![
+        settings.ticks_per_tau,
+        settings.messages,
+        settings.warmup,
+        u64::from(settings.stations),
+        u64::from(settings.guard),
+    ];
+    for j in &cells {
+        words.extend([
+            j.panel.rho_prime.to_bits(),
+            j.panel.m,
+            j.k.to_bits(),
+            j.seed,
+        ]);
+    }
+    let fingerprint = tcw_sim::snap::checksum(&words);
+    let caps = obs.capture();
+    let (points, artifacts): (Vec<SimPoint>, Vec<CellArtifacts>) = supervised_cells(
+        "fig7",
+        &cells,
+        jobs,
+        sup,
+        obs.progress,
+        fingerprint,
+        |j, _| {
+            format!(
+                "{} {} K={} seed {}",
+                j.panel.id(),
+                j.kind.label(),
+                j.k,
+                j.seed
+            )
+        },
+        move |i, j, progress| {
             let id = j.panel.id();
             let label = format!("{id} {} K={}", j.kind.label(), j.k);
             let k = format!("{}", j.k);
@@ -170,17 +145,15 @@ fn run_panels(
                 FaultPlan::none(),
                 ChurnPlan::none(),
             );
-            if let Some(pr) = &progress {
+            if let Some(pr) = progress {
                 let h = p.horizon;
                 pr.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
             }
             (p.point, art)
-        });
-        if let Some(p) = &progress {
-            p.finish();
-        }
-        outcomes.into_iter().unzip()
-    };
+        },
+    )
+    .into_iter()
+    .unzip();
 
     let mut results = Vec::new();
     let mut cursor = points.into_iter();
@@ -424,27 +397,11 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("fig7", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("fig7", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "fig7",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
-    }
+    let (obs, args) = diag::or_usage("fig7", ObsConfig::split_args(&raw));
+    let (sup, args) = diag::or_usage(
+        "fig7",
+        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
+    );
     if args.iter().any(|a| a == "--obs-cell") {
         std::process::exit(run_obs_cell(&obs));
     }
@@ -473,7 +430,7 @@ fn main() {
         .into_iter()
         .filter(|panel| panel_filter.is_empty() || panel_filter.iter().any(|f| **f == panel.id()))
         .collect();
-    let (results, artifacts) = run_panels(&panels, settings, 42, jobs, &obs, sup.as_ref());
+    let (results, artifacts) = run_panels(&panels, settings, 42, jobs, &obs, &sup);
     for result in &results {
         emit(result, &out_dir);
     }

@@ -13,7 +13,7 @@
 //! with [`diag::EXIT_FAILURE`] if any check fails.
 
 use tcw_experiments::diag;
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::{jobs_from_args, run_parallel};
 use tcw_experiments::{
     observe_engine_cell, write_observability, CellArtifacts, ObsConfig, SweepMeta,
 };
@@ -110,24 +110,15 @@ fn panel_checks(
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("limits", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
+    let (obs, args) = diag::or_usage("limits", ObsConfig::split_args(&raw));
     let jobs = jobs_from_args("limits", &args);
     let mut failures = 0u32;
     println!("eq. 4.7 boundary checks\n");
 
     let cells: [(f64, u64); 4] = [(0.01, 25), (0.02, 25), (0.03, 25), (0.0075, 100)];
     let caps = obs.capture();
-    let progress = obs
-        .progress
-        .then(|| tcw_obs::Progress::new(cells.len(), jobs));
     let outcomes: Vec<(Vec<Check>, CellArtifacts)> =
-        run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &(lambda, m)| {
+        run_parallel(&cells, jobs, obs.progress, |i, &(lambda, m), _| {
             let label = format!("lambda={lambda} M={m}");
             let l_s = format!("{lambda}");
             let m_s = format!("{m}");
@@ -136,9 +127,6 @@ fn main() {
                 panel_checks(lambda, m, sink)
             })
         });
-    if let Some(p) = &progress {
-        p.finish();
-    }
     let (outcomes, cell_artifacts): (Vec<_>, Vec<_>) =
         outcomes.into_iter().unzip::<_, _, Vec<_>, Vec<_>>();
 

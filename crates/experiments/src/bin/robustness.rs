@@ -18,16 +18,15 @@
 //! re-executes the identical timeline and must reproduce the identical
 //! failure (the binary exits non-zero if it does not).
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, panic_message, replay, FailureRecord};
+use tcw_experiments::replay::{execute, replay, FailureRecord};
 use tcw_experiments::runner::{FaultSimPoint, PolicyKind, SimSettings};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
+    observed_cell, write_observability, CellArtifacts, Failure, ObsConfig, Panel, SweepMeta,
 };
 use tcw_mac::{ChurnPlan, FaultPlan};
 
@@ -82,27 +81,11 @@ fn base_record(rho_prime: f64, plan: FaultPlan) -> FailureRecord {
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("robustness", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    let (sup, args) = match SupervisorOptions::split_args(&args) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("robustness", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
-    if sup.is_some() && obs.wants_telemetry() {
-        diag::error(
-            "robustness",
-            "supervision flags are incompatible with --trace-events/--spans/--metrics",
-        );
-        std::process::exit(diag::EXIT_USAGE);
-    }
+    let (obs, args) = diag::or_usage("robustness", ObsConfig::split_args(&raw));
+    let (sup, args) = diag::or_usage(
+        "robustness",
+        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
+    );
     if args.first().is_some_and(|a| a == "--replay") {
         let Some(path) = args.get(1) else {
             diag::error("robustness", "--replay needs an artifact path");
@@ -121,138 +104,83 @@ fn main() {
 
     println!("fault-injection sweep: controlled protocol, M={M}, K={K_TAU} tau\n");
 
-    // The full load × fault-probability grid runs as one parallel sweep;
-    // each worker catches its cell's panic so a failing cell is reported
-    // (and its replay artifact written) in deterministic cell order below,
-    // exactly as the serial sweep did.
+    // The full load × fault-probability grid runs as one supervised
+    // sweep. A cell that keeps panicking is quarantined, and its replay
+    // artifact is written from the quarantine report.
     let cells: Vec<(f64, f64)> = LOADS
         .iter()
         .flat_map(|&rho| FAULT_PROBS.iter().map(move |&p| (rho, p)))
         .collect();
-    let (outcomes, cell_artifacts): (Vec<Result<FaultSimPoint, String>>, Vec<CellArtifacts>) =
-        if let Some(sup) = &sup {
-            // The seed, panel shape and grid size define the cells; any
-            // change to them invalidates a resume journal.
-            let fingerprint =
-                tcw_sim::snap::checksum(&[SEED, M, K_TAU.to_bits(), cells.len() as u64]);
-            let points = supervised_cells(
-                "robustness",
-                "robustness",
-                cells.len(),
-                jobs,
-                sup,
-                obs.progress,
-                fingerprint,
-                |cell| {
-                    let rho = LOADS[cell / FAULT_PROBS.len()];
-                    let p = FAULT_PROBS[cell % FAULT_PROBS.len()];
-                    format!("rho'={rho:.2} p={p:.2} seed {SEED}")
-                },
-                |i| {
-                    let rho = LOADS[i / FAULT_PROBS.len()];
-                    let p = FAULT_PROBS[i % FAULT_PROBS.len()];
-                    let rec = base_record(rho, FaultPlan::uniform(p));
-                    let point = tcw_experiments::runner::simulate_churn(
-                        rec.panel,
-                        rec.policy,
-                        rec.k_tau,
-                        rec.settings,
-                        rec.seed,
-                        rec.plan,
-                        ChurnPlan::none(),
-                    );
-                    FaultSimPoint {
-                        point: point.point,
-                        faults: point.faults,
-                    }
-                },
-            );
-            let n = points.len();
-            (
-                points.into_iter().map(Ok).collect(),
-                (0..n).map(|_| CellArtifacts::default()).collect(),
+    // The seed, panel shape and grid size define the cells; any change to
+    // them invalidates a resume journal.
+    let fingerprint = tcw_sim::snap::checksum(&[SEED, M, K_TAU.to_bits(), cells.len() as u64]);
+    let caps = obs.capture();
+    let (outcomes, cell_artifacts): (Vec<FaultSimPoint>, Vec<CellArtifacts>) = supervised_cells(
+        "robustness",
+        &cells,
+        jobs,
+        &sup,
+        obs.progress,
+        fingerprint,
+        |&(rho, p), q| {
+            let cell = format!("rho'={rho:.2} p={p:.2} seed {SEED}");
+            let Failure::Panic(message) = &q.failure else {
+                return cell;
+            };
+            let mut failed = base_record(rho, FaultPlan::uniform(p));
+            failed.kind = "panic".to_string();
+            failed.detail = message.clone();
+            let path = failures_dir.join(format!(
+                "failure_panic_seed{}_rho{:02}_p{:02}.json",
+                failed.seed,
+                (rho * 100.0) as u32,
+                (p * 100.0).round() as u32
+            ));
+            failed.save(&path).expect("write replay artifact");
+            format!(
+                "{cell}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin robustness -- --replay {}",
+                path.display(),
+                path.display()
             )
-        } else {
-            let caps = obs.capture();
-            let progress = obs
-                .progress
-                .then(|| tcw_obs::Progress::new(cells.len(), jobs));
-            let outcomes: Vec<(Result<FaultSimPoint, String>, CellArtifacts)> =
-                run_parallel_with_progress(&cells, jobs, progress.as_ref(), |i, &(rho, p)| {
-                    let rec = base_record(rho, FaultPlan::uniform(p));
-                    let label = format!("rho={rho:.2} p={p:.2}");
-                    let rho_s = format!("{rho}");
-                    let p_s = format!("{p}");
-                    let labels = [("rho", rho_s.as_str()), ("fault_prob", p_s.as_str())];
-                    catch_unwind(AssertUnwindSafe(|| {
-                        let (point, art) = observed_cell(
-                            caps,
-                            i,
-                            &label,
-                            &labels,
-                            rec.panel,
-                            rec.policy,
-                            rec.k_tau,
-                            rec.settings,
-                            rec.seed,
-                            rec.plan,
-                            ChurnPlan::none(),
-                        );
-                        if let Some(pr) = &progress {
-                            let h = point.horizon;
-                            pr.note_horizon(
-                                h.jumps,
-                                h.slots_skipped,
-                                h.batched_runs,
-                                h.batched_slots,
-                            );
-                        }
-                        (
-                            FaultSimPoint {
-                                point: point.point,
-                                faults: point.faults,
-                            },
-                            art,
-                        )
-                    }))
-                    .map(|(fsp, art)| (Ok(fsp), art))
-                    .unwrap_or_else(|e| (Err(panic_message(e)), CellArtifacts::default()))
-                });
-            if let Some(p) = &progress {
-                p.finish();
+        },
+        move |i, &(rho, p), progress| {
+            let rec = base_record(rho, FaultPlan::uniform(p));
+            let label = format!("rho={rho:.2} p={p:.2}");
+            let rho_s = format!("{rho}");
+            let p_s = format!("{p}");
+            let labels = [("rho", rho_s.as_str()), ("fault_prob", p_s.as_str())];
+            let (point, art) = observed_cell(
+                caps,
+                i,
+                &label,
+                &labels,
+                rec.panel,
+                rec.policy,
+                rec.k_tau,
+                rec.settings,
+                rec.seed,
+                rec.plan,
+                ChurnPlan::none(),
+            );
+            if let Some(pr) = progress {
+                let h = point.horizon;
+                pr.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
             }
-            outcomes.into_iter().unzip()
-        };
+            let fsp = FaultSimPoint {
+                point: point.point,
+                faults: point.faults,
+            };
+            (fsp, art)
+        },
+    )
+    .into_iter()
+    .unzip();
 
     let mut outcome_iter = outcomes.into_iter();
     for (li, &rho) in LOADS.iter().enumerate() {
         let mut points = Vec::new();
         for &p in &FAULT_PROBS {
-            let rec = base_record(rho, FaultPlan::uniform(p));
-            let fsp: FaultSimPoint = match outcome_iter.next().expect("one outcome per cell") {
-                Ok(fsp) => fsp,
-                Err(message) => {
-                    let mut failed = rec.clone();
-                    failed.kind = "panic".to_string();
-                    failed.detail = message;
-                    let path = failures_dir.join(format!(
-                        "failure_panic_seed{}_rho{:02}_p{:02}.json",
-                        rec.seed,
-                        (rho * 100.0) as u32,
-                        (p * 100.0).round() as u32
-                    ));
-                    failed.save(&path).expect("write replay artifact");
-                    diag::error(
-                        "robustness",
-                        &format!(
-                            "run panicked; replay artifact written to {}\n  reproduce: cargo run --release -p tcw-experiments --bin robustness -- --replay {}",
-                            path.display(),
-                            path.display()
-                        ),
-                    );
-                    std::process::exit(diag::EXIT_FAILURE);
-                }
-            };
+            let fsp = outcome_iter.next().expect("one outcome per cell");
             let line = format!(
                 "rho'={rho:.2} p={p:.2}: loss={:.4} util={:.3} corrupted={} erased={} resyncs={} abandoned={} reopened={} fault_losses={}",
                 fsp.point.loss,

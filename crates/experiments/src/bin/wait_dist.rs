@@ -18,7 +18,7 @@
 
 use std::path::PathBuf;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel_with_progress};
+use tcw_experiments::sweep::{jobs_from_args, run_parallel};
 use tcw_experiments::{diag, observe_engine_cell, write_observability, ObsConfig, SweepMeta};
 use tcw_mac::ChannelConfig;
 use tcw_numerics::grid::renewal_series;
@@ -32,13 +32,7 @@ use tcw_window::policy::ControlPolicy;
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = match ObsConfig::split_args(&raw) {
-        Ok(v) => v,
-        Err(e) => {
-            diag::error("wait_dist", &e);
-            std::process::exit(diag::EXIT_USAGE);
-        }
-    };
+    let (obs, args) = diag::or_usage("wait_dist", ObsConfig::split_args(&raw));
     let jobs = jobs_from_args("wait_dist", &args);
     let (rho_prime, m, k_tau) = (0.75f64, 25u64, 200.0f64);
     let lambda = rho_prime / m as f64;
@@ -62,17 +56,14 @@ fn main() {
     let analytic_cdf = |w: f64| series.partial_sum(w) / z_k;
 
     // --- simulated -------------------------------------------------------
-    // One cell on the sweep executor: this figure needs a single long
-    // run, so the executor is used for interface uniformity with the
-    // sweep binaries (`--jobs` is accepted, extra workers stay idle).
+    // One cell on the sweep pool: this figure needs a single long run,
+    // so the pool is used for interface uniformity with the sweep
+    // binaries (`--jobs` is accepted; one cell needs one worker).
     let tpt = 64u64;
     let grid: Vec<f64> = (1..=40).map(|i| k_tau * i as f64 / 40.0).collect();
     let seeds = [77u64];
     let caps = obs.capture();
-    let progress = obs
-        .progress
-        .then(|| tcw_obs::Progress::new(seeds.len(), jobs));
-    let sim = run_parallel_with_progress(&seeds, jobs, progress.as_ref(), |i, &seed| {
+    let sim = run_parallel(&seeds, jobs, obs.progress, |i, &seed, _| {
         let label = format!("wait_dist seed={seed}");
         let seed_s = format!("{seed}");
         let labels = [("seed", seed_s.as_str())];
@@ -108,9 +99,6 @@ fn main() {
             (cdf, eng.metrics.offered())
         })
     });
-    if let Some(p) = &progress {
-        p.finish();
-    }
     let (sim, cell_artifacts): (Vec<_>, Vec<_>) = sim.into_iter().unzip();
     let (sim_cdf, offered) = &sim[0];
 

@@ -556,11 +556,9 @@ impl EngineObserver for MutatingObserver<'_> {
 
 /// Runs one config under the monitor (and, for static-controller
 /// configs, the divergence detector), forwarding events to `extra`
-/// (tracer) and emitting telemetry into `sink` when given.
-///
-/// # Panics
-/// Propagates engine panics; [`execute`] wraps this in a catch.
-pub fn run_observed(
+/// (tracer) and emitting telemetry into `sink` when given. Engine panics
+/// propagate; [`execute_observed`] classifies them.
+fn run_observed(
     cfg: &ChaosConfig,
     extra: &mut dyn EngineObserver,
     sink: Option<&mut dyn MetricSink>,
@@ -688,12 +686,17 @@ pub fn run_observed(
     }
 }
 
-/// Runs a config with no extra observer or sink, catching panics.
+/// Runs one config under the monitor, forwarding events to `extra` and
+/// emitting telemetry into `sink` when given. A panic — in the engine or
+/// in `extra` — is caught and classified as a `panic` outcome, so a
+/// traced and an untraced run of a failing config report it alike.
 /// Deterministic: the same config always returns the same outcome.
-pub fn execute(cfg: &ChaosConfig) -> ChaosOutcome {
-    match catch_unwind(AssertUnwindSafe(|| {
-        run_observed(cfg, &mut NoopObserver, None)
-    })) {
+pub fn execute_observed(
+    cfg: &ChaosConfig,
+    extra: &mut dyn EngineObserver,
+    sink: Option<&mut dyn MetricSink>,
+) -> ChaosOutcome {
+    match catch_unwind(AssertUnwindSafe(|| run_observed(cfg, extra, sink))) {
         Ok(out) => out,
         Err(payload) => ChaosOutcome {
             kind: "panic".to_string(),
@@ -707,6 +710,11 @@ pub fn execute(cfg: &ChaosConfig) -> ChaosOutcome {
             loss: 0.0,
         },
     }
+}
+
+/// [`execute_observed`] with no extra observer or sink.
+pub fn execute(cfg: &ChaosConfig) -> ChaosOutcome {
+    execute_observed(cfg, &mut NoopObserver, None)
 }
 
 /// One shrinker trial.
@@ -1072,6 +1080,19 @@ pub fn inject_config(mutation: Mutation) -> ChaosConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn panicking_observer_is_classified_as_a_panic() {
+        struct Boom;
+        impl EngineObserver for Boom {
+            fn on_decision(&mut self, _now: Time, _segments: Option<&[Interval]>) {
+                panic!("observer boom");
+            }
+        }
+        let out = execute_observed(&ChaosConfig::sample(BASE_SEED, 0), &mut Boom, None);
+        assert_eq!(out.kind, "panic");
+        assert_eq!(out.detail, "observer boom");
+    }
 
     #[test]
     fn record_roundtrip_is_exact() {

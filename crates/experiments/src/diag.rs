@@ -27,6 +27,15 @@ pub fn error(tool: &str, msg: &str) {
     eprintln!("{tool}: {msg}");
 }
 
+/// Unwraps a parsed command-line value, or reports the parse error as
+/// `tool: message` and exits with [`EXIT_USAGE`].
+pub fn or_usage<T>(tool: &str, parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        error(tool, &e);
+        std::process::exit(EXIT_USAGE)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -56,7 +56,6 @@ pub use runner::{
     FaultSimPoint, PolicyKind, SimPoint, SimSettings,
 };
 pub use supervise::{
-    run_supervised, supervised_cells, Journal, JournalItem, Quarantined, SupervisorOptions,
-    SweepOutcome,
+    run_supervised, supervised_cells, Journal, JournalItem, SupervisorOptions, SweepOutcome,
 };
-pub use sweep::{jobs_from_args, run_parallel, run_parallel_with_progress, Cell};
+pub use sweep::{jobs_from_args, run_parallel, Cell, Failure, Quarantined};

@@ -614,7 +614,8 @@ pub fn replicate_panel(
     let seeds: Vec<u64> = (0..u64::from(replications))
         .map(|r| tcw_sim::rng::stream_seed(base_seed, r))
         .collect();
-    let losses = crate::sweep::run_parallel(&seeds, crate::sweep::default_jobs(), |_, &seed| {
+    let jobs = crate::sweep::default_jobs();
+    let losses = crate::sweep::run_parallel(&seeds, jobs, false, |_, &seed, _| {
         simulate_panel(panel, kind, k_tau, settings, seed).loss
     });
     // BatchMeans with batch size 1: each replication is one independent

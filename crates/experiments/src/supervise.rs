@@ -1,25 +1,30 @@
 //! Crash-safe sweep supervision: retries, a wall-clock watchdog,
 //! quarantine, and a crash-consistent resume journal.
 //!
-//! The plain executor in [`crate::sweep`] assumes every cell finishes;
-//! a panic aborts the whole sweep (with its cell index surfaced) and a
-//! wedged cell stalls it forever. This module adds the fault-tolerant
-//! mode behind the `--resume PATH`, `--cell-timeout SECS` and
-//! `--retries N` flags of the experiment binaries:
+//! Every sweep binary with a replay or resume story (`fig7`,
+//! `robustness`, `churn`, `adaptive`, `chaos`) runs its grid through
+//! [`supervised_cells`] on every run, on the one worker pool of
+//! [`crate::sweep`]. The `--resume PATH`, `--cell-timeout SECS` and
+//! `--retries N` flags only tune it:
 //!
-//! * **Supervision** — [`run_supervised`] executes each cell under
-//!   [`std::panic::catch_unwind`] and, when a timeout is configured, on a
-//!   watchdogged thread cut off by `recv_timeout`. Failed attempts are
-//!   retried with exponential backoff; a cell that exhausts its budget is
+//! * **Supervision** — the pool contains each attempt's panic and, when a
+//!   timeout is configured, runs the attempt on a watchdogged thread cut
+//!   off by `recv_timeout`. Failed attempts are retried with exponential
+//!   backoff (2 retries by default); a cell that exhausts its budget is
 //!   **quarantined** (reported with its index so the caller can name the
-//!   replay seed) while the rest of the sweep completes.
-//! * **Journal** — completed cells are appended to a per-line-checksummed
-//!   NDJSON journal, rewritten through a temp file and `rename` so the
-//!   file on disk is always a consistent prefix of the sweep. Reopening
-//!   the journal (`--resume`) validates the header (format, binary
-//!   version, experiment tag, grid fingerprint) and every line checksum,
-//!   then skips the journaled cells; corruption or staleness is rejected
-//!   up front and the binaries exit with [`crate::diag::EXIT_FAILURE`].
+//!   replay seed) while the rest of the sweep completes, and the binary
+//!   then exits with [`crate::diag::EXIT_FAILURE`], its result files
+//!   withheld.
+//! * **Journal** — with `--resume`, completed cells are appended to a
+//!   per-line-checksummed NDJSON journal, rewritten through a temp file
+//!   and `rename` so the file on disk is always a consistent prefix of
+//!   the sweep. Reopening the journal validates the header (format,
+//!   binary version, experiment tag, grid fingerprint) and every line
+//!   checksum, then skips the journaled cells; corruption or staleness is
+//!   rejected up front and the binaries exit with
+//!   [`crate::diag::EXIT_FAILURE`]. The journal stores each cell's
+//!   result, not its telemetry, so `--resume` is the one supervision
+//!   flag that excludes `--trace-events`, `--spans` and `--metrics`.
 //! * **Observability** — retry/timeout/quarantine/resume-skip events feed
 //!   the [`tcw_obs::Progress`] supervisor counters (rendered in the
 //!   `--progress` line) and are totalled in [`SweepOutcome`].
@@ -35,12 +40,11 @@
 //! threads hold no locks — cells share no state — so they can only waste
 //! a core until the cell returns or the process exits.
 
-use crate::replay::{panic_message, ARTIFACT_VERSION};
+use crate::replay::ARTIFACT_VERSION;
+use crate::sweep::{pool, Failure, Quarantined};
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 use tcw_obs::Progress;
 use tcw_sim::record::{self, Record};
@@ -79,13 +83,13 @@ impl Default for SupervisorOptions {
 }
 
 impl SupervisorOptions {
-    /// Splits the supervision flags out of a raw argument list. Returns
-    /// `None` (and the arguments untouched) when no supervision flag is
-    /// present — the binaries then take their historical, zero-overhead
-    /// path.
-    pub fn split_args(args: &[String]) -> Result<(Option<Self>, Vec<String>), String> {
+    /// Splits the supervision flags out of a raw argument list, returning
+    /// the options (the defaults for absent flags) and the remaining
+    /// arguments. `telemetry` says whether `--trace-events`, `--spans` or
+    /// `--metrics` was given: `--resume` excludes them, since journaled
+    /// cells carry no telemetry.
+    pub fn split_args(args: &[String], telemetry: bool) -> Result<(Self, Vec<String>), String> {
         let mut opts = SupervisorOptions::default();
-        let mut seen = false;
         let mut rest = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
@@ -101,7 +105,6 @@ impl SupervisorOptions {
             if a == "--resume" || a.starts_with("--resume=") {
                 let v = value("--resume", a.strip_prefix("--resume="), &mut it)?;
                 opts.resume = Some(PathBuf::from(v));
-                seen = true;
             } else if a == "--cell-timeout" || a.starts_with("--cell-timeout=") {
                 let v = value("--cell-timeout", a.strip_prefix("--cell-timeout="), &mut it)?;
                 let secs: f64 = v
@@ -110,19 +113,26 @@ impl SupervisorOptions {
                 if !(secs > 0.0 && secs.is_finite()) {
                     return Err(format!("--cell-timeout must be positive, got {v:?}"));
                 }
-                opts.cell_timeout = Some(Duration::from_secs_f64(secs));
-                seen = true;
+                let limit = Duration::try_from_secs_f64(secs)
+                    .map_err(|_| format!("--cell-timeout is out of range, got {v:?}"))?;
+                opts.cell_timeout = Some(limit);
             } else if a == "--retries" || a.starts_with("--retries=") {
                 let v = value("--retries", a.strip_prefix("--retries="), &mut it)?;
                 opts.retries = v
                     .parse()
                     .map_err(|_| format!("--retries expects a non-negative integer, got {v:?}"))?;
-                seen = true;
             } else {
                 rest.push(a.clone());
             }
         }
-        Ok((seen.then_some(opts), rest))
+        if opts.resume.is_some() && telemetry {
+            return Err(
+                "--resume is incompatible with --trace-events/--spans/--metrics \
+                 (journaled cells carry no telemetry)"
+                    .to_string(),
+            );
+        }
+        Ok((opts, rest))
     }
 }
 
@@ -473,17 +483,6 @@ impl Journal {
 // ---------------------------------------------------------------------------
 // Supervised execution
 
-/// One cell that exhausted its retry budget.
-#[derive(Debug, Clone)]
-pub struct Quarantined {
-    /// Grid index of the cell.
-    pub cell: usize,
-    /// Attempts consumed (1 + retries).
-    pub attempts: u32,
-    /// Last failure: the panic message, or the timeout description.
-    pub reason: String,
-}
-
 /// The result of a supervised sweep.
 pub struct SweepOutcome<T> {
     /// Per-cell results in grid order; `None` exactly for quarantined
@@ -497,6 +496,9 @@ pub struct SweepOutcome<T> {
     pub retries: u64,
     /// Total attempts cut off by the watchdog.
     pub timeouts: u64,
+    /// The finished progress state, when progress was requested. It
+    /// counts only the cells that ran, not the resumed ones.
+    pub progress: Option<Arc<Progress>>,
 }
 
 impl<T> SweepOutcome<T> {
@@ -528,88 +530,69 @@ impl<T> SweepOutcome<T> {
     }
 }
 
-enum AttemptFailure {
-    Panic(String),
-    Timeout,
-}
-
-/// Runs one attempt, watchdogged when a timeout is configured. The
-/// watchdog thread is abandoned on timeout — safe Rust cannot cancel it —
-/// and its late result (sent to a dropped receiver) is discarded.
-fn attempt_cell<T, F>(f: F, cell: usize, timeout: Option<Duration>) -> Result<T, AttemptFailure>
+/// Runs one attempt on a named, detached thread and waits at most
+/// `limit` for it. Safe Rust cannot cancel a thread: on timeout the
+/// thread is abandoned and its late result (sent to a dropped receiver)
+/// is discarded. A panic on the thread is re-raised here, so the pool
+/// contains it like any other attempt's.
+fn watchdog<T, F>(
+    cell: usize,
+    limit: Duration,
+    f: Arc<F>,
+    progress: Option<Arc<Progress>>,
+) -> Result<T, Failure>
 where
     T: Send + 'static,
-    F: FnOnce(usize) -> T + Send + 'static,
+    F: Fn(usize, Option<&Progress>) -> T + Send + Sync + 'static,
 {
-    match timeout {
-        None => catch_unwind(AssertUnwindSafe(|| f(cell)))
-            .map_err(|e| AttemptFailure::Panic(panic_message(e))),
-        Some(limit) => {
-            let (tx, rx) = mpsc::channel();
-            let spawned = std::thread::Builder::new()
-                .name(format!("tcw-cell-{cell}"))
-                .spawn(move || {
-                    let r = catch_unwind(AssertUnwindSafe(|| f(cell))).map_err(panic_message);
-                    let _ = tx.send(r);
-                });
-            let handle = match spawned {
-                Ok(h) => h,
-                Err(e) => {
-                    return Err(AttemptFailure::Panic(format!(
-                        "could not spawn watchdogged cell thread: {e}"
-                    )))
-                }
-            };
-            match rx.recv_timeout(limit) {
-                Ok(Ok(v)) => {
-                    let _ = handle.join();
-                    Ok(v)
-                }
-                Ok(Err(msg)) => {
-                    let _ = handle.join();
-                    Err(AttemptFailure::Panic(msg))
-                }
-                Err(_) => {
-                    drop(handle); // abandoned; see module docs
-                    Err(AttemptFailure::Timeout)
-                }
-            }
+    let (tx, rx) = mpsc::channel();
+    let handle = std::thread::Builder::new()
+        .name(format!("tcw-cell-{cell}"))
+        .spawn(move || {
+            let _ = tx.send(f(cell, progress.as_deref()));
+        })
+        .map_err(|e| Failure::Panic(format!("could not spawn watchdogged cell thread: {e}")))?;
+    match rx.recv_timeout(limit) {
+        Ok(value) => {
+            let _ = handle.join();
+            Ok(value)
         }
+        Err(mpsc::RecvTimeoutError::Disconnected) => match handle.join() {
+            Err(payload) => std::panic::resume_unwind(payload),
+            Ok(()) => unreachable!("a cell thread that returned has sent its result"),
+        },
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(Failure::Timeout(limit)),
     }
 }
 
-enum CellReport<T> {
-    Done {
-        cell: usize,
-        value: T,
-        words: Vec<u64>,
-    },
-    Quarantined(Quarantined),
-}
-
-/// Executes cells `0..n` under supervision and returns results in grid
-/// order, with journaled cells skipped, failed attempts retried with
-/// exponential backoff, and hopeless cells quarantined instead of
-/// aborting the sweep.
+/// Executes cells `0..n` under supervision on the sweep pool and returns
+/// results in grid order, with journaled cells skipped, failed attempts
+/// retried with exponential backoff, and hopeless cells quarantined
+/// instead of aborting the sweep.
 ///
 /// `f` must be a pure function of the cell index (every binary's cells
-/// already are — the seed is part of the cell), cloneable into watchdog
-/// threads. Errors are I/O or validation failures (journal writes,
+/// already are — the seed is part of the cell). It returns the cell's
+/// journaled result `T` and its side output `A` (telemetry), which is
+/// not journaled: a resumed cell gets `A::default()`. `f` is `'static`
+/// because a watchdogged attempt runs on a detached thread. With
+/// `show_progress`, the live line is sized by the cells that actually
+/// run. Errors are I/O or validation failures (journal writes,
 /// undecodable journal entries), which the binaries map to
 /// [`crate::diag::EXIT_FAILURE`].
-pub fn run_supervised<T, F>(
+pub fn run_supervised<T, A, F>(
     n: usize,
     jobs: usize,
     opts: &SupervisorOptions,
     mut journal: Option<&mut Journal>,
-    progress: Option<&Progress>,
+    show_progress: bool,
     f: F,
-) -> Result<SweepOutcome<T>, String>
+) -> Result<SweepOutcome<(T, A)>, String>
 where
     T: JournalItem + Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + Clone + 'static,
+    A: Default + Send + 'static,
+    F: Fn(usize, Option<&Progress>) -> (T, A) + Send + Sync + 'static,
 {
-    let mut results: Vec<Option<T>> = Vec::with_capacity(n);
+    let mut results: Vec<Option<(T, A)>> = Vec::with_capacity(n);
     results.resize_with(n, || None);
     let mut resumed = 0usize;
     if let Some(j) = journal.as_deref() {
@@ -619,196 +602,121 @@ where
                 let value = T::decode(&mut r)
                     .and_then(|v| r.finish().map(|()| v))
                     .map_err(|e| format!("journal entry for cell {i} does not decode: {e}"))?;
-                *slot = Some(value);
+                *slot = Some((value, A::default()));
                 resumed += 1;
-            }
-        }
-        if resumed > 0 {
-            if let Some(p) = progress {
-                p.note_resume_skipped(resumed as u64);
             }
         }
     }
     let todo: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
+    let progress = show_progress.then(|| Arc::new(Progress::new(todo.len(), jobs)));
+    if let Some(p) = &progress {
+        p.note_resume_skipped(resumed as u64);
+    }
 
-    let retries_total = AtomicU64::new(0);
-    let timeouts_total = AtomicU64::new(0);
+    let f = Arc::new(f);
+    let run = |cell: usize| match opts.cell_timeout {
+        None => Ok((*f)(cell, progress.as_deref())),
+        Some(limit) => watchdog(cell, limit, Arc::clone(&f), progress.clone()),
+    };
     let mut quarantined: Vec<Quarantined> = Vec::new();
-    if !todo.is_empty() {
-        let workers = jobs.max(1).min(todo.len());
-        let next = AtomicUsize::new(0);
-        let alive = AtomicUsize::new(workers);
-        struct Leaving<'a>(&'a AtomicUsize);
-        impl Drop for Leaving<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        let (tx, rx) = mpsc::channel::<CellReport<T>>();
-        std::thread::scope(|s| -> Result<(), String> {
-            for w in 0..workers {
-                let tx = tx.clone();
-                let todo = &todo;
-                let next = &next;
-                let alive = &alive;
-                let retries_total = &retries_total;
-                let timeouts_total = &timeouts_total;
-                let f = f.clone();
-                s.spawn(move || {
-                    let _leaving = Leaving(alive);
-                    loop {
-                        let k = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&cell) = todo.get(k) else { break };
-                        let mut attempt = 0u32;
-                        let report = loop {
-                            if let Some(p) = progress {
-                                p.cell_started(w, cell);
-                            }
-                            match attempt_cell(f.clone(), cell, opts.cell_timeout) {
-                                Ok(value) => {
-                                    let mut sw = SnapWriter::new();
-                                    value.encode(&mut sw);
-                                    break CellReport::Done {
-                                        cell,
-                                        value,
-                                        words: sw.into_words(),
-                                    };
-                                }
-                                Err(failure) => {
-                                    let reason = match failure {
-                                        AttemptFailure::Timeout => {
-                                            timeouts_total.fetch_add(1, Ordering::Relaxed);
-                                            if let Some(p) = progress {
-                                                p.note_timeout();
-                                            }
-                                            format!(
-                                                "timed out after {:.3}s",
-                                                opts.cell_timeout.unwrap_or_default().as_secs_f64()
-                                            )
-                                        }
-                                        AttemptFailure::Panic(msg) => {
-                                            format!("panicked: {msg}")
-                                        }
-                                    };
-                                    if attempt >= opts.retries {
-                                        break CellReport::Quarantined(Quarantined {
-                                            cell,
-                                            attempts: attempt + 1,
-                                            reason,
-                                        });
-                                    }
-                                    retries_total.fetch_add(1, Ordering::Relaxed);
-                                    if let Some(p) = progress {
-                                        p.note_retry();
-                                    }
-                                    std::thread::sleep(opts.backoff * (1u32 << attempt.min(5)));
-                                    attempt += 1;
-                                }
-                            }
-                        };
-                        if let Some(p) = progress {
-                            p.cell_done(w);
-                        }
-                        if tx.send(report).is_err() {
-                            break;
-                        }
+    let counts = pool(
+        &todo,
+        jobs,
+        progress.as_deref(),
+        opts.retries,
+        opts.backoff,
+        run,
+        |cell, outcome| {
+            match outcome {
+                Ok((value, side)) => {
+                    if let Some(j) = journal.as_deref_mut() {
+                        let mut w = SnapWriter::new();
+                        value.encode(&mut w);
+                        j.record(cell, &w.into_words())?;
                     }
-                });
-            }
-            if let Some(p) = progress {
-                let alive = &alive;
-                s.spawn(move || {
-                    while alive.load(Ordering::Relaxed) > 0 {
-                        p.tick();
-                        std::thread::sleep(Duration::from_millis(100));
-                    }
-                });
-            }
-            drop(tx);
-            for report in rx {
-                match report {
-                    CellReport::Done { cell, value, words } => {
-                        if let Some(j) = journal.as_deref_mut() {
-                            j.record(cell, &words)?;
-                        }
-                        results[cell] = Some(value);
-                    }
-                    CellReport::Quarantined(q) => {
-                        if let Some(p) = progress {
-                            p.note_quarantine();
-                        }
-                        quarantined.push(q);
-                    }
+                    results[cell] = Some((value, side));
                 }
+                Err(q) => quarantined.push(q),
             }
             Ok(())
-        })?;
-    }
+        },
+    )?;
     quarantined.sort_by_key(|q| q.cell);
     Ok(SweepOutcome {
         results,
         quarantined,
         resumed,
-        retries: retries_total.into_inner(),
-        timeouts: timeouts_total.into_inner(),
+        retries: counts.retries,
+        timeouts: counts.timeouts,
+        progress,
     })
 }
 
-/// Binary-side wrapper around [`run_supervised`]: opens the resume
-/// journal when `--resume` was given, runs the sweep, prints the
-/// supervisor summary, and on any quarantined cell reports each one via
-/// `describe(cell)` (parameters + replay seed) and **exits** with
-/// [`crate::diag::EXIT_FAILURE`] — final outputs are never written from a
-/// partial sweep; the journal keeps every completed cell for the next
-/// `--resume`. Journal staleness/corruption and I/O failures exit the
-/// same way.
+/// Binary-side entry point of every supervised sweep: opens the resume
+/// journal when `--resume` was given (the journal's experiment tag is
+/// `tool`), runs `f` over `cells` with [`run_supervised`], and returns
+/// each cell's `(result, side output)` in grid order.
+///
+/// A sweep that resumed, retried, timed out or quarantined anything
+/// prints the supervisor summary on stdout; an uninterrupted one prints
+/// nothing. On any quarantined cell it reports each one via
+/// `describe(cell, report)` — the cell's parameters and replay seed,
+/// plus the path of any replay artifact `describe` writes for it — and
+/// **exits** with [`crate::diag::EXIT_FAILURE`]: final outputs are never
+/// written from a partial sweep; the journal keeps every completed cell
+/// for the next `--resume`. Journal staleness/corruption and I/O
+/// failures exit the same way.
 #[allow(clippy::too_many_arguments)]
-pub fn supervised_cells<T, F, S>(
+pub fn supervised_cells<I, T, A, F, D>(
     tool: &str,
-    experiment: &str,
-    n: usize,
+    cells: &[I],
     jobs: usize,
     sup: &SupervisorOptions,
     show_progress: bool,
     fingerprint: u64,
-    describe: S,
+    describe: D,
     f: F,
-) -> Vec<T>
+) -> Vec<(T, A)>
 where
+    I: Clone + Send + Sync + 'static,
     T: JournalItem + Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + Clone + 'static,
-    S: Fn(usize) -> String,
+    A: Default + Send + 'static,
+    F: Fn(usize, &I, Option<&Progress>) -> (T, A) + Send + Sync + 'static,
+    D: Fn(&I, &Quarantined) -> String,
 {
-    let mut journal = match &sup.resume {
-        Some(path) => match Journal::open(path, experiment, fingerprint) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                crate::diag::error(tool, &e);
-                std::process::exit(crate::diag::EXIT_FAILURE);
-            }
-        },
-        None => None,
-    };
-    let progress = show_progress.then(|| Progress::new(n, jobs));
-    let outcome = match run_supervised(n, jobs, sup, journal.as_mut(), progress.as_ref(), f) {
-        Ok(o) => o,
-        Err(e) => {
-            crate::diag::error(tool, &e);
-            std::process::exit(crate::diag::EXIT_FAILURE);
-        }
-    };
-    if let Some(p) = &progress {
-        p.finish();
+    fn fail(tool: &str, msg: &str) -> ! {
+        crate::diag::error(tool, msg);
+        std::process::exit(crate::diag::EXIT_FAILURE)
     }
-    println!("{}", outcome.summary());
+    let mut journal = sup
+        .resume
+        .as_ref()
+        .map(|path| Journal::open(path, tool, fingerprint).unwrap_or_else(|e| fail(tool, &e)));
+    let owned: Arc<[I]> = cells.into();
+    let outcome = run_supervised(
+        cells.len(),
+        jobs,
+        sup,
+        journal.as_mut(),
+        show_progress,
+        move |i, progress| f(i, &owned[i], progress),
+    )
+    .unwrap_or_else(|e| fail(tool, &e));
+    let interrupted = outcome.resumed > 0
+        || outcome.retries > 0
+        || outcome.timeouts > 0
+        || !outcome.quarantined.is_empty();
+    if interrupted {
+        println!("{}", outcome.summary());
+    }
     if !outcome.quarantined.is_empty() {
         for q in &outcome.quarantined {
             eprintln!(
                 "quarantined cell {} ({}) after {} attempt(s): {}",
                 q.cell,
-                describe(q.cell),
+                describe(&cells[q.cell], q),
                 q.attempts,
-                q.reason
+                q.failure
             );
         }
         let hint = if sup.resume.is_some() {
@@ -816,11 +724,10 @@ where
         } else {
             ""
         };
-        crate::diag::error(
+        fail(
             tool,
             &format!("{} cell(s) quarantined{hint}", outcome.quarantined.len()),
         );
-        std::process::exit(crate::diag::EXIT_FAILURE);
     }
     outcome.into_results()
 }
@@ -828,8 +735,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// Minimal journaled type for supervisor tests.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -862,31 +768,42 @@ mod tests {
 
     #[test]
     fn split_args_extracts_supervision_flags() {
-        let (opts, rest) = SupervisorOptions::split_args(&strs(&[
-            "--jobs",
-            "4",
-            "--resume",
-            "j.ndjson",
-            "--cell-timeout=1.5",
-            "--retries",
-            "0",
-            "--quick",
-        ]))
+        let (opts, rest) = SupervisorOptions::split_args(
+            &strs(&[
+                "--jobs",
+                "4",
+                "--resume",
+                "j.ndjson",
+                "--cell-timeout=1.5",
+                "--retries",
+                "0",
+                "--quick",
+            ]),
+            false,
+        )
         .unwrap();
-        let opts = opts.unwrap();
         assert_eq!(opts.resume.as_deref(), Some(Path::new("j.ndjson")));
         assert_eq!(opts.cell_timeout, Some(Duration::from_secs_f64(1.5)));
         assert_eq!(opts.retries, 0);
         assert_eq!(rest, strs(&["--jobs", "4", "--quick"]));
 
-        let (none, rest) = SupervisorOptions::split_args(&strs(&["--jobs", "2"])).unwrap();
-        assert!(none.is_none());
+        let (defaults, rest) =
+            SupervisorOptions::split_args(&strs(&["--jobs", "2"]), true).unwrap();
+        assert_eq!(defaults, SupervisorOptions::default());
         assert_eq!(rest, strs(&["--jobs", "2"]));
 
-        assert!(SupervisorOptions::split_args(&strs(&["--resume"])).is_err());
-        assert!(SupervisorOptions::split_args(&strs(&["--cell-timeout", "0"])).is_err());
-        assert!(SupervisorOptions::split_args(&strs(&["--cell-timeout", "x"])).is_err());
-        assert!(SupervisorOptions::split_args(&strs(&["--retries", "-1"])).is_err());
+        // Retries and the watchdog compose with telemetry; the journal
+        // does not.
+        assert!(SupervisorOptions::split_args(&strs(&["--retries", "1"]), true).is_ok());
+        assert!(SupervisorOptions::split_args(&strs(&["--cell-timeout", "9"]), true).is_ok());
+        assert!(SupervisorOptions::split_args(&strs(&["--resume", "j"]), true).is_err());
+
+        let rejects = |v: &[&str]| SupervisorOptions::split_args(&strs(v), false).is_err();
+        assert!(rejects(&["--resume"]));
+        assert!(rejects(&["--cell-timeout", "0"]));
+        assert!(rejects(&["--cell-timeout", "x"]));
+        assert!(rejects(&["--cell-timeout", "1e30"]));
+        assert!(rejects(&["--retries", "-1"]));
     }
 
     #[test]
@@ -961,12 +878,12 @@ mod tests {
     #[test]
     fn supervised_sweep_matches_direct_execution() {
         let opts = fast();
-        let out = run_supervised(8, 3, &opts, None, None, |i| V(i as u64 * 10)).unwrap();
+        let out = run_supervised(8, 3, &opts, None, false, |i, _| (V(i as u64 * 10), ())).unwrap();
         assert!(out.quarantined.is_empty());
         assert_eq!(out.resumed, 0);
         assert_eq!(out.retries + out.timeouts, 0);
         let vals = out.into_results();
-        assert_eq!(vals, (0..8).map(|i| V(i * 10)).collect::<Vec<_>>());
+        assert_eq!(vals, (0..8).map(|i| (V(i * 10), ())).collect::<Vec<_>>());
     }
 
     #[test]
@@ -975,21 +892,21 @@ mod tests {
             retries: 1,
             ..fast()
         };
-        let out = run_supervised(4, 2, &opts, None, None, |i| {
+        let out = run_supervised(4, 2, &opts, None, false, |i, _| {
             if i == 2 {
                 panic!("cell two always dies");
             }
-            V(i as u64)
+            (V(i as u64), ())
         })
         .unwrap();
         assert_eq!(out.quarantined.len(), 1);
         let q = &out.quarantined[0];
         assert_eq!(q.cell, 2);
         assert_eq!(q.attempts, 2);
-        assert!(q.reason.contains("cell two always dies"), "{}", q.reason);
+        assert_eq!(q.failure, Failure::Panic("cell two always dies".into()));
         assert_eq!(out.retries, 1);
         assert!(out.results[2].is_none());
-        assert_eq!(out.results[3], Some(V(3)));
+        assert_eq!(out.results[3], Some((V(3), ())));
     }
 
     #[test]
@@ -1000,16 +917,16 @@ mod tests {
             retries: 3,
             ..fast()
         };
-        let out = run_supervised(1, 1, &opts, None, None, move |i| {
+        let out = run_supervised(1, 1, &opts, None, false, move |i, _| {
             if seen.fetch_add(1, Ordering::Relaxed) < 2 {
                 panic!("flaky");
             }
-            V(i as u64 + 100)
+            (V(i as u64 + 100), ())
         })
         .unwrap();
         assert!(out.quarantined.is_empty());
         assert_eq!(out.retries, 2);
-        assert_eq!(out.into_results(), vec![V(100)]);
+        assert_eq!(out.into_results(), vec![(V(100), ())]);
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
     }
 
@@ -1020,19 +937,19 @@ mod tests {
             cell_timeout: Some(Duration::from_millis(40)),
             ..fast()
         };
-        let out = run_supervised(3, 2, &opts, None, None, |i| {
+        let out = run_supervised(3, 2, &opts, None, false, |i, _| {
             if i == 1 {
                 std::thread::sleep(Duration::from_secs(5));
             }
-            V(i as u64)
+            (V(i as u64), ())
         })
         .unwrap();
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].cell, 1);
-        assert!(out.quarantined[0].reason.contains("timed out"));
+        assert!(out.quarantined[0].failure.to_string().contains("timed out"));
         assert_eq!(out.timeouts, 2); // both attempts hit the watchdog
-        assert_eq!(out.results[0], Some(V(0)));
-        assert_eq!(out.results[2], Some(V(2)));
+        assert_eq!(out.results[0], Some((V(0), ())));
+        assert_eq!(out.results[2], Some((V(2), ())));
     }
 
     #[test]
@@ -1045,30 +962,37 @@ mod tests {
         };
         // First run: cell 1 fails, the rest are journaled.
         let mut j = Journal::open(&path, "test", 5).unwrap();
-        let out = run_supervised(3, 1, &opts, Some(&mut j), None, |i| {
+        let out = run_supervised(3, 1, &opts, Some(&mut j), false, |i, _| {
             if i == 1 {
                 panic!("first pass fails cell 1");
             }
-            V(i as u64 * 7)
+            (V(i as u64 * 7), ())
         })
         .unwrap();
         assert_eq!(out.quarantined.len(), 1);
         drop(j);
 
-        // Second run: only cell 1 may execute.
+        // Second run: only cell 1 may execute, and the progress line is
+        // sized by it alone, so it reaches 100%.
         let ran = Arc::new(AtomicU32::new(0));
         let seen = ran.clone();
         let mut j = Journal::open(&path, "test", 5).unwrap();
-        let out = run_supervised(3, 1, &opts, Some(&mut j), None, move |i| {
+        let out = run_supervised(3, 1, &opts, Some(&mut j), true, move |i, _| {
             seen.fetch_add(1, Ordering::Relaxed);
             assert_eq!(i, 1, "journaled cells must not re-run");
-            V(i as u64 * 7)
+            (V(i as u64 * 7), ())
         })
         .unwrap();
         assert_eq!(out.resumed, 2);
         assert!(out.quarantined.is_empty());
         assert_eq!(ran.load(Ordering::Relaxed), 1);
-        assert_eq!(out.into_results(), vec![V(0), V(7), V(14)]);
+        let progress = out.progress.clone().expect("progress was requested");
+        assert_eq!(progress.total(), 1);
+        assert_eq!(progress.completed(), progress.total());
+        assert_eq!(
+            out.into_results(),
+            vec![(V(0), ()), (V(7), ()), (V(14), ())]
+        );
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! Parallel sweep execution.
+//! Sweep execution: the one worker pool every sweep runs on.
 //!
 //! Every experiment binary sweeps a grid of *cells* — fully specified,
 //! mutually independent simulation points (panel × policy × deadline ×
@@ -7,29 +7,40 @@
 //! embarrassingly parallel and the paper's Section-5 panels can use all
 //! available cores.
 //!
-//! [`run_parallel`] executes a slice of cells on a small work-stealing
-//! pool built on `std::thread::scope` (the workspace stays
-//! dependency-free): workers pull the next unclaimed index from a shared
-//! atomic counter and send `(index, result)` back over a channel, and
-//! results are reassembled **in cell order** before returning.
-//! Determinism therefore does not depend on scheduling:
+//! One pool executes every grid, built on `std::thread::scope` (the
+//! workspace stays dependency-free): workers claim the next unclaimed
+//! cell from a shared atomic counter, run it under one `catch_unwind`,
+//! and send `(cell, outcome)` back over one channel to the calling
+//! thread. It has two entry points:
 //!
-//! * with `jobs == 1` the cells run inline on the calling thread, in
-//!   order — byte-identical to the historical serial loops;
-//! * with `jobs > 1` each cell still computes exactly the same value
-//!   (its seed is part of the cell), and reassembly restores cell order,
-//!   so CSV/TXT outputs are byte-identical to the serial run. The
-//!   `sweep_determinism` integration test pins this property.
+//! * [`run_parallel`] — no journal, no retries: results come back **in
+//!   cell order**, and a panicking cell is re-raised (the lowest failing
+//!   cell index wins) once the sweep drains;
+//! * [`crate::supervise::run_supervised`] — the same pool with retries,
+//!   quarantine, a wall-clock watchdog and a resume journal; every
+//!   sweep binary with a replay or resume story runs on it.
+//!
+//! Determinism does not depend on scheduling: each cell computes exactly
+//! the same value at any worker count (its seed is part of the cell), and
+//! reassembly restores cell order, so `--jobs 1` and `--jobs N` outputs
+//! are byte-identical. The `sweep_determinism` integration test pins
+//! this property.
 //!
 //! Binaries expose the pool width as `--jobs N` (parsed by
-//! [`jobs_from_args`]; default: available parallelism).
+//! [`jobs_from_args`]; default: available parallelism) and the stderr
+//! progress line as `--progress`; both entry points own the
+//! [`Progress`] and hand each cell an `Option<&Progress>`.
 
 use crate::replay::panic_message;
 use crate::runner::{simulate_churn, ChurnSimPoint, PolicyKind, SimSettings};
 use crate::Panel;
+use std::fmt;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
+use std::time::Duration;
+use tcw_obs::Progress;
 
 /// One fully specified simulation point of a sweep grid.
 ///
@@ -95,173 +106,246 @@ impl Cell {
 /// cell index and its master seed, so the failure can be replayed
 /// without guessing which grid point died.
 pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<ChurnSimPoint> {
-    run_parallel(cells, jobs, |_, c| {
+    run_parallel(cells, jobs, false, |_, c, _| {
         catch_unwind(AssertUnwindSafe(|| c.run()))
             .unwrap_or_else(|e| panic!("cell with seed {} panicked: {}", c.seed, panic_message(e)))
     })
 }
 
-/// Executes `f` over `items` on `jobs` worker threads (work-stealing via
-/// a shared index counter) and returns the results **in item order**.
+/// Executes `f` over `items` on `jobs` workers of the sweep pool and
+/// returns the results **in item order**.
 ///
-/// `f` receives `(index, &item)`. With `jobs <= 1` the items run inline
-/// on the calling thread in order, with no thread machinery at all.
+/// `f` receives `(index, &item, progress)`; `progress` is `Some` when
+/// `show_progress` asked for the live stderr line, so a cell can feed it
+/// (e.g. [`Progress::note_horizon`]). Progress is pure observation on the
+/// side of the computation: nothing derived from the wall clock can
+/// reach `f`'s results.
 ///
-/// A panic inside `f` is contained by the executor in both modes: the
+/// A panic inside `f` is contained by the pool at any worker count: the
 /// worker that hit it keeps draining the remaining cells, and once the
 /// sweep ends the caller's thread panics with the **lowest failing cell
 /// index** and the original panic message. A panicking cell can
-/// therefore never wedge or silently kill the pool (callers that must
-/// survive cell panics still wrap `f`'s body in `catch_unwind`).
-pub fn run_parallel<I, T, F>(items: &[I], jobs: usize, f: F) -> Vec<T>
+/// therefore never wedge or silently kill the pool.
+pub fn run_parallel<I, T, F>(items: &[I], jobs: usize, show_progress: bool, f: F) -> Vec<T>
 where
     I: Sync,
     T: Send,
-    F: Fn(usize, &I) -> T + Sync,
+    F: Fn(usize, &I, Option<&Progress>) -> T + Sync,
 {
-    run_parallel_with_progress(items, jobs, None, f)
+    let progress = show_progress.then(|| Progress::new(items.len(), jobs));
+    let progress = progress.as_ref();
+    let cells: Vec<usize> = (0..items.len()).collect();
+    let mut out: Vec<Option<Result<T, Quarantined>>> = Vec::with_capacity(items.len());
+    out.resize_with(items.len(), || None);
+    pool(
+        &cells,
+        jobs,
+        progress,
+        0,
+        Duration::ZERO,
+        |i| Ok(f(i, &items[i], progress)),
+        |i, outcome| {
+            out[i] = Some(outcome);
+            Ok(())
+        },
+    )
+    .expect("collecting outcomes in memory cannot fail");
+    out.into_iter()
+        .map(
+            |o| match o.expect("every cell index was claimed by exactly one worker") {
+                Ok(value) => value,
+                Err(q) => panic!("sweep cell {} {}", q.cell, q.failure),
+            },
+        )
+        .collect()
 }
 
-/// [`run_parallel`] with optional live progress: when `progress` is given,
-/// workers report per-cell start/done transitions into it and a monitor
-/// thread re-renders the stderr progress line (with ETA and stall
-/// detection) while the sweep runs.
-///
-/// Progress is pure observation on the side of the computation — results
-/// and their order are exactly those of [`run_parallel`], and nothing
-/// derived from the wall clock can reach `f` or its results.
-pub fn run_parallel_with_progress<I, T, F>(
-    items: &[I],
-    jobs: usize,
-    progress: Option<&tcw_obs::Progress>,
-    f: F,
-) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs == 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, it)| {
-                if let Some(p) = progress {
-                    p.cell_started(0, i);
-                }
-                let r = catch_unwind(AssertUnwindSafe(|| f(i, it)))
-                    .unwrap_or_else(|e| panic!("sweep cell {i} panicked: {}", panic_message(e)));
-                if let Some(p) = progress {
-                    p.cell_done(0);
-                    p.tick();
-                }
-                r
-            })
-            .collect();
+/// Why a cell attempt failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Failure {
+    /// The attempt panicked with this message (or its watchdog thread
+    /// could not be spawned).
+    Panic(String),
+    /// The watchdog cut the attempt off after this wall-clock budget.
+    Timeout(Duration),
+}
+
+impl fmt::Display for Failure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Failure::Panic(msg) => write!(f, "panicked: {msg}"),
+            Failure::Timeout(limit) => write!(f, "timed out after {:.3}s", limit.as_secs_f64()),
+        }
     }
+}
+
+/// One cell that exhausted its retry budget.
+#[derive(Debug, Clone)]
+pub struct Quarantined {
+    /// Grid index of the cell.
+    pub cell: usize,
+    /// Attempts consumed (1 + retries).
+    pub attempts: u32,
+    /// How the last attempt failed.
+    pub failure: Failure,
+}
+
+/// Attempts retried and attempts cut off by the watchdog, summed over
+/// one sweep.
+pub(crate) struct PoolCounts {
+    pub(crate) retries: u64,
+    pub(crate) timeouts: u64,
+}
+
+/// The one sweep worker pool.
+///
+/// Up to `jobs` scoped workers claim the grid indices in `cells` from a
+/// shared counter and run each through `run` under one `catch_unwind`.
+/// A panic, or an `Err` from `run` (the watchdog's verdict), fails the
+/// attempt. A failed cell is re-run up to `retries` more times, sleeping
+/// `backoff * 2^attempt` (capped at 32x) before each; a cell that
+/// exhausts its budget is reported as [`Quarantined`]. Every outcome travels over one
+/// channel to the calling thread, which hands it to `take` in completion
+/// order. An error from `take` stops the sweep — each worker finishes
+/// its current cell and exits — and is returned.
+///
+/// With `progress`, workers report cell starts and completions and the
+/// retry/timeout/quarantine counters into it, a monitor thread re-renders
+/// the line while the pool runs, and the line is finished once it drains.
+pub(crate) fn pool<T, R, K>(
+    cells: &[usize],
+    jobs: usize,
+    progress: Option<&Progress>,
+    retries: u32,
+    backoff: Duration,
+    run: R,
+    mut take: K,
+) -> Result<PoolCounts, String>
+where
+    T: Send,
+    R: Fn(usize) -> Result<T, Failure> + Sync,
+    K: FnMut(usize, Result<T, Quarantined>) -> Result<(), String>,
+{
+    let workers = jobs.max(1).min(cells.len());
     let next = AtomicUsize::new(0);
+    let retried = AtomicU64::new(0);
+    let timeouts = AtomicU64::new(0);
     // Live worker count, decremented on worker exit even through a panic,
     // so the monitor thread can never outlive its workers.
-    let alive = AtomicUsize::new(jobs);
+    let alive = AtomicUsize::new(workers);
     struct Leaving<'a>(&'a AtomicUsize);
     impl Drop for Leaving<'_> {
         fn drop(&mut self) {
             self.0.fetch_sub(1, Ordering::Relaxed);
         }
     }
-    let (tx, rx) = mpsc::channel::<(usize, std::thread::Result<T>)>();
-    std::thread::scope(|s| {
-        for w in 0..jobs {
+    let (tx, rx) = mpsc::channel::<(usize, Result<T, Quarantined>)>();
+    let drained = std::thread::scope(|s| {
+        for w in 0..workers {
             let tx = tx.clone();
-            let next = &next;
-            let alive = &alive;
-            let f = &f;
+            let (next, alive, run) = (&next, &alive, &run);
+            let (retried, timeouts) = (&retried, &timeouts);
             s.spawn(move || {
                 let _leaving = Leaving(alive);
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
+                while let Some(&cell) = cells.get(next.fetch_add(1, Ordering::Relaxed)) {
                     if let Some(p) = progress {
-                        p.cell_started(w, i);
+                        p.cell_started(w, cell);
                     }
-                    // Contain a cell panic inside the worker: the pool
-                    // keeps draining the grid and the failure is re-raised
-                    // with its cell index after reassembly.
-                    let r = catch_unwind(AssertUnwindSafe(|| f(i, &items[i])));
+                    let mut attempt = 0u32;
+                    let outcome = loop {
+                        let failure = match catch_unwind(AssertUnwindSafe(|| run(cell))) {
+                            Ok(Ok(value)) => break Ok(value),
+                            Ok(Err(failure)) => failure,
+                            Err(payload) => Failure::Panic(panic_message(payload)),
+                        };
+                        if let Failure::Timeout(_) = failure {
+                            timeouts.fetch_add(1, Ordering::Relaxed);
+                            if let Some(p) = progress {
+                                p.note_timeout();
+                            }
+                        }
+                        if attempt >= retries {
+                            if let Some(p) = progress {
+                                p.note_quarantine();
+                            }
+                            break Err(Quarantined {
+                                cell,
+                                attempts: attempt + 1,
+                                failure,
+                            });
+                        }
+                        retried.fetch_add(1, Ordering::Relaxed);
+                        if let Some(p) = progress {
+                            p.note_retry();
+                        }
+                        std::thread::sleep(backoff * (1u32 << attempt.min(5)));
+                        attempt += 1;
+                    };
                     if let Some(p) = progress {
                         p.cell_done(w);
                     }
-                    if tx.send((i, r)).is_err() {
+                    if tx.send((cell, outcome)).is_err() {
                         break;
                     }
                 }
             });
         }
         if let Some(p) = progress {
-            // Monitor thread: re-render until every cell has completed
-            // (or every worker has exited, should one panic mid-cell).
             let alive = &alive;
             s.spawn(move || {
-                while p.completed() < items.len() && alive.load(Ordering::Relaxed) > 0 {
+                while alive.load(Ordering::Relaxed) > 0 {
                     p.tick();
-                    std::thread::sleep(std::time::Duration::from_millis(100));
+                    std::thread::sleep(Duration::from_millis(100));
                 }
             });
         }
         drop(tx);
+        for (cell, outcome) in rx {
+            take(cell, outcome)?;
+        }
+        Ok(())
     });
-    let mut out: Vec<Option<std::thread::Result<T>>> = Vec::with_capacity(items.len());
-    out.resize_with(items.len(), || None);
-    for (i, r) in rx {
-        out[i] = Some(r);
+    if let Some(p) = progress {
+        p.finish();
     }
-    out.into_iter()
-        .enumerate()
-        .map(|(i, o)| {
-            o.expect("every cell index was claimed by exactly one worker")
-                .unwrap_or_else(|e| panic!("sweep cell {i} panicked: {}", panic_message(e)))
-        })
-        .collect()
+    drained.map(|()| PoolCounts {
+        retries: retried.into_inner(),
+        timeouts: timeouts.into_inner(),
+    })
 }
 
 /// The default worker count: the host's available parallelism.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
+        .map(NonZeroUsize::get)
         .unwrap_or(1)
 }
 
 /// Parses `--jobs N` (or `--jobs=N`) out of a raw argument list,
-/// defaulting to [`default_jobs`]. `--jobs 1` forces the serial path.
+/// defaulting to [`default_jobs`]. `--jobs 1` runs the pool with one
+/// worker.
 ///
-/// A present but malformed flag is a usage error: it is reported as
-/// `tool: message` and the process exits with [`crate::diag::EXIT_USAGE`].
+/// A present but malformed flag (including `--jobs 0`) is a usage error:
+/// it is reported as `tool: message` and the process exits with
+/// [`crate::diag::EXIT_USAGE`].
 pub fn jobs_from_args(tool: &str, args: &[String]) -> usize {
-    fn usage(tool: &str, msg: &str) -> ! {
-        crate::diag::error(tool, msg);
-        std::process::exit(crate::diag::EXIT_USAGE)
-    }
+    crate::diag::or_usage(tool, parse_jobs(args))
+}
+
+fn parse_jobs(args: &[String]) -> Result<usize, String> {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let value = match a.strip_prefix("--jobs=") {
             Some(v) => v,
-            None if a == "--jobs" => match it.next() {
-                Some(v) => v,
-                None => usage(tool, "--jobs needs a value"),
-            },
+            None if a == "--jobs" => it.next().ok_or("--jobs needs a value")?,
             None => continue,
         };
-        return value.parse().unwrap_or_else(|_| {
-            usage(
-                tool,
-                &format!("--jobs expects a positive integer, got {value:?}"),
-            )
-        });
+        return value
+            .parse::<NonZeroUsize>()
+            .map(NonZeroUsize::get)
+            .map_err(|_| format!("--jobs expects a positive integer, got {value:?}"));
     }
-    default_jobs()
+    Ok(default_jobs())
 }
 
 #[cfg(test)]
@@ -272,21 +356,24 @@ mod tests {
     #[test]
     fn parallel_matches_serial_order_and_values() {
         let items: Vec<u64> = (0..100).collect();
-        let serial = run_parallel(&items, 1, |i, x| (i as u64) * 1_000 + x * x);
-        let parallel = run_parallel(&items, 4, |i, x| (i as u64) * 1_000 + x * x);
+        let serial = run_parallel(&items, 1, false, |i, x, _| (i as u64) * 1_000 + x * x);
+        let parallel = run_parallel(&items, 4, true, |i, x, _| (i as u64) * 1_000 + x * x);
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn more_jobs_than_items_is_fine() {
         let items = [1u64, 2, 3];
-        assert_eq!(run_parallel(&items, 64, |_, x| x * 2), vec![2, 4, 6]);
+        assert_eq!(
+            run_parallel(&items, 64, false, |_, x, _| x * 2),
+            vec![2, 4, 6]
+        );
     }
 
     #[test]
     fn empty_input_yields_empty_output() {
         let items: [u64; 0] = [];
-        assert!(run_parallel(&items, 8, |_, x| *x).is_empty());
+        assert!(run_parallel(&items, 8, true, |_, x, _| *x).is_empty());
     }
 
     #[test]
@@ -298,6 +385,9 @@ mod tests {
         );
         assert_eq!(jobs_from_args("test", &args(&["--jobs=7"])), 7);
         assert_eq!(jobs_from_args("test", &args(&["--quick"])), default_jobs());
+        assert!(parse_jobs(&args(&["--jobs", "0"])).is_err());
+        assert!(parse_jobs(&args(&["--jobs=x"])).is_err());
+        assert!(parse_jobs(&args(&["--jobs"])).is_err());
     }
 
     #[test]
@@ -305,7 +395,7 @@ mod tests {
         for jobs in [1usize, 4] {
             let items: Vec<u64> = (0..16).collect();
             let err = catch_unwind(AssertUnwindSafe(|| {
-                run_parallel(&items, jobs, |i, x| {
+                run_parallel(&items, jobs, false, |i, x, _| {
                     if i == 7 {
                         panic!("boom at {x}");
                     }
@@ -321,21 +411,23 @@ mod tests {
 
     #[test]
     fn panicking_cell_does_not_kill_the_worker_pool() {
-        // With one worker and an early panicking cell, the same worker
-        // must still drain every later cell before the failure surfaces.
+        // Panicking cells must not take their workers down: the pool
+        // still drains every cell (with the progress monitor running),
+        // then re-raises the lowest failing index.
         let items: Vec<u64> = (0..8).collect();
         let seen = AtomicUsize::new(0);
         let err = catch_unwind(AssertUnwindSafe(|| {
-            run_parallel(&items, 2, |i, x| {
+            run_parallel(&items, 2, true, |i, x, _| {
                 seen.fetch_add(1, Ordering::Relaxed);
-                if i == 0 {
-                    panic!("first cell dies");
+                if i == 0 || i == 5 {
+                    panic!("cell {i} dies");
                 }
                 *x
             })
         }))
         .expect_err("sweep re-raises the contained panic");
-        assert!(panic_message(err).contains("sweep cell 0"));
+        let msg = panic_message(err);
+        assert!(msg.contains("sweep cell 0 panicked: cell 0 dies"), "{msg}");
         assert_eq!(seen.load(Ordering::Relaxed), items.len());
     }
 

@@ -110,7 +110,7 @@ fn instrumented_run(jobs: usize) -> (Vec<ChurnSimPoint>, String, String, String,
         metrics: true,
         spans: true,
     };
-    let out: Vec<(ChurnSimPoint, CellArtifacts)> = run_parallel(&cells, jobs, |i, c| {
+    let out: Vec<(ChurnSimPoint, CellArtifacts)> = run_parallel(&cells, jobs, false, |i, c, _| {
         let label = format!("cell {i}");
         let seed_s = format!("{}", c.seed);
         let labels = [("cell", label.as_str()), ("seed", seed_s.as_str())];

@@ -1,8 +1,9 @@
 //! End-to-end crash-safety tests of the supervised chaos sweep: an
 //! injected panic quarantines its cell (exit 2, journal intact), the
 //! watchdog cuts off a wedged cell, a corrupted or stale journal is
-//! rejected up front, and a clean `--resume` finishes the sweep with
-//! CSV/TXT outputs byte-identical to an uninterrupted `--jobs 1` run.
+//! rejected up front, a clean `--resume` finishes the sweep with CSV/TXT
+//! outputs byte-identical to an uninterrupted `--jobs 1` run, and
+//! retries leave the telemetry exports byte-identical.
 //!
 //! Each scenario runs the real `chaos` binary in its own temp directory,
 //! because the binary writes `results/` relative to the working
@@ -195,29 +196,63 @@ fn corrupted_or_stale_journal_is_rejected() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Supervision flags compose with neither the observability exports nor
-/// bare inject flags, and `--jobs` takes a number: all are usage errors
-/// (exit 1).
+/// Supervision is always on, so retries and the watchdog compose with the
+/// observability exports: a telemetry run under `--retries 1` exits 0
+/// with trace and span files byte-identical to the same run without the
+/// flag. (`--metrics` is left out: chaos measures over an unbounded
+/// window, and the AoI tracker's tail sum over it overflows `u64`, which
+/// panics in debug builds. CI compares robustness metrics under
+/// `--retries` instead.)
+#[test]
+fn telemetry_is_unchanged_under_retries() {
+    let telemetry = ["--trace-events", "t.ndjson", "--spans", "s.spans.ndjson"];
+    let run = |name: &str, extra: &[&str]| {
+        let dir = fresh_dir(name);
+        let mut args = vec!["--configs", CONFIGS, "--jobs", "2"];
+        args.extend_from_slice(extra);
+        args.extend_from_slice(&telemetry);
+        let out = chaos_in(&dir, &args);
+        assert_eq!(code(&out), 0, "{name}: {}", stderr(&out));
+        dir
+    };
+    let plain = run("telemetry_plain", &[]);
+    let retried = run("telemetry_retries", &["--retries", "1"]);
+    for name in ["t.ndjson", "s.spans.ndjson"] {
+        let want = fs::read(plain.join(name)).expect("plain telemetry");
+        let got = fs::read(retried.join(name)).expect("telemetry under --retries");
+        assert!(!want.is_empty(), "{name} is empty");
+        assert_eq!(want, got, "{name} differs under --retries 1");
+    }
+    let _ = fs::remove_dir_all(&plain);
+    let _ = fs::remove_dir_all(&retried);
+}
+
+/// Malformed supervision values, `--jobs 0`, `--resume` with an
+/// observability export (journaled cells carry no telemetry) and
+/// `--inject-slow` without a watchdog are usage errors (exit 1). A bare
+/// `--inject-panic` needs no flag: the default supervision quarantines
+/// the cell (exit 2).
 #[test]
 fn incompatible_flag_combinations_are_usage_errors() {
     let dir = fresh_dir("usage");
-    let out = chaos_in(
-        &dir,
-        &[
-            "--configs",
-            "2",
-            "--retries",
-            "1",
-            "--trace-events",
-            "t.ndjson",
-        ],
-    );
-    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    for args in [
+        &["--resume", "J", "--trace-events", "t.ndjson"][..],
+        &["--retries", "0", "--inject-slow", "1"],
+        &["--jobs", "x"],
+        &["--jobs", "0"],
+        &["--cell-timeout", "1e30"],
+    ] {
+        let mut full = vec!["--configs", "2"];
+        full.extend_from_slice(args);
+        let out = chaos_in(&dir, &full);
+        assert_eq!(code(&out), 1, "{args:?}: {}", stderr(&out));
+    }
+    assert!(!dir.join("J").exists(), "a usage error opens no journal");
 
     let out = chaos_in(&dir, &["--configs", "2", "--inject-panic", "0"]);
-    assert_eq!(code(&out), 1, "{}", stderr(&out));
-
-    let out = chaos_in(&dir, &["--configs", "2", "--jobs", "x"]);
-    assert_eq!(code(&out), 1, "{}", stderr(&out));
+    assert_eq!(code(&out), 2, "{}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("quarantined cell 0"), "{err}");
+    assert!(!dir.join("results/chaos.csv").exists(), "outputs withheld");
     let _ = fs::remove_dir_all(&dir);
 }
