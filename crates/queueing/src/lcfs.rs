@@ -18,6 +18,10 @@
 //! P(T_x = n) = (x / n) * P(J_1 + ... + J_n = n - x)
 //! ```
 //!
+//! The sum of `n` steps' work is itself compound Poisson with rate
+//! `n * lambda` (Kendall's identity on the lattice), so one Panjer
+//! recursion per `n` gives it directly, without convolution powers.
+//!
 //! Sanity anchors used as tests: `P(W = 0) = 1 - rho`; the **mean** LCFS
 //! wait equals the FCFS (Pollaczek–Khinchine) mean — non-preemptive
 //! work-conserving disciplines share it — while the variance is larger;
@@ -39,12 +43,17 @@ pub fn step_work_pmf(lambda_step: f64, service: &GridDist, nmax: usize) -> Vec<f
         s.first().copied().unwrap_or(0.0) == 0.0,
         "Panjer recursion here assumes no zero-length services"
     );
+    // Zero service entries only add +0.0 terms: skip them.
+    let support: Vec<(usize, f64)> = (1..s.len())
+        .filter(|&k| s[k] != 0.0)
+        .map(|k| (k, k as f64 * s[k]))
+        .collect();
     let mut j = vec![0.0; nmax];
     j[0] = (-lambda_step).exp();
     for n in 1..nmax {
         let mut acc = 0.0;
-        for (k, &sk) in s.iter().enumerate().take(n + 1).skip(1) {
-            acc += k as f64 * sk * j[n - k];
+        for &(k, ksk) in support.iter().take_while(|&&(k, _)| k <= n) {
+            acc += ksk * j[n - k];
         }
         j[n] = lambda_step / n as f64 * acc;
     }
@@ -91,54 +100,34 @@ fn midpoint_residual(service: &GridDist) -> Vec<f64> {
 /// `lambda` is per lattice step of `service`.
 ///
 /// # Panics
-/// Panics if `lambda <= 0` or `nmax == 0`.
+/// Panics if `lambda <= 0`, `nmax == 0`, or `nmax * lambda > 700`: the
+/// Panjer recursion starts at `exp(-n * lambda)`, which underflows to
+/// zero near 745.
 pub fn lcfs_wait_pmf(lambda: f64, service: &GridDist, nmax: usize) -> (f64, Vec<f64>) {
     assert!(lambda > 0.0 && nmax > 0);
+    assert!(
+        nmax as f64 * lambda <= 700.0,
+        "nmax * lambda = {} exceeds 700: exp(-n * lambda) underflows",
+        nmax as f64 * lambda
+    );
     let rho = lambda * service.mean();
     let resid = midpoint_residual(service);
     // An arrival inside the final lattice step of the in-service customer
     // waits essentially zero: fold the residual's sub-step atom into the
     // zero-wait probability.
     let p_zero = (1.0 - rho).max(0.0) + rho.min(1.0) * resid[0];
-    let j = step_work_pmf(lambda, service, nmax);
 
-    // Iterate conv powers of j; at power n, read P(S_n = n - x) for every
-    // residual level x.
     let mut wait = vec![0.0; nmax];
-    let mut power = vec![0.0; nmax];
-    power[0] = 1.0; // S_0 = 0
-    let r = &resid;
-    // Sparse support of j (for deterministic services it is a small set
-    // of lattice multiples; the dense double loop would be quadratic in
-    // the horizon times the full support length).
-    let j_support: Vec<(usize, f64)> = j
-        .iter()
-        .enumerate()
-        .filter(|(_, &v)| v > 1e-300)
-        .map(|(i, &v)| (i, v))
-        .collect();
     for n in 1..nmax {
-        // power <- power ⊛ j (truncated)
-        let mut next = vec![0.0; nmax];
-        for (a, &pa) in power.iter().enumerate() {
-            if pa == 0.0 {
-                continue;
-            }
-            for &(b, jb) in &j_support {
-                if a + b >= nmax {
-                    break;
-                }
-                next[a + b] += pa * jb;
-            }
-        }
-        power = next;
+        // S_n = J_1 + ... + J_n, compound Poisson with rate n * lambda.
+        let s_n = step_work_pmf(n as f64 * lambda, service, n);
         // P(T_x = n) = (x/n) P(S_n = n - x): accumulate over residual x.
         let mut p_n = 0.0;
-        for (x, &rx) in r.iter().enumerate().skip(1) {
+        for (x, &rx) in resid.iter().enumerate().skip(1) {
             if rx == 0.0 || x > n {
                 continue;
             }
-            p_n += rx * (x as f64 / n as f64) * power[n - x];
+            p_n += rx * (x as f64 / n as f64) * s_n[n - x];
         }
         wait[n] = rho.min(1.0) * p_n;
     }
@@ -186,6 +175,80 @@ mod tests {
         // Support only at multiples of 10 below 20.
         assert_eq!(j[3], 0.0);
         assert!(j[10] > 0.0);
+    }
+
+    /// The oracle: `P(S_n = m)` from the `n`-fold convolution power of the
+    /// one-step work pmf, built up one convolution at a time (cubic in the
+    /// horizon). It shares only the one-step pmf and the residual with
+    /// [`lcfs_wait_pmf`].
+    fn conv_power_wait_pmf(lambda: f64, service: &GridDist, nmax: usize) -> (f64, Vec<f64>) {
+        let rho = lambda * service.mean();
+        let resid = midpoint_residual(service);
+        let p_zero = (1.0 - rho).max(0.0) + rho.min(1.0) * resid[0];
+        let j = step_work_pmf(lambda, service, nmax);
+        let j_support: Vec<(usize, f64)> = j
+            .iter()
+            .copied()
+            .enumerate()
+            .filter(|&(_, v)| v > 1e-300)
+            .collect();
+        let mut wait = vec![0.0; nmax];
+        let mut power = vec![0.0; nmax];
+        power[0] = 1.0; // S_0 = 0
+        for n in 1..nmax {
+            let mut next = vec![0.0; nmax];
+            for (a, &pa) in power.iter().enumerate().filter(|&(_, &pa)| pa != 0.0) {
+                for &(b, jb) in j_support.iter().take_while(|&&(b, _)| a + b < nmax) {
+                    next[a + b] += pa * jb;
+                }
+            }
+            power = next;
+            let mut p_n = 0.0;
+            for (x, &rx) in resid.iter().enumerate().skip(1).take(n) {
+                p_n += rx * (x as f64 / n as f64) * power[n - x];
+            }
+            wait[n] = rho.min(1.0) * p_n;
+        }
+        (p_zero, wait)
+    }
+
+    #[test]
+    fn kendall_identity_matches_convolution_powers() {
+        // Deterministic and geometric (mean 5, no zero) services, each
+        // stable and at rho = 2.
+        let cases = [
+            (det_service(10), 0.05, 600),
+            (GridDist::geometric(1.0, 0.2, 1e-12), 0.1, 300),
+        ];
+        for (service, stable, nmax) in cases {
+            for lambda in [stable, 2.0 / service.mean()] {
+                let (p0, pmf) = lcfs_wait_pmf(lambda, &service, nmax);
+                let (q0, oracle) = conv_power_wait_pmf(lambda, &service, nmax);
+                assert_eq!(p0, q0);
+                for (n, (&a, &b)) in pmf.iter().zip(&oracle).enumerate() {
+                    assert!(
+                        (a - b).abs() <= 1e-15,
+                        "lambda {lambda}, P(W = {n}): {a} vs {b}"
+                    );
+                }
+                for n_k in [0, 7, 30, 120, nmax - 2] {
+                    let below: f64 = q0 + oracle.iter().take(n_k + 1).sum::<f64>();
+                    let want = (1.0 - below).clamp(0.0, 1.0);
+                    let got = lcfs_tail(lambda, &service, n_k as f64);
+                    assert!(
+                        (got - want).abs() <= 1e-14,
+                        "lambda {lambda}, K = {n_k}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 700")]
+    fn horizon_past_the_underflow_bound_is_rejected() {
+        // nmax * lambda = 2002 * 0.5: exp(-n * lambda) would underflow.
+        lcfs_tail(0.5, &GridDist::point(1.0, 1.0), 2000.0);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! the marching updates as the loss evolves.
 
 use crate::impatient::loss_probability;
-use crate::mg1::{fcfs_tail, rho};
+use crate::mg1::{fcfs_tails, rho};
 use crate::service::{service_dist, SchedulingShape};
 use tcw_numerics::grid::GridDist;
 use tcw_window::analysis::optimal_mu;
@@ -114,29 +114,33 @@ pub fn fcfs_curve(cfg: PanelConfig, k_grid: &[f64], include_own_sched: bool) -> 
     let mu = optimal_mu();
     let service = service_dist(cfg.shape, mu, cfg.m);
     let service_mean = service.mean();
-
-    // Waiting time of interest: W (queue wait) [+ own scheduling time].
-    let wait_dist: WaitModel = if rho(lambda, &service) >= 1.0 {
-        WaitModel::Unstable
-    } else if include_own_sched {
-        // Own scheduling overhead: service minus the deterministic M.
-        let overhead_pmf: Vec<f64> = service.pmf()[cfg.m as usize..].to_vec();
-        let overhead = GridDist::from_pmf(1.0, overhead_pmf);
-        WaitModel::Convolved {
-            service,
-            overhead,
-            lambda,
-        }
+    let unstable = rho(lambda, &service) >= 1.0;
+    // Own scheduling overhead (service minus the deterministic M), or a
+    // unit atom at zero under the paper's definition.
+    let own: &[f64] = if include_own_sched {
+        &service.pmf()[cfg.m as usize..]
     } else {
-        WaitModel::Plain { service, lambda }
+        &[1.0]
     };
+    // One renewal solve up to the largest deadline serves every point.
+    let k_max = k_grid.iter().copied().fold(0.0f64, f64::max);
+    let wait_tail = fcfs_tails(lambda, &service, k_max);
 
     k_grid
         .iter()
-        .map(|&k| CurvePoint {
-            k,
-            loss: wait_dist.tail(k),
-            service_mean,
+        .map(|&k| {
+            // P(W + S_own > k) = sum_j P(S_own = j) P(W > k - j)
+            let mut p = 0.0;
+            for (j, &pj) in own.iter().enumerate() {
+                if pj != 0.0 {
+                    p += pj * wait_tail(k - j as f64);
+                }
+            }
+            CurvePoint {
+                k,
+                loss: if unstable { 1.0 } else { p.min(1.0) },
+                service_mean,
+            }
         })
         .collect()
 }
@@ -197,43 +201,6 @@ pub fn lcfs_curve(cfg: PanelConfig, k_grid: &[f64], include_own_sched: bool) -> 
             }
         })
         .collect()
-}
-
-enum WaitModel {
-    Unstable,
-    Plain {
-        service: GridDist,
-        lambda: f64,
-    },
-    Convolved {
-        service: GridDist,
-        overhead: GridDist,
-        lambda: f64,
-    },
-}
-
-impl WaitModel {
-    fn tail(&self, k: f64) -> f64 {
-        match self {
-            WaitModel::Unstable => 1.0,
-            WaitModel::Plain { service, lambda } => fcfs_tail(*lambda, service, k),
-            WaitModel::Convolved {
-                service,
-                overhead,
-                lambda,
-            } => {
-                // P(W + S_own > k) = sum_j P(S_own = j) P(W > k - j)
-                let mut p = 0.0;
-                for (j, &pj) in overhead.pmf().iter().enumerate() {
-                    if pj == 0.0 {
-                        continue;
-                    }
-                    p += pj * fcfs_tail(*lambda, service, k - j as f64);
-                }
-                p.min(1.0)
-            }
-        }
-    }
 }
 
 /// Convenience: an evenly spaced `K` grid `{step, 2*step, ..., max}`
@@ -310,6 +277,42 @@ mod tests {
             "controlled won only {controlled_wins}/{} grid points",
             grid.len()
         );
+    }
+
+    #[test]
+    fn fcfs_curve_is_the_per_point_sum_bit_for_bit() {
+        // The oracle re-solves the renewal series for every (K, lag) pair.
+        use crate::mg1::fcfs_tail;
+        let cases = [
+            (panel(0.5, 25), k_grid(400.0, 12.5)),
+            (panel(0.75, 100), k_grid(1600.0, 200.0)),
+        ];
+        for (cfg, grid) in cases {
+            let service = service_dist(cfg.shape, optimal_mu(), cfg.m);
+            let own = &service.pmf()[cfg.m as usize..];
+            let per_point = |k: f64, own_sched: bool| -> f64 {
+                if !own_sched {
+                    return fcfs_tail(cfg.lambda(), &service, k);
+                }
+                let mut p = 0.0;
+                for (j, &pj) in own.iter().enumerate().filter(|&(_, &pj)| pj != 0.0) {
+                    p += pj * fcfs_tail(cfg.lambda(), &service, k - j as f64);
+                }
+                p.min(1.0)
+            };
+            for own_sched in [false, true] {
+                for c in fcfs_curve(cfg, &grid, own_sched) {
+                    let want = per_point(c.k, own_sched);
+                    assert_eq!(
+                        c.loss.to_bits(),
+                        want.to_bits(),
+                        "K = {}: {} vs {want}",
+                        c.k,
+                        c.loss
+                    );
+                }
+            }
+        }
     }
 
     #[test]

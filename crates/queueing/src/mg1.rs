@@ -55,16 +55,20 @@ pub fn waiting_time_cdf(lambda: f64, service: &GridDist, n: usize) -> Vec<f64> {
 /// Unstable queues (`rho >= 1`) lose almost every message in steady state:
 /// the function returns `1.0`.
 pub fn fcfs_tail(lambda: f64, service: &GridDist, k: f64) -> f64 {
-    if rho(lambda, service) >= 1.0 {
-        return 1.0;
+    fcfs_tails(lambda, service, k)(k)
+}
+
+/// [`fcfs_tail`] at every deadline `k <= k_max` from one solve. The
+/// renewal recursion runs forward in the lattice index, so each value is
+/// bit-identical to a solve that stops at its own deadline.
+pub(crate) fn fcfs_tails(lambda: f64, service: &GridDist, k_max: f64) -> impl Fn(f64) -> f64 {
+    let step = service.step();
+    let cdf = (rho(lambda, service) < 1.0)
+        .then(|| waiting_time_cdf(lambda, service, (k_max / step).ceil() as usize + 2));
+    move |k| match &cdf {
+        Some(cdf) if k >= 0.0 => (1.0 - cdf[(k / step + 1e-9).floor() as usize]).max(0.0),
+        _ => 1.0,
     }
-    if k < 0.0 {
-        return 1.0;
-    }
-    let n = (k / service.step()).ceil() as usize + 2;
-    let cdf = waiting_time_cdf(lambda, service, n);
-    let idx = ((k / service.step() + 1e-9).floor() as usize).min(cdf.len() - 1);
-    (1.0 - cdf[idx]).max(0.0)
 }
 
 #[cfg(test)]

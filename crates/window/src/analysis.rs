@@ -31,9 +31,10 @@
 //!
 //! The optimal window (policy element (2) heuristic, §4.1) minimizes the
 //! expected scheduling time; by scale invariance the objective depends
-//! only on `mu`, so the optimum is a universal constant `mu* ≈ 1.26`
+//! only on `mu`, so the optimum is a universal constant `mu* ≈ 1.088`
 //! divided by the arrival rate.
 
+use std::sync::OnceLock;
 use tcw_numerics::optimize::golden_section;
 use tcw_numerics::special::{binomial_pmf, poisson_pmf};
 
@@ -168,9 +169,12 @@ pub fn expected_overhead_slots_biased(mu: f64, frac: f64) -> f64 {
 
 /// The universal optimal window occupancy `mu* = lambda * w*` minimizing
 /// the expected scheduling overhead per message.
+///
+/// The golden-section search over [`expected_overhead_slots`] runs once
+/// per process; every call, from any thread, returns its bits.
 pub fn optimal_mu() -> f64 {
-    let (mu, _) = golden_section(expected_overhead_slots, 0.05, 6.0, 1e-6);
-    mu
+    static MU_STAR: OnceLock<f64> = OnceLock::new();
+    *MU_STAR.get_or_init(|| golden_section(expected_overhead_slots, 0.05, 6.0, 1e-6).0)
 }
 
 /// Jointly optimizes the window occupancy and the split fraction:
