@@ -11,8 +11,10 @@
 //! contiguous pseudo interval whose actual-time image may consist of
 //! several segments when examined regions intervene (this matters for the
 //! LCFS/RANDOM disciplines; under the Theorem-1 policy the two views
-//! coincide). A frozen [`PseudoMap`] snapshot taken at the decision point
-//! materializes window segments during the round.
+//! coincide). When the unexamined region has several gaps, a frozen
+//! [`PseudoMap`] snapshot taken at the decision point materializes window
+//! segments during the round; with one trailing gap a pseudo window is
+//! that gap's start shifted by the window's pseudo bounds.
 //!
 //! The engine is a faithful *global* simulation of the distributed
 //! protocol: every decision depends only on information all stations share
@@ -88,7 +90,8 @@ use crate::trace::{DropCause, EngineObserver};
 use std::collections::{BTreeMap, HashSet};
 use tcw_mac::{
     Arrival, ArrivalSource, ChannelConfig, ChannelStats, ChurnEvent, ChurnPlan, ChurnProcess,
-    FaultPlan, FaultyMedium, Feedback, Medium, Message, MessageId, SlotOutcome, StationId,
+    FaultPlan, FaultyMedium, Feedback, Medium, Message, MessageId, ProbeReport, SlotOutcome,
+    StationId,
 };
 use tcw_sim::rng::Rng;
 use tcw_sim::snap::{self, SnapError, SnapReader, SnapWriter};
@@ -144,13 +147,55 @@ struct RoundScratch {
     segments: Vec<Interval>,
     /// Segments of a sibling window (observer callback only).
     sib_segments: Vec<Interval>,
-    /// Messages inside the probed window — the transmitter set; doubles
-    /// as the active set during sub-tick cluster resolution.
+    /// The initial window's pending messages, oldest first, collected
+    /// once per round at the decision point (see [`Engine::round`]).
+    members: Vec<Message>,
+    /// A probe's transmitters when they are not a plain slice of
+    /// `members`; the active set during sub-tick cluster resolution.
     txs: Vec<Message>,
     /// Ids of the live transmitters handed to the medium.
     ids: Vec<MessageId>,
     /// "Older" half of a sub-tick cluster partition.
     older: Vec<Message>,
+}
+
+/// What a decision point chose (see [`Engine::decide`]).
+enum Decision {
+    /// No unexamined time: the channel idles one probe slot.
+    Idle,
+    /// A windowing round from this initial window. The scratch holds its
+    /// segments and members; the instant is the start of the unexamined
+    /// region when that region is one trailing gap.
+    Round(PseudoInterval, Option<Time>),
+}
+
+/// How a round's pseudo windows map to actual time: shifted by the start
+/// of a single trailing gap (no pseudo map built), or through the pseudo
+/// map frozen at the decision point.
+#[derive(Clone, Copy)]
+enum Axis<'a> {
+    Shifted(Time),
+    Mapped(&'a PseudoMap),
+}
+
+impl<'a> Axis<'a> {
+    fn new(base: Option<Time>, pm: &'a PseudoMap) -> Self {
+        base.map_or(Axis::Mapped(pm), Axis::Shifted)
+    }
+
+    /// Writes the actual-time segments of `p` into `out`, oldest first.
+    fn segments_into(self, p: PseudoInterval, out: &mut Vec<Interval>) {
+        match self {
+            Axis::Shifted(base) => {
+                out.clear();
+                out.push(Interval::new(
+                    base + Dur::from_ticks(p.lo),
+                    base + Dur::from_ticks(p.hi),
+                ));
+            }
+            Axis::Mapped(pm) => pm.preimage_into(p, out),
+        }
+    }
 }
 
 /// How a sub-tick cluster resolution ended.
@@ -186,7 +231,7 @@ pub struct HorizonStats {
     pub slots_skipped: u64,
     /// Batched-kernel activations.
     pub batched_runs: u64,
-    /// Probe slots the batched kernel resolved without generic dispatch:
+    /// Probe slots the batched kernel resolved outside `cycle`:
     /// one per empty or singleton round, and every probe of a collision
     /// round, sub-tick coin slots included. With `slots_skipped` this is
     /// the fast path's share of all probe slots.
@@ -343,10 +388,12 @@ impl<S: ArrivalSource> Engine<S> {
     }
 
     /// Enables or disables the event-horizon fast path (on by default).
-    /// Disabling forces every decision cycle through the slot-stepped
-    /// slow path; both paths are bit-identical in every protocol metric,
-    /// RNG stream and controller state (pinned by the A-B property test),
-    /// so this knob only trades speed for per-event observability.
+    /// Disabling forces every decision cycle through `cycle`, one round at
+    /// a time with every per-slot callback. The idle jump and the batched
+    /// rounds run the same decision step and round resolver, so both
+    /// settings are bit-identical in every protocol metric, RNG stream and
+    /// controller state (pinned by the A-B property test); this knob only
+    /// trades speed for per-event observability.
     pub fn set_jump_ahead(&mut self, on: bool) {
         self.jump_ahead = on;
     }
@@ -703,11 +750,7 @@ impl<S: ArrivalSource> Engine<S> {
         r.finish()?;
         // Scratch buffers hold no live content at a decision boundary;
         // clear them so a reused engine starts the next cycle clean.
-        self.scratch.segments.clear();
-        self.scratch.sib_segments.clear();
-        self.scratch.txs.clear();
-        self.scratch.ids.clear();
-        self.scratch.older.clear();
+        self.scratch = RoundScratch::default();
         self.churn_events.clear();
         self.sweep_keys.clear();
         self.orphans_swap.clear();
@@ -769,20 +812,18 @@ impl<S: ArrivalSource> Engine<S> {
     ///   feedback faults or random crashes the slots are stepped one by
     ///   one up to the first faulted probe or membership transition;
     /// * **batched resolution** — pending book nonempty, single trailing
-    ///   gap, Oldest position: whole windowing rounds are resolved
-    ///   without pseudo-map rebuilds or generic round dispatch, collision
-    ///   rounds included when splits are `OlderFirst` and no membership
-    ///   transition is pending.
+    ///   gap, Oldest position: whole windowing rounds run through `cycle`'s
+    ///   own decision step and round ([`Engine::round`]) with per-slot
+    ///   callbacks off, collision rounds included when splits are
+    ///   `OlderFirst` and no membership transition is pending.
     ///
     /// Both kernels require no pending recovery work (orphans/rejoining)
     /// and a non-RANDOM window position; the batched kernel also needs a
-    /// fault-free medium, since mid-round fault recovery stays in
-    /// `windowing_round`. Both replicate the slow path's operation order
-    /// exactly — no RNG stream is touched differently, so the runs are
-    /// bit-identical (pinned by the A-B property tests). Per-event
-    /// observer callbacks inside the stretch are suppressed (churn events
-    /// excepted); `fast_forward` is only reached when the observer
-    /// declared itself aggregate-only via [`EngineObserver::slow_path`].
+    /// fault-free medium. No RNG stream is touched differently, so the
+    /// runs are bit-identical (pinned by the A-B property tests).
+    /// Per-event callbacks inside the stretch are suppressed (churn events
+    /// excepted); observers that need them force the slow path through
+    /// [`EngineObserver::slow_path`].
     fn fast_forward(&mut self, limit: Time, obs: &mut dyn EngineObserver) -> bool {
         if !self.orphans.is_empty()
             || !self.rejoining.is_empty()
@@ -790,14 +831,13 @@ impl<S: ArrivalSource> Engine<S> {
         {
             return false;
         }
-        let tau = self.medium.config().tau();
         // `ingest` is idempotent at fixed `now`: bailing to `cycle()`
         // afterwards re-runs it as a no-op.
         self.ingest(self.timeline.now(), obs);
         if self.pending.is_empty() {
-            self.idle_jump(limit, tau, obs)
+            self.idle_jump(limit, self.medium.config().tau(), obs)
         } else {
-            self.medium.plan().is_none() && self.batched_rounds(limit, tau, obs)
+            self.medium.plan().is_none() && self.batched_rounds(limit, obs)
         }
     }
 
@@ -922,22 +962,21 @@ impl<S: ArrivalSource> Engine<S> {
     }
 
     /// Batched resolution kernel: under the Oldest (FCFS) position with a
-    /// single trailing gap, whole windowing rounds resolve without the
-    /// pseudo-map rebuild, segment materialization and generic dispatch
-    /// of `cycle`. The pseudo-projection is then the identity shifted by
-    /// the gap's old edge, so each round costs one `BTreeMap` range probe
-    /// of its initial window (see [`Engine::batched_round`]).
+    /// single trailing gap, whole windowing rounds run back to back
+    /// through [`Engine::decide`] and [`Engine::round`] with per-slot
+    /// callbacks off, each costing one `BTreeMap` range probe and no
+    /// pseudo-map rebuild.
     ///
     /// A round of one probe (empty or singleton window) needs only the
     /// next churn slot to be transition-free. A collision round takes an
     /// unknown number of probe slots and splits, so it also needs the
     /// `OlderFirst` rule (which draws no policy RNG) and a membership
     /// process with no transition pending at all. Otherwise the batch
-    /// ends and the caller runs the generic round; re-entry is
+    /// ends and the caller runs the round through `cycle`; re-entry is
     /// idempotent, since nothing beyond `ingest`, the discard sweep and
     /// an idempotent `next_length` has happened for the aborted round and
     /// no RNG was drawn.
-    fn batched_rounds(&mut self, limit: Time, tau: Dur, obs: &mut dyn EngineObserver) -> bool {
+    fn batched_rounds(&mut self, limit: Time, obs: &mut dyn EngineObserver) -> bool {
         if !matches!(self.policy.position, WindowPosition::Oldest) {
             return false;
         }
@@ -955,46 +994,16 @@ impl<S: ArrivalSource> Engine<S> {
             if now >= limit || next_transition.is_some_and(|s| s <= self.churn.slot() + 1) {
                 break;
             }
-            self.ingest(now, obs);
-            // Book drained and the timeline back in its steady idle
-            // shape: hand the stretch to the O(1) idle jump instead of
-            // stepping tau-wide idle rounds one loop iteration each.
-            if self.pending.is_empty()
-                && self
-                    .timeline
-                    .trailing_gap()
-                    .is_some_and(|g| g.width() == tau)
-            {
-                break;
-            }
-            self.discard_expired(now, obs);
-            let Some(gap) = self.timeline.trailing_gap() else {
-                // Zero backlog (or interior gaps): slow path.
+            let Some(Decision::Round(initial, Some(base))) =
+                self.decide(now, false, &mut bufs, obs)
+            else {
                 break;
             };
-            debug_assert_eq!(gap.hi, now);
-            let backlog = gap.width();
-            let length = self.controller.next_length(now, backlog, &self.policy);
-            let initial = self
-                .policy
-                .choose_window_with_length(backlog, length, &mut self.rng_policy)
-                .expect("a trailing gap is nonempty");
-            bufs.txs.clear();
-            bufs.txs.extend(
-                self.pending
-                    .range(
-                        (gap.lo, MessageId(0))
-                            ..(gap.lo + Dur::from_ticks(initial.hi), MessageId(0)),
-                    )
-                    .map(|(_, m)| *m),
-            );
-            if !self.churn.plan().is_none() {
-                self.churn.retain_up(&mut bufs.txs);
-            }
-            if bufs.txs.len() >= 2 && !collisions {
+            let live = |m: &&Message| self.churn.is_up(m.station);
+            if !collisions && bufs.members.iter().filter(live).nth(1).is_some() {
                 break;
             }
-            self.batched_round(gap.lo, initial, tau, &mut bufs, obs);
+            self.round(initial, Axis::Shifted(base), false, &mut bufs, obs);
         }
         self.scratch = bufs;
         let slots = probe_slots(&self.channel_stats) - slots_before;
@@ -1005,117 +1014,6 @@ impl<S: ArrivalSource> Engine<S> {
         self.horizon_stats.batched_slots += slots;
         obs.on_batched_run(from, self.timeline.now(), slots);
         true
-    }
-
-    /// One FCFS windowing round of the batched kernel, from the pseudo
-    /// window `initial` over a single unexamined interval starting at
-    /// `base`. On entry `bufs.txs` holds the initial window's live
-    /// members, oldest first.
-    ///
-    /// Under the Oldest position and the `OlderFirst` rule the examined
-    /// set stays a prefix (Lemma 2), so every window the round probes is
-    /// the actual interval `base + [p.lo, p.hi)`. Arrivals are admitted
-    /// only at decision points and a delivery ends the round, so the
-    /// member list never changes mid-round: each probe's transmitter set
-    /// is a `partition_point` slice of it. A same-tick cluster goes to
-    /// [`Engine::resolve_cluster`] with the same coin draws as the slow
-    /// path.
-    ///
-    /// Operation order, RNG draws and span callbacks replicate
-    /// `windowing_round` on a fault-free medium exactly: stats,
-    /// controller feedback, clock, delivery, churn slot, examined
-    /// marking. Per-slot callbacks (`on_probe`, `on_immediate_split`)
-    /// are not reported.
-    fn batched_round(
-        &mut self,
-        base: Time,
-        initial: PseudoInterval,
-        tau: Dur,
-        bufs: &mut RoundScratch,
-        obs: &mut dyn EngineObserver,
-    ) {
-        let round_start = self.timeline.now();
-        for m in &bufs.txs {
-            obs.on_window_member(m, round_start);
-        }
-        let mut overhead: u64 = 0;
-        let mut ctx = SlotContext::Initial {
-            width: initial.width(),
-        };
-        let mut current = initial;
-        // As in `windowing_round`: current ∪ sibling holds >= 2 arrivals.
-        let mut sibling: Option<PseudoInterval> = None;
-        loop {
-            let now = self.timeline.now();
-            let span = Interval::new(
-                base + Dur::from_ticks(current.lo),
-                base + Dur::from_ticks(current.hi),
-            );
-            let lo = bufs.txs.partition_point(|m| m.arrival < span.lo);
-            let hi = bufs.txs.partition_point(|m| m.arrival < span.hi);
-            let txs = &bufs.txs[lo..hi];
-            let (outcome, dur) = match txs {
-                [] => (SlotOutcome::Idle, tau),
-                [m] => (
-                    SlotOutcome::Success(m.id),
-                    self.medium.config().success_duration(),
-                ),
-                _ => (SlotOutcome::Collision(txs.len() as u32), tau),
-            };
-            self.channel_stats.record(&outcome, dur);
-            if txs.len() >= 2 {
-                for m in txs {
-                    obs.on_collision_member(m, now);
-                }
-            }
-            self.controller.on_slot(ctx, &outcome);
-            ctx = SlotContext::Resolution;
-            self.timeline.advance(now + dur);
-            if let SlotOutcome::Success(_) = outcome {
-                self.complete_transmission(bufs.txs[lo], now, round_start, overhead, obs);
-            }
-            self.churn.skip_slots(1);
-            match outcome {
-                SlotOutcome::Idle => {
-                    overhead += 1;
-                    self.timeline.mark_examined(span);
-                    let Some(sib) = sibling.take() else {
-                        return; // empty initial window: round over
-                    };
-                    match self.policy.split_window(sib, &mut self.rng_policy) {
-                        Some((first, second)) => {
-                            current = first;
-                            sibling = Some(second);
-                        }
-                        None => current = sib,
-                    }
-                }
-                SlotOutcome::Success(_) => {
-                    self.timeline.mark_examined(span);
-                    return;
-                }
-                SlotOutcome::Collision(_) => {
-                    overhead += 1;
-                    match self.policy.split_window(current, &mut self.rng_policy) {
-                        Some((first, second)) => {
-                            current = first;
-                            sibling = Some(second);
-                        }
-                        None => {
-                            bufs.txs.truncate(hi);
-                            bufs.txs.drain(..lo);
-                            let end =
-                                self.resolve_cluster(bufs, &mut overhead, round_start, false, obs);
-                            debug_assert!(
-                                matches!(end, ClusterEnd::Delivered),
-                                "a fault-free cluster of live stations always delivers"
-                            );
-                            return;
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Admits arrivals with time `<= now` into the pending set. Each
@@ -1159,17 +1057,120 @@ impl<S: ArrivalSource> Engine<S> {
     }
 
     /// One decision point plus the windowing round (or idle slot) it
-    /// selects.
+    /// selects, with every per-slot callback.
     fn cycle(&mut self, obs: &mut dyn EngineObserver) {
         let now = self.timeline.now();
-        self.ingest(now, obs);
+        let mut bufs = std::mem::take(&mut self.scratch);
+        let decision = self.decide(now, true, &mut bufs, obs);
+        match decision.expect("a per-slot decision point never hands off") {
+            Decision::Idle => {
+                obs.on_decision(now, None);
+                // Nothing unexamined: the channel idles one probe slot
+                // while fresh time accumulates.
+                let report = self.medium.probe(&[]);
+                if let Some(outcome) = self.observe(now, &report, 0, obs) {
+                    // A phantom collision outside a round carries no
+                    // protocol state to repair; all stations observe it
+                    // identically and ignore it.
+                    if report.fault.is_some() {
+                        self.metrics.on_corrupted_slot();
+                    }
+                    self.channel_stats.record(&outcome, report.dur);
+                    obs.on_probe(now, &[], &outcome, report.dur);
+                    self.controller.on_slot(SlotContext::IdleDecision, &outcome);
+                    self.timeline.advance(now + report.dur);
+                    self.churn_step(obs);
+                }
+            }
+            Decision::Round(initial, base) => {
+                obs.on_decision(now, Some(&bufs.segments));
+                let pm = std::mem::take(&mut self.pseudo);
+                self.round(initial, Axis::new(base, &pm), true, &mut bufs, obs);
+                self.pseudo = pm;
+            }
+        }
+        self.scratch = bufs;
+    }
 
-        // Membership recovery: stations that restarted since the last
-        // decision point cold-start from this beacon. Backlog stranded in
-        // examined time while they were down is recovered through the
-        // orphan-reopen path if it is young enough to catch up, and
-        // dropped as churn loss otherwise; backlog still in unexamined
-        // time needs no help — the windowing process will reach it.
+    /// The decision point of `cycle` and the batched kernel: ingest,
+    /// recovery, the element (4) discard and the window choice. For a
+    /// round, `bufs` ends up holding the window's segments and members
+    /// (its pending messages, oldest first, from one `BTreeMap` range).
+    /// The pseudo map is rebuilt only when the unexamined region is not
+    /// one trailing gap.
+    ///
+    /// Without `per_slot` (the batched kernel) no beacon is reported, and
+    /// the decision point goes back to `cycle` (`None`) — before any RNG
+    /// draw, so `cycle` redoes it exactly — when the book has drained
+    /// into the idle jump's steady shape or there is no trailing gap.
+    /// Inlined, like [`Engine::round`], so the batched loop compiles into
+    /// one function with the per-slot callbacks folded away.
+    #[inline(always)]
+    fn decide(
+        &mut self,
+        now: Time,
+        per_slot: bool,
+        bufs: &mut RoundScratch,
+        obs: &mut dyn EngineObserver,
+    ) -> Option<Decision> {
+        self.ingest(now, obs);
+        let tau = self.medium.config().tau();
+        // Book drained and the timeline back in its steady idle shape:
+        // the O(1) idle jump takes the stretch from here.
+        if !per_slot
+            && self.pending.is_empty()
+            && self
+                .timeline
+                .trailing_gap()
+                .is_some_and(|g| g.width() == tau)
+        {
+            return None;
+        }
+        if !self.rejoining.is_empty() || !self.orphans.is_empty() {
+            self.recover(now, obs);
+        }
+        self.discard_expired(now, obs);
+        let gap = self.timeline.trailing_gap();
+        if per_slot {
+            obs.on_beacon(now, &self.timeline, &self.rng_policy);
+        } else if gap.is_none() {
+            return None;
+        }
+        let backlog = match gap {
+            Some(g) => g.width(),
+            None => {
+                self.pseudo.rebuild(&self.timeline);
+                self.pseudo.backlog()
+            }
+        };
+        let length = self.controller.next_length(now, backlog, &self.policy);
+        let window = self
+            .policy
+            .choose_window_with_length(backlog, length, &mut self.rng_policy);
+        let Some(initial) = window else {
+            return Some(Decision::Idle);
+        };
+        let base = gap.map(|g| g.lo);
+        Axis::new(base, &self.pseudo).segments_into(initial, &mut bufs.segments);
+        let (first, last) = (bufs.segments[0], bufs.segments[bufs.segments.len() - 1]);
+        bufs.members.clear();
+        push_in_segments(
+            self.pending
+                .range((first.lo, MessageId(0))..(last.hi, MessageId(0)))
+                .map(|(_, m)| m),
+            &bufs.segments,
+            &mut bufs.members,
+        );
+        Some(Decision::Round(initial, base))
+    }
+
+    /// Decision-point recovery, ahead of the discard sweep. Restarted
+    /// stations cold-start from this beacon: their backlog stranded in
+    /// examined time is reopened if young enough to catch up, else dropped
+    /// as churn loss. Then the arrival intervals of messages stranded by
+    /// misread slots are reopened — before the window choice, so that
+    /// Oldest-first policies serve them ahead of younger backlog.
+    fn recover(&mut self, now: Time, obs: &mut dyn EngineObserver) {
         if !self.rejoining.is_empty() {
             let catch_up = Dur::from_ticks(
                 self.churn
@@ -1212,11 +1213,6 @@ impl<S: ArrivalSource> Engine<S> {
             self.sweep_keys = keys;
         }
 
-        // Fault recovery: reopen the arrival intervals of messages
-        // stranded in examined time by a misread slot so the windowing
-        // process can reach them again. Running the sweep before the
-        // window choice preserves FCFS under Oldest-first policies: the
-        // reopened (oldest) intervals are served before younger backlog.
         if !self.orphans.is_empty() {
             let tick = Dur::from_ticks(1);
             std::mem::swap(&mut self.orphans, &mut self.orphans_swap);
@@ -1231,105 +1227,52 @@ impl<S: ArrivalSource> Engine<S> {
             }
             self.orphans_swap.clear();
         }
-
-        self.discard_expired(now, obs);
-
-        obs.on_beacon(now, &self.timeline, &self.rng_policy);
-
-        let mut pm = std::mem::take(&mut self.pseudo);
-        pm.rebuild(&self.timeline);
-        let backlog = pm.backlog();
-        let length = self.controller.next_length(now, backlog, &self.policy);
-        let window = self
-            .policy
-            .choose_window_with_length(backlog, length, &mut self.rng_policy);
-        match window {
-            None => {
-                obs.on_decision(now, None);
-                // Nothing unexamined: the channel idles one probe slot
-                // while fresh time accumulates.
-                let report = self.medium.probe(&[]);
-                match report.observed {
-                    Feedback::Erased => {
-                        self.metrics.on_erased_slot();
-                        self.channel_stats.record_erased(report.dur);
-                        obs.on_corrupted_slot(now, report.dur);
-                    }
-                    Feedback::Observed(outcome) => {
-                        // A phantom collision outside a round carries no
-                        // protocol state to repair; all stations observe
-                        // it identically and ignore it.
-                        if report.fault.is_some() {
-                            self.metrics.on_corrupted_slot();
-                        }
-                        self.channel_stats.record(&outcome, report.dur);
-                        obs.on_probe(now, &[], &outcome, report.dur);
-                        self.controller.on_slot(SlotContext::IdleDecision, &outcome);
-                    }
-                }
-                self.timeline.advance(now + report.dur);
-                self.churn_step(obs);
-            }
-            Some(w) => {
-                let mut bufs = std::mem::take(&mut self.scratch);
-                pm.preimage_into(w, &mut bufs.segments);
-                obs.on_decision(now, Some(&bufs.segments));
-                self.windowing_round(w, &pm, obs, &mut bufs);
-                self.scratch = bufs;
-            }
-        }
-        self.pseudo = pm;
     }
 
-    /// Fills `out` with the pending messages whose arrival time lies
-    /// inside any of the window's segments, oldest first.
+    /// The windowing round from the pseudo window `initial`: probe, split
+    /// on collision, split a sibling known to hold two or more arrivals
+    /// without probing it, and resolve a one-tick collision by fair coins
+    /// ([`Engine::resolve_cluster`]), until a delivery, an empty initial
+    /// window, a phantom success or an abandoned re-probe.
     ///
-    /// One `BTreeMap::range` descent covers the whole window span; a
-    /// cursor over the (sorted, disjoint) segments filters out messages
-    /// stranded in the examined gaps between them. A probe slot thus
-    /// costs a single O(log n) descent plus O(messages in span) — not
-    /// one descent per segment with a fresh `Vec` per probe.
-    fn in_segments_into(&self, segments: &[Interval], out: &mut Vec<Message>) {
-        out.clear();
-        let (Some(first), Some(last)) = (segments.first(), segments.last()) else {
-            return;
-        };
-        let mut seg = 0usize;
-        for (&(t, _), m) in self
-            .pending
-            .range((first.lo, MessageId(0))..(last.hi, MessageId(0)))
-        {
-            // `t < last.hi` (range bound), so the cursor never runs off
-            // the end of the segment list.
-            while t >= segments[seg].hi {
-                seg += 1;
-            }
-            if t >= segments[seg].lo {
-                out.push(*m);
-            }
-        }
-    }
-
-    /// Runs one windowing round starting from the pseudo window `initial`;
-    /// ends on the first successful transmission or when the initial
-    /// window proves empty. `pm` is the pseudo map frozen at the decision
-    /// point; `bufs` is the engine's scratch (taken out of `self` by the
-    /// caller to satisfy the borrow checker).
-    fn windowing_round(
+    /// Arrivals are admitted only at decision points and a delivery ends
+    /// the round, so mid-round pending messages can only leave (by a
+    /// permanent leave): the members `bufs` holds on entry stay a superset
+    /// of every probe's transmitters. A one-segment window transmits a
+    /// `partition_point` slice of them, a fragmented one a segment filter;
+    /// under a churn plan `retain_up` re-filters the set. Debug builds
+    /// check each set against a brute-force scan of the book. `per_slot`
+    /// reports `on_probe` and `on_immediate_split`; the batched kernel
+    /// reports only span callbacks.
+    #[inline(always)]
+    fn round(
         &mut self,
         initial: PseudoInterval,
-        pm: &PseudoMap,
-        obs: &mut dyn EngineObserver,
+        axis: Axis<'_>,
+        per_slot: bool,
         bufs: &mut RoundScratch,
+        obs: &mut dyn EngineObserver,
     ) {
         let round_start = self.timeline.now();
+        let churn = !self.churn.plan().is_none();
+        let faulty = !self.medium.plan().is_none();
+        let (tau, success) = {
+            let channel = self.medium.config();
+            (channel.tau(), channel.success_duration())
+        };
+        // Lifecycle spans report the initial window's membership once per
+        // round (not re-reported on erased-feedback re-probes).
+        for m in &bufs.members {
+            if !churn || self.churn.is_up(m.station) {
+                obs.on_window_member(m, round_start);
+            }
+        }
         let mut overhead: u64 = 0;
         // The round's first clean probe examines the blindly chosen
         // initial window — the rate-information slot for controllers.
-        let mut first_probe = true;
-        // Lifecycle spans report the initial window's membership once per
-        // round (not re-reported on erased-feedback re-probes).
-        let mut members_reported = false;
+        let mut ctx = SlotContext::Initial {
+            width: initial.width(),
+        };
         let mut current = initial;
         // `Some(s)` means: current ∪ s is known to contain >= 2 arrivals,
         // so if current is empty then s contains >= 2.
@@ -1339,130 +1282,142 @@ impl<S: ArrivalSource> Engine<S> {
 
         loop {
             let now = self.timeline.now();
-            pm.preimage_into(current, &mut bufs.segments);
-            self.in_segments_into(&bufs.segments, &mut bufs.txs);
-            if !self.churn.plan().is_none() {
-                // Down, absent or departed stations cannot transmit; their
-                // stranded backlog stays pending for rejoin recovery or
-                // the age discard.
-                self.churn.retain_up(&mut bufs.txs);
-            }
-            if !members_reported {
-                members_reported = true;
-                for m in &bufs.txs {
-                    obs.on_window_member(m, now);
+            // One trailing gap needs no segment buffer: the window is one
+            // shifted span.
+            let span;
+            let segments: &[Interval] = match axis {
+                Axis::Shifted(base) => {
+                    span = Interval::new(
+                        base + Dur::from_ticks(current.lo),
+                        base + Dur::from_ticks(current.hi),
+                    );
+                    std::slice::from_ref(&span)
                 }
-            }
-            bufs.ids.clear();
-            bufs.ids.extend(bufs.txs.iter().map(|m| m.id));
-            let report = self.medium.probe(&bufs.ids);
-            if report.fault.is_some() {
-                for m in &bufs.txs {
-                    self.fault_touched.insert(m.id);
+                Axis::Mapped(pm) => {
+                    pm.preimage_into(current, &mut bufs.segments);
+                    &bufs.segments
                 }
-            }
-
-            let outcome = match report.observed {
-                Feedback::Erased => {
-                    // Every station knows this slot's feedback was lost:
-                    // back off and re-probe the same window.
-                    self.metrics.on_erased_slot();
-                    self.channel_stats.record_erased(report.dur);
-                    obs.on_corrupted_slot(now, report.dur);
-                    self.timeline.advance(now + report.dur);
-                    self.churn_step(obs);
+            };
+            let txs: &[Message] = match segments {
+                [s] if !churn => {
+                    let lo = bufs.members.partition_point(|m| m.arrival < s.lo);
+                    let hi = bufs.members.partition_point(|m| m.arrival < s.hi);
+                    &bufs.members[lo..hi]
+                }
+                _ => {
+                    bufs.txs.clear();
+                    push_in_segments(&bufs.members, segments, &mut bufs.txs);
+                    if churn {
+                        // Down, absent or departed stations cannot
+                        // transmit; their stranded backlog stays pending
+                        // for rejoin recovery or the age discard.
+                        self.churn.retain_up(&mut bufs.txs);
+                    }
+                    &bufs.txs
+                }
+            };
+            // The shortcut's assumption, checked against a brute-force
+            // scan of the book over the segments' hull.
+            debug_assert!(
+                self.pending
+                    .range(
+                        (segments[0].lo, MessageId(0))
+                            ..(segments[segments.len() - 1].hi, MessageId(0))
+                    )
+                    .map(|(_, m)| m)
+                    .filter(|m| self.churn.is_up(m.station)
+                        && segments.iter().any(|s| s.contains(m.arrival)))
+                    .eq(txs),
+                "transmitters {txs:?} differ from the book inside {segments:?}"
+            );
+            // A fault-free probe reads the outcome straight off the
+            // transmitter count, as `Medium::probe` does.
+            let (outcome, dur, delivered) = if faulty {
+                bufs.ids.clear();
+                bufs.ids.extend(txs.iter().map(|m| m.id));
+                let report = self.medium.probe(&bufs.ids);
+                if report.fault.is_some() {
+                    for m in txs {
+                        self.fault_touched.insert(m.id);
+                    }
+                }
+                let Some(outcome) = self.observe(now, &report, txs.len(), obs) else {
+                    // Back off and re-probe the same window.
                     overhead += 1;
                     if self.backoff_or_abandon(&mut retries, obs) {
                         continue;
                     }
                     return;
+                };
+                if report.fault.is_some() {
+                    self.metrics.on_corrupted_slot();
                 }
-                Feedback::Observed(o) => o,
+                retries = 0;
+                (outcome, report.dur, report.delivered().is_some())
+            } else {
+                match txs {
+                    [] => (SlotOutcome::Idle, tau, false),
+                    [m] => (SlotOutcome::Success(m.id), success, true),
+                    _ => (SlotOutcome::Collision(txs.len() as u32), tau, false),
+                }
             };
-
-            // A collision misread as idle is detectable: the transmitters
-            // know they transmitted and flag the slot, so all stations
-            // treat it as corrupted and retry instead of wrongly marking
-            // the window empty.
-            if matches!(outcome, SlotOutcome::Idle) && bufs.txs.len() >= 2 {
-                self.metrics.on_corrupted_slot();
-                self.channel_stats.record(&outcome, report.dur);
-                obs.on_corrupted_slot(now, report.dur);
-                self.timeline.advance(now + report.dur);
-                self.churn_step(obs);
-                overhead += 1;
-                if self.backoff_or_abandon(&mut retries, obs) {
-                    continue;
-                }
-                return;
+            self.channel_stats.record(&outcome, dur);
+            if per_slot {
+                obs.on_probe(now, segments, &outcome, dur);
             }
-
-            if report.fault.is_some() {
-                self.metrics.on_corrupted_slot();
-            }
-            retries = 0;
-            self.channel_stats.record(&outcome, report.dur);
-            obs.on_probe(now, &bufs.segments, &outcome, report.dur);
             if matches!(outcome, SlotOutcome::Collision(_)) {
                 // A collision episode: every current transmitter stays
                 // pending and re-contends as the window is split.
-                for m in &bufs.txs {
+                for m in txs {
                     obs.on_collision_member(m, now);
                 }
             }
-            let ctx = if first_probe {
-                SlotContext::Initial {
-                    width: initial.width(),
-                }
-            } else {
-                SlotContext::Resolution
-            };
-            first_probe = false;
             self.controller.on_slot(ctx, &outcome);
-            self.timeline.advance(now + report.dur);
+            ctx = SlotContext::Resolution;
+            self.timeline.advance(now + dur);
             // A delivered success happened *during* this slot, so it
             // completes before the end-of-slot churn transitions: a
             // station leaving at this exact boundary has already
             // transmitted, and dropping its backlog first would strand
             // a message the channel carried.
-            let delivered =
-                matches!(outcome, SlotOutcome::Success(_)) && report.delivered().is_some();
             if delivered {
-                debug_assert_eq!(bufs.txs.len(), 1);
-                self.complete_transmission(bufs.txs[0], now, round_start, overhead, obs);
+                debug_assert_eq!(txs.len(), 1);
+                self.complete_transmission(txs[0], now, round_start, overhead, obs);
             }
-            self.churn_step(obs);
+            // Without a churn plan a slot only moves the slot counter.
+            if churn {
+                self.churn_step(obs);
+            } else {
+                self.churn.skip_slots(1);
+            }
 
             match outcome {
                 SlotOutcome::Idle => {
                     overhead += 1;
-                    for s in &bufs.segments {
+                    for s in segments {
                         self.timeline.mark_examined(*s);
                     }
-                    match sibling.take() {
-                        None => return, // empty initial window: round over
-                        Some(sib) => {
-                            // sib is known to hold >= 2 arrivals.
-                            match self.policy.split_window(sib, &mut self.rng_policy) {
-                                Some((first, second)) => {
-                                    pm.preimage_into(sib, &mut bufs.sib_segments);
-                                    obs.on_immediate_split(self.timeline.now(), &bufs.sib_segments);
-                                    current = first;
-                                    sibling = Some(second);
-                                }
-                                None => {
-                                    // One tick wide: cannot split, probe it
-                                    // (it will collide and enter sub-tick
-                                    // resolution).
-                                    current = sib;
-                                    sibling = None;
-                                }
+                    // Empty initial window: round over.
+                    let Some(sib) = sibling.take() else {
+                        return;
+                    };
+                    // sib is known to hold >= 2 arrivals.
+                    match self.policy.split_window(sib, &mut self.rng_policy) {
+                        Some((first, second)) => {
+                            if per_slot {
+                                axis.segments_into(sib, &mut bufs.sib_segments);
+                                obs.on_immediate_split(self.timeline.now(), &bufs.sib_segments);
                             }
+                            current = first;
+                            sibling = Some(second);
                         }
+                        // One tick wide: cannot split, probe it (it will
+                        // collide and enter sub-tick resolution).
+                        None => current = sib,
                     }
                 }
                 SlotOutcome::Success(_) => {
-                    for s in &bufs.segments {
+                    for s in segments {
                         self.timeline.mark_examined(*s);
                     }
                     if !delivered {
@@ -1471,7 +1426,7 @@ impl<S: ArrivalSource> Engine<S> {
                         // was delivered. The colliding messages are
                         // stranded in examined time; the next decision
                         // point reopens their arrival intervals.
-                        for m in &bufs.txs {
+                        for m in txs {
                             self.orphans.push((m.arrival, m.id));
                         }
                     }
@@ -1489,8 +1444,16 @@ impl<S: ArrivalSource> Engine<S> {
                         }
                         None => {
                             // Sub-tick cluster: resolve by fair coins.
-                            match self.resolve_cluster(bufs, &mut overhead, round_start, true, obs)
-                            {
+                            bufs.older.clear();
+                            bufs.older.extend_from_slice(txs);
+                            std::mem::swap(&mut bufs.txs, &mut bufs.older);
+                            match self.resolve_cluster(
+                                bufs,
+                                &mut overhead,
+                                round_start,
+                                per_slot,
+                                obs,
+                            ) {
                                 ClusterEnd::Delivered => {}
                                 ClusterEnd::PhantomSuccess => {
                                     // Stations saw a success; the tick is
@@ -1510,6 +1473,35 @@ impl<S: ArrivalSource> Engine<S> {
         }
     }
 
+    /// The stations' view of a probe by `live` transmitters. A slot whose
+    /// feedback every station knows is bad — erased, or a collision
+    /// misread as idle, which the transmitters flag — is consumed here
+    /// (accounted, reported, clock and churn stepped) and yields `None`:
+    /// the caller retries instead of acting on it.
+    fn observe(
+        &mut self,
+        now: Time,
+        report: &ProbeReport,
+        live: usize,
+        obs: &mut dyn EngineObserver,
+    ) -> Option<SlotOutcome> {
+        match report.observed {
+            Feedback::Erased => {
+                self.metrics.on_erased_slot();
+                self.channel_stats.record_erased(report.dur);
+            }
+            Feedback::Observed(SlotOutcome::Idle) if live >= 2 => {
+                self.metrics.on_corrupted_slot();
+                self.channel_stats.record(&SlotOutcome::Idle, report.dur);
+            }
+            Feedback::Observed(o) => return Some(o),
+        }
+        obs.on_corrupted_slot(now, report.dur);
+        self.timeline.advance(now + report.dur);
+        self.churn_step(obs);
+        None
+    }
+
     /// Steps the membership process one probe slot (the unit every
     /// surviving station can count by listening) and applies any
     /// transitions:
@@ -1527,51 +1519,51 @@ impl<S: ArrivalSource> Engine<S> {
     /// With [`ChurnPlan::none`] only the slot counter moves. Returns
     /// whether any transition happened.
     fn churn_step(&mut self, obs: &mut dyn EngineObserver) -> bool {
+        self.churn.step(&mut self.churn_events);
+        if self.churn_events.is_empty() {
+            return false;
+        }
         let mut events = std::mem::take(&mut self.churn_events);
-        self.churn.step(&mut events);
-        let transition = !events.is_empty();
-        if transition {
-            let now = self.timeline.now();
-            for ev in events.drain(..) {
-                obs.on_churn_event(now, &ev);
-                match ev {
-                    ChurnEvent::Crash(s) => {
-                        // Disjoint field borrows: `pending` is read while
-                        // `churn_touched` absorbs the ids.
-                        self.churn_touched.extend(
-                            self.pending
-                                .values()
-                                .filter(|m| m.station == s)
-                                .map(|m| m.id),
-                        );
+        let now = self.timeline.now();
+        for ev in events.drain(..) {
+            obs.on_churn_event(now, &ev);
+            match ev {
+                ChurnEvent::Crash(s) => {
+                    // Disjoint field borrows: `pending` is read while
+                    // `churn_touched` absorbs the ids.
+                    self.churn_touched.extend(
+                        self.pending
+                            .values()
+                            .filter(|m| m.station == s)
+                            .map(|m| m.id),
+                    );
+                }
+                ChurnEvent::Restart(s) => {
+                    self.rejoining.push((s, self.churn.slot()));
+                }
+                ChurnEvent::Join(_) => {}
+                ChurnEvent::Leave(s) => {
+                    let mut keys = std::mem::take(&mut self.sweep_keys);
+                    keys.clear();
+                    keys.extend(
+                        self.pending
+                            .iter()
+                            .filter(|(_, m)| m.station == s)
+                            .map(|(&k, _)| k),
+                    );
+                    for &key in &keys {
+                        let msg = self.unbook(key);
+                        take_touched(&mut self.fault_touched, msg.id);
+                        take_touched(&mut self.churn_touched, msg.id);
+                        self.metrics.on_churn_drop(msg.arrival);
+                        obs.on_message_drop(&msg, now, DropCause::StationLeft);
                     }
-                    ChurnEvent::Restart(s) => {
-                        self.rejoining.push((s, self.churn.slot()));
-                    }
-                    ChurnEvent::Join(_) => {}
-                    ChurnEvent::Leave(s) => {
-                        let mut keys = std::mem::take(&mut self.sweep_keys);
-                        keys.clear();
-                        keys.extend(
-                            self.pending
-                                .iter()
-                                .filter(|(_, m)| m.station == s)
-                                .map(|(&k, _)| k),
-                        );
-                        for &key in &keys {
-                            let msg = self.unbook(key);
-                            take_touched(&mut self.fault_touched, msg.id);
-                            take_touched(&mut self.churn_touched, msg.id);
-                            self.metrics.on_churn_drop(msg.arrival);
-                            obs.on_message_drop(&msg, now, DropCause::StationLeft);
-                        }
-                        self.sweep_keys = keys;
-                    }
+                    self.sweep_keys = keys;
                 }
             }
         }
         self.churn_events = events;
-        transition
+        true
     }
 
     /// Holds a capped-exponential quiet backoff before re-probing a window
@@ -1609,6 +1601,7 @@ impl<S: ArrivalSource> Engine<S> {
     /// (swapped in on a collision) — no per-iteration allocation.
     /// `per_slot` reports each probe through `on_probe`; the batched
     /// kernel passes `false`, as it reports only span callbacks.
+    #[inline(never)]
     fn resolve_cluster(
         &mut self,
         bufs: &mut RoundScratch,
@@ -1664,31 +1657,11 @@ impl<S: ArrivalSource> Engine<S> {
                     self.fault_touched.insert(m.id);
                 }
             }
-            let outcome = match report.observed {
-                Feedback::Erased => {
-                    self.metrics.on_erased_slot();
-                    self.channel_stats.record_erased(report.dur);
-                    obs.on_corrupted_slot(now, report.dur);
-                    self.timeline.advance(now + report.dur);
-                    self.churn_step(obs);
-                    *overhead += 1;
-                    futile += 1;
-                    continue;
-                }
-                Feedback::Observed(o) => o,
-            };
-            // Collision misread as idle: flagged by the transmitters,
-            // consumed and retried like an erasure.
-            if matches!(outcome, SlotOutcome::Idle) && live_in_older >= 2 {
-                self.metrics.on_corrupted_slot();
-                self.channel_stats.record(&outcome, report.dur);
-                obs.on_corrupted_slot(now, report.dur);
-                self.timeline.advance(now + report.dur);
-                self.churn_step(obs);
+            let Some(outcome) = self.observe(now, &report, live_in_older, obs) else {
                 *overhead += 1;
                 futile += 1;
                 continue;
-            }
+            };
             if report.fault.is_some() {
                 self.metrics.on_corrupted_slot();
                 futile += 1;
@@ -1822,8 +1795,7 @@ impl<S: ArrivalSource> Engine<S> {
         self.metrics.on_round(overhead);
         self.metrics.on_sched_time(sched_time);
         // Age process: the delivery instant is the end of the slot
-        // (`timeline.now()` — already advanced), identical on the
-        // slot-stepped and batched paths.
+        // (`timeline.now()` — already advanced).
         self.metrics
             .on_delivery(msg.station, msg.arrival, self.timeline.now());
         obs.on_transmit(&msg, tx_start, paper_delay, true_delay);
@@ -1835,6 +1807,28 @@ impl<S: ArrivalSource> Engine<S> {
 /// skips hashing the id.
 fn take_touched(set: &mut HashSet<MessageId>, id: MessageId) -> bool {
     !set.is_empty() && set.remove(&id)
+}
+
+/// Appends to `out`, in order, the messages of `msgs` (ordered by
+/// arrival) that arrived inside one of `segments` (sorted, disjoint): one
+/// pass over the messages with a cursor over the segments.
+fn push_in_segments<'a>(
+    msgs: impl IntoIterator<Item = &'a Message>,
+    segments: &[Interval],
+    out: &mut Vec<Message>,
+) {
+    let mut seg = 0;
+    for m in msgs {
+        while seg < segments.len() && m.arrival >= segments[seg].hi {
+            seg += 1;
+        }
+        let Some(s) = segments.get(seg) else {
+            break;
+        };
+        if m.arrival >= s.lo {
+            out.push(*m);
+        }
+    }
 }
 
 /// Convenience: builds an engine fed by aggregate Poisson arrivals with

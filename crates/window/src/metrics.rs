@@ -49,9 +49,9 @@ impl MeasureConfig {
 /// only at delivery instants plus one closed-form tail at read-out. No
 /// per-slot work means the event-horizon fast path needs no special
 /// handling — a jumped idle run contains no deliveries by construction,
-/// and the batched kernel completes its singleton transmissions through
-/// the same [`Metrics::on_delivery`] call as the slot-stepped path, so
-/// the age process is bit-identical on either path.
+/// and every delivery, batched or not, comes from the engine's one round
+/// resolver through [`Metrics::on_delivery`], so the age process is
+/// bit-identical on either path.
 #[derive(Clone, Copy, Debug)]
 struct StationAge {
     /// Latest arrival instant among this station's delivered messages.
@@ -134,8 +134,9 @@ impl AgeTracker {
 
     /// Records the delivery at instant `delivered` of a message that
     /// arrived at `arrival` at `station`. Called by the engine from
-    /// `complete_transmission` on both the slot-stepped and the batched
-    /// path (with identical instants, pinned by the A-B property suite).
+    /// `complete_transmission`, whether or not the round ran in the
+    /// batched kernel (with identical instants, pinned by the A-B
+    /// property suite).
     pub fn on_delivery(&mut self, station: StationId, arrival: Time, delivered: Time) {
         self.deliveries += 1;
         let idx = station.0 as usize;

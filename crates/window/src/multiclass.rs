@@ -17,9 +17,11 @@
 //! ([`ClassRule::MinSlack`]'s documented pathology). The working rule is
 //! proportional urgency, `argmax_c (now - t_past_c)/K_c`.
 //!
-//! With a single class this engine is behaviourally identical to
-//! [`crate::engine::Engine`] under the controlled policy — an equivalence
-//! the tests enforce.
+//! With a single class this engine runs the same protocol as
+//! [`crate::engine::Engine`] under the controlled policy, but it is a
+//! separate implementation on differently labelled random streams, so
+//! the runs are not bit-identical. The tests check only that the two
+//! losses agree within 0.015 (`single_class_matches_controlled_engine`).
 
 use crate::interval::Interval;
 use crate::metrics::{MeasureConfig, Metrics};

@@ -76,6 +76,42 @@ fn controlled_loss_matches_eq47_rho75_m100() {
 }
 
 #[test]
+fn controlled_loss_matches_eq47_rho25_m25() {
+    check_panel(
+        Panel {
+            rho_prime: 0.25,
+            m: 25,
+        },
+        &[25.0, 50.0, 100.0],
+        5,
+    );
+}
+
+#[test]
+fn controlled_loss_matches_eq47_rho25_m100() {
+    check_panel(
+        Panel {
+            rho_prime: 0.25,
+            m: 100,
+        },
+        &[100.0, 200.0, 400.0],
+        6,
+    );
+}
+
+#[test]
+fn controlled_loss_matches_eq47_rho50_m100() {
+    check_panel(
+        Panel {
+            rho_prime: 0.5,
+            m: 100,
+        },
+        &[100.0, 200.0, 400.0],
+        7,
+    );
+}
+
+#[test]
 fn fcfs_receiver_loss_matches_mg1_tail() {
     // The uncontrolled FCFS baseline: receiver loss = P(W > K) of the
     // M/G/1 queue (with the message's own scheduling time included).
