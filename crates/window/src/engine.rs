@@ -83,11 +83,11 @@
 use crate::controller::{SlotContext, StaticController, WindowController};
 use crate::interval::Interval;
 use crate::metrics::{MeasureConfig, Metrics};
-use crate::policy::{ControlPolicy, SplitRule, WindowPosition};
+use crate::policy::{ControlPolicy, WindowPosition};
 use crate::pseudo::{PseudoInterval, PseudoMap};
 use crate::timeline::Timeline;
 use crate::trace::{DropCause, EngineObserver};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashSet, VecDeque};
 use tcw_mac::{
     Arrival, ArrivalSource, ChannelConfig, ChannelStats, ChurnEvent, ChurnPlan, ChurnProcess,
     FaultPlan, FaultyMedium, Feedback, Medium, Message, MessageId, ProbeReport, SlotOutcome,
@@ -148,7 +148,8 @@ struct RoundScratch {
     /// Segments of a sibling window (observer callback only).
     sib_segments: Vec<Interval>,
     /// The initial window's pending messages, oldest first, collected
-    /// once per round at the decision point (see [`Engine::round`]).
+    /// once per round at the decision point from the stretch of the book
+    /// that two `partition_point`s bound (see [`Engine::round`]).
     members: Vec<Message>,
     /// A probe's transmitters when they are not a plain slice of
     /// `members`; the active set during sub-tick cluster resolution.
@@ -212,6 +213,12 @@ enum ClusterEnd {
     Abandoned,
 }
 
+/// Initial capacity of the pending book. The deque keeps its capacity
+/// as it drains, so it allocates again only when the book outgrows its
+/// high-water mark; sixteen messages (384 bytes) keep that growth out of
+/// the steady state below heavy load.
+const BOOK_CAPACITY: usize = 16;
+
 /// First word of every engine snapshot ("tcw_snap" in ASCII).
 const SNAP_MAGIC: u64 = 0x7463_775f_736e_6170;
 /// Snapshot layout version; bumped whenever the word stream changes so
@@ -233,8 +240,8 @@ pub struct HorizonStats {
     pub batched_runs: u64,
     /// Probe slots the batched kernel resolved outside `cycle`:
     /// one per empty or singleton round, and every probe of a collision
-    /// round, sub-tick coin slots included. With `slots_skipped` this is
-    /// the fast path's share of all probe slots.
+    /// round, sub-tick coin slots and erased re-probes included. With
+    /// `slots_skipped` this is the fast path's share of all probe slots.
     pub batched_slots: u64,
 }
 
@@ -270,9 +277,12 @@ pub struct Engine<S: ArrivalSource> {
     medium: FaultyMedium,
     policy: ControlPolicy,
     timeline: Timeline,
-    /// Pending (arrived, untransmitted, undiscarded) messages ordered by
-    /// arrival time.
-    pending: BTreeMap<(Time, MessageId), Message>,
+    /// Pending (arrived, untransmitted, undiscarded) messages, strictly
+    /// increasing in `(arrival, id)`. FCFS service and the element (4)
+    /// discard touch it at its two ends, so a sorted deque serves as the
+    /// book: admission pushes at the back, the discard sweep pops at the
+    /// front, and lookups are binary searches (see [`Engine::book`]).
+    pending: VecDeque<Message>,
     source: S,
     lookahead: Option<Arrival>,
     source_done: bool,
@@ -355,7 +365,7 @@ impl<S: ArrivalSource> Engine<S> {
             medium: FaultyMedium::new(Medium::new(cfg.channel), FaultPlan::none(), rng_faults),
             policy: cfg.policy,
             timeline: Timeline::new(),
-            pending: BTreeMap::new(),
+            pending: VecDeque::with_capacity(BOOK_CAPACITY),
             source,
             lookahead: None,
             source_done: false,
@@ -500,8 +510,7 @@ impl<S: ArrivalSource> Engine<S> {
         self.medium.save_state(&mut w);
         self.timeline.save_state(&mut w);
         w.push_usize(self.pending.len());
-        for (key, m) in &self.pending {
-            debug_assert_eq!(*key, (m.arrival, m.id), "pending key out of sync");
+        for m in &self.pending {
             w.push(m.arrival.ticks());
             w.push(m.id.0);
             w.push(u64::from(m.station.0));
@@ -628,14 +637,22 @@ impl<S: ArrivalSource> Engine<S> {
             let station = StationId(
                 u32::try_from(r.take()?).map_err(|_| SnapError::new("station id overflows u32"))?,
             );
-            self.pending.insert(
-                (arrival, id),
-                Message {
-                    id,
-                    station,
-                    arrival,
-                },
-            );
+            // The book's binary searches need its order; a snapshot that
+            // breaks it is corrupt, not merely unsorted.
+            if self
+                .pending
+                .back()
+                .is_some_and(|b| (b.arrival, b.id) >= (arrival, id))
+            {
+                return Err(SnapError::new(
+                    "pending book not strictly increasing in (arrival, id)",
+                ));
+            }
+            self.pending.push_back(Message {
+                id,
+                station,
+                arrival,
+            });
         }
         self.lookahead = if r.take_bool()? {
             let time = Time::from_ticks(r.take()?);
@@ -672,7 +689,7 @@ impl<S: ArrivalSource> Engine<S> {
             // and cleared when any of them leaves the book, so a busy
             // station always holds a pending message. Checking it also
             // bounds the flag vector by the restored book.
-            if !self.pending.values().any(|m| m.station == s) {
+            if !self.pending.iter().any(|m| m.station == s) {
                 return Err(SnapError::new("busy station holds no pending message"));
             }
             self.mark_busy(s);
@@ -814,16 +831,16 @@ impl<S: ArrivalSource> Engine<S> {
     /// * **batched resolution** — pending book nonempty, single trailing
     ///   gap, Oldest position: whole windowing rounds run through `cycle`'s
     ///   own decision step and round ([`Engine::round`]) with per-slot
-    ///   callbacks off, collision rounds included when splits are
-    ///   `OlderFirst` and no membership transition is pending.
+    ///   callbacks off — collisions, feedback faults, mid-round churn and
+    ///   `Random` splits included.
     ///
     /// Both kernels require no pending recovery work (orphans/rejoining)
-    /// and a non-RANDOM window position; the batched kernel also needs a
-    /// fault-free medium. No RNG stream is touched differently, so the
-    /// runs are bit-identical (pinned by the A-B property tests).
-    /// Per-event callbacks inside the stretch are suppressed (churn events
-    /// excepted); observers that need them force the slow path through
-    /// [`EngineObserver::slow_path`].
+    /// on entry and a non-RANDOM window position. No RNG stream is
+    /// touched differently, so the runs are bit-identical (pinned by the
+    /// A-B property tests). The per-slot callbacks (`on_beacon`,
+    /// `on_decision`, `on_probe`, `on_immediate_split`) inside the stretch
+    /// are suppressed; observers that need them force the slow path
+    /// through [`EngineObserver::slow_path`].
     fn fast_forward(&mut self, limit: Time, obs: &mut dyn EngineObserver) -> bool {
         if !self.orphans.is_empty()
             || !self.rejoining.is_empty()
@@ -837,7 +854,7 @@ impl<S: ArrivalSource> Engine<S> {
         if self.pending.is_empty() {
             self.idle_jump(limit, self.medium.config().tau(), obs)
         } else {
-            self.medium.plan().is_none() && self.batched_rounds(limit, obs)
+            self.batched_rounds(limit, obs)
         }
     }
 
@@ -964,45 +981,34 @@ impl<S: ArrivalSource> Engine<S> {
     /// Batched resolution kernel: under the Oldest (FCFS) position with a
     /// single trailing gap, whole windowing rounds run back to back
     /// through [`Engine::decide`] and [`Engine::round`] with per-slot
-    /// callbacks off, each costing one `BTreeMap` range probe and no
-    /// pseudo-map rebuild.
+    /// callbacks off, each costing two `partition_point`s over the book
+    /// and no pseudo-map rebuild.
     ///
-    /// A round of one probe (empty or singleton window) needs only the
-    /// next churn slot to be transition-free. A collision round takes an
-    /// unknown number of probe slots and splits, so it also needs the
-    /// `OlderFirst` rule (which draws no policy RNG) and a membership
-    /// process with no transition pending at all. Otherwise the batch
-    /// ends and the caller runs the round through `cycle`; re-entry is
-    /// idempotent, since nothing beyond `ingest`, the discard sweep and
-    /// an idempotent `next_length` has happened for the aborted round and
-    /// no RNG was drawn.
+    /// `round` handles faults, mid-round membership transitions and
+    /// `Random` splits the same way with or without per-slot callbacks,
+    /// so any round qualifies. The batch ends at the horizon, or when
+    /// `decide` hands the decision point back to `cycle`: the book has
+    /// drained into the idle jump's steady shape, the unexamined region
+    /// is not one trailing gap, or nothing is left to examine. Re-entry
+    /// is idempotent, since nothing beyond `ingest`, recovery, the
+    /// discard sweep and an idempotent `next_length` has happened for the
+    /// aborted round and no RNG was drawn.
     fn batched_rounds(&mut self, limit: Time, obs: &mut dyn EngineObserver) -> bool {
         if !matches!(self.policy.position, WindowPosition::Oldest) {
             return false;
         }
         let from = self.timeline.now();
-        let probe_slots = |c: &ChannelStats| c.idle_slots + c.collision_slots + c.successes;
+        let probe_slots =
+            |c: &ChannelStats| c.idle_slots + c.collision_slots + c.successes + c.erased_slots;
         let slots_before = probe_slots(&self.channel_stats);
-        // No membership transition happens inside a batch, so one query
-        // bounds it: every round's first churn slot must come before the
-        // next scheduled transition.
-        let next_transition = self.churn.next_scheduled_transition();
-        let collisions = self.policy.split == SplitRule::OlderFirst && next_transition.is_none();
         let mut bufs = std::mem::take(&mut self.scratch);
-        loop {
+        while self.timeline.now() < limit {
             let now = self.timeline.now();
-            if now >= limit || next_transition.is_some_and(|s| s <= self.churn.slot() + 1) {
-                break;
-            }
             let Some(Decision::Round(initial, Some(base))) =
                 self.decide(now, false, &mut bufs, obs)
             else {
                 break;
             };
-            let live = |m: &&Message| self.churn.is_up(m.station);
-            if !collisions && bufs.members.iter().filter(live).nth(1).is_some() {
-                break;
-            }
             self.round(initial, Axis::Shifted(base), false, &mut bufs, obs);
         }
         self.scratch = bufs;
@@ -1048,7 +1054,7 @@ impl<S: ArrivalSource> Engine<S> {
                     self.next_id += 1;
                     self.metrics.on_offered(a.time);
                     self.mark_busy(a.station);
-                    self.pending.insert((a.time, msg.id), msg);
+                    self.book(msg);
                     obs.on_arrival(&msg, now);
                 }
                 _ => break,
@@ -1094,10 +1100,11 @@ impl<S: ArrivalSource> Engine<S> {
 
     /// The decision point of `cycle` and the batched kernel: ingest,
     /// recovery, the element (4) discard and the window choice. For a
-    /// round, `bufs` ends up holding the window's segments and members
-    /// (its pending messages, oldest first, from one `BTreeMap` range).
-    /// The pseudo map is rebuilt only when the unexamined region is not
-    /// one trailing gap.
+    /// round, `bufs` ends up holding the window's segments and members:
+    /// its pending messages, oldest first, copied from the stretch of the
+    /// sorted book between two `partition_point`s (filtered by segment
+    /// when the window has several). The pseudo map is rebuilt only when
+    /// the unexamined region is not one trailing gap.
     ///
     /// Without `per_slot` (the batched kernel) no beacon is reported, and
     /// the decision point goes back to `cycle` (`None`) — before any RNG
@@ -1153,13 +1160,25 @@ impl<S: ArrivalSource> Engine<S> {
         let base = gap.map(|g| g.lo);
         Axis::new(base, &self.pseudo).segments_into(initial, &mut bufs.segments);
         let (first, last) = (bufs.segments[0], bufs.segments[bufs.segments.len() - 1]);
+        let lo = self.pending.partition_point(|m| m.arrival < first.lo);
+        let hi = self.pending.partition_point(|m| m.arrival < last.hi);
         bufs.members.clear();
         push_in_segments(
-            self.pending
-                .range((first.lo, MessageId(0))..(last.hi, MessageId(0)))
-                .map(|(_, m)| m),
+            self.pending.range(lo..hi),
             &bufs.segments,
             &mut bufs.members,
+        );
+        // The two searches' postconditions: the book's stretch `lo..hi`
+        // holds exactly its messages inside the window's hull.
+        debug_assert!(
+            (lo == 0 || self.pending[lo - 1].arrival < first.lo)
+                && self
+                    .pending
+                    .range(lo..hi)
+                    .all(|m| first.lo <= m.arrival && m.arrival < last.hi)
+                && !self.pending.get(hi).is_some_and(|m| m.arrival < last.hi),
+            "book stretch {lo}..{hi} is not the hull of {:?}",
+            bufs.segments
         );
         Some(Decision::Round(initial, base))
     }
@@ -1188,8 +1207,8 @@ impl<S: ArrivalSource> Engine<S> {
                 keys.extend(
                     self.pending
                         .iter()
-                        .filter(|(_, m)| m.station == station)
-                        .map(|(&k, _)| k),
+                        .filter(|m| m.station == station)
+                        .map(|m| (m.arrival, m.id)),
                 );
                 for &(arrival, id) in &keys {
                     if !self.timeline.is_examined(arrival) {
@@ -1218,7 +1237,7 @@ impl<S: ArrivalSource> Engine<S> {
             std::mem::swap(&mut self.orphans, &mut self.orphans_swap);
             for i in 0..self.orphans_swap.len() {
                 let (arrival, id) = self.orphans_swap[i];
-                if self.pending.contains_key(&(arrival, id)) {
+                if self.book_position((arrival, id)).is_ok() {
                     let iv = Interval::new(arrival, arrival + tick);
                     self.timeline.reopen(iv);
                     self.metrics.on_reopen();
@@ -1320,11 +1339,9 @@ impl<S: ArrivalSource> Engine<S> {
             // scan of the book over the segments' hull.
             debug_assert!(
                 self.pending
-                    .range(
-                        (segments[0].lo, MessageId(0))
-                            ..(segments[segments.len() - 1].hi, MessageId(0))
-                    )
-                    .map(|(_, m)| m)
+                    .iter()
+                    .skip_while(|m| m.arrival < segments[0].lo)
+                    .take_while(|m| m.arrival < segments[segments.len() - 1].hi)
                     .filter(|m| self.churn.is_up(m.station)
                         && segments.iter().any(|s| s.contains(m.arrival)))
                     .eq(txs),
@@ -1531,12 +1548,8 @@ impl<S: ArrivalSource> Engine<S> {
                 ChurnEvent::Crash(s) => {
                     // Disjoint field borrows: `pending` is read while
                     // `churn_touched` absorbs the ids.
-                    self.churn_touched.extend(
-                        self.pending
-                            .values()
-                            .filter(|m| m.station == s)
-                            .map(|m| m.id),
-                    );
+                    self.churn_touched
+                        .extend(self.pending.iter().filter(|m| m.station == s).map(|m| m.id));
                 }
                 ChurnEvent::Restart(s) => {
                     self.rejoining.push((s, self.churn.slot()));
@@ -1548,8 +1561,8 @@ impl<S: ArrivalSource> Engine<S> {
                     keys.extend(
                         self.pending
                             .iter()
-                            .filter(|(_, m)| m.station == s)
-                            .map(|(&k, _)| k),
+                            .filter(|m| m.station == s)
+                            .map(|m| (m.arrival, m.id)),
                     );
                     for &key in &keys {
                         let msg = self.unbook(key);
@@ -1724,11 +1737,8 @@ impl<S: ArrivalSource> Engine<S> {
             return;
         };
         let cutoff = now.saturating_sub(k);
-        while let Some((&key, _)) = self.pending.first_key_value() {
-            if key.0 >= cutoff {
-                break;
-            }
-            let msg = self.unbook(key);
+        while self.pending.front().is_some_and(|m| m.arrival < cutoff) {
+            let msg = self.unbook_at(0);
             let counted = self.metrics.config().counts(msg.arrival);
             if take_touched(&mut self.fault_touched, msg.id) && counted {
                 self.metrics.on_fault_loss();
@@ -1751,13 +1761,41 @@ impl<S: ArrivalSource> Engine<S> {
         self.busy[i] = true;
     }
 
-    /// Removes a resolved message from the pending book and clears its
-    /// station's busy flag.
+    /// Admits `msg` to the pending book. Sources deliver non-decreasing
+    /// times and ids only grow, so this is a `push_back`; a key that
+    /// sorts before the back is inserted at its binary-searched place.
+    fn book(&mut self, msg: Message) {
+        match self.pending.back() {
+            Some(b) if (b.arrival, b.id) > (msg.arrival, msg.id) => {
+                let i = self
+                    .book_position((msg.arrival, msg.id))
+                    .expect_err("message ids are unique");
+                self.pending.insert(i, msg);
+            }
+            _ => self.pending.push_back(msg),
+        }
+    }
+
+    /// Where the message keyed `key` sits in the book (`Ok`), or where it
+    /// would go (`Err`).
+    fn book_position(&self, key: (Time, MessageId)) -> Result<usize, usize> {
+        self.pending
+            .binary_search_by(|m| (m.arrival, m.id).cmp(&key))
+    }
+
+    /// Removes a resolved message from the pending book by binary search,
+    /// which lands near the front under FCFS, and clears its station's
+    /// busy flag.
     fn unbook(&mut self, key: (Time, MessageId)) -> Message {
-        let msg = self
-            .pending
-            .remove(&key)
+        let i = self
+            .book_position(key)
             .expect("resolved message was pending");
+        self.unbook_at(i)
+    }
+
+    /// As [`Engine::unbook`], for the message at index `i` of the book.
+    fn unbook_at(&mut self, i: usize) -> Message {
+        let msg = self.pending.remove(i).expect("index inside the book");
         if let Some(busy) = self.busy.get_mut(msg.station.0 as usize) {
             *busy = false;
         }
@@ -2212,6 +2250,49 @@ mod tests {
         eng.mark_busy(StationId(3));
         let words = eng.snapshot().expect("trace source checkpoints");
         assert!(fcfs_engine(&[(2, 0)], 16).restore(&words).is_err());
+    }
+
+    #[test]
+    fn restore_rejects_unsorted_book() {
+        let arrivals = [(2, 0), (3, 1)];
+        let mut eng = fcfs_engine(&arrivals, 16);
+        eng.run_until(Time::from_ticks(4), &mut NoopObserver);
+        eng.ingest(eng.now(), &mut NoopObserver);
+        assert_eq!(eng.pending_count(), 2);
+        let words = eng.snapshot().expect("trace source checkpoints");
+        assert!(fcfs_engine(&arrivals, 16).restore(&words).is_ok());
+        // Out of order, then a duplicate entry: the book's binary
+        // searches would go wrong on either.
+        eng.pending.swap(0, 1);
+        let unsorted = eng.snapshot().expect("trace source checkpoints");
+        eng.pending[0] = eng.pending[1];
+        let duplicate = eng.snapshot().expect("trace source checkpoints");
+        for words in [unsorted, duplicate] {
+            let err = fcfs_engine(&arrivals, 16).restore(&words).unwrap_err();
+            assert!(err.to_string().contains("strictly increasing"), "{err}");
+        }
+    }
+
+    #[test]
+    fn book_keeps_out_of_order_keys_sorted() {
+        let mut eng = fcfs_engine(&[], 16);
+        for (t, id) in [(5, 0), (9, 1), (7, 2), (5, 3), (1, 4)] {
+            eng.book(Message::new(
+                MessageId(id),
+                StationId(0),
+                Time::from_ticks(t),
+            ));
+        }
+        let keys = |eng: &Engine<TraceArrivals>| -> Vec<(u64, u64)> {
+            eng.pending
+                .iter()
+                .map(|m| (m.arrival.ticks(), m.id.0))
+                .collect()
+        };
+        assert_eq!(keys(&eng), [(1, 4), (5, 0), (5, 3), (7, 2), (9, 1)]);
+        let msg = eng.unbook((Time::from_ticks(5), MessageId(3)));
+        assert_eq!(msg.id, MessageId(3));
+        assert_eq!(keys(&eng), [(1, 4), (5, 0), (7, 2), (9, 1)]);
     }
 
     #[test]

@@ -71,17 +71,30 @@ impl Timeline {
             hi = hi.max(self.examined[end].hi);
             end += 1;
         }
-        self.examined
-            .splice(start..end, std::iter::once(Interval::new(lo, hi)));
+        // Merged in place: the first absorbed interval takes the union and
+        // the rest are drained. Extending the examined prefix, the FCFS
+        // steady state, absorbs exactly one and moves nothing.
+        let merged = Interval::new(lo, hi);
+        if start == end {
+            self.examined.insert(start, merged);
+        } else {
+            self.examined[start] = merged;
+            self.examined.drain(start + 1..end);
+        }
     }
 
     /// Marks everything before `t` examined — policy element (4): messages
     /// older than the deadline are discarded by treating their arrival
     /// intervals as if they were known to contain no untransmitted
-    /// arrivals (paper §3.1).
+    /// arrivals (paper §3.1). Returns at once when the examined prefix
+    /// `[0, e)` already reaches `t`, as it does at most decision points.
     pub fn discard_before(&mut self, t: Time) {
         let t = t.min(self.now);
-        if t > Time::ZERO {
+        let covered = self
+            .examined
+            .first()
+            .is_some_and(|e| e.lo == Time::ZERO && e.hi >= t);
+        if t > Time::ZERO && !covered {
             self.mark_examined(Interval::new(Time::ZERO, t));
         }
     }
@@ -464,5 +477,91 @@ mod tests {
         assert_eq!(tl.t_past(), None);
         assert_eq!(tl.oldest_gap(), None);
         assert_eq!(tl.newest_gap(), None);
+    }
+
+    /// Random sequences of `advance`, `mark_examined`, `reopen` and
+    /// `discard_before` against a naive model holding one examined flag
+    /// per tick. After every step the queries must match the model and
+    /// the stored fragments must be coalesced: one per maximal examined
+    /// run.
+    #[test]
+    fn random_operations_match_a_per_tick_model() {
+        use tcw_sim::rng::Rng;
+        let mut rng = Rng::new(0x7133_0001);
+        let mut gaps = Vec::new();
+        for sequence in 0..200 {
+            let mut tl = Timeline::new();
+            let mut flags: Vec<bool> = Vec::new();
+            for step in 0..150 {
+                let now = flags.len() as u64;
+                // A random interval inside [0, now), possibly empty.
+                let span = |rng: &mut Rng| {
+                    let (a, b) = (rng.below(now + 1), rng.below(now + 1));
+                    (a.min(b), a.max(b))
+                };
+                match rng.below(8) {
+                    0 | 1 => {
+                        let to = now + rng.below(9);
+                        tl.advance(t(to));
+                        flags.resize(to as usize, false);
+                    }
+                    2 | 3 => {
+                        // Half of the marks extend the examined prefix,
+                        // the engine's common case.
+                        let (lo, hi) = if rng.below(2) == 0 {
+                            let e = flags.iter().position(|&f| !f).unwrap_or(flags.len()) as u64;
+                            (e, e + rng.below(now - e + 1))
+                        } else {
+                            span(&mut rng)
+                        };
+                        tl.mark_examined(Interval::from_ticks(lo, hi));
+                        flags[lo as usize..hi as usize].fill(true);
+                    }
+                    4 | 5 => {
+                        let (lo, hi) = span(&mut rng);
+                        tl.reopen(Interval::from_ticks(lo, hi));
+                        flags[lo as usize..hi as usize].fill(false);
+                    }
+                    _ => {
+                        let cut = rng.below(now + 4);
+                        tl.discard_before(t(cut));
+                        let cut = cut.min(now) as usize;
+                        flags[..cut].fill(true);
+                    }
+                }
+                let label = format!("sequence {sequence} step {step}");
+                let now = flags.len() as u64;
+                assert_eq!(tl.now(), t(now), "{label}");
+                for x in 0..now + 2 {
+                    let expect = flags.get(x as usize).copied().unwrap_or(false);
+                    assert_eq!(tl.is_examined(t(x)), expect, "{label}: tick {x}");
+                }
+                // Maximal runs of examined and of unexamined ticks.
+                let mut runs: Vec<(bool, Interval)> = Vec::new();
+                for (x, &f) in flags.iter().enumerate() {
+                    let x = x as u64;
+                    match runs.last_mut() {
+                        Some((g, iv)) if *g == f => {
+                            *iv = Interval::from_ticks(iv.lo.ticks(), x + 1)
+                        }
+                        _ => runs.push((f, Interval::from_ticks(x, x + 1))),
+                    }
+                }
+                let model_gaps: Vec<Interval> = runs.iter().filter(|r| !r.0).map(|r| r.1).collect();
+                tl.unexamined_into(&mut gaps);
+                assert_eq!(gaps, model_gaps, "{label}");
+                assert_eq!(
+                    tl.examined_fragments(),
+                    runs.len() - model_gaps.len(),
+                    "{label}: fragments not coalesced"
+                );
+                assert_eq!(tl.t_past(), model_gaps.first().map(|g| g.lo), "{label}");
+                let trailing = match model_gaps.as_slice() {
+                    [g] if g.hi == t(now) => Some(*g),
+                    _ => None,
+                };
+                assert_eq!(tl.trailing_gap(), trailing, "{label}");
+            }
+        }
     }
 }

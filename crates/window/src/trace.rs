@@ -120,10 +120,11 @@ pub trait EngineObserver {
 
     /// The batched resolution kernel resolved whole windowing rounds,
     /// `slots` probe slots in all, between `from` and `to` without
-    /// per-slot re-dispatch. Per-event callbacks for those rounds are
-    /// suppressed; the span callbacks (`on_window_member`,
-    /// `on_collision_member`, `on_transmit`, ...) fire as on the slow
-    /// path.
+    /// per-slot re-dispatch. The per-slot callbacks (`on_beacon`,
+    /// `on_decision`, `on_probe`, `on_immediate_split`) for those rounds
+    /// are suppressed; the span callbacks (`on_window_member`,
+    /// `on_collision_member`, `on_transmit`, ...), the fault callbacks and
+    /// `on_churn_event` fire as on the slow path, before this callback.
     fn on_batched_run(&mut self, _from: Time, _to: Time, _slots: u64) {}
 
     /// A message was admitted into the protocol (lifecycle span opens).

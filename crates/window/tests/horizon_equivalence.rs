@@ -26,7 +26,7 @@ use tcw_sim::time::{Dur, Time};
 use tcw_window::engine::{poisson_engine, Engine, HorizonStats};
 use tcw_window::interval::Interval;
 use tcw_window::metrics::MeasureConfig;
-use tcw_window::policy::ControlPolicy;
+use tcw_window::policy::{ControlPolicy, WindowPosition};
 use tcw_window::trace::{EngineObserver, NoopObserver};
 use tcw_window::{AimdConfig, ControllerConfig, EstimatorConfig, SlotContext, WindowController};
 
@@ -538,6 +538,36 @@ fn idle_jump_bails_leave_every_stream_untouched() {
             "{label}: no idle jump"
         );
     }
+}
+
+/// Feedback faults and random crashes keep no round off the batched
+/// kernel: every Oldest-position case of the general and mixed suites
+/// with a fault plan or random crashes resolves rounds there. The tests
+/// above prove these runs bit-identical to slot stepping.
+#[test]
+fn faulty_and_crashing_rounds_run_on_the_batched_kernel() {
+    let general = (0..CASES).map(|case| (format!("case {case}"), draw_case(case)));
+    let mixed = (0..MIXED_CASES).map(|case| (format!("mixed case {case}"), draw_mixed_case(case)));
+    // Cases checked with a fault plan / with random crashes.
+    let (mut faulty, mut crashing) = (0u64, 0u64);
+    for (label, cfg) in general.chain(mixed) {
+        let (faults, crashes) = (!cfg.plan.is_none(), cfg.churn.crash > 0.0);
+        if !matches!(cfg.policy.position, WindowPosition::Oldest) || !(faults || crashes) {
+            continue;
+        }
+        faulty += u64::from(faults);
+        crashing += u64::from(crashes);
+        let mut eng = build(&cfg);
+        eng.run_until(Time::from_ticks(cfg.horizon), &mut NoopObserver);
+        assert!(
+            eng.horizon_stats.batched_runs > 0,
+            "{label}: no round ran on the batched kernel"
+        );
+    }
+    assert!(
+        faulty > 0 && crashing > 0,
+        "too few cases: {faulty} with faults, {crashing} with crashes"
+    );
 }
 
 /// A slow-path-demanding observer disables the fast path even when
