@@ -180,7 +180,10 @@ pub fn run_horizon(measure: MeasureConfig, ticks_per_tau: u64) -> Time {
     Time::from_ticks(end + (end - start) / 10 + 64 * ticks_per_tau)
 }
 
-/// Drives an engine to its horizon and through the final drain, then —
+/// Drives an engine to its horizon and through the final drain, ends the
+/// age read-outs at the run's last instant
+/// ([`tcw_window::metrics::Metrics::end_run`]; an unbounded measurement
+/// window would otherwise run every age tail to `Time::MAX`), then —
 /// when a sink is attached — registers the engine's own accounting with
 /// it: metrics, channel stats, churn counters, and the event-horizon
 /// fast-path counters (`tcw_horizon_*`). Every sweep binary that runs
@@ -195,6 +198,7 @@ pub fn run_to_horizon<S: tcw_mac::ArrivalSource>(
 ) {
     eng.run_until(horizon, obs);
     eng.drain(obs);
+    eng.metrics.end_run(eng.now());
     if let Some(sink) = sink {
         eng.metrics.emit(sink);
         eng.channel_stats.emit(sink);

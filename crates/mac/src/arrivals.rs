@@ -41,6 +41,22 @@ pub trait ArrivalSource {
     }
 }
 
+/// A boxed source forwards to the source it holds, so an engine can run
+/// over a `Box<dyn ArrivalSource>` chosen at runtime.
+impl<T: ArrivalSource + ?Sized> ArrivalSource for Box<T> {
+    fn next_arrival(&mut self, rng: &mut Rng) -> Option<Arrival> {
+        (**self).next_arrival(rng)
+    }
+
+    fn save_cursor(&self) -> Option<Vec<u64>> {
+        (**self).save_cursor()
+    }
+
+    fn load_cursor(&mut self, words: &[u64]) -> Result<(), SnapError> {
+        (**self).load_cursor(words)
+    }
+}
+
 /// Aggregate Poisson arrivals at rate `lambda` (messages per tick),
 /// assigned to one of `stations` uniformly at random — the paper's traffic
 /// model ("the probability of more than one message arrival anywhere in the

@@ -127,7 +127,7 @@ impl Medium {
 /// `utilization()` is the fraction of channel time carrying successful
 /// transmissions — the "useful work" the paper's Section 4.2 credits the
 /// controlled protocol with maximizing.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChannelStats {
     /// Channel time spent idle (empty probes).
     pub idle: Dur,

@@ -798,22 +798,44 @@ impl<S: ArrivalSource> Engine<S> {
     /// Stops admitting new arrivals and runs until every already-admitted
     /// message is resolved (transmitted or discarded).
     pub fn drain(&mut self, obs: &mut dyn EngineObserver) {
-        self.arrival_cutoff = self.timeline.now();
-        self.ingest(self.timeline.now(), obs);
-        while !self.pending.is_empty() || self.has_admissible_lookahead() {
+        self.close_admission(obs);
+        while !self.is_drained() {
             self.cycle(obs);
         }
     }
 
-    /// Runs one decision cycle (exposed for step-wise tests).
+    /// The first half of [`Engine::drain`]: arrivals after the current
+    /// instant are no longer admitted, and those up to it are admitted
+    /// now.
+    pub fn close_admission(&mut self, obs: &mut dyn EngineObserver) {
+        self.arrival_cutoff = self.timeline.now();
+        self.ingest(self.timeline.now(), obs);
+    }
+
+    /// Whether every admitted message is resolved. After
+    /// [`Engine::close_admission`] the source has delivered every arrival
+    /// up to the cutoff and later ones are dropped, so this is the
+    /// condition that ends [`Engine::drain`].
+    pub fn is_drained(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Runs one decision cycle: a decision point and the windowing round
+    /// or idle slot it selects, with every per-slot callback. The class
+    /// scheduler ([`crate::multiclass`]) drives its class engines this
+    /// way.
     pub fn step(&mut self, obs: &mut dyn EngineObserver) {
         self.cycle(obs);
     }
 
-    fn has_admissible_lookahead(&self) -> bool {
-        self.lookahead
-            .map(|a| a.time <= self.arrival_cutoff)
-            .unwrap_or(false)
+    /// Advances the clock to `to` without probing, while the channel
+    /// carries another protocol's slots (another class of
+    /// [`crate::multiclass`]). The stretch joins the unexamined region,
+    /// as any elapsed time does, and is not this engine's channel time:
+    /// `channel_stats`, the churn process, the fault stream and the
+    /// controller do not step.
+    pub fn yield_until(&mut self, to: Time) {
+        self.timeline.advance(to);
     }
 
     /// The event-horizon fast path. Tries to execute a stretch of
@@ -2002,6 +2024,83 @@ mod tests {
         assert_eq!(eng.metrics.offered(), 3);
         assert_eq!(eng.metrics.loss_fraction(), 0.0);
         assert_eq!(eng.channel_stats.successes, 3);
+    }
+
+    #[test]
+    fn yield_close_admission_and_drain_split() {
+        /// The first segment of every round's initial window.
+        #[derive(Default)]
+        struct Windows(Vec<Interval>);
+        impl EngineObserver for Windows {
+            fn on_decision(&mut self, _now: Time, segments: Option<&[Interval]>) {
+                self.0.extend(segments.map(|s| s[0]));
+            }
+        }
+        let arrivals = [
+            (2, 0),
+            (9, 1),
+            (11, 2),
+            (13, 3),
+            (60, 4),
+            (61, 5),
+            (100, 6),
+            (101, 7),
+        ];
+        // Admission closes at tick 100: the arrival at 100 is admitted,
+        // the one at 101 never is.
+        let cutoff = Time::from_ticks(100);
+        let run_to_cutoff = || {
+            let mut eng = Engine::new(
+                EngineConfig {
+                    channel: channel(),
+                    policy: ControlPolicy::controlled(Dur::from_ticks(1_000), Dur::from_ticks(8)),
+                    measure: measure(1_000),
+                    seed: 3,
+                },
+                TraceArrivals::from_ticks(&arrivals),
+            );
+            eng.run_until(Time::from_ticks(20), &mut NoopObserver);
+            // Another protocol holds the channel for 40 ticks: the stretch
+            // joins the unexamined region and is not this engine's
+            // channel time.
+            let (from, stats) = (eng.now(), eng.channel_stats);
+            let t_past = eng
+                .timeline()
+                .t_past()
+                .expect("backlog left at the horizon");
+            eng.yield_until(from + Dur::from_ticks(40));
+            assert_eq!(eng.channel_stats, stats);
+            assert_eq!(
+                eng.timeline().unexamined(),
+                [Interval::new(t_past, eng.now())]
+            );
+            // The next round starts where the yield found the backlog.
+            let mut windows = Windows::default();
+            eng.step(&mut windows);
+            assert_eq!(windows.0[0].lo, t_past);
+            assert!(eng.now() <= cutoff);
+            eng.yield_until(cutoff);
+            eng
+        };
+
+        let mut eng = run_to_cutoff();
+        eng.close_admission(&mut NoopObserver);
+        // Everything up to the cutoff is admitted at once.
+        let admitted = arrivals.iter().filter(|a| a.0 <= cutoff.ticks()).count() as u64;
+        assert_eq!(admitted, 7);
+        assert_eq!(eng.metrics.offered() + eng.metrics.outstanding(), admitted);
+        assert!(eng.pending_count() > 0 && !eng.is_drained());
+        while !eng.is_drained() {
+            eng.step(&mut NoopObserver);
+        }
+        assert_eq!(eng.metrics.offered(), admitted);
+        assert_eq!(eng.metrics.outstanding(), 0);
+        // `drain` stops at the same instant with the same accounting.
+        let mut drained = run_to_cutoff();
+        drained.drain(&mut NoopObserver);
+        assert_eq!(drained.now(), eng.now());
+        assert_eq!(drained.channel_stats, eng.channel_stats);
+        assert_eq!(drained.metrics.offered(), eng.metrics.offered());
     }
 
     #[test]

@@ -178,6 +178,16 @@ impl AgeTracker {
         }
     }
 
+    /// Ends the run at `now`: from here on every read-out ends the
+    /// stations' age tails at `min(end, now)`. A window that closes
+    /// before the run keeps its tails to the window end. An unbounded one
+    /// (`end = Time::MAX`) stops them at the run's last instant instead
+    /// of squaring ages near `Time::MAX` into the integral. Call it once,
+    /// after the last delivery.
+    pub fn end_run(&mut self, now: Time) {
+        self.end = self.end.min(now);
+    }
+
     /// Station state with the closed-form tail `[flushed_to, end)` folded
     /// in, without mutating the tracker.
     fn with_tail(&self, s: &StationAge) -> StationAge {
@@ -510,6 +520,12 @@ impl Metrics {
     /// censored at the measurement-window start.
     pub fn on_delivery(&mut self, station: StationId, arrival: Time, delivered: Time) {
         self.aoi.on_delivery(station, arrival, delivered);
+    }
+
+    /// Ends the run at `now` for the age read-outs
+    /// ([`AgeTracker::end_run`]).
+    pub fn end_run(&mut self, now: Time) {
+        self.aoi.end_run(now);
     }
 
     /// The per-station Age-of-Information tracker.
@@ -1061,6 +1077,38 @@ mod tests {
         assert_eq!(a.violation_fraction().unwrap(), 0.0);
         let h = a.final_age_histogram();
         assert_eq!(h.count(), 1);
+    }
+
+    #[test]
+    fn aoi_unbounded_window_ends_at_the_run() {
+        let cfg = MeasureConfig {
+            start: Time::ZERO,
+            end: Time::MAX,
+            deadline: Dur::from_ticks(50),
+        };
+        let mut a = AgeTracker::new(&cfg);
+        a.on_delivery(StationId(0), Time::from_ticks(0), Time::from_ticks(10));
+        a.on_delivery(StationId(1), Time::from_ticks(5), Time::from_ticks(20));
+        a.on_delivery(StationId(0), Time::from_ticks(20), Time::from_ticks(30));
+        a.end_run(Time::from_ticks(100));
+        assert_eq!(a.stations_observed(), 2);
+        // Station 0 over [10,30) anchored at 0 and [30,100) at 20:
+        // (30²-10²)/2 + (80²-10²)/2 = 3550 over 90 ticks. Station 1 over
+        // [20,100) anchored at 5: (95²-15²)/2 = 4400 over 80 ticks.
+        let mean = a.mean_age().unwrap();
+        assert!((mean - 7950.0 / 170.0).abs() < 1e-12, "{mean}");
+        // Age above 50 on (70,100) at station 0 and (55,100) at station 1.
+        let v = a.violation_fraction().unwrap();
+        assert!((0.0..=1.0).contains(&v));
+        assert!((v - 75.0 / 170.0).abs() < 1e-12, "{v}");
+        assert_eq!(a.final_age_histogram().count(), 2);
+
+        // A window that closes before the run keeps its tails.
+        let mut bounded = AgeTracker::new(&aoi_cfg());
+        bounded.on_delivery(StationId(0), Time::from_ticks(0), Time::from_ticks(10));
+        let before = bounded.mean_age().unwrap();
+        bounded.end_run(Time::from_ticks(500));
+        assert_eq!(before.to_bits(), bounded.mean_age().unwrap().to_bits());
     }
 
     #[test]

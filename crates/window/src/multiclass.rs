@@ -17,21 +17,24 @@
 //! ([`ClassRule::MinSlack`]'s documented pathology). The working rule is
 //! proportional urgency, `argmax_c (now - t_past_c)/K_c`.
 //!
-//! With a single class this engine runs the same protocol as
-//! [`crate::engine::Engine`] under the controlled policy, but it is a
-//! separate implementation on differently labelled random streams, so
-//! the runs are not bit-identical. The tests check only that the two
-//! losses agree within 0.015 (`single_class_matches_controlled_engine`).
+//! Each class is one [`Engine`] under `ControlPolicy::controlled(K_c,
+//! W_c)` with master seed `stream_seed(seed, c)`, and
+//! [`MulticlassEngine`] only schedules them. At each decision point it
+//! picks a class from the class engines' timelines, runs one
+//! [`Engine::step`] on it, and lets every other class
+//! [`Engine::yield_until`] the end of that step. Every ingest, discard,
+//! round and coin flip therefore happens inside `Engine`. With a single
+//! class the scheduler always steps class 0, so the run is bit-identical
+//! to that class's engine run alone; the test
+//! `single_class_is_bit_identical_to_engine` compares every metric,
+//! every channel counter and the final clock.
 
-use crate::interval::Interval;
+use crate::engine::{Engine, EngineConfig};
 use crate::metrics::{MeasureConfig, Metrics};
-use crate::pseudo::{PseudoInterval, PseudoMap};
-use crate::timeline::Timeline;
-use std::collections::BTreeMap;
-use tcw_mac::{
-    Arrival, ArrivalSource, ChannelConfig, ChannelStats, Medium, Message, MessageId, SlotOutcome,
-};
-use tcw_sim::rng::Rng;
+use crate::policy::ControlPolicy;
+use crate::trace::NoopObserver;
+use tcw_mac::{ArrivalSource, ChannelConfig};
+use tcw_sim::rng::stream_seed;
 use tcw_sim::time::{Dur, Time};
 
 /// How the served class is chosen at each decision point.
@@ -65,29 +68,16 @@ pub struct ClassSpec {
     pub source: Box<dyn ArrivalSource>,
 }
 
-struct ClassState {
-    deadline: Dur,
-    window: Dur,
-    timeline: Timeline,
-    pending: BTreeMap<(Time, MessageId), Message>,
-    source: Box<dyn ArrivalSource>,
-    lookahead: Option<Arrival>,
-    source_done: bool,
-    metrics: Metrics,
-}
+/// One class's protocol engine.
+pub type ClassEngine = Engine<Box<dyn ArrivalSource>>;
 
-/// The multi-class minimum-slack protocol engine.
+/// The multi-class minimum-slack protocol: a class scheduler over one
+/// controlled [`Engine`] per class, all sharing one clock.
 pub struct MulticlassEngine {
-    medium: Medium,
     rule: ClassRule,
-    classes: Vec<ClassState>,
-    now: Time,
-    next_id: u64,
-    arrival_cutoff: Time,
-    rng_coins: Rng,
-    rng_sources: Vec<Rng>,
-    /// Channel-time accounting (all classes share the channel).
-    pub channel_stats: ChannelStats,
+    /// `K_c`, per class.
+    deadlines: Vec<Dur>,
+    classes: Vec<ClassEngine>,
 }
 
 impl MulticlassEngine {
@@ -103,49 +93,44 @@ impl MulticlassEngine {
         seed: u64,
     ) -> Self {
         assert!(!classes.is_empty());
-        let mut master = Rng::new(seed);
-        let _policy_stream = master.fork("policy"); // reserved, parity with Engine
-        let rng_coins = master.fork("coins");
-        let rng_sources: Vec<Rng> = (0..classes.len())
-            .map(|c| master.fork(&format!("source-{c}")))
-            .collect();
+        let deadlines = classes.iter().map(|spec| spec.deadline).collect();
         let classes = classes
             .into_iter()
-            .map(|spec| ClassState {
-                deadline: spec.deadline,
-                window: spec.window,
-                timeline: Timeline::new(),
-                pending: BTreeMap::new(),
-                source: spec.source,
-                lookahead: None,
-                source_done: false,
-                metrics: Metrics::new(MeasureConfig {
-                    deadline: spec.deadline,
-                    ..measure
-                }),
+            .enumerate()
+            .map(|(c, spec)| {
+                let cfg = EngineConfig {
+                    channel,
+                    policy: ControlPolicy::controlled(spec.deadline, spec.window),
+                    measure: MeasureConfig {
+                        deadline: spec.deadline,
+                        ..measure
+                    },
+                    seed: stream_seed(seed, c as u64),
+                };
+                Engine::new(cfg, spec.source)
             })
             .collect();
         MulticlassEngine {
-            medium: Medium::new(channel),
             rule,
+            deadlines,
             classes,
-            now: Time::ZERO,
-            next_id: 0,
-            arrival_cutoff: Time::MAX,
-            rng_coins,
-            rng_sources,
-            channel_stats: ChannelStats::new(),
         }
     }
 
-    /// Current simulation time.
+    /// Current simulation time (every class engine's clock).
     pub fn now(&self) -> Time {
-        self.now
+        self.classes[0].now()
     }
 
     /// Per-class metrics.
     pub fn class_metrics(&self, c: usize) -> &Metrics {
         &self.classes[c].metrics
+    }
+
+    /// Class `c`'s engine. Its `channel_stats` hold the channel time of
+    /// the steps it ran; summed over classes they cover the whole clock.
+    pub fn class(&self, c: usize) -> &ClassEngine {
+        &self.classes[c]
     }
 
     /// Number of classes.
@@ -155,251 +140,73 @@ impl MulticlassEngine {
 
     /// Total pending messages across classes.
     pub fn pending_count(&self) -> usize {
-        self.classes.iter().map(|c| c.pending.len()).sum()
+        self.classes.iter().map(|e| e.pending_count()).sum()
     }
 
     /// Runs until the clock reaches `horizon`.
     pub fn run_until(&mut self, horizon: Time) {
-        while self.now < horizon {
+        while self.now() < horizon {
             self.cycle();
         }
     }
 
     /// Stops admitting arrivals and resolves every admitted message.
     pub fn drain(&mut self) {
-        self.arrival_cutoff = self.now;
-        self.ingest_all();
-        while self.classes.iter().any(|c| !c.pending.is_empty()) || self.has_admissible_lookahead()
-        {
+        for e in &mut self.classes {
+            e.close_admission(&mut NoopObserver);
+        }
+        while !self.classes.iter().all(|e| e.is_drained()) {
             self.cycle();
         }
     }
 
-    fn has_admissible_lookahead(&self) -> bool {
-        self.classes
-            .iter()
-            .any(|c| c.lookahead.is_some_and(|a| a.time <= self.arrival_cutoff))
-    }
-
-    fn ingest_all(&mut self) {
-        let now = self.now;
-        for (c, state) in self.classes.iter_mut().enumerate() {
-            loop {
-                if state.lookahead.is_none() && !state.source_done {
-                    state.lookahead = state.source.next_arrival(&mut self.rng_sources[c]);
-                    if state.lookahead.is_none() {
-                        state.source_done = true;
-                    }
-                }
-                match state.lookahead {
-                    Some(a) if a.time <= now => {
-                        state.lookahead = None;
-                        if a.time > self.arrival_cutoff {
-                            continue;
-                        }
-                        let msg = Message::new(MessageId(self.next_id), a.station, a.time);
-                        self.next_id += 1;
-                        state.metrics.on_offered(a.time);
-                        state.pending.insert((a.time, msg.id), msg);
-                    }
-                    _ => break,
-                }
-            }
-        }
-    }
-
-    fn advance(&mut self, to: Time) {
-        self.now = to;
-        for c in &mut self.classes {
-            c.timeline.advance(to);
-        }
-    }
-
-    /// One decision point: per-class discard, minimum-slack class choice,
-    /// then a windowing round (or an idle slot when every class is clear).
+    /// One decision point: choose a class, step it, and let every other
+    /// class yield the channel until that step ends. When no class has
+    /// unexamined time, class 0's step idles the slot.
     fn cycle(&mut self) {
-        let now = self.now;
-        self.ingest_all();
-
-        // Element (4), per class.
-        for state in &mut self.classes {
-            let cutoff = now.saturating_sub(state.deadline);
-            while let Some((&key, _)) = state.pending.iter().next() {
-                if key.0 >= cutoff {
-                    break;
-                }
-                state.pending.remove(&key);
-                state.metrics.on_sender_discard(key.0);
-            }
-            state.timeline.discard_before(cutoff);
+        let c = self.choose().unwrap_or(0);
+        self.classes[c].step(&mut NoopObserver);
+        let end = self.classes[c].now();
+        for e in &mut self.classes {
+            // A no-op for the class that just stepped.
+            e.yield_until(end);
         }
+    }
 
-        // Pick the served class among those with unexamined time.
-        let chosen = match self.rule {
-            ClassRule::MinSlack => self
-                .classes
-                .iter()
-                .enumerate()
-                .filter_map(|(c, s)| {
-                    s.timeline.t_past().map(|tp| {
-                        let age = now - tp;
-                        let slack = s.deadline.ticks() as i128 - age.ticks() as i128;
-                        (slack, c)
-                    })
-                })
-                .min()
-                .map(|(_, c)| c),
-            ClassRule::ProportionalUrgency => self
-                .classes
-                .iter()
-                .enumerate()
-                .filter_map(|(c, s)| {
-                    s.timeline.t_past().map(|tp| {
-                        let age = (now - tp).ticks() as u128;
-                        // compare age/K as cross-multiplied integers to
-                        // stay exact and platform-independent
-                        (age * (1 << 20) / s.deadline.ticks().max(1) as u128, c)
-                    })
-                })
+    /// The class the rule serves, among those with unexamined time.
+    fn choose(&self) -> Option<usize> {
+        let now = self.now();
+        let backlogged = (0..self.classes.len()).filter_map(|c| {
+            let age = (now - self.t_past(c)?).ticks();
+            Some((c, age, self.deadlines[c].ticks()))
+        });
+        match self.rule {
+            ClassRule::MinSlack => backlogged
+                .min_by_key(|&(c, age, k)| (k as i128 - age as i128, c))
+                .map(|(c, ..)| c),
+            // Compares age/K as scaled integers to stay exact and
+            // platform-independent; ties go to the lower class.
+            ClassRule::ProportionalUrgency => backlogged
+                .map(|(c, age, k)| (age as u128 * (1 << 20) / k.max(1) as u128, c))
                 .max_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)))
                 .map(|(_, c)| c),
-        };
-
-        match chosen {
-            None => {
-                // All classes fully examined: idle one tau.
-                let (outcome, dur) = self.medium.probe(&[]);
-                self.channel_stats.record(&outcome, dur);
-                self.advance(now + dur);
-            }
-            Some(c) => self.windowing_round(c),
         }
     }
 
-    fn in_segments(&self, c: usize, segments: &[Interval]) -> Vec<Message> {
-        let mut out = Vec::new();
-        for s in segments {
-            out.extend(
-                self.classes[c]
-                    .pending
-                    .range((s.lo, MessageId(0))..(s.hi, MessageId(0)))
-                    .map(|(_, m)| *m),
-            );
-        }
-        out
-    }
-
-    /// One windowing round within class `c` (oldest window, older half
-    /// first — the Theorem-1 elements).
-    fn windowing_round(&mut self, c: usize) {
-        let round_start = self.now;
-        let pm = PseudoMap::new(&self.classes[c].timeline);
-        let backlog = pm.backlog().ticks();
-        debug_assert!(backlog > 0);
-        let w = self.classes[c].window.ticks().max(1).min(backlog);
-        let mut current = PseudoInterval::new(0, w);
-        let mut sibling: Option<PseudoInterval> = None;
-        let mut overhead = 0u64;
-
-        loop {
-            let now = self.now;
-            let segments = pm.preimage(current);
-            let txs = self.in_segments(c, &segments);
-            let ids: Vec<MessageId> = txs.iter().map(|m| m.id).collect();
-            let (outcome, dur) = self.medium.probe(&ids);
-            self.channel_stats.record(&outcome, dur);
-            self.advance(now + dur);
-
-            match outcome {
-                SlotOutcome::Idle => {
-                    overhead += 1;
-                    for s in &segments {
-                        self.classes[c].timeline.mark_examined(*s);
-                    }
-                    match sibling.take() {
-                        None => return,
-                        Some(sib) => match sib.split() {
-                            Some((older, younger)) => {
-                                current = older;
-                                sibling = Some(younger);
-                            }
-                            None => {
-                                current = sib;
-                                sibling = None;
-                            }
-                        },
-                    }
-                }
-                SlotOutcome::Success(_) => {
-                    debug_assert_eq!(txs.len(), 1);
-                    for s in &segments {
-                        self.classes[c].timeline.mark_examined(*s);
-                    }
-                    self.complete(c, txs[0], now, round_start, overhead);
-                    return;
-                }
-                SlotOutcome::Collision(_) => {
-                    overhead += 1;
-                    match current.split() {
-                        Some((older, younger)) => {
-                            current = older;
-                            sibling = Some(younger);
-                        }
-                        None => {
-                            let winner = self.resolve_cluster(txs, &mut overhead);
-                            let tx_start = self.now - self.medium.config().success_duration();
-                            self.complete(c, winner, tx_start, round_start, overhead);
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn resolve_cluster(&mut self, cluster: Vec<Message>, overhead: &mut u64) -> Message {
-        let mut active = cluster;
-        loop {
-            let older: Vec<Message> = active
-                .iter()
-                .copied()
-                .filter(|_| self.rng_coins.chance(0.5))
-                .collect();
-            let now = self.now;
-            let ids: Vec<MessageId> = older.iter().map(|m| m.id).collect();
-            let (outcome, dur) = self.medium.probe(&ids);
-            self.channel_stats.record(&outcome, dur);
-            self.advance(now + dur);
-            match outcome {
-                SlotOutcome::Idle => *overhead += 1,
-                SlotOutcome::Success(_) => return older[0],
-                SlotOutcome::Collision(_) => {
-                    *overhead += 1;
-                    active = older;
-                }
-            }
-        }
-    }
-
-    fn complete(
-        &mut self,
-        c: usize,
-        msg: Message,
-        tx_start: Time,
-        round_start: Time,
-        overhead: u64,
-    ) {
-        let state = &mut self.classes[c];
-        state
-            .pending
-            .remove(&(msg.arrival, msg.id))
-            .expect("transmitted message was pending");
-        let paper_delay = round_start - msg.arrival;
-        let true_delay = tx_start - msg.arrival;
-        state
-            .metrics
-            .on_transmit(msg.arrival, paper_delay, true_delay);
-        state.metrics.on_round(overhead);
+    /// The `t_past` class `c`'s next decision will see: the oldest
+    /// unexamined instant at or after its element (4) cutoff `now - K_c`,
+    /// or `None` when there is none. A controlled class's unexamined
+    /// region is one interval `[t_past, now)` (Lemma 2), and a yield only
+    /// extends it to the new `now`, so raising `t_past` to the cutoff is
+    /// exact.
+    fn t_past(&self, c: usize) -> Option<Time> {
+        let timeline = self.classes[c].timeline();
+        debug_assert!(timeline.is_contiguous());
+        let now = timeline.now();
+        let t = timeline
+            .t_past()?
+            .max(now.saturating_sub(self.deadlines[c]));
+        (t < now).then_some(t)
     }
 }
 
@@ -407,9 +214,8 @@ impl MulticlassEngine {
 mod tests {
     use super::*;
     use crate::engine::poisson_engine;
-    use crate::policy::ControlPolicy;
-    use crate::trace::NoopObserver;
     use tcw_mac::PoissonArrivals;
+    use tcw_sim::snap::SnapWriter;
 
     const TPT: u64 = 16;
 
@@ -437,43 +243,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn single_class_matches_controlled_engine() {
-        // One class must reproduce the single-class controlled protocol's
-        // loss within statistical noise (the dynamics are identical; the
-        // random streams differ in labels, so seeds differ).
-        let k_tau = 100u64;
-        let w_tau = 42u64;
-        let k = Dur::from_ticks(k_tau * TPT);
-        let mut multi = MulticlassEngine::new(
-            channel(),
-            ClassRule::ProportionalUrgency,
-            vec![spec(0.03, k_tau, w_tau, 50)],
-            measure(k),
-            5,
-        );
-        multi.run_until(Time::from_ticks(9_000_000));
-        multi.drain();
+    /// Every accumulated measurement, as the snapshot codec writes it.
+    fn metric_words(m: &Metrics) -> Vec<u64> {
+        let mut w = SnapWriter::new();
+        m.save_state(&mut w);
+        w.into_words()
+    }
 
+    #[test]
+    fn single_class_is_bit_identical_to_engine() {
+        // With one class the scheduler only ever steps class 0, so the
+        // run must be the controlled engine's own run on the class's
+        // seed, bit for bit. The engine runs alone through `run_until`,
+        // fast path included.
+        let (k_tau, w_tau, seed) = (100u64, 42u64, 5u64);
+        let k = Dur::from_ticks(k_tau * TPT);
         let w = Dur::from_ticks(w_tau * TPT);
-        let mut single = poisson_engine(
-            channel(),
-            ControlPolicy::controlled(k, w),
-            measure(k),
-            0.75,
-            50,
-            5,
+        let mut single = Engine::new(
+            EngineConfig {
+                channel: channel(),
+                policy: ControlPolicy::controlled(k, w),
+                measure: measure(k),
+                seed: stream_seed(seed, 0),
+            },
+            PoissonArrivals::per_tau(0.03, TPT, 50),
         );
         single.run_until(Time::from_ticks(9_000_000), &mut NoopObserver);
         single.drain(&mut NoopObserver);
+        assert!(single.metrics.offered() > 5_000);
 
-        let a = multi.class_metrics(0).loss_fraction();
-        let b = single.metrics.loss_fraction();
-        assert!(
-            (a - b).abs() < 0.015,
-            "multiclass single-class {a:.4} vs engine {b:.4}"
-        );
-        assert!(multi.class_metrics(0).offered() > 5_000);
+        for rule in [ClassRule::ProportionalUrgency, ClassRule::MinSlack] {
+            let mut multi = MulticlassEngine::new(
+                channel(),
+                rule,
+                vec![spec(0.03, k_tau, w_tau, 50)],
+                measure(k),
+                seed,
+            );
+            multi.run_until(Time::from_ticks(9_000_000));
+            multi.drain();
+            assert_eq!(
+                metric_words(multi.class_metrics(0)),
+                metric_words(&single.metrics),
+                "{rule:?}: metrics differ"
+            );
+            assert_eq!(multi.class(0).channel_stats, single.channel_stats);
+            assert_eq!(multi.now(), single.now());
+        }
     }
 
     fn two_class_engine(rule: ClassRule, seed: u64) -> MulticlassEngine {
@@ -566,8 +382,12 @@ mod tests {
         for c in 0..e.class_count() {
             assert_eq!(e.class_metrics(c).outstanding(), 0);
         }
-        // Channel time is fully accounted.
-        assert_eq!(e.channel_stats.total().ticks(), e.now().ticks());
+        // Channel time is fully accounted: each slot belongs to the class
+        // whose step ran it, and yielded time to none.
+        let total: u64 = (0..e.class_count())
+            .map(|c| e.class(c).channel_stats.total().ticks())
+            .sum();
+        assert_eq!(total, e.now().ticks());
     }
 
     #[test]

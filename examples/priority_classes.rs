@@ -17,6 +17,9 @@
 //! ```sh
 //! cargo run --release --example priority_classes
 //! ```
+//!
+//! Its output is committed as `results/priority_classes.txt`; CI
+//! regenerates the file and fails on any difference.
 
 use tcw_mac::{ChannelConfig, PoissonArrivals};
 use tcw_sim::time::{Dur, Time};

@@ -198,14 +198,18 @@ fn corrupted_or_stale_journal_is_rejected() {
 
 /// Supervision is always on, so retries and the watchdog compose with the
 /// observability exports: a telemetry run under `--retries 1` exits 0
-/// with trace and span files byte-identical to the same run without the
-/// flag. (`--metrics` is left out: chaos measures over an unbounded
-/// window, and the AoI tracker's tail sum over it overflows `u64`, which
-/// panics in debug builds. CI compares robustness metrics under
-/// `--retries` instead.)
+/// with trace, span and metrics files byte-identical to the same run
+/// without the flag.
 #[test]
 fn telemetry_is_unchanged_under_retries() {
-    let telemetry = ["--trace-events", "t.ndjson", "--spans", "s.spans.ndjson"];
+    let telemetry = [
+        "--trace-events",
+        "t.ndjson",
+        "--spans",
+        "s.spans.ndjson",
+        "--metrics",
+        "m.json",
+    ];
     let run = |name: &str, extra: &[&str]| {
         let dir = fresh_dir(name);
         let mut args = vec!["--configs", CONFIGS, "--jobs", "2"];
@@ -217,7 +221,7 @@ fn telemetry_is_unchanged_under_retries() {
     };
     let plain = run("telemetry_plain", &[]);
     let retried = run("telemetry_retries", &["--retries", "1"]);
-    for name in ["t.ndjson", "s.spans.ndjson"] {
+    for name in ["t.ndjson", "s.spans.ndjson", "m.json"] {
         let want = fs::read(plain.join(name)).expect("plain telemetry");
         let got = fs::read(retried.join(name)).expect("telemetry under --retries");
         assert!(!want.is_empty(), "{name} is empty");
