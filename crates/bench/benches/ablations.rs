@@ -3,7 +3,7 @@
 
 use std::hint::black_box;
 use tcw_bench::{bench_settings, Bench};
-use tcw_experiments::{simulate_panel, Panel, PolicyKind};
+use tcw_experiments::{Cell, Panel, PolicyKind};
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
 
@@ -23,7 +23,7 @@ fn main() {
         let mut seed = 100u64;
         b.run(&format!("engine_policy/{}", kind.label()), || {
             seed += 1;
-            black_box(simulate_panel(panel, kind, 100.0, bench_settings(), seed))
+            black_box(Cell::clean(panel, kind, 100.0, bench_settings(), seed).run())
         });
     }
 
@@ -54,13 +54,7 @@ fn main() {
         let mut seed = 200u64;
         b.run(&format!("guard/{name}"), || {
             seed += 1;
-            black_box(simulate_panel(
-                panel,
-                PolicyKind::Controlled,
-                100.0,
-                settings,
-                seed,
-            ))
+            black_box(Cell::clean(panel, PolicyKind::Controlled, 100.0, settings, seed).run())
         });
     }
 }

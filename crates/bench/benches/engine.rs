@@ -32,8 +32,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
+use tcw_experiments::runner::Cell;
 use tcw_experiments::runner::{PolicyKind, SimSettings};
-use tcw_experiments::sweep::{default_jobs, run_cells, Cell};
+use tcw_experiments::sweep::{default_jobs, run_cells};
 use tcw_experiments::PANELS;
 use tcw_mac::{ChannelConfig, PoissonArrivals};
 use tcw_sim::time::{Dur, Time};

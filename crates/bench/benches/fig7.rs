@@ -4,7 +4,7 @@
 
 use std::hint::black_box;
 use tcw_bench::{bench_settings, Bench};
-use tcw_experiments::{simulate_panel, PolicyKind, PANELS};
+use tcw_experiments::{Cell, PolicyKind, PANELS};
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
 
@@ -24,13 +24,7 @@ fn main() {
         let mut seed = 0u64;
         b.run(&format!("simulated_{}", panel.id()), || {
             seed += 1;
-            black_box(simulate_panel(
-                panel,
-                PolicyKind::Controlled,
-                k,
-                bench_settings(),
-                seed,
-            ))
+            black_box(Cell::clean(panel, PolicyKind::Controlled, k, bench_settings(), seed).run())
         });
     }
 }

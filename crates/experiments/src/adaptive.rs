@@ -347,7 +347,11 @@ pub struct CellOutcome {
     pub grows: u64,
 }
 
-fn build_engine(scenario: Scenario, kind: ControllerKind, replicate: u64) -> Engine<MergedSource> {
+fn scenario_engine(
+    scenario: Scenario,
+    kind: ControllerKind,
+    replicate: u64,
+) -> Engine<MergedSource> {
     let stale = scenario.stale_window();
     let cfg = EngineConfig {
         channel: ChannelConfig {
@@ -379,7 +383,7 @@ pub fn run_cell(
     obs: &mut dyn EngineObserver,
     sink: Option<&mut dyn MetricSink>,
 ) -> CellOutcome {
-    let mut eng = build_engine(scenario, kind, replicate);
+    let mut eng = scenario_engine(scenario, kind, replicate);
     let horizon = Time::from_ticks(HORIZON_TICKS);
     match sink {
         Some(sink) => {
@@ -411,7 +415,7 @@ pub struct EpisodeSample {
 /// it). Returns the samples plus total shrink/grow counts — the worked
 /// episode quoted in EXPERIMENTS.md.
 pub fn episode(kind: ControllerKind, checkpoints: &[u64]) -> (Vec<EpisodeSample>, u64, u64) {
-    let mut eng = build_engine(Scenario::Step, kind, 0);
+    let mut eng = scenario_engine(Scenario::Step, kind, 0);
     let mut obs = NoopObserver;
     let horizon = Time::from_ticks(HORIZON_TICKS);
     let mut samples: Vec<EpisodeSample> = Vec::with_capacity(checkpoints.len());

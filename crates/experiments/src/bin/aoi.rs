@@ -22,10 +22,10 @@ use std::fmt::Write as _;
 use std::path::Path;
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::runner::{simulate_aoi, AoiRun, PolicyKind, SimSettings};
+use tcw_experiments::runner::{Cell, CellResult, PolicyKind, SimSettings};
 use tcw_experiments::sweep::{jobs_from_args, run_parallel};
 use tcw_experiments::{
-    observe_engine_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
+    observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
 };
 
 const K_TAUS: [f64; 3] = [25.0, 50.0, 100.0];
@@ -43,20 +43,14 @@ fn settings() -> SimSettings {
     }
 }
 
-/// One grid cell: (deadline, load, policy).
-#[derive(Clone, Copy)]
-struct Cell {
-    k: f64,
-    rho_prime: f64,
-    kind: PolicyKind,
-}
-
+/// The grid: deadline × load × policy, all on one seed.
 fn grid() -> Vec<Cell> {
     let mut cells = Vec::new();
     for &k in &K_TAUS {
         for &rho_prime in &LOADS {
             for &kind in &KINDS {
-                cells.push(Cell { k, rho_prime, kind });
+                let panel = Panel { rho_prime, m: M };
+                cells.push(Cell::clean(panel, kind, k, settings(), SEED));
             }
         }
     }
@@ -97,9 +91,8 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
         ("k", "25"),
         ("seed", "1983"),
     ];
-    let (run, art) = observe_engine_cell(obs.capture(), 0, &label, &labels, |o, sink| {
-        tcw_experiments::runner::simulate_aoi_observed(panel, kind, k, cell_settings, SEED, o, sink)
-    });
+    let cell = Cell::clean(panel, kind, k, cell_settings, SEED);
+    let (run, art) = observed_cell(obs.capture(), 0, &label, &labels, &cell, None);
     if let Err(e) = write_observability(obs, &[art], SweepMeta { cells: 1 }) {
         diag::error("aoi", &e);
         return diag::EXIT_FAILURE;
@@ -129,45 +122,21 @@ fn main() {
 
     let cells = grid();
     let caps = obs.capture();
-    let outcomes: Vec<(AoiRun, CellArtifacts)> =
+    let outcomes: Vec<(CellResult, CellArtifacts)> =
         run_parallel(&cells, jobs, obs.progress, |i, c, progress| {
-            let label = format!("rho'={:.2} {} K={}", c.rho_prime, c.kind.label(), c.k);
-            let k_s = format!("{}", c.k);
-            let rho_s = format!("{}", c.rho_prime);
+            let rho = c.panel.rho_prime;
+            let label = format!("rho'={rho:.2} {} K={}", c.policy.label(), c.k_tau);
+            let k_s = format!("{}", c.k_tau);
+            let rho_s = format!("{rho}");
             let labels = [
                 ("rho", rho_s.as_str()),
-                ("policy", c.kind.label()),
+                ("policy", c.policy.label()),
                 ("k", k_s.as_str()),
             ];
-            let panel = Panel {
-                rho_prime: c.rho_prime,
-                m: M,
-            };
-            let (run, art) = if caps.any() {
-                observe_engine_cell(caps, i, &label, &labels, |o, sink| {
-                    tcw_experiments::runner::simulate_aoi_observed(
-                        panel,
-                        c.kind,
-                        c.k,
-                        settings(),
-                        SEED,
-                        o,
-                        sink,
-                    )
-                })
-            } else {
-                (
-                    simulate_aoi(panel, c.kind, c.k, settings(), SEED),
-                    CellArtifacts::default(),
-                )
-            };
-            if let Some(p) = progress {
-                let h = run.horizon;
-                p.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
-            }
-            (run, art)
+            observed_cell(caps, i, &label, &labels, c, progress)
         });
-    let (runs, cell_artifacts): (Vec<AoiRun>, Vec<CellArtifacts>) = outcomes.into_iter().unzip();
+    let (runs, cell_artifacts): (Vec<CellResult>, Vec<CellArtifacts>) =
+        outcomes.into_iter().unzip();
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut report = String::from(
@@ -187,9 +156,9 @@ fn main() {
     for (cell, run) in cells.iter().zip(&runs) {
         let line = format!(
             "K={:<5} rho'={:.2} {:<10} loss={:.4} util={:.3} mean_age={:.2} peak_age={:.2} violation={:.4} deliveries={} stations={}",
-            cell.k,
-            cell.rho_prime,
-            cell.kind.label(),
+            cell.k_tau,
+            cell.panel.rho_prime,
+            cell.policy.label(),
             run.point.loss,
             run.point.utilization,
             run.aoi.mean_age_tau,
@@ -201,9 +170,9 @@ fn main() {
         println!("  {line}");
         let _ = writeln!(report, "{line}");
         rows.push(vec![
-            format!("{}", cell.k),
-            format!("{}", cell.rho_prime),
-            cell.kind.label().to_string(),
+            format!("{}", cell.k_tau),
+            format!("{}", cell.panel.rho_prime),
+            cell.policy.label().to_string(),
             format!("{}", run.point.loss),
             format!("{}", run.point.utilization),
             format!("{}", run.aoi.mean_age_tau),
@@ -212,12 +181,12 @@ fn main() {
             format!("{}", run.aoi.deliveries),
             format!("{}", run.aoi.stations_observed),
         ]);
-        if cell.kind == PolicyKind::Controlled {
+        if cell.policy == PolicyKind::Controlled {
             let ri = LOADS
                 .iter()
-                .position(|&r| r == cell.rho_prime)
+                .position(|&r| r == cell.panel.rho_prime)
                 .expect("load in grid");
-            series[ri].points.push((cell.k, run.aoi.mean_age_tau));
+            series[ri].points.push((cell.k_tau, run.aoi.mean_age_tau));
         }
     }
 

@@ -23,13 +23,13 @@ use std::path::Path;
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
 use tcw_experiments::replay::{execute, replay, FailureRecord};
-use tcw_experiments::runner::{ChurnSimPoint, PolicyKind, SimSettings};
+use tcw_experiments::runner::{Cell, CellResult, PolicyKind, SimSettings};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
 use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
     observed_cell, write_observability, CellArtifacts, Failure, ObsConfig, Panel, SweepMeta,
 };
-use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_mac::ChurnPlan;
 
 const CRASH_RATES: [f64; 5] = [0.0, 0.0005, 0.001, 0.002, 0.005];
 const LOADS: [f64; 3] = [0.25, 0.50, 0.75];
@@ -61,18 +61,10 @@ fn sweep_plan(crash: f64) -> ChurnPlan {
     }
 }
 
-fn base_record(rho_prime: f64, churn: ChurnPlan) -> FailureRecord {
-    FailureRecord {
-        seed: SEED,
-        plan: FaultPlan::none(),
-        churn,
-        panel: Panel { rho_prime, m: M },
-        policy: PolicyKind::Controlled,
-        k_tau: K_TAU,
-        settings: settings(),
-        kind: String::new(),
-        detail: String::new(),
-    }
+/// The clean cell at load `rho_prime`; the sweep varies its churn plan.
+fn cell_at(rho_prime: f64) -> Cell {
+    let panel = Panel { rho_prime, m: M };
+    Cell::clean(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
 }
 
 fn main() {
@@ -103,73 +95,54 @@ fn main() {
     // One supervised sweep over the whole load × crash-rate grid. A cell
     // that keeps panicking is quarantined, and its replay artifact is
     // written from the quarantine report.
-    let cells: Vec<(f64, f64)> = LOADS
+    let cells: Vec<Cell> = LOADS
         .iter()
-        .flat_map(|&rho| CRASH_RATES.iter().map(move |&c| (rho, c)))
+        .flat_map(|&rho| {
+            CRASH_RATES.iter().map(move |&c| Cell {
+                churn: sweep_plan(c),
+                ..cell_at(rho)
+            })
+        })
         .collect();
-    // The seed, panel shape and grid size define the cells; any change to
-    // them invalidates a resume journal.
-    let fingerprint = tcw_sim::snap::checksum(&[
-        SEED,
-        M,
-        K_TAU.to_bits(),
-        DOWN_SLOTS,
-        CATCH_UP_SLOTS,
-        cells.len() as u64,
-    ]);
     let caps = obs.capture();
-    let (outcomes, cell_artifacts): (Vec<ChurnSimPoint>, Vec<CellArtifacts>) = supervised_cells(
+    let (outcomes, cell_artifacts): (Vec<CellResult>, Vec<CellArtifacts>) = supervised_cells(
         "churn",
         &cells,
         jobs,
         &sup,
         obs.progress,
-        fingerprint,
-        |&(rho, c), q| {
-            let cell = format!("rho'={rho:.2} crash={c:.4} seed {SEED}");
+        Cell::fingerprint(&cells),
+        |cell, q| {
+            let (rho, c) = (cell.panel.rho_prime, cell.churn.crash);
+            let desc = format!("rho'={rho:.2} crash={c:.4} seed {SEED}");
             let Failure::Panic(message) = &q.failure else {
-                return cell;
+                return desc;
             };
-            let mut failed = base_record(rho, sweep_plan(c));
-            failed.kind = "panic".to_string();
-            failed.detail = message.clone();
+            let failed = FailureRecord {
+                cell: cell.clone(),
+                kind: "panic".to_string(),
+                detail: message.clone(),
+            };
             let path = failures_dir.join(format!(
                 "failure_panic_seed{}_rho{:02}_c{:04}.json",
-                failed.seed,
+                cell.seed,
                 (rho * 100.0) as u32,
                 (c * 10_000.0).round() as u32
             ));
             failed.save(&path).expect("write replay artifact");
             format!(
-                "{cell}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",
+                "{desc}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",
                 path.display(),
                 path.display()
             )
         },
-        move |i, &(rho, c), progress| {
-            let rec = base_record(rho, sweep_plan(c));
+        move |i, cell, progress| {
+            let (rho, c) = (cell.panel.rho_prime, cell.churn.crash);
             let label = format!("rho={rho:.2} crash={c:.4}");
             let rho_s = format!("{rho}");
             let c_s = format!("{c}");
             let labels = [("rho", rho_s.as_str()), ("crash_rate", c_s.as_str())];
-            let (csp, art) = observed_cell(
-                caps,
-                i,
-                &label,
-                &labels,
-                rec.panel,
-                rec.policy,
-                rec.k_tau,
-                rec.settings,
-                rec.seed,
-                rec.plan,
-                rec.churn,
-            );
-            if let Some(p) = progress {
-                let h = csp.horizon;
-                p.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
-            }
-            (csp, art)
+            observed_cell(caps, i, &label, &labels, cell, progress)
         },
     )
     .into_iter()
@@ -265,17 +238,18 @@ fn main() {
         outage_slots: 64,
         ..ChurnPlan::none()
     };
-    let rec = base_record(0.50, showcase);
-    let (kind, detail) = execute(&rec);
+    let cell = Cell {
+        churn: showcase,
+        ..cell_at(0.50)
+    };
+    let (kind, detail) = execute(&cell);
     if kind == "ok" {
         let line = format!("  station 0 never diverged ({detail})");
         println!("{line}");
         report.push_str(&line);
     } else {
-        let mut failed = rec.clone();
-        failed.kind = kind.clone();
-        failed.detail = detail;
-        let path = failures_dir.join(format!("failure_churn_{}_seed{}.json", kind, rec.seed));
+        let path = failures_dir.join(format!("failure_churn_{}_seed{}.json", kind, cell.seed));
+        let failed = FailureRecord { cell, kind, detail };
         failed.save(&path).expect("write replay artifact");
         let line = format!(
             "  [{}] {}\n  replay artifact: {}\n  reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",

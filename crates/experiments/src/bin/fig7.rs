@@ -27,10 +27,9 @@ use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
 use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, PolicyKind, SimPoint,
-    SimSettings, SweepMeta, PANELS,
+    observed_cell, write_observability, Cell, CellArtifacts, CellResult, ObsConfig, Panel,
+    PolicyKind, SimPoint, SimSettings, SweepMeta, PANELS,
 };
-use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_queueing::marching::{controlled_curve, fcfs_curve, lcfs_curve, CurvePoint, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
 
@@ -42,16 +41,6 @@ struct PanelResult {
     sim_controlled: Vec<SimPoint>,
     sim_fcfs: Vec<SimPoint>,
     sim_lcfs: Vec<SimPoint>,
-}
-
-/// One simulated point of the Figure-7 grid, fully specified (the seed
-/// mixes the panel salt and K exactly like the historical serial loop).
-#[derive(Clone, Copy)]
-struct Job {
-    panel: Panel,
-    kind: PolicyKind,
-    k: f64,
-    seed: u64,
 }
 
 const KINDS: [(PolicyKind, u64); 3] = [
@@ -72,91 +61,53 @@ fn run_panels(
     obs: &ObsConfig,
     sup: &SupervisorOptions,
 ) -> (Vec<PanelResult>, Vec<CellArtifacts>) {
+    // Each cell's seed mixes the policy salt and K exactly like the
+    // historical serial loop.
     let mut cells = Vec::new();
     for &panel in panels {
         for (kind, salt) in KINDS {
             for &k in &panel.k_grid_sim() {
-                cells.push(Job {
-                    panel,
-                    kind,
-                    k,
-                    seed: seed ^ salt ^ (k as u64),
-                });
+                let seed = seed ^ salt ^ (k as u64);
+                cells.push(Cell::clean(panel, kind, k, settings, seed));
             }
         }
     }
-    // The settings plus every job's full specification define the grid;
-    // any change invalidates a resume journal. The per-job seed already
-    // mixes in the policy salt, so the policy is covered.
-    let mut words = vec![
-        settings.ticks_per_tau,
-        settings.messages,
-        settings.warmup,
-        u64::from(settings.stations),
-        u64::from(settings.guard),
-    ];
-    for j in &cells {
-        words.extend([
-            j.panel.rho_prime.to_bits(),
-            j.panel.m,
-            j.k.to_bits(),
-            j.seed,
-        ]);
-    }
-    let fingerprint = tcw_sim::snap::checksum(&words);
     let caps = obs.capture();
-    let (points, artifacts): (Vec<SimPoint>, Vec<CellArtifacts>) = supervised_cells(
+    let (runs, artifacts): (Vec<CellResult>, Vec<CellArtifacts>) = supervised_cells(
         "fig7",
         &cells,
         jobs,
         sup,
         obs.progress,
-        fingerprint,
-        |j, _| {
+        Cell::fingerprint(&cells),
+        |c, _| {
             format!(
                 "{} {} K={} seed {}",
-                j.panel.id(),
-                j.kind.label(),
-                j.k,
-                j.seed
+                c.panel.id(),
+                c.policy.label(),
+                c.k_tau,
+                c.seed
             )
         },
-        move |i, j, progress| {
-            let id = j.panel.id();
-            let label = format!("{id} {} K={}", j.kind.label(), j.k);
-            let k = format!("{}", j.k);
-            let seed_str = format!("{}", j.seed);
+        move |i, c, progress| {
+            let id = c.panel.id();
+            let label = format!("{id} {} K={}", c.policy.label(), c.k_tau);
+            let k = format!("{}", c.k_tau);
+            let seed_str = format!("{}", c.seed);
             let labels = [
                 ("panel", id.as_str()),
-                ("policy", j.kind.label()),
+                ("policy", c.policy.label()),
                 ("k", k.as_str()),
                 ("seed", seed_str.as_str()),
             ];
-            let (p, art) = observed_cell(
-                caps,
-                i,
-                &label,
-                &labels,
-                j.panel,
-                j.kind,
-                j.k,
-                settings,
-                j.seed,
-                FaultPlan::none(),
-                ChurnPlan::none(),
-            );
-            if let Some(pr) = progress {
-                let h = p.horizon;
-                pr.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
-            }
-            (p.point, art)
+            observed_cell(caps, i, &label, &labels, c, progress)
         },
     )
     .into_iter()
     .unzip();
 
     let mut results = Vec::new();
-    let mut cursor = points.into_iter();
+    let mut cursor = runs.into_iter().map(|r| r.point);
     for &panel in panels {
         let cfg = PanelConfig {
             m: panel.m,
@@ -368,19 +319,8 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
         ("k", "100"),
         ("seed", seed_str.as_str()),
     ];
-    let (p, art) = observed_cell(
-        obs.capture(),
-        0,
-        &label,
-        &labels,
-        panel,
-        kind,
-        k,
-        settings,
-        seed,
-        FaultPlan::none(),
-        ChurnPlan::none(),
-    );
+    let cell = Cell::clean(panel, kind, k, settings, seed);
+    let (p, art) = observed_cell(obs.capture(), 0, &label, &labels, &cell, None);
     if let Err(e) = write_observability(obs, &[art], SweepMeta { cells: 1 }) {
         diag::error("fig7", &e);
         return diag::EXIT_FAILURE;

@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::runner::{simulate_with_horizon, PolicyKind, SimSettings};
+use tcw_experiments::runner::{Cell, PolicyKind, SimSettings};
 use tcw_experiments::Panel;
 
 const LOADS: [f64; 3] = [0.02, 0.05, 0.10];
@@ -51,7 +51,8 @@ fn main() {
     for rho_prime in LOADS {
         for kind in KINDS {
             let panel = Panel { rho_prime, m: M };
-            let (p, h) = simulate_with_horizon(panel, kind, K_TAU, settings(), SEED);
+            let run = Cell::clean(panel, kind, K_TAU, settings(), SEED).run();
+            let (p, h) = (run.point, run.horizon);
             assert!(
                 h.jumps > 0,
                 "fast path never engaged at rho'={rho_prime} {}",

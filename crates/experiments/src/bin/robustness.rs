@@ -22,13 +22,13 @@ use std::path::{Path, PathBuf};
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
 use tcw_experiments::replay::{execute, replay, FailureRecord};
-use tcw_experiments::runner::{FaultSimPoint, PolicyKind, SimSettings};
+use tcw_experiments::runner::{Cell, CellResult, PolicyKind, SimSettings};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
 use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
     observed_cell, write_observability, CellArtifacts, Failure, ObsConfig, Panel, SweepMeta,
 };
-use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_mac::FaultPlan;
 
 const FAULT_PROBS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
 const LOADS: [f64; 3] = [0.25, 0.50, 0.75];
@@ -45,38 +45,31 @@ fn settings() -> SimSettings {
     }
 }
 
-/// Runs a configuration; on failure writes a replay artifact and returns
-/// its path.
-fn guarded(rec: &FailureRecord, out_dir: &Path) -> Result<String, PathBuf> {
-    let (kind, detail) = execute(rec);
+/// The clean cell at load `rho_prime`; the sweep varies its fault plan.
+fn cell_at(rho_prime: f64) -> Cell {
+    let panel = Panel { rho_prime, m: M };
+    Cell::clean(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
+}
+
+/// Runs a cell; on failure writes a replay artifact and returns its path.
+fn guarded(cell: &Cell, out_dir: &Path) -> Result<String, PathBuf> {
+    let (kind, detail) = execute(cell);
     if kind == "ok" {
         return Ok(detail);
     }
-    let mut failed = rec.clone();
-    failed.kind = kind.clone();
-    failed.detail = detail;
     let path = out_dir.join(format!(
         "failure_{}_seed{}_p{:02}.json",
         kind,
-        rec.seed,
-        (rec.plan.erasure * 100.0).round() as u32
+        cell.seed,
+        (cell.plan.erasure * 100.0).round() as u32
     ));
+    let failed = FailureRecord {
+        cell: cell.clone(),
+        kind,
+        detail,
+    };
     failed.save(&path).expect("write replay artifact");
     Err(path)
-}
-
-fn base_record(rho_prime: f64, plan: FaultPlan) -> FailureRecord {
-    FailureRecord {
-        seed: SEED,
-        plan,
-        churn: ChurnPlan::none(),
-        panel: Panel { rho_prime, m: M },
-        policy: PolicyKind::Controlled,
-        k_tau: K_TAU,
-        settings: settings(),
-        kind: String::new(),
-        detail: String::new(),
-    }
 }
 
 fn main() {
@@ -107,70 +100,54 @@ fn main() {
     // The full load × fault-probability grid runs as one supervised
     // sweep. A cell that keeps panicking is quarantined, and its replay
     // artifact is written from the quarantine report.
-    let cells: Vec<(f64, f64)> = LOADS
+    let cells: Vec<Cell> = LOADS
         .iter()
-        .flat_map(|&rho| FAULT_PROBS.iter().map(move |&p| (rho, p)))
+        .flat_map(|&rho| {
+            FAULT_PROBS.iter().map(move |&p| Cell {
+                plan: FaultPlan::uniform(p),
+                ..cell_at(rho)
+            })
+        })
         .collect();
-    // The seed, panel shape and grid size define the cells; any change to
-    // them invalidates a resume journal.
-    let fingerprint = tcw_sim::snap::checksum(&[SEED, M, K_TAU.to_bits(), cells.len() as u64]);
     let caps = obs.capture();
-    let (outcomes, cell_artifacts): (Vec<FaultSimPoint>, Vec<CellArtifacts>) = supervised_cells(
+    let (outcomes, cell_artifacts): (Vec<CellResult>, Vec<CellArtifacts>) = supervised_cells(
         "robustness",
         &cells,
         jobs,
         &sup,
         obs.progress,
-        fingerprint,
-        |&(rho, p), q| {
-            let cell = format!("rho'={rho:.2} p={p:.2} seed {SEED}");
+        Cell::fingerprint(&cells),
+        |c, q| {
+            let (rho, p) = (c.panel.rho_prime, c.plan.erasure);
+            let desc = format!("rho'={rho:.2} p={p:.2} seed {SEED}");
             let Failure::Panic(message) = &q.failure else {
-                return cell;
+                return desc;
             };
-            let mut failed = base_record(rho, FaultPlan::uniform(p));
-            failed.kind = "panic".to_string();
-            failed.detail = message.clone();
+            let failed = FailureRecord {
+                cell: c.clone(),
+                kind: "panic".to_string(),
+                detail: message.clone(),
+            };
             let path = failures_dir.join(format!(
                 "failure_panic_seed{}_rho{:02}_p{:02}.json",
-                failed.seed,
+                c.seed,
                 (rho * 100.0) as u32,
                 (p * 100.0).round() as u32
             ));
             failed.save(&path).expect("write replay artifact");
             format!(
-                "{cell}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin robustness -- --replay {}",
+                "{desc}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin robustness -- --replay {}",
                 path.display(),
                 path.display()
             )
         },
-        move |i, &(rho, p), progress| {
-            let rec = base_record(rho, FaultPlan::uniform(p));
+        move |i, c, progress| {
+            let (rho, p) = (c.panel.rho_prime, c.plan.erasure);
             let label = format!("rho={rho:.2} p={p:.2}");
             let rho_s = format!("{rho}");
             let p_s = format!("{p}");
             let labels = [("rho", rho_s.as_str()), ("fault_prob", p_s.as_str())];
-            let (point, art) = observed_cell(
-                caps,
-                i,
-                &label,
-                &labels,
-                rec.panel,
-                rec.policy,
-                rec.k_tau,
-                rec.settings,
-                rec.seed,
-                rec.plan,
-                ChurnPlan::none(),
-            );
-            if let Some(pr) = progress {
-                let h = point.horizon;
-                pr.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
-            }
-            let fsp = FaultSimPoint {
-                point: point.point,
-                faults: point.faults,
-            };
-            (fsp, art)
+            observed_cell(caps, i, &label, &labels, c, progress)
         },
     )
     .into_iter()
@@ -242,8 +219,11 @@ fn main() {
     let mut deaf_plan = FaultPlan::uniform(0.02);
     deaf_plan.deafness = 0.002;
     deaf_plan.deaf_slots = 4;
-    let rec = base_record(0.50, deaf_plan);
-    match guarded(&rec, &failures_dir) {
+    let deaf = Cell {
+        plan: deaf_plan,
+        ..cell_at(0.50)
+    };
+    match guarded(&deaf, &failures_dir) {
         Ok(detail) => {
             let line = format!("  station 0 never diverged ({detail})");
             println!("{line}");

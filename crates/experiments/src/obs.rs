@@ -12,12 +12,8 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::panels::Panel;
-use crate::runner::{
-    simulate_churn, simulate_churn_observed, ChurnSimPoint, PolicyKind, SimSettings,
-};
-use tcw_mac::{ChurnPlan, FaultPlan};
-use tcw_obs::{EventTracer, Registry, SpanTracer};
+use crate::runner::{Cell, CellResult};
+use tcw_obs::{EventTracer, Progress, Registry, SpanTracer};
 use tcw_window::trace::{NoopObserver, Tee};
 
 /// Parsed observability flags, shared by all experiment binaries.
@@ -121,45 +117,39 @@ pub struct CellArtifacts {
     pub registry: Option<Registry>,
 }
 
-/// Runs one simulation cell with telemetry capture: when `caps.tracing`
-/// or `caps.spans`, the protocol event stream / message-lifecycle span
+/// Runs one panel cell with telemetry capture: when `caps.tracing` or
+/// `caps.spans`, the protocol event stream / message-lifecycle span
 /// stream is recorded under a `cell` header carrying `cell_index` and
 /// `label`; when `caps.metrics`, the run's metrics register into a fresh
-/// [`Registry`] under `labels`.
+/// [`Registry`] under `labels`. With `progress`, the run's event-horizon
+/// counters feed the live line's `[hzn: ...]` segment.
 ///
-/// The simulated result is bit-identical to
-/// [`simulate_churn`] — observers are passive
+/// The result is bit-identical to [`Cell::run`] — observers are passive
 /// and never touch an RNG stream. Span capture alone keeps the
 /// event-horizon fast path on; event tracing forces slot stepping.
-#[allow(clippy::too_many_arguments)]
 pub fn observed_cell(
     caps: Capture,
     cell_index: usize,
     label: &str,
     labels: &[(&str, &str)],
-    panel: Panel,
-    kind: PolicyKind,
-    k_tau: f64,
-    settings: SimSettings,
-    seed: u64,
-    plan: FaultPlan,
-    churn: ChurnPlan,
-) -> (ChurnSimPoint, CellArtifacts) {
-    if !caps.any() {
-        let p = simulate_churn(panel, kind, k_tau, settings, seed, plan, churn);
-        return (p, CellArtifacts::default());
+    cell: &Cell,
+    progress: Option<&Progress>,
+) -> (CellResult, CellArtifacts) {
+    let (result, artifacts) = observe_engine_cell(caps, cell_index, label, labels, |obs, sink| {
+        cell.run_observed(obs, sink)
+    });
+    if let Some(p) = progress {
+        let h = result.horizon;
+        p.note_horizon(h.jumps, h.slots_skipped, h.batched_runs, h.batched_slots);
     }
-    observe_engine_cell(caps, cell_index, label, labels, |obs, sink| {
-        simulate_churn_observed(panel, kind, k_tau, settings, seed, plan, churn, obs, sink)
-    })
+    (result, artifacts)
 }
 
 /// Runs an arbitrary engine-driving closure with the same per-cell
 /// telemetry capture as [`observed_cell`], for binaries that build their
-/// engines directly instead of going through the shared runner. The
-/// closure receives the observer to thread through
-/// `Engine::run_until`/`drain` and, when metrics are on, the sink to
-/// `emit` counters into after the run.
+/// engines directly instead of running a [`Cell`]. The closure receives
+/// the observer to thread through `Engine::run_until`/`drain` and, when
+/// metrics are on, the sink to `emit` counters into after the run.
 pub fn observe_engine_cell<T>(
     caps: Capture,
     cell_index: usize,
@@ -280,6 +270,7 @@ pub fn write_observability(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{PolicyKind, SimSettings};
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
@@ -342,15 +333,8 @@ mod tests {
             stations: 20,
             guard: false,
         };
-        let plain = simulate_churn(
-            panel,
-            PolicyKind::Controlled,
-            100.0,
-            settings,
-            7,
-            FaultPlan::none(),
-            ChurnPlan::none(),
-        );
+        let cell = Cell::clean(panel, PolicyKind::Controlled, 100.0, settings, 7);
+        let plain = cell.run();
         let (observed, art) = observed_cell(
             Capture {
                 tracing: true,
@@ -360,13 +344,8 @@ mod tests {
             0,
             "test cell",
             &[("seed", "7")],
-            panel,
-            PolicyKind::Controlled,
-            100.0,
-            settings,
-            7,
-            FaultPlan::none(),
-            ChurnPlan::none(),
+            &cell,
+            None,
         );
         assert_eq!(plain.point.loss.to_bits(), observed.point.loss.to_bits());
         assert_eq!(plain.point.offered, observed.point.offered);
@@ -392,15 +371,8 @@ mod tests {
             stations: 20,
             guard: false,
         };
-        let plain = simulate_churn(
-            panel,
-            PolicyKind::Controlled,
-            100.0,
-            settings,
-            11,
-            FaultPlan::none(),
-            ChurnPlan::none(),
-        );
+        let cell = Cell::clean(panel, PolicyKind::Controlled, 100.0, settings, 11);
+        let plain = cell.run();
         let (observed, art) = observed_cell(
             Capture {
                 spans: true,
@@ -409,13 +381,8 @@ mod tests {
             3,
             "spans only",
             &[],
-            panel,
-            PolicyKind::Controlled,
-            100.0,
-            settings,
-            11,
-            FaultPlan::none(),
-            ChurnPlan::none(),
+            &cell,
+            None,
         );
         assert_eq!(plain.point.loss.to_bits(), observed.point.loss.to_bits());
         assert_eq!(plain.point.offered, observed.point.offered);

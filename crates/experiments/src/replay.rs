@@ -17,7 +17,7 @@
 //! exit with code 2) instead of silently replaying a different timeline.
 
 use crate::panels::Panel;
-use crate::runner::{simulate_churn, simulate_churn_with_detector, PolicyKind, SimSettings};
+use crate::runner::{Cell, PolicyKind, SimSettings};
 use std::fs;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -31,20 +31,8 @@ pub const ARTIFACT_VERSION: &str = env!("CARGO_PKG_VERSION");
 /// Everything needed to reproduce one failed run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FailureRecord {
-    /// Master seed of the failing run.
-    pub seed: u64,
-    /// The injected fault plan.
-    pub plan: FaultPlan,
-    /// The injected churn plan (membership dynamics).
-    pub churn: ChurnPlan,
-    /// Workload panel.
-    pub panel: Panel,
-    /// Protocol variant.
-    pub policy: PolicyKind,
-    /// Deadline in units of `tau`.
-    pub k_tau: f64,
-    /// Simulation-size knobs.
-    pub settings: SimSettings,
+    /// The failing run.
+    pub cell: Cell,
     /// Failure class: `"panic"` or `"divergence"`.
     pub kind: String,
     /// The failure itself (panic payload or first divergence).
@@ -133,33 +121,42 @@ pub fn load_artifact(path: &Path) -> Result<String, String> {
 impl FailureRecord {
     /// Serializes the record as one flat JSON object.
     pub fn to_json(&self) -> String {
+        let Cell {
+            panel,
+            policy,
+            k_tau,
+            settings,
+            seed,
+            plan,
+            churn,
+        } = &self.cell;
         let mut w = ArtifactWriter::new(None);
-        w.u64("seed", self.seed);
-        w.f64("success_to_collision", self.plan.success_to_collision);
-        w.f64("collision_to_success", self.plan.collision_to_success);
-        w.f64("collision_to_idle", self.plan.collision_to_idle);
-        w.f64("idle_to_collision", self.plan.idle_to_collision);
-        w.f64("erasure", self.plan.erasure);
-        w.f64("deafness", self.plan.deafness);
-        w.u64("deaf_slots", self.plan.deaf_slots);
-        w.f64("crash", self.churn.crash);
-        w.u64("down_slots", self.churn.down_slots);
-        w.f64("late_join_frac", self.churn.late_join_frac);
-        w.u64("join_slot", self.churn.join_slot);
-        w.f64("leave_frac", self.churn.leave_frac);
-        w.u64("leave_slot", self.churn.leave_slot);
-        w.u64("catch_up_slots", self.churn.catch_up_slots);
-        w.u64("outage_start_slot", self.churn.outage_start_slot);
-        w.u64("outage_slots", self.churn.outage_slots);
-        w.f64("rho_prime", self.panel.rho_prime);
-        w.u64("m", self.panel.m);
-        w.str("policy", self.policy.label());
-        w.f64("k_tau", self.k_tau);
-        w.u64("ticks_per_tau", self.settings.ticks_per_tau);
-        w.u64("messages", self.settings.messages);
-        w.u64("warmup", self.settings.warmup);
-        w.u64("stations", u64::from(self.settings.stations));
-        w.bool("guard", self.settings.guard);
+        w.u64("seed", *seed);
+        w.f64("success_to_collision", plan.success_to_collision);
+        w.f64("collision_to_success", plan.collision_to_success);
+        w.f64("collision_to_idle", plan.collision_to_idle);
+        w.f64("idle_to_collision", plan.idle_to_collision);
+        w.f64("erasure", plan.erasure);
+        w.f64("deafness", plan.deafness);
+        w.u64("deaf_slots", plan.deaf_slots);
+        w.f64("crash", churn.crash);
+        w.u64("down_slots", churn.down_slots);
+        w.f64("late_join_frac", churn.late_join_frac);
+        w.u64("join_slot", churn.join_slot);
+        w.f64("leave_frac", churn.leave_frac);
+        w.u64("leave_slot", churn.leave_slot);
+        w.u64("catch_up_slots", churn.catch_up_slots);
+        w.u64("outage_start_slot", churn.outage_start_slot);
+        w.u64("outage_slots", churn.outage_slots);
+        w.f64("rho_prime", panel.rho_prime);
+        w.u64("m", panel.m);
+        w.str("policy", policy.label());
+        w.f64("k_tau", *k_tau);
+        w.u64("ticks_per_tau", settings.ticks_per_tau);
+        w.u64("messages", settings.messages);
+        w.u64("warmup", settings.warmup);
+        w.u64("stations", u64::from(settings.stations));
+        w.bool("guard", settings.guard);
         w.str("kind", &self.kind);
         w.str("detail", &self.detail);
         w.finish()
@@ -208,23 +205,25 @@ impl FailureRecord {
             .check()
             .map_err(|e| format!("corrupted churn plan: {e}"))?;
         Ok(FailureRecord {
-            seed: int("seed")?,
-            plan,
-            churn,
-            panel: Panel {
-                rho_prime: num("rho_prime")?,
-                m: int("m")?,
-            },
-            policy,
-            k_tau: num("k_tau")?,
-            settings: SimSettings {
-                ticks_per_tau: int("ticks_per_tau")?,
-                messages: int("messages")?,
-                warmup: int("warmup")?,
-                stations: u32::try_from(int("stations")?)
-                    .map_err(|e| format!("field \"stations\": {e}"))?,
-                // Absent in artifacts that predate the guard flag.
-                guard: r.contains("guard") && r.bool("guard")?,
+            cell: Cell {
+                panel: Panel {
+                    rho_prime: num("rho_prime")?,
+                    m: int("m")?,
+                },
+                policy,
+                k_tau: num("k_tau")?,
+                settings: SimSettings {
+                    ticks_per_tau: int("ticks_per_tau")?,
+                    messages: int("messages")?,
+                    warmup: int("warmup")?,
+                    stations: u32::try_from(int("stations")?)
+                        .map_err(|e| format!("field \"stations\": {e}"))?,
+                    // Absent in artifacts that predate the guard flag.
+                    guard: r.contains("guard") && r.bool("guard")?,
+                },
+                seed: int("seed")?,
+                plan,
+                churn,
             },
             kind: r.str("kind")?.to_string(),
             detail: r.str("detail")?.to_string(),
@@ -253,46 +252,33 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Executes the run a record describes and returns the observed
-/// `(kind, detail)` outcome — `("ok", summary)` when nothing failed.
-/// Deterministic: the same record always returns the same pair.
+/// Executes `cell` and returns the observed `(kind, detail)` outcome —
+/// `("ok", summary)` when nothing failed. Deterministic: the same cell
+/// always returns the same pair.
 ///
-/// A per-station divergence detector rides along whenever the record
-/// injects receive deafness or a churn listener outage; a detected
-/// divergence is itself a reportable failure.
-pub fn execute(rec: &FailureRecord) -> (String, String) {
+/// The cell's divergence detector ([`Cell::detector`]) rides along
+/// whenever the cell injects receive deafness or a churn listener
+/// outage; a detected divergence is itself a reportable failure.
+pub fn execute(cell: &Cell) -> (String, String) {
     let run = || -> (String, String) {
-        if rec.plan.deafness > 0.0 || rec.churn.outage_slots > 0 {
-            let (point, det) = simulate_churn_with_detector(
-                rec.panel,
-                rec.policy,
-                rec.k_tau,
-                rec.settings,
-                rec.seed,
-                rec.plan,
-                rec.churn,
-            );
-            match det.first_divergence {
-                Some(first) => (
-                    "divergence".to_string(),
-                    format!(
-                        "station 0 diverged {} time(s) ({} slots missed, {} resyncs, {} churn repair(s)); first: {first}",
-                        det.divergences, det.dropped_slots, det.resyncs, det.churn_repairs
-                    ),
-                ),
-                None => ("ok".to_string(), format!("loss={:.6}", point.point.loss)),
-            }
+        let mut det = cell.detector();
+        let result = if cell.plan.deafness > 0.0 || cell.churn.outage_slots > 0 {
+            cell.run_observed(&mut det, None)
         } else {
-            let p = simulate_churn(
-                rec.panel,
-                rec.policy,
-                rec.k_tau,
-                rec.settings,
-                rec.seed,
-                rec.plan,
-                rec.churn,
-            );
-            ("ok".to_string(), format!("loss={:.6}", p.point.loss))
+            cell.run()
+        };
+        match det.first_divergence() {
+            Some(first) => (
+                "divergence".to_string(),
+                format!(
+                    "station 0 diverged {} time(s) ({} slots missed, {} resyncs, {} churn repair(s)); first: {first}",
+                    det.divergences(),
+                    det.dropped_slots(),
+                    det.resyncs(),
+                    det.churn_repairs()
+                ),
+            ),
+            None => ("ok".to_string(), format!("loss={:.6}", result.point.loss)),
         }
     };
     match catch_unwind(AssertUnwindSafe(run)) {
@@ -318,11 +304,11 @@ pub fn replay(path: &Path) -> i32 {
         "replaying {} (kind={:?}, seed={}, plan={:?}, churn={:?})",
         path.display(),
         rec.kind,
-        rec.seed,
-        rec.plan,
-        rec.churn
+        rec.cell.seed,
+        rec.cell.plan,
+        rec.cell.churn
     );
-    let (kind, detail) = execute(&rec);
+    let (kind, detail) = execute(&rec.cell);
     println!("recorded: [{}] {}", rec.kind, rec.detail);
     println!("replayed: [{kind}] {detail}");
     if kind == rec.kind && detail == rec.detail {
@@ -350,30 +336,30 @@ mod tests {
     use super::*;
 
     fn record() -> FailureRecord {
+        let panel = Panel {
+            rho_prime: 0.5,
+            m: 25,
+        };
+        let settings = SimSettings::default();
         FailureRecord {
-            seed: 42,
-            plan: FaultPlan {
-                success_to_collision: 0.05,
-                collision_to_success: 0.05,
-                collision_to_idle: 0.05,
-                idle_to_collision: 0.05,
-                erasure: 0.05,
-                deafness: 0.01,
-                deaf_slots: 3,
+            cell: Cell {
+                plan: FaultPlan {
+                    success_to_collision: 0.05,
+                    collision_to_success: 0.05,
+                    collision_to_idle: 0.05,
+                    idle_to_collision: 0.05,
+                    erasure: 0.05,
+                    deafness: 0.01,
+                    deaf_slots: 3,
+                },
+                churn: ChurnPlan {
+                    crash: 0.001,
+                    down_slots: 40,
+                    catch_up_slots: 100,
+                    ..ChurnPlan::none()
+                },
+                ..Cell::clean(panel, PolicyKind::Controlled, 100.0, settings, 42)
             },
-            churn: ChurnPlan {
-                crash: 0.001,
-                down_slots: 40,
-                catch_up_slots: 100,
-                ..ChurnPlan::none()
-            },
-            panel: Panel {
-                rho_prime: 0.5,
-                m: 25,
-            },
-            policy: PolicyKind::Controlled,
-            k_tau: 100.0,
-            settings: SimSettings::default(),
             kind: "panic".to_string(),
             detail: "assertion \"failed\"\nwith a newline and a \\ backslash".to_string(),
         }

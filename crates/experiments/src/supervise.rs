@@ -41,6 +41,7 @@
 //! a core until the cell returns or the process exits.
 
 use crate::replay::ARTIFACT_VERSION;
+use crate::runner::{AoiPoint, CellResult, ChurnCounters, FaultCounters, SimPoint};
 use crate::sweep::{pool, Failure, Quarantined};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -49,9 +50,10 @@ use std::time::Duration;
 use tcw_obs::Progress;
 use tcw_sim::record::{self, Record};
 use tcw_sim::snap::{self, SnapError, SnapReader, SnapWriter};
+use tcw_window::engine::HorizonStats;
 
 /// Journal file format version; bumped on any layout change.
-pub const JOURNAL_FORMAT: u64 = 3;
+pub const JOURNAL_FORMAT: u64 = 4;
 
 // ---------------------------------------------------------------------------
 // Options
@@ -152,122 +154,107 @@ pub trait JournalItem: Sized {
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError>;
 }
 
-impl JournalItem for crate::runner::SimPoint {
+impl JournalItem for CellResult {
+    /// Every field in declaration order, batched into runs of `f64` and
+    /// `u64` words; `decode` reads them back in the same order.
     fn encode(&self, w: &mut SnapWriter) {
-        w.push_f64(self.k);
-        w.push_f64(self.loss);
-        w.push_f64(self.ci95);
-        w.push_f64(self.sender_loss);
-        w.push_f64(self.sched_time_mean);
-        w.push_f64(self.round_overhead_mean);
-        w.push_f64(self.utilization);
-        w.push(self.offered);
+        let (p, f, c, a, h) = (self.point, self.faults, self.churn, self.aoi, self.horizon);
+        for x in [
+            p.k,
+            p.loss,
+            p.ci95,
+            p.sender_loss,
+            p.sched_time_mean,
+            p.round_overhead_mean,
+            p.utilization,
+        ] {
+            w.push_f64(x);
+        }
+        for x in [
+            p.offered,
+            f.corrupted_slots,
+            f.erased_slots,
+            f.resyncs,
+            f.rounds_abandoned,
+            f.reopened,
+            f.fault_losses,
+            c.crashes,
+            c.restarts,
+            c.joins,
+            c.leaves,
+            c.blocked,
+            c.losses,
+            c.reopened,
+        ] {
+            w.push(x);
+        }
+        for x in [
+            c.rejoin_mean_slots,
+            c.rejoin_max_slots,
+            a.k,
+            a.mean_age_tau,
+            a.peak_age_tau,
+            a.violation,
+        ] {
+            w.push_f64(x);
+        }
+        for x in [
+            a.deliveries,
+            a.stations_observed,
+            h.jumps,
+            h.slots_skipped,
+            h.batched_runs,
+            h.batched_slots,
+        ] {
+            w.push(x);
+        }
     }
-    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::runner::SimPoint {
-            k: r.take_f64()?,
-            loss: r.take_f64()?,
-            ci95: r.take_f64()?,
-            sender_loss: r.take_f64()?,
-            sched_time_mean: r.take_f64()?,
-            round_overhead_mean: r.take_f64()?,
-            utilization: r.take_f64()?,
-            offered: r.take()?,
-        })
-    }
-}
 
-impl JournalItem for crate::runner::FaultCounters {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.push(self.corrupted_slots);
-        w.push(self.erased_slots);
-        w.push(self.resyncs);
-        w.push(self.rounds_abandoned);
-        w.push(self.reopened);
-        w.push(self.fault_losses);
-    }
     fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::runner::FaultCounters {
-            corrupted_slots: r.take()?,
-            erased_slots: r.take()?,
-            resyncs: r.take()?,
-            rounds_abandoned: r.take()?,
-            reopened: r.take()?,
-            fault_losses: r.take()?,
-        })
-    }
-}
-
-impl JournalItem for crate::runner::ChurnCounters {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.push(self.crashes);
-        w.push(self.restarts);
-        w.push(self.joins);
-        w.push(self.leaves);
-        w.push(self.blocked);
-        w.push(self.losses);
-        w.push(self.reopened);
-        w.push_f64(self.rejoin_mean_slots);
-        w.push_f64(self.rejoin_max_slots);
-    }
-    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::runner::ChurnCounters {
-            crashes: r.take()?,
-            restarts: r.take()?,
-            joins: r.take()?,
-            leaves: r.take()?,
-            blocked: r.take()?,
-            losses: r.take()?,
-            reopened: r.take()?,
-            rejoin_mean_slots: r.take_f64()?,
-            rejoin_max_slots: r.take_f64()?,
-        })
-    }
-}
-
-impl JournalItem for crate::runner::FaultSimPoint {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.point.encode(w);
-        self.faults.encode(w);
-    }
-    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::runner::FaultSimPoint {
-            point: JournalItem::decode(r)?,
-            faults: JournalItem::decode(r)?,
-        })
-    }
-}
-
-impl JournalItem for tcw_window::engine::HorizonStats {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.push(self.jumps);
-        w.push(self.slots_skipped);
-        w.push(self.batched_runs);
-        w.push(self.batched_slots);
-    }
-    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(tcw_window::engine::HorizonStats {
-            jumps: r.take()?,
-            slots_skipped: r.take()?,
-            batched_runs: r.take()?,
-            batched_slots: r.take()?,
-        })
-    }
-}
-
-impl JournalItem for crate::runner::ChurnSimPoint {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.point.encode(w);
-        self.faults.encode(w);
-        self.churn.encode(w);
-        self.horizon.encode(w);
-    }
-    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::runner::ChurnSimPoint {
-            point: JournalItem::decode(r)?,
-            faults: JournalItem::decode(r)?,
-            churn: JournalItem::decode(r)?,
-            horizon: JournalItem::decode(r)?,
+        Ok(CellResult {
+            point: SimPoint {
+                k: r.take_f64()?,
+                loss: r.take_f64()?,
+                ci95: r.take_f64()?,
+                sender_loss: r.take_f64()?,
+                sched_time_mean: r.take_f64()?,
+                round_overhead_mean: r.take_f64()?,
+                utilization: r.take_f64()?,
+                offered: r.take()?,
+            },
+            faults: FaultCounters {
+                corrupted_slots: r.take()?,
+                erased_slots: r.take()?,
+                resyncs: r.take()?,
+                rounds_abandoned: r.take()?,
+                reopened: r.take()?,
+                fault_losses: r.take()?,
+            },
+            churn: ChurnCounters {
+                crashes: r.take()?,
+                restarts: r.take()?,
+                joins: r.take()?,
+                leaves: r.take()?,
+                blocked: r.take()?,
+                losses: r.take()?,
+                reopened: r.take()?,
+                rejoin_mean_slots: r.take_f64()?,
+                rejoin_max_slots: r.take_f64()?,
+            },
+            aoi: AoiPoint {
+                k: r.take_f64()?,
+                mean_age_tau: r.take_f64()?,
+                peak_age_tau: r.take_f64()?,
+                violation: r.take_f64()?,
+                deliveries: r.take()?,
+                stations_observed: r.take()?,
+            },
+            horizon: HorizonStats {
+                jumps: r.take()?,
+                slots_skipped: r.take()?,
+                batched_runs: r.take()?,
+                batched_slots: r.take()?,
+            },
         })
     }
 }
@@ -998,7 +985,7 @@ mod tests {
 
     #[test]
     fn result_codecs_round_trip_bit_exactly() {
-        let point = crate::runner::SimPoint {
+        let point = SimPoint {
             k: 100.0,
             loss: 0.0625,
             ci95: f64::NAN,
@@ -1008,9 +995,9 @@ mod tests {
             utilization: 0.75,
             offered: 8_000,
         };
-        let csp = crate::runner::ChurnSimPoint {
+        let csp = CellResult {
             point,
-            faults: crate::runner::FaultCounters {
+            faults: FaultCounters {
                 corrupted_slots: 1,
                 erased_slots: 2,
                 resyncs: 3,
@@ -1018,7 +1005,7 @@ mod tests {
                 reopened: 5,
                 fault_losses: 6,
             },
-            churn: crate::runner::ChurnCounters {
+            churn: ChurnCounters {
                 crashes: 7,
                 restarts: 8,
                 joins: 9,
@@ -1029,7 +1016,15 @@ mod tests {
                 rejoin_mean_slots: f64::NAN,
                 rejoin_max_slots: 64.0,
             },
-            horizon: tcw_window::engine::HorizonStats {
+            aoi: AoiPoint {
+                k: 100.0,
+                mean_age_tau: 18.5,
+                peak_age_tau: 40.25,
+                violation: 0.125,
+                deliveries: 18,
+                stations_observed: 19,
+            },
+            horizon: HorizonStats {
                 jumps: 14,
                 slots_skipped: 15,
                 batched_runs: 16,
@@ -1040,7 +1035,7 @@ mod tests {
         csp.encode(&mut w);
         let words = w.into_words();
         let mut r = SnapReader::new(&words);
-        let back = crate::runner::ChurnSimPoint::decode(&mut r).unwrap();
+        let back = CellResult::decode(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back.point.loss.to_bits(), csp.point.loss.to_bits());
         assert_eq!(back.point.ci95.to_bits(), csp.point.ci95.to_bits());
@@ -1050,6 +1045,7 @@ mod tests {
             csp.churn.rejoin_mean_slots.to_bits()
         );
         assert_eq!(back.horizon, csp.horizon);
+        assert_eq!(format!("{back:?}"), format!("{csp:?}"));
 
         let chaos = crate::chaos::ChaosOutcome {
             kind: "violation".into(),

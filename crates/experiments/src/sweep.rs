@@ -1,11 +1,11 @@
 //! Sweep execution: the one worker pool every sweep runs on.
 //!
 //! Every experiment binary sweeps a grid of *cells* — fully specified,
-//! mutually independent simulation points (panel × policy × deadline ×
-//! seed × fault/churn plan). Cells share no state: each engine derives
-//! every random draw from its own master seed, so the grid is
-//! embarrassingly parallel and the paper's Section-5 panels can use all
-//! available cores.
+//! mutually independent simulation points (for the panel sweeps, one
+//! [`Cell`]: panel × policy × deadline × seed × fault/churn plan). Cells
+//! share no state: each engine derives every random draw from its own
+//! master seed, so the grid is embarrassingly parallel and the paper's
+//! Section-5 panels can use all available cores.
 //!
 //! One pool executes every grid, built on `std::thread::scope` (the
 //! workspace stays dependency-free): workers claim the next unclaimed
@@ -32,8 +32,7 @@
 //! [`Progress`] and hand each cell an `Option<&Progress>`.
 
 use crate::replay::panic_message;
-use crate::runner::{simulate_churn, ChurnSimPoint, PolicyKind, SimSettings};
-use crate::Panel;
+use crate::runner::{Cell, CellResult};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,70 +41,12 @@ use std::sync::mpsc;
 use std::time::Duration;
 use tcw_obs::Progress;
 
-/// One fully specified simulation point of a sweep grid.
-///
-/// A `Cell` carries everything a worker needs — including the master
-/// seed — so running it is a pure function of the cell. Plans default to
-/// [`tcw_mac::FaultPlan::none`] / [`tcw_mac::ChurnPlan::none`], which
-/// are bit-identical to fault- and churn-free builds.
-#[derive(Clone, Debug)]
-pub struct Cell {
-    /// Workload panel (offered load and message length).
-    pub panel: Panel,
-    /// Protocol variant.
-    pub policy: PolicyKind,
-    /// Deadline in units of `tau`.
-    pub k_tau: f64,
-    /// Simulation-size knobs.
-    pub settings: SimSettings,
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Injected fault plan.
-    pub plan: tcw_mac::FaultPlan,
-    /// Injected churn plan.
-    pub churn: tcw_mac::ChurnPlan,
-}
-
-impl Cell {
-    /// A clean (fault- and churn-free) cell.
-    pub fn clean(
-        panel: Panel,
-        policy: PolicyKind,
-        k_tau: f64,
-        settings: SimSettings,
-        seed: u64,
-    ) -> Self {
-        Cell {
-            panel,
-            policy,
-            k_tau,
-            settings,
-            seed,
-            plan: tcw_mac::FaultPlan::none(),
-            churn: tcw_mac::ChurnPlan::none(),
-        }
-    }
-
-    /// Runs the cell to completion.
-    pub fn run(&self) -> ChurnSimPoint {
-        simulate_churn(
-            self.panel,
-            self.policy,
-            self.k_tau,
-            self.settings,
-            self.seed,
-            self.plan,
-            self.churn,
-        )
-    }
-}
-
 /// Runs every cell and reassembles the results in cell order.
 ///
 /// A panicking cell aborts the sweep with a message naming both the
 /// cell index and its master seed, so the failure can be replayed
 /// without guessing which grid point died.
-pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<ChurnSimPoint> {
+pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellResult> {
     run_parallel(cells, jobs, false, |_, c, _| {
         catch_unwind(AssertUnwindSafe(|| c.run()))
             .unwrap_or_else(|e| panic!("cell with seed {} panicked: {}", c.seed, panic_message(e)))
@@ -351,7 +292,8 @@ fn parse_jobs(args: &[String]) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::panels::PANELS;
+    use crate::panels::{Panel, PANELS};
+    use crate::runner::{PolicyKind, SimSettings};
 
     #[test]
     fn parallel_matches_serial_order_and_values() {

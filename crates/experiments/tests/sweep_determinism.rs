@@ -12,8 +12,8 @@
 
 use std::path::PathBuf;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::runner::{ChurnSimPoint, PolicyKind, SimSettings};
-use tcw_experiments::sweep::{run_cells, run_parallel, Cell};
+use tcw_experiments::runner::{Cell, CellResult, PolicyKind, SimSettings};
+use tcw_experiments::sweep::{run_cells, run_parallel};
 use tcw_experiments::{observed_cell, Capture, CellArtifacts, PANELS};
 use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_obs::Registry;
@@ -52,7 +52,7 @@ fn grid() -> Vec<Cell> {
 
 /// Renders the sweep exactly like the experiment binaries render their
 /// CSVs: full-precision `{}` formatting of every float, one row per cell.
-fn render_rows(points: &[tcw_experiments::runner::ChurnSimPoint]) -> Vec<Vec<String>> {
+fn render_rows(points: &[CellResult]) -> Vec<Vec<String>> {
     points
         .iter()
         .map(|csp| {
@@ -103,21 +103,18 @@ fn parallel_sweep_csv_is_byte_identical_to_serial() {
 /// returning the simulated points plus the assembled artifacts exactly
 /// as `write_observability` would build them: traces concatenated and
 /// registries merged in cell order.
-fn instrumented_run(jobs: usize) -> (Vec<ChurnSimPoint>, String, String, String, String) {
+fn instrumented_run(jobs: usize) -> (Vec<CellResult>, String, String, String, String) {
     let cells = grid();
     let caps = Capture {
         tracing: true,
         metrics: true,
         spans: true,
     };
-    let out: Vec<(ChurnSimPoint, CellArtifacts)> = run_parallel(&cells, jobs, false, |i, c, _| {
+    let out: Vec<(CellResult, CellArtifacts)> = run_parallel(&cells, jobs, false, |i, c, _| {
         let label = format!("cell {i}");
         let seed_s = format!("{}", c.seed);
         let labels = [("cell", label.as_str()), ("seed", seed_s.as_str())];
-        observed_cell(
-            caps, i, &label, &labels, c.panel, c.policy, c.k_tau, c.settings, c.seed, c.plan,
-            c.churn,
-        )
+        observed_cell(caps, i, &label, &labels, c, None)
     });
     let (points, artifacts): (Vec<_>, Vec<_>) = out.into_iter().unzip();
     let mut trace = String::new();

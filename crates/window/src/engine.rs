@@ -780,7 +780,7 @@ impl<S: ArrivalSource> Engine<S> {
     /// When the event-horizon fast path is enabled (the default) and the
     /// attached observer does not demand per-event callbacks
     /// ([`EngineObserver::slow_path`]), stretches of analytically known
-    /// rounds are executed by [`Engine::fast_forward`] — bit-identical in
+    /// rounds are executed by `Engine::fast_forward` — bit-identical in
     /// every protocol metric, RNG stream and controller state to the
     /// slot-stepped path, but reported to the observer only through the
     /// aggregate [`EngineObserver::on_idle_jump`] /

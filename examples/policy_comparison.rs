@@ -6,7 +6,7 @@
 //! cargo run --release --example policy_comparison
 //! ```
 
-use tcw_experiments::{simulate_panel, Panel, PolicyKind, SimSettings};
+use tcw_experiments::{Cell, Panel, PolicyKind, SimSettings};
 
 fn main() {
     let panel = Panel {
@@ -36,7 +36,7 @@ fn main() {
             PolicyKind::Lcfs,
             PolicyKind::Random,
         ] {
-            let p = simulate_panel(panel, kind, k, settings, 5);
+            let p = Cell::clean(panel, kind, k, settings, 5).run().point;
             cells.push(format!("{:.4}", p.loss));
         }
         println!(

@@ -4,7 +4,7 @@
 //! methodology ("the close agreement between the analytic results and the
 //! simulation results", §4.2).
 
-use tcw_experiments::{simulate_panel, Panel, PolicyKind, SimSettings};
+use tcw_experiments::{Cell, Panel, PolicyKind, SimSettings};
 use tcw_queueing::marching::{controlled_curve, fcfs_curve, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
 
@@ -25,7 +25,9 @@ fn check_panel(panel: Panel, ks: &[f64], seed: u64) {
     };
     let analytic = controlled_curve(cfg, ks);
     for (a, &k) in analytic.iter().zip(ks) {
-        let sim = simulate_panel(panel, PolicyKind::Controlled, k, quick(), seed);
+        let sim = Cell::clean(panel, PolicyKind::Controlled, k, quick(), seed)
+            .run()
+            .point;
         let tol = (4.0 * sim.ci95).max(0.015);
         assert!(
             (a.loss - sim.loss).abs() <= tol,
@@ -127,7 +129,9 @@ fn fcfs_receiver_loss_matches_mg1_tail() {
     let ks = [50.0, 100.0, 200.0];
     let analytic = fcfs_curve(cfg, &ks, true);
     for (a, &k) in analytic.iter().zip(&ks) {
-        let sim = simulate_panel(panel, PolicyKind::Fcfs, k, quick(), 4);
+        let sim = Cell::clean(panel, PolicyKind::Fcfs, k, quick(), 4)
+            .run()
+            .point;
         let tol = (4.0 * sim.ci95).max(0.02);
         assert!(
             (a.loss - sim.loss).abs() <= tol,

@@ -2,9 +2,7 @@
 //! churn-aware failure-replay artifact.
 
 use tcw_experiments::replay::{execute, FailureRecord, ARTIFACT_VERSION};
-use tcw_experiments::runner::{
-    simulate_churn, simulate_churn_with_detector, simulate_panel_faulty, PolicyKind, SimSettings,
-};
+use tcw_experiments::runner::{Cell, PolicyKind, SimSettings};
 use tcw_experiments::Panel;
 use tcw_mac::{ChurnPlan, FaultPlan};
 
@@ -28,48 +26,27 @@ fn crashy() -> ChurnPlan {
     ChurnPlan::crash_restart(0.002, 40, 100)
 }
 
+/// The controlled cell at `K = 100` under `plan` and `churn`.
+fn cell(seed: u64, plan: FaultPlan, churn: ChurnPlan) -> Cell {
+    Cell {
+        plan,
+        churn,
+        ..Cell::clean(panel(), PolicyKind::Controlled, 100.0, quick(), seed)
+    }
+}
+
 #[test]
 fn none_churn_matches_faulty_runner_exactly() {
-    let base = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::none(),
-    );
-    let churny = simulate_churn(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::none(),
-        ChurnPlan::none(),
-    );
-    assert_eq!(
-        format!("{:?} {:?}", base.point, base.faults),
-        format!("{:?} {:?}", churny.point, churny.faults)
-    );
-    assert_eq!(churny.churn.crashes, 0);
-    assert_eq!(churny.churn.blocked, 0);
-    assert_eq!(churny.churn.losses, 0);
-    assert_eq!(churny.churn.reopened, 0);
+    let clean = cell(7, FaultPlan::none(), ChurnPlan::none()).run();
+    assert_eq!(clean.churn.crashes, 0);
+    assert_eq!(clean.churn.blocked, 0);
+    assert_eq!(clean.churn.losses, 0);
+    assert_eq!(clean.churn.reopened, 0);
 }
 
 #[test]
 fn churn_runs_are_deterministic_and_counted() {
-    let run = || {
-        simulate_churn(
-            panel(),
-            PolicyKind::Controlled,
-            100.0,
-            quick(),
-            11,
-            FaultPlan::none(),
-            crashy(),
-        )
-    };
+    let run = || cell(11, FaultPlan::none(), crashy()).run();
     let a = run();
     let b = run();
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
@@ -95,17 +72,11 @@ fn churn_artifact_roundtrips_and_replays() {
         ..crashy()
     };
     let rec = FailureRecord {
-        seed: 11,
-        plan: FaultPlan::none(),
-        churn,
-        panel: panel(),
-        policy: PolicyKind::Controlled,
-        k_tau: 100.0,
-        settings: quick(),
+        cell: cell(11, FaultPlan::none(), churn),
         kind: String::new(),
         detail: String::new(),
     };
-    let (kind, detail) = execute(&rec);
+    let (kind, detail) = execute(&rec.cell);
     assert_eq!(kind, "divergence", "outage must diverge: {detail}");
     assert!(detail.contains("churn repair"), "{detail}");
 
@@ -117,7 +88,7 @@ fn churn_artifact_roundtrips_and_replays() {
     failed.save(&path).expect("save artifact");
     let loaded = FailureRecord::load(&path).expect("load artifact");
     assert_eq!(loaded, failed);
-    let (kind2, detail2) = execute(&loaded);
+    let (kind2, detail2) = execute(&loaded.cell);
     assert_eq!((kind2, detail2), (loaded.kind, loaded.detail));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -125,13 +96,7 @@ fn churn_artifact_roundtrips_and_replays() {
 #[test]
 fn stale_or_corrupted_artifacts_are_rejected() {
     let rec = FailureRecord {
-        seed: 3,
-        plan: FaultPlan::none(),
-        churn: ChurnPlan::none(),
-        panel: panel(),
-        policy: PolicyKind::Controlled,
-        k_tau: 100.0,
-        settings: quick(),
+        cell: cell(3, FaultPlan::none(), ChurnPlan::none()),
         kind: "panic".to_string(),
         detail: "boom".to_string(),
     };
@@ -171,31 +136,19 @@ fn detector_report_separates_churn_repairs_from_deaf_resyncs() {
         outage_slots: 24,
         ..ChurnPlan::none()
     };
-    let (_, det) = simulate_churn_with_detector(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        13,
-        FaultPlan::none(),
-        outage_only,
-    );
-    assert_eq!(det.churn_repairs, 1);
-    assert_eq!(det.resyncs, det.churn_repairs);
+    let outage = cell(13, FaultPlan::none(), outage_only);
+    let mut det = outage.detector();
+    outage.run_observed(&mut det, None);
+    assert_eq!(det.churn_repairs(), 1);
+    assert_eq!(det.resyncs(), det.churn_repairs());
 
     // Deafness only: no resync is a churn repair.
     let mut deaf = FaultPlan::none();
     deaf.deafness = 0.005;
     deaf.deaf_slots = 4;
-    let (_, det) = simulate_churn_with_detector(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        13,
-        deaf,
-        ChurnPlan::none(),
-    );
-    assert!(det.divergences > 0, "deafness never diverged");
-    assert_eq!(det.churn_repairs, 0);
+    let deaf = cell(13, deaf, ChurnPlan::none());
+    let mut det = deaf.detector();
+    deaf.run_observed(&mut det, None);
+    assert!(det.divergences() > 0, "deafness never diverged");
+    assert_eq!(det.churn_repairs(), 0);
 }

@@ -3,7 +3,7 @@
 //! not just the centralized queue abstraction: the fraction of channel
 //! time carrying successful transmissions equals the accepted load.
 
-use tcw_experiments::{simulate_panel, Panel, PolicyKind, SimSettings};
+use tcw_experiments::{Cell, Panel, PolicyKind, SimSettings};
 
 fn settings() -> SimSettings {
     SimSettings {
@@ -18,7 +18,9 @@ fn settings() -> SimSettings {
 fn utilization_equals_accepted_load_controlled() {
     for (rho_prime, k) in [(0.5, 100.0), (0.75, 100.0), (0.75, 400.0)] {
         let panel = Panel { rho_prime, m: 25 };
-        let p = simulate_panel(panel, PolicyKind::Controlled, k, settings(), 11);
+        let p = Cell::clean(panel, PolicyKind::Controlled, k, settings(), 11)
+            .run()
+            .point;
         // Receiver-lost messages *are* transmitted, so channel utilization
         // counts them: utilization ≈ (1 - sender_loss) * rho'.
         let expect = (1.0 - p.sender_loss) * rho_prime;
@@ -37,7 +39,9 @@ fn utilization_equals_offered_load_fcfs() {
         rho_prime: 0.5,
         m: 25,
     };
-    let p = simulate_panel(panel, PolicyKind::Fcfs, 100.0, settings(), 12);
+    let p = Cell::clean(panel, PolicyKind::Fcfs, 100.0, settings(), 12)
+        .run()
+        .point;
     assert!(
         (p.utilization - 0.5).abs() < 0.02,
         "utilization {:.4} vs 0.5",
@@ -56,8 +60,12 @@ fn controlled_utilization_is_all_useful_work() {
         m: 25,
     };
     let k = 100.0;
-    let c = simulate_panel(panel, PolicyKind::Controlled, k, settings(), 13);
-    let f = simulate_panel(panel, PolicyKind::Fcfs, k, settings(), 13);
+    let c = Cell::clean(panel, PolicyKind::Controlled, k, settings(), 13)
+        .run()
+        .point;
+    let f = Cell::clean(panel, PolicyKind::Fcfs, k, settings(), 13)
+        .run()
+        .point;
     // useful utilization = fraction of channel time carrying messages that
     // met the deadline ≈ utilization * (delivered-in-time / transmitted)
     let c_useful = c.utilization * (1.0 - c.loss) / (1.0 - c.sender_loss);

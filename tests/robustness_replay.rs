@@ -5,13 +5,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use tcw_experiments::adaptive::AdaptiveRecord;
 use tcw_experiments::replay::FailureRecord;
-use tcw_experiments::runner::{
-    simulate_panel, simulate_panel_faulty, simulate_with_detector, PolicyKind, SimSettings,
-};
+use tcw_experiments::runner::{Cell, PolicyKind, SimSettings};
 use tcw_experiments::ChaosRecord;
 use tcw_experiments::Panel;
-use tcw_mac::{ChurnPlan, FaultPlan};
+use tcw_mac::FaultPlan;
 use tcw_sim::record::Record;
+use tcw_window::mirror::DivergenceDetector;
 
 fn quick() -> SimSettings {
     SimSettings {
@@ -29,50 +28,35 @@ fn panel() -> Panel {
     }
 }
 
+/// The controlled cell at `K = 100` under `plan`.
+fn cell(seed: u64, plan: FaultPlan) -> Cell {
+    Cell {
+        plan,
+        ..Cell::clean(panel(), PolicyKind::Controlled, 100.0, quick(), seed)
+    }
+}
+
+/// Runs `cell` under its station-0 divergence detector.
+fn detect(cell: &Cell) -> DivergenceDetector {
+    let mut det = cell.detector();
+    cell.run_observed(&mut det, None);
+    det
+}
+
 #[test]
 fn none_plan_matches_plain_runner_exactly() {
-    let base = simulate_panel(panel(), PolicyKind::Controlled, 100.0, quick(), 7);
-    let faulty = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::none(),
-    );
-    assert_eq!(format!("{base:?}"), format!("{:?}", faulty.point));
-    assert_eq!(faulty.faults.corrupted_slots, 0);
-    assert_eq!(faulty.faults.erased_slots, 0);
-    assert_eq!(faulty.faults.resyncs, 0);
-    assert_eq!(faulty.faults.fault_losses, 0);
+    let clean = cell(7, FaultPlan::none()).run();
+    assert_eq!(clean.faults.corrupted_slots, 0);
+    assert_eq!(clean.faults.erased_slots, 0);
+    assert_eq!(clean.faults.resyncs, 0);
+    assert_eq!(clean.faults.fault_losses, 0);
 }
 
 #[test]
 fn faults_degrade_loss_gracefully() {
-    let clean = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::none(),
-    );
-    let light = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::uniform(0.02),
-    );
-    let heavy = simulate_panel_faulty(
-        panel(),
-        PolicyKind::Controlled,
-        100.0,
-        quick(),
-        7,
-        FaultPlan::uniform(0.10),
-    );
+    let clean = cell(7, FaultPlan::none()).run();
+    let light = cell(7, FaultPlan::uniform(0.02)).run();
+    let heavy = cell(7, FaultPlan::uniform(0.10)).run();
     assert!(light.faults.corrupted_slots > 0);
     assert!(heavy.faults.corrupted_slots > light.faults.corrupted_slots);
     // Degradation is graceful: loss rises with the fault rate but the
@@ -91,13 +75,13 @@ fn detector_run_is_deterministic_and_replayable() {
     let mut plan = FaultPlan::uniform(0.02);
     plan.deafness = 0.005;
     plan.deaf_slots = 4;
-    let run = || simulate_with_detector(panel(), PolicyKind::Controlled, 100.0, quick(), 11, plan);
-    let (_, det_a) = run();
-    let (_, det_b) = run();
-    assert!(det_a.divergences > 0, "deafness produced no divergence");
-    assert_eq!(det_a.divergences, det_b.divergences);
-    assert_eq!(det_a.dropped_slots, det_b.dropped_slots);
-    assert_eq!(det_a.first_divergence, det_b.first_divergence);
+    let run = || detect(&cell(11, plan));
+    let det_a = run();
+    let det_b = run();
+    assert!(det_a.divergences() > 0, "deafness produced no divergence");
+    assert_eq!(det_a.divergences(), det_b.divergences());
+    assert_eq!(det_a.dropped_slots(), det_b.dropped_slots());
+    assert_eq!(det_a.first_divergence(), det_b.first_divergence());
 }
 
 #[test]
@@ -107,17 +91,13 @@ fn artifact_roundtrip_reproduces_the_failure() {
     let mut plan = FaultPlan::uniform(0.02);
     plan.deafness = 0.005;
     plan.deaf_slots = 4;
-    let (_, det) =
-        simulate_with_detector(panel(), PolicyKind::Controlled, 100.0, quick(), 11, plan);
-    let first = det.first_divergence.expect("deafness must diverge");
+    let det = detect(&cell(11, plan));
+    let first = det
+        .first_divergence()
+        .map(str::to_string)
+        .expect("deafness must diverge");
     let rec = FailureRecord {
-        seed: 11,
-        plan,
-        churn: ChurnPlan::none(),
-        panel: panel(),
-        policy: PolicyKind::Controlled,
-        k_tau: 100.0,
-        settings: quick(),
+        cell: cell(11, plan),
         kind: "divergence".to_string(),
         detail: first.clone(),
     };
@@ -127,16 +107,9 @@ fn artifact_roundtrip_reproduces_the_failure() {
     let loaded = FailureRecord::load(&path).expect("load artifact");
     assert_eq!(loaded, rec);
     // Replay from the loaded record alone.
-    let (_, replayed) = simulate_with_detector(
-        loaded.panel,
-        loaded.policy,
-        loaded.k_tau,
-        loaded.settings,
-        loaded.seed,
-        loaded.plan,
-    );
+    let replayed = detect(&loaded.cell);
     assert_eq!(
-        replayed.first_divergence.as_deref(),
+        replayed.first_divergence(),
         Some(first.as_str()),
         "replay did not reproduce the recorded failure"
     );
@@ -152,9 +125,7 @@ fn panics_are_catchable_for_the_harness() {
         collision_to_idle: 0.9,
         ..FaultPlan::none()
     };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        simulate_panel_faulty(panel(), PolicyKind::Controlled, 100.0, quick(), 7, bad)
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| cell(7, bad).run()));
     assert!(result.is_err(), "oversubscribed plan must be rejected");
 }
 
