@@ -36,6 +36,7 @@ use tcw_mac::{
     PiecewiseArrivals, PoissonArrivals,
 };
 use tcw_sim::rng::stream_seed;
+use tcw_sim::snap::{checksum, SnapWriter};
 use tcw_sim::stats::MetricSink;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::analysis::optimal_mu;
@@ -91,6 +92,56 @@ fn voice_config() -> VoiceConfig {
         mean_silence: Dur::from_ticks(12_000),
         packet_interval: Dur::from_ticks(400),
     }
+}
+
+/// The resume journal's grid fingerprint: a checksum of every constant
+/// above that `scenario_engine` and the load profiles read, the windows
+/// tuned from them, and the grid's cells in order. An edit to any of
+/// them makes an old journal stale. A new constant joins this list.
+pub fn fingerprint(cells: &[(Scenario, ControllerKind, u64)]) -> u64 {
+    let voice = voice_config();
+    let mut w = SnapWriter::new();
+    for x in [
+        BASE_SEED,
+        REPLICATES,
+        HORIZON_TICKS,
+        K_TICKS,
+        u64::from(STATIONS),
+        TICKS_PER_TAU,
+        MESSAGE_SLOTS,
+        MEASURE_START,
+        MEASURE_END,
+        STEP_BEFORE.to_bits(),
+        STEP_AFTER.to_bits(),
+        STEP_AT,
+        FLASH_BASE.to_bits(),
+        FLASH_SURGE.to_bits(),
+        ADV_BASE.to_bits(),
+        ADV_RATE.to_bits(),
+        u64::from(ADV_BURST),
+        ADV_START,
+        voice.mean_talkspurt.ticks(),
+        voice.mean_silence.ticks(),
+        voice.packet_interval.ticks(),
+    ] {
+        w.push(x);
+    }
+    for (start, len) in FLASH_BURSTS {
+        w.push(start);
+        w.push(len);
+    }
+    for scenario in Scenario::ALL {
+        for (start, window) in scenario.oracle_schedule() {
+            w.push(start.ticks());
+            w.push(window);
+        }
+    }
+    for &(scenario, controller, replicate) in cells {
+        w.push_str(scenario.label());
+        w.push_str(controller.label());
+        w.push(replicate);
+    }
+    checksum(&w.into_words())
 }
 
 /// The §4.1 heuristic window (ticks) for an aggregate rate in messages
@@ -581,6 +632,25 @@ mod tests {
         );
         assert_eq!(c.window_ticks(), 40);
         assert_eq!(c.shrinks() + c.grows(), 0);
+    }
+
+    #[test]
+    fn fingerprint_covers_the_grid() {
+        let grid = [
+            (Scenario::Step, ControllerKind::Aimd, 0),
+            (Scenario::Flash, ControllerKind::Stale, 1),
+        ];
+        let base = fingerprint(&grid);
+        let mut edited = grid;
+        edited[1].2 = 2;
+        assert_ne!(fingerprint(&edited), base, "replicate is not covered");
+        edited = grid;
+        edited[0].1 = ControllerKind::Oracle;
+        assert_ne!(fingerprint(&edited), base, "controller is not covered");
+        edited = grid;
+        edited.swap(0, 1);
+        assert_ne!(fingerprint(&edited), base, "grid order is not covered");
+        assert_ne!(fingerprint(&grid[..1]), base, "grid size is not covered");
     }
 
     #[test]

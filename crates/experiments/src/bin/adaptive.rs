@@ -19,8 +19,8 @@
 
 use std::path::Path;
 use tcw_experiments::adaptive::{
-    episode, execute, replay, run_cell, AdaptiveRecord, CellOutcome, ControllerKind, Scenario,
-    BASE_SEED, REPLICATES,
+    episode, execute, fingerprint, replay, run_cell, AdaptiveRecord, CellOutcome, ControllerKind,
+    Scenario, BASE_SEED, REPLICATES,
 };
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
@@ -138,14 +138,7 @@ fn main() {
                 .flat_map(move |&c| (0..REPLICATES).map(move |r| (s, c, r)))
         })
         .collect();
-    // Base seed, replicate count, deadline and grid size define the
-    // cells; any change invalidates a resume journal.
-    let fingerprint = tcw_sim::snap::checksum(&[
-        BASE_SEED,
-        REPLICATES,
-        tcw_experiments::adaptive::K_TICKS,
-        cells.len() as u64,
-    ]);
+    let fingerprint = fingerprint(&cells);
     let caps = obs.capture();
     // A cell that keeps panicking is quarantined, and its replay artifact
     // is written from the quarantine report.

@@ -207,10 +207,10 @@ fn main() {
     let cells: Vec<ChaosConfig> = (0..configs as u64)
         .map(|index| ChaosConfig::sample(BASE_SEED, index))
         .collect();
-    // The fingerprint covers everything that defines the cell grid; the
+    // The fingerprint covers every field of every sampled config; the
     // inject flags are deliberately excluded so a clean resume can reuse
     // the journal of an injected (crashed) run.
-    let fingerprint = tcw_sim::snap::checksum(&[BASE_SEED, configs as u64]);
+    let fingerprint = ChaosConfig::fingerprint(&cells);
     let caps = obs.capture();
     let (outcomes, cell_artifacts): (Vec<ChaosOutcome>, Vec<CellArtifacts>) = supervised_cells(
         "chaos",

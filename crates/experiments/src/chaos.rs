@@ -35,6 +35,7 @@ use tcw_mac::{
     MergedSource, PiecewiseArrivals, RateStep,
 };
 use tcw_sim::rng::{stream_seed, Rng};
+use tcw_sim::snap::{checksum, SnapWriter};
 use tcw_sim::stats::MetricSink;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::analysis::optimal_mu;
@@ -306,6 +307,24 @@ impl ChaosConfig {
             return Err("adversary burst without a rate".to_string());
         }
         Ok(())
+    }
+
+    /// Checksums every field of every config, in grid order, through the
+    /// replay record's field list ([`ChaosRecord::to_json`]): the resume
+    /// journal's grid fingerprint, so an edit to [`ChaosConfig::sample`]
+    /// makes an old journal stale.
+    pub fn fingerprint(configs: &[ChaosConfig]) -> u64 {
+        let mut w = SnapWriter::new();
+        for config in configs {
+            let rec = ChaosRecord {
+                config: config.clone(),
+                kind: String::new(),
+                class: String::new(),
+                detail: String::new(),
+            };
+            w.push_str(&rec.to_json());
+        }
+        checksum(&w.into_words())
     }
 
     /// Mean legitimate + adversarial arrival rate over the horizon
@@ -1125,6 +1144,43 @@ mod tests {
         assert!(ChaosRecord::from_json(&wrong_family).is_err());
         let bad_plan = rec.to_json().replace("\"erasure\": 0", "\"erasure\": 9.0");
         assert!(ChaosRecord::from_json(&bad_plan).is_err());
+    }
+
+    #[test]
+    fn fingerprint_covers_every_config_field() {
+        let grid: Vec<ChaosConfig> = (0..4).map(|i| ChaosConfig::sample(BASE_SEED, i)).collect();
+        let base = ChaosConfig::fingerprint(&grid);
+        let stale = |configs: &[ChaosConfig]| ChaosConfig::fingerprint(configs) != base;
+        type Edit = fn(&mut ChaosConfig);
+        let edits: [(&str, Edit); 15] = [
+            ("seed", |c| c.seed += 1),
+            ("horizon_ticks", |c| c.horizon_ticks += 1),
+            ("stations", |c| c.stations += 1),
+            ("ticks_per_tau", |c| c.ticks_per_tau += 1),
+            ("message_slots", |c| c.message_slots += 1),
+            ("k_ticks", |c| c.k_ticks += 1),
+            ("controller", |c| {
+                let [a, b, _] = ChaosController::ALL;
+                c.controller = if c.controller == a { b } else { a };
+            }),
+            ("fault probability", |c| c.plan.erasure += 0.01),
+            ("deaf_slots", |c| c.plan.deaf_slots += 1),
+            ("crash rate", |c| c.churn.crash += 1e-4),
+            ("outage_slots", |c| c.churn.outage_slots += 1),
+            ("segment rate", |c| c.segments[0].1 *= 1.5),
+            ("segment count", |c| c.segments.push((u64::MAX, 0.01))),
+            ("adv_rate", |c| c.adv_rate += 0.001),
+            ("adv_start", |c| c.adv_start += 1),
+        ];
+        for (field, edit) in edits {
+            let mut configs = grid.clone();
+            edit(&mut configs[2]);
+            assert!(stale(&configs), "{field} is not covered");
+        }
+        let mut reordered = grid.clone();
+        reordered.swap(0, 1);
+        assert!(stale(&reordered), "grid order is not covered");
+        assert!(stale(&grid[..3]), "grid size is not covered");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Online statistics for simulation output analysis.
 //!
-//! All collectors are *online* (O(1) memory per observation) and never
-//! allocate on the observation path, so they can be sampled inside the inner
-//! simulation loop:
+//! All collectors are *online* (no stored sample) and cheap enough to be
+//! sampled inside the inner simulation loop. None allocates on the
+//! observation path except [`TickHistogram`], and it only when a value
+//! passes the capacity reserved at construction:
 //!
 //! * [`Tally`] — Welford mean/variance/min/max of plain observations;
 //! * [`TimeWeighted`] — time-averaged piecewise-constant signals (queue
@@ -11,8 +12,8 @@
 //! * [`RatioCounter`] — counted events over a denominator (loss ratios);
 //! * [`BatchMeans`] — batch-means confidence intervals for steady-state
 //!   simulation estimates;
-//! * [`P2Quantile`] — O(1)-memory online quantile estimation (tail-delay
-//!   percentiles).
+//! * [`TickHistogram`] — one count per tick, exact nearest-rank
+//!   percentiles of whole-tick observations (tail-delay percentiles).
 //!
 //! [`MetricSink`] is the push-style enumeration interface metric
 //! *producers* use to expose these collectors to an observability
@@ -29,7 +30,7 @@ mod timeweighted;
 pub use batch::BatchMeans;
 pub use counter::RatioCounter;
 pub use histogram::Histogram;
-pub use quantile::P2Quantile;
+pub use quantile::TickHistogram;
 pub use sink::MetricSink;
 pub use tally::Tally;
 pub use timeweighted::TimeWeighted;

@@ -1,177 +1,115 @@
-//! P² (piecewise-parabolic) online quantile estimation.
-//!
-//! Jain & Chlamtac's P² algorithm estimates a single quantile in O(1)
-//! memory without storing observations — the right tool for tail-delay
-//! percentiles (p95/p99 waiting times) over long simulation runs, where a
-//! bounded histogram would clip and a full sample would not fit.
+//! Exact quantiles of whole-tick observations from one count per tick.
 
-/// Online estimator of one quantile via the P² algorithm.
+use crate::snap::{SnapError, SnapReader, SnapWriter};
+
+/// Counts of non-negative integer observations (ticks), one bin per
+/// value, read out as exact nearest-rank percentiles.
+///
+/// Recording costs one increment. The bins cover `0..=max`, the largest
+/// value seen so far: capacity reserved at construction is zero-filled
+/// only as far as `max` reaches, and the vector reallocates, at least
+/// doubling, only when a value passes the reservation. Memory is eight
+/// bytes per tick of the largest value.
 #[derive(Clone, Debug)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights (estimates of the quantile curve).
-    heights: [f64; 5],
-    /// Marker positions (1-based observation ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments per observation.
-    increments: [f64; 5],
-    count: u64,
+pub struct TickHistogram {
+    counts: Vec<u64>,
+    total: u64,
 }
 
-impl P2Quantile {
-    /// Creates an estimator for the `q`-quantile (`0 < q < 1`).
-    ///
-    /// # Panics
-    /// Panics if `q` is outside `(0, 1)`.
-    pub fn new(q: f64) -> Self {
-        assert!(q > 0.0 && q < 1.0, "quantile must be in (0,1)");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
+impl TickHistogram {
+    /// An empty histogram with room for the values `0..reserve` reserved
+    /// but not filled.
+    pub fn with_capacity(reserve: usize) -> Self {
+        TickHistogram {
+            counts: Vec::with_capacity(reserve),
+            total: 0,
         }
     }
 
-    /// The quantile being estimated.
-    pub fn q(&self) -> f64 {
-        self.q
+    /// Records one observation of `ticks`.
+    #[inline]
+    pub fn record(&mut self, ticks: u64) {
+        match self.counts.get_mut(ticks as usize) {
+            Some(c) => *c += 1,
+            None => self.extend_to(ticks as usize),
+        }
+        self.total += 1;
+    }
+
+    /// Zero-fills the bins below a new maximum `v` and counts `v`.
+    #[cold]
+    #[inline(never)]
+    fn extend_to(&mut self, v: usize) {
+        self.counts.resize(v, 0);
+        self.counts.push(1);
     }
 
     /// Observations recorded.
     pub fn count(&self) -> u64 {
-        self.count
+        self.total
     }
 
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        if self.count < 5 {
-            self.heights[self.count as usize] = x;
-            self.count += 1;
-            if self.count == 5 {
-                self.heights
-                    .sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-            }
-            return;
-        }
-        self.count += 1;
-
-        // Find the cell containing x and update extreme markers.
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x < self.heights[1] {
-            0
-        } else if x < self.heights[2] {
-            1
-        } else if x < self.heights[3] {
-            2
-        } else if x <= self.heights[4] {
-            3
-        } else {
-            self.heights[4] = x;
-            3
-        };
-
-        for p in &mut self.positions[k + 1..] {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(&self.increments) {
-            *d += inc;
-        }
-
-        // Adjust interior markers toward their desired positions.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let right_gap = self.positions[i + 1] - self.positions[i];
-            let left_gap = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
-                let d = d.signum();
-                let candidate = self.parabolic(i, d);
-                self.heights[i] =
-                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
-                        candidate
-                    } else {
-                        self.linear(i, d)
-                    };
-                self.positions[i] += d;
-            }
-        }
+    /// The nearest-rank `p`-th percentile (`p <= 100`): the smallest
+    /// recorded value with at least `ceil(p·n/100)` observations at or
+    /// below it (at least one). `None` while empty.
+    pub fn percentile(&self, p: u32) -> Option<u64> {
+        self.percentiles([p]).map(|[v]| v)
     }
 
-    fn parabolic(&self, i: usize, d: f64) -> f64 {
-        let (hm, h, hp) = (self.heights[i - 1], self.heights[i], self.heights[i + 1]);
-        let (nm, n, np) = (
-            self.positions[i - 1],
-            self.positions[i],
-            self.positions[i + 1],
-        );
-        h + d / (np - nm)
-            * ((n - nm + d) * (hp - h) / (np - n) + (np - n - d) * (h - hm) / (n - nm))
-    }
-
-    fn linear(&self, i: usize, d: f64) -> f64 {
-        let j = (i as f64 + d) as usize;
-        self.heights[i]
-            + d * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
-    }
-
-    /// The current quantile estimate.
+    /// Several nearest-rank percentiles (ascending, each at most 100),
+    /// read in one pass over the bins.
     ///
-    /// With fewer than five observations, returns the exact sample
-    /// quantile of what has been seen (`None` when empty).
-    pub fn estimate(&self) -> Option<f64> {
-        if self.count == 0 {
+    /// # Panics
+    /// Panics if the percentiles are not ascending or one exceeds 100.
+    pub fn percentiles<const N: usize>(&self, ps: [u32; N]) -> Option<[u64; N]> {
+        if self.total == 0 {
             return None;
         }
-        if self.count < 5 {
-            let mut seen: Vec<f64> = self.heights[..self.count as usize].to_vec();
-            seen.sort_by(|a, b| a.partial_cmp(b).expect("NaN observation"));
-            let idx = ((self.count as f64 - 1.0) * self.q).round() as usize;
-            return Some(seen[idx]);
-        }
-        Some(self.heights[2])
-    }
-}
-
-impl P2Quantile {
-    /// Serializes the estimator's state for an engine checkpoint.
-    pub fn save_state(&self, w: &mut crate::snap::SnapWriter) {
-        w.push_f64(self.q);
-        for x in self
-            .heights
-            .iter()
-            .chain(&self.positions)
-            .chain(&self.desired)
-            .chain(&self.increments)
-        {
-            w.push_f64(*x);
-        }
-        w.push(self.count);
-    }
-
-    /// Rebuilds an estimator from checkpoint state written by
-    /// [`P2Quantile::save_state`].
-    pub fn load_state(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let q = r.take_f64()?;
-        let mut arrays = [[0.0f64; 5]; 4];
-        for a in arrays.iter_mut() {
-            for x in a.iter_mut() {
-                *x = r.take_f64()?;
+        let mut out = [0; N];
+        let mut bins = self.counts.iter().enumerate();
+        let (mut below, mut value, mut last_p) = (0u64, 0usize, 0u32);
+        for (slot, p) in out.iter_mut().zip(ps) {
+            assert!(
+                p <= 100 && p >= last_p,
+                "percentiles must ascend within 0..=100"
+            );
+            last_p = p;
+            let rank = (u128::from(p) * u128::from(self.total))
+                .div_ceil(100)
+                .max(1) as u64;
+            while below < rank {
+                let (v, &c) = bins.next().expect("rank at most the count");
+                below += c;
+                value = v;
             }
+            *slot = value as u64;
         }
-        Ok(P2Quantile {
-            q,
-            heights: arrays[0],
-            positions: arrays[1],
-            desired: arrays[2],
-            increments: arrays[3],
-            count: r.take()?,
-        })
+        Some(out)
+    }
+
+    /// Serializes the bins in use, not the reservation.
+    pub fn save_state(&self, w: &mut SnapWriter) {
+        w.push_usize(self.counts.len());
+        for &c in &self.counts {
+            w.push(c);
+        }
+    }
+
+    /// Rebuilds a histogram from state written by
+    /// [`TickHistogram::save_state`], reserving room for `reserve` values
+    /// as [`TickHistogram::with_capacity`] does.
+    pub fn load_state(reserve: usize, r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let n = r.take_len()?;
+        let mut h = TickHistogram::with_capacity(reserve.max(n));
+        for _ in 0..n {
+            let c = r.take()?;
+            h.counts.push(c);
+            h.total = h
+                .total
+                .checked_add(c)
+                .ok_or_else(|| SnapError::new("tick histogram count overflows u64"))?;
+        }
+        Ok(h)
     }
 }
 
@@ -180,87 +118,87 @@ mod tests {
     use super::*;
     use crate::rng::Rng;
 
+    /// Each of `0..n` once, in a scrambled order.
+    fn each_once(n: u64) -> TickHistogram {
+        let mut h = TickHistogram::with_capacity(n as usize);
+        for i in 0..n {
+            h.record(i * 7919 % n);
+        }
+        h
+    }
+
     #[test]
     fn uniform_median() {
-        let mut est = P2Quantile::new(0.5);
-        let mut rng = Rng::new(1);
-        for _ in 0..100_000 {
-            est.record(rng.f64());
-        }
-        let m = est.estimate().unwrap();
-        assert!((m - 0.5).abs() < 0.01, "median = {m}");
+        assert_eq!(each_once(1000).percentile(50), Some(499));
     }
 
     #[test]
     fn uniform_p95_and_p99() {
-        let mut p95 = P2Quantile::new(0.95);
-        let mut p99 = P2Quantile::new(0.99);
-        let mut rng = Rng::new(2);
-        for _ in 0..200_000 {
-            let x = rng.f64();
-            p95.record(x);
-            p99.record(x);
-        }
-        let a = p95.estimate().unwrap();
-        let b = p99.estimate().unwrap();
-        assert!((a - 0.95).abs() < 0.01, "p95 = {a}");
-        assert!((b - 0.99).abs() < 0.005, "p99 = {b}");
-        assert!(b > a);
+        assert_eq!(each_once(1000).percentiles([95, 99]), Some([949, 989]));
     }
 
     #[test]
     fn exponential_tail_quantile() {
-        // p90 of Exp(1) is ln(10) ≈ 2.3026.
-        let mut est = P2Quantile::new(0.9);
+        // p90 of Exp(1) is ln(10) ≈ 2.3026; at 1000 ticks per unit the
+        // values pass the 1000-tick reservation, so the bins regrow.
+        let mut h = TickHistogram::with_capacity(1000);
         let mut rng = Rng::new(3);
         for _ in 0..300_000 {
-            est.record(-rng.f64_open_left().ln());
+            h.record((-rng.f64_open_left().ln() * 1000.0) as u64);
         }
-        let x = est.estimate().unwrap();
-        assert!((x - 10f64.ln()).abs() < 0.05, "p90 = {x}");
+        let x = h.percentile(90).unwrap() as f64 / 1000.0;
+        assert!((x - 10f64.ln()).abs() < 0.02, "p90 = {x}");
+        assert!(h.percentile(100) > Some(1000));
     }
 
     #[test]
     fn small_samples_are_exact() {
-        let mut est = P2Quantile::new(0.5);
-        assert_eq!(est.estimate(), None);
-        est.record(3.0);
-        assert_eq!(est.estimate(), Some(3.0));
-        est.record(1.0);
-        est.record(2.0);
-        // exact median of {1,2,3}
-        assert_eq!(est.estimate(), Some(2.0));
-        assert_eq!(est.count(), 3);
+        let mut h = TickHistogram::with_capacity(4);
+        assert_eq!(h.percentiles([95, 99]), None);
+        h.record(3);
+        assert_eq!(h.percentile(50), Some(3));
+        h.record(1);
+        h.record(2);
+        assert_eq!(h.percentile(50), Some(2));
+        assert_eq!(h.count(), 3);
+        // Sorted 1 2 3 5 9: rank ceil(p*5/100) is 1 up to p20, 2 from p21.
+        h.record(9);
+        h.record(5);
+        let read = h.percentiles([0, 20, 21, 60, 80, 81, 100]);
+        assert_eq!(read, Some([1, 1, 2, 3, 5, 9, 9]));
     }
 
     #[test]
     fn constant_stream() {
-        let mut est = P2Quantile::new(0.75);
+        let mut h = TickHistogram::with_capacity(4);
         for _ in 0..1000 {
-            est.record(7.0);
+            h.record(7);
         }
-        assert_eq!(est.estimate(), Some(7.0));
+        for p in 0..=100 {
+            assert_eq!(h.percentile(p), Some(7));
+        }
     }
 
     #[test]
     fn sorted_and_reverse_sorted_streams_agree() {
         let n = 50_000;
-        let mut fwd = P2Quantile::new(0.9);
-        let mut rev = P2Quantile::new(0.9);
+        let mut fwd = TickHistogram::with_capacity(1000);
+        let mut rev = TickHistogram::with_capacity(1000);
         for i in 0..n {
-            fwd.record(i as f64);
-            rev.record((n - 1 - i) as f64);
+            fwd.record(i);
+            rev.record(n - 1 - i);
         }
-        let expect = 0.9 * (n as f64 - 1.0);
-        let f = fwd.estimate().unwrap();
-        let r = rev.estimate().unwrap();
-        assert!((f - expect).abs() / expect < 0.02, "fwd {f} vs {expect}");
-        assert!((r - expect).abs() / expect < 0.02, "rev {r} vs {expect}");
+        for p in 0..=100 {
+            assert_eq!(fwd.percentile(p), rev.percentile(p), "p{p}");
+        }
+        assert_eq!(fwd.percentile(90), Some(44_999));
     }
 
     #[test]
     #[should_panic]
     fn invalid_quantile_panics() {
-        P2Quantile::new(1.0);
+        let mut h = TickHistogram::with_capacity(0);
+        h.record(1);
+        let _ = h.percentile(101);
     }
 }

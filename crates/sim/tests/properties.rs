@@ -7,7 +7,8 @@
 
 use tcw_sim::events::EventQueue;
 use tcw_sim::rng::Rng;
-use tcw_sim::stats::{Histogram, P2Quantile, RatioCounter, Tally};
+use tcw_sim::snap::{SnapReader, SnapWriter};
+use tcw_sim::stats::{Histogram, RatioCounter, Tally, TickHistogram};
 use tcw_sim::time::{Dur, Time};
 
 const CASES: u64 = 200;
@@ -181,32 +182,54 @@ fn histogram_quantile_matches_exact() {
     }
 }
 
-/// P² streaming quantile estimates track the exact sorted-sample
-/// quantile on random inputs, and never leave the sample range.
+/// Tick-histogram percentiles are exact: on random integer streams
+/// (ranges inside and past the reserved capacity, heavy ties, a single
+/// distinct value), every percentile from 1 to 99 equals the nearest
+/// rank of the sorted sample, and a save/load round trip reproduces
+/// every read-out and then records identically.
 #[test]
-fn p2_quantile_tracks_exact() {
+fn tick_histogram_percentiles_are_nearest_rank() {
+    let reserve = 201;
     for case in 0..CASES {
         let mut rng = Rng::new(0x5EED_0009 ^ case);
-        let n = 100 + rng.below(400) as usize;
-        for q in [0.5, 0.9, 0.95] {
-            let mut p2 = P2Quantile::new(q);
-            let mut samples: Vec<f64> = (0..n).map(|_| rng.f64()).collect();
-            for &x in &samples {
-                p2.record(x);
-            }
-            samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let exact = exact_quantile(&samples, q);
-            let est = p2.estimate().expect("n >= 100 observations");
-            assert_eq!(p2.count(), n as u64);
-            assert!(
-                (samples[0]..=samples[n - 1]).contains(&est),
-                "case {case}: q={q}: estimate {est} outside the sample range"
-            );
-            assert!(
-                (est - exact).abs() <= 0.15,
-                "case {case}: q={q} n={n}: P2 {est} vs exact {exact}"
-            );
+        // Values inside the reservation, past it, a handful of values
+        // (heavy ties) or a single one.
+        let (offset, span) = match case % 4 {
+            0 => (0, reserve),
+            1 => (rng.below(reserve), 10 * reserve),
+            2 => (rng.below(3 * reserve), 4),
+            _ => (rng.below(3 * reserve), 1),
+        };
+        let n = 1 + rng.below(2000);
+        let mut sample: Vec<u64> = (0..n).map(|_| offset + rng.below(span)).collect();
+        let mut h = TickHistogram::with_capacity(reserve as usize);
+        sample.iter().for_each(|&x| h.record(x));
+        sample.sort_unstable();
+        for p in 1..=99 {
+            let rank = (u64::from(p) * n).div_ceil(100);
+            let exact = sample[rank as usize - 1];
+            assert_eq!(h.percentile(p), Some(exact), "case {case}: p{p} n={n}");
         }
+
+        let mut w = SnapWriter::new();
+        h.save_state(&mut w);
+        let words = w.into_words();
+        let mut r = SnapReader::new(&words);
+        let mut back = TickHistogram::load_state(reserve as usize, &mut r).expect("round trip");
+        r.finish().expect("whole stream consumed");
+        let same = |a: &TickHistogram, b: &TickHistogram| {
+            a.count() == b.count() && (0..=100).all(|p| a.percentile(p) == b.percentile(p))
+        };
+        assert!(same(&back, &h), "case {case}: restored read-outs differ");
+        for _ in 0..1 + rng.below(50) {
+            let x = offset + rng.below(span);
+            h.record(x);
+            back.record(x);
+        }
+        assert!(
+            same(&back, &h),
+            "case {case}: restored histogram records differently"
+        );
     }
 }
 

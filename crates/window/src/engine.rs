@@ -223,7 +223,7 @@ const BOOK_CAPACITY: usize = 16;
 const SNAP_MAGIC: u64 = 0x7463_775f_736e_6170;
 /// Snapshot layout version; bumped whenever the word stream changes so
 /// stale snapshots are rejected instead of misdecoded.
-const SNAP_FORMAT: u64 = 3;
+const SNAP_FORMAT: u64 = 4;
 
 /// Telemetry of the event-horizon fast path: how much work the engine
 /// avoided by jumping over analytically known idle runs and by resolving

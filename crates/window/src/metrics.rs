@@ -19,7 +19,7 @@
 //! simulation points do).
 
 use tcw_mac::StationId;
-use tcw_sim::stats::{Histogram, MetricSink, P2Quantile, RatioCounter, Tally};
+use tcw_sim::stats::{Histogram, MetricSink, RatioCounter, Tally, TickHistogram};
 use tcw_sim::time::{Dur, Time};
 
 /// Measurement window and deadline configuration for a run.
@@ -409,9 +409,10 @@ pub struct Metrics {
     /// messages, over `[0, 2K)` — the empirical counterpart of the
     /// workload distribution of eq. 4.4.
     paper_delay_hist: Histogram,
-    /// Online p95/p99 of true waiting times (unbounded, O(1) memory).
-    true_delay_p95: P2Quantile,
-    true_delay_p99: P2Quantile,
+    /// Count per tick of the true waiting times of transmitted, counted
+    /// messages, for their exact p95/p99. Room for `[0, 2K]` is reserved
+    /// up front (`delay_reserve`); a later delay grows it.
+    true_delay_ticks: TickHistogram,
     outstanding: u64,
     /// Degradation counters under fault injection (all zero on clean runs).
     corrupted_slots: u64,
@@ -446,8 +447,7 @@ impl Metrics {
             sched_slots: Tally::new(),
             sched_time: Tally::new(),
             paper_delay_hist: Histogram::new(0.0, (2 * cfg.deadline.ticks()).max(2) as f64, 256),
-            true_delay_p95: P2Quantile::new(0.95),
-            true_delay_p99: P2Quantile::new(0.99),
+            true_delay_ticks: TickHistogram::with_capacity(Self::delay_reserve(&cfg)),
             outstanding: 0,
             corrupted_slots: 0,
             erased_slots: 0,
@@ -461,6 +461,16 @@ impl Metrics {
             rejoin_slots: Tally::new(),
             aoi: AgeTracker::new(&cfg),
         }
+    }
+
+    /// Bins reserved for the true-delay histogram: `[0, 2K]`, capped at
+    /// 2^20 ticks (8 MiB) so a huge deadline reserves no more.
+    fn delay_reserve(cfg: &MeasureConfig) -> usize {
+        cfg.deadline
+            .ticks()
+            .saturating_mul(2)
+            .saturating_add(1)
+            .min(1 << 20) as usize
     }
 
     /// The measurement configuration.
@@ -502,8 +512,7 @@ impl Metrics {
         }
         self.outstanding -= 1;
         self.true_delay.record(true_delay.as_f64());
-        self.true_delay_p95.record(true_delay.as_f64());
-        self.true_delay_p99.record(true_delay.as_f64());
+        self.true_delay_ticks.record(true_delay.ticks());
         self.paper_delay.record(paper_delay.as_f64());
         self.paper_delay_hist.record(paper_delay.as_f64());
         if true_delay > self.cfg.deadline {
@@ -736,14 +745,16 @@ impl Metrics {
         &self.paper_delay_hist
     }
 
-    /// Online p95 of true waiting times of transmitted messages (ticks).
+    /// Exact nearest-rank p95 of the true waiting times of transmitted,
+    /// counted messages (whole ticks); `None` before the first.
     pub fn true_delay_p95(&self) -> Option<f64> {
-        self.true_delay_p95.estimate()
+        self.true_delay_ticks.percentile(95).map(|t| t as f64)
     }
 
-    /// Online p99 of true waiting times of transmitted messages (ticks).
+    /// Exact nearest-rank p99 of the true waiting times of transmitted,
+    /// counted messages (whole ticks); `None` before the first.
     pub fn true_delay_p99(&self) -> Option<f64> {
-        self.true_delay_p99.estimate()
+        self.true_delay_ticks.percentile(99).map(|t| t as f64)
     }
 
     /// Pushes every accumulated metric into `sink` under stable
@@ -800,18 +811,16 @@ impl Metrics {
             "paper-definition waiting times over [0, 2K) (ticks)",
             &self.paper_delay_hist,
         );
-        if let Some(p95) = self.true_delay_p95.estimate() {
+        if let Some([p95, p99]) = self.true_delay_ticks.percentiles([95, 99]) {
             sink.gauge(
                 "tcw_engine_true_delay_p95_ticks",
-                "online p95 of true waiting times (ticks)",
-                p95,
+                "nearest-rank p95 of true waiting times (ticks)",
+                p95 as f64,
             );
-        }
-        if let Some(p99) = self.true_delay_p99.estimate() {
             sink.gauge(
                 "tcw_engine_true_delay_p99_ticks",
-                "online p99 of true waiting times (ticks)",
-                p99,
+                "nearest-rank p99 of true waiting times (ticks)",
+                p99 as f64,
             );
         }
         sink.counter(
@@ -882,8 +891,7 @@ impl Metrics {
         self.sched_slots.save_state(w);
         self.sched_time.save_state(w);
         self.paper_delay_hist.save_state(w);
-        self.true_delay_p95.save_state(w);
-        self.true_delay_p99.save_state(w);
+        self.true_delay_ticks.save_state(w);
         w.push(self.outstanding);
         w.push(self.corrupted_slots);
         w.push(self.erased_slots);
@@ -915,8 +923,7 @@ impl Metrics {
             sched_slots: Tally::load_state(r)?,
             sched_time: Tally::load_state(r)?,
             paper_delay_hist: Histogram::load_state(r)?,
-            true_delay_p95: P2Quantile::load_state(r)?,
-            true_delay_p99: P2Quantile::load_state(r)?,
+            true_delay_ticks: TickHistogram::load_state(Self::delay_reserve(&cfg), r)?,
             outstanding: r.take()?,
             corrupted_slots: r.take()?,
             erased_slots: r.take()?,
@@ -1132,6 +1139,57 @@ mod tests {
             a.violation_fraction().unwrap().to_bits(),
             b.violation_fraction().unwrap().to_bits()
         );
+    }
+
+    /// The exported p95/p99 of a small FCFS run, whose late deliveries
+    /// pass the reserved `[0, 2K]`, equal the nearest rank over the true
+    /// delays of its counted `on_transmit` calls.
+    #[test]
+    fn exported_quantiles_are_nearest_rank_over_counted_deliveries() {
+        use crate::trace::EngineObserver;
+        /// Counted true delays as an observer; exported gauges as a sink.
+        struct Log(MeasureConfig, Vec<u64>, Vec<(String, f64)>);
+        impl EngineObserver for Log {
+            fn on_transmit(&mut self, msg: &tcw_mac::Message, _: Time, _: Dur, true_d: Dur) {
+                if self.0.counts(msg.arrival) {
+                    self.1.push(true_d.ticks());
+                }
+            }
+        }
+        impl MetricSink for Log {
+            fn counter(&mut self, _: &str, _: &str, _: u64) {}
+            fn gauge(&mut self, name: &str, _: &str, value: f64) {
+                self.2.push((name.to_string(), value));
+            }
+        }
+
+        let channel = tcw_mac::ChannelConfig {
+            ticks_per_tau: 4,
+            message_slots: 5,
+            guard: false,
+        };
+        let measure = MeasureConfig {
+            end: Time::from_ticks(30_000),
+            ..cfg()
+        };
+        let fcfs = crate::policy::ControlPolicy::fcfs(Dur::from_ticks(12));
+        let mut eng = crate::engine::poisson_engine(channel, fcfs, measure, 0.7, 20, 3);
+        let mut log = Log(measure, Vec::new(), Vec::new());
+        eng.run_until(Time::from_ticks(32_000), &mut log);
+        eng.drain(&mut log);
+        eng.metrics.emit(&mut log);
+        let mut delays = log.1;
+        delays.sort_unstable();
+        assert!(delays.len() > 900 && delays[delays.len() - 1] > 2 * measure.deadline.ticks());
+        for (p, name) in [(95, "p95"), (99, "p99")] {
+            let exact = delays[(p * delays.len()).div_ceil(100) - 1] as f64;
+            let name = format!("tcw_engine_true_delay_{name}_ticks");
+            assert!(
+                log.2.contains(&(name, exact)),
+                "{p}: {exact} not in {:?}",
+                log.2
+            );
+        }
     }
 
     #[test]

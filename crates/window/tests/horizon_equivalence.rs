@@ -6,8 +6,9 @@
 //! metric bit pattern, the channel accounting, the clock, the
 //! controller's internal state, the churn counters and the examined-set
 //! shape — to the same run forced through the slot-stepped path, and so
-//! is the engine's snapshot word stream, which holds every RNG stream
-//! position and every station's churn state. The only permitted
+//! are the engine's snapshot word stream, which holds every RNG stream
+//! position and every station's churn state, and the sequence of
+//! transmissions (id, start, paper and true delay). The only permitted
 //! difference is [`tcw_window::engine::HorizonStats`], which counts the
 //! fast path's own activations and is excluded here.
 //!
@@ -20,7 +21,10 @@
 //! load, where the idle jump steps slot by slot. Cases reproduce from
 //! their index (deterministic `tcw_sim` RNG, no external framework).
 
-use tcw_mac::{ChannelConfig, ChurnEvent, ChurnPlan, FaultPlan, PoissonArrivals, SlotOutcome};
+use tcw_mac::{
+    ChannelConfig, ChurnEvent, ChurnPlan, FaultPlan, Message, MessageId, PoissonArrivals,
+    SlotOutcome,
+};
 use tcw_sim::rng::Rng;
 use tcw_sim::time::{Dur, Time};
 use tcw_window::engine::{poisson_engine, Engine, HorizonStats};
@@ -267,8 +271,7 @@ fn summary(eng: &Engine<PoissonArrivals>) -> String {
          reopened={} fault_losses={} churn_blocked={} churn_losses={} churn_reopened={} \
          crashes={} restarts={} churn_slot={} ctl_window={} ctl_shrinks={} ctl_grows={} \
          fragments={} backlog={} pending={} aoi_n={} aoi_st={} aoi_mean={:016x} \
-         aoi_viol={:016x} aoi_peak_n={} aoi_peak_mean={:016x} true_p95={:?} true_p99={:?} \
-         paper_hist={:?}",
+         aoi_viol={:016x} aoi_peak_n={} aoi_peak_mean={:016x} paper_hist={:?}",
         m.offered(),
         m.sender_lost(),
         m.receiver_lost(),
@@ -308,10 +311,6 @@ fn summary(eng: &Engine<PoissonArrivals>) -> String {
         m.aoi().violation_fraction().unwrap_or(-1.0).to_bits(),
         m.aoi().peak_age().count(),
         m.aoi().peak_age().mean().to_bits(),
-        // The P² estimators depend on the order of the deliveries, so
-        // they catch a reordering that leaves every mean unchanged.
-        m.true_delay_p95().map(f64::to_bits),
-        m.true_delay_p99().map(f64::to_bits),
         (
             h.underflow(),
             (0..h.bins()).map(|i| h.bin_count(i)).collect::<Vec<_>>(),
@@ -371,20 +370,28 @@ impl WindowController for Fickle {
     }
 }
 
-/// Watches a run that leaves the fast path on. It counts the collision
-/// probes reported one by one through `on_probe`; the batched kernel
-/// reports none, so the channel's collision count minus this tally is the
-/// number of collision probes the kernel resolved. It also counts the
-/// idle jumps that ended with a membership transition, whose callback
-/// fires inside the jump.
+/// Watches a run without asking for the slow path. It records every
+/// transmission in order: both paths must transmit the same messages at
+/// the same instants, which catches a reordering that leaves every
+/// summary statistic unchanged. It also counts the collision probes
+/// reported one by one through `on_probe`; the batched kernel reports
+/// none, so on a fast run the channel's collision count minus this tally
+/// is the number of collision probes the kernel resolved. And it counts
+/// the idle jumps that ended with a membership transition, whose
+/// callback fires inside the jump.
 #[derive(Default)]
-struct FastTally {
+struct RunLog {
+    /// `(id, start, paper delay, true delay)` per `on_transmit`.
+    transmits: Vec<(MessageId, Time, Dur, Dur)>,
     collisions: u64,
     last_churn: Option<Time>,
     transition_jumps: u64,
 }
 
-impl EngineObserver for FastTally {
+impl EngineObserver for RunLog {
+    fn on_transmit(&mut self, msg: &Message, start: Time, paper: Dur, true_d: Dur) {
+        self.transmits.push((msg.id, start, paper, true_d));
+    }
     fn on_probe(&mut self, _start: Time, _segments: &[Interval], outcome: &SlotOutcome, _dur: Dur) {
         if matches!(outcome, SlotOutcome::Collision(_)) {
             self.collisions += 1;
@@ -416,15 +423,25 @@ fn run_both_paths(cfg: &Case, label: &str) -> FastRun {
 
     let mut fast = build(cfg);
     assert!(fast.jump_ahead(), "jump-ahead must default on");
-    let mut tally = FastTally::default();
-    fast.run_until(horizon, &mut tally);
-    fast.drain(&mut tally);
+    let mut fast_log = RunLog::default();
+    fast.run_until(horizon, &mut fast_log);
+    fast.drain(&mut fast_log);
 
     let mut slow = build(cfg);
     slow.set_jump_ahead(false);
-    slow.run_until(horizon, &mut NoopObserver);
-    slow.drain(&mut NoopObserver);
+    let mut slow_log = RunLog::default();
+    slow.run_until(horizon, &mut slow_log);
+    slow.drain(&mut slow_log);
 
+    let (a, b) = (&fast_log.transmits, &slow_log.transmits);
+    assert!(!a.is_empty(), "{label}: nothing was transmitted");
+    if let Some(i) = (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i)) {
+        panic!(
+            "{label}: transmission {i} diverged from slot stepping: fast {:?}, slow {:?}",
+            a.get(i),
+            b.get(i)
+        );
+    }
     assert_eq!(
         summary(&fast),
         summary(&slow),
@@ -442,8 +459,8 @@ fn run_both_paths(cfg: &Case, label: &str) -> FastRun {
     );
     FastRun {
         stats: fast.horizon_stats,
-        kernel_collisions: fast.channel_stats.collision_slots - tally.collisions,
-        transition_jumps: tally.transition_jumps,
+        kernel_collisions: fast.channel_stats.collision_slots - fast_log.collisions,
+        transition_jumps: fast_log.transition_jumps,
     }
 }
 

@@ -90,7 +90,8 @@ fn fingerprint(eng: &Engine<PoissonArrivals>, trace: &str) -> String {
          paper_mean={:016x} true_mean={:016x} sched={:016x} slots={:016x} util={:016x} \
          corrupted={} resyncs={} abandoned={} reopened={} fault_losses={} \
          churn_blocked={} churn_losses={} churn_reopened={} \
-         ctl_w={} ctl_shrinks={} ctl_grows={} churn_slot={} crashes={} restarts={} trace={:016x}",
+         ctl_w={} ctl_shrinks={} ctl_grows={} churn_slot={} crashes={} restarts={} \
+         true_p95={:?} true_p99={:?} trace={:016x}",
         m.offered(),
         m.sender_lost(),
         m.receiver_lost(),
@@ -119,6 +120,8 @@ fn fingerprint(eng: &Engine<PoissonArrivals>, trace: &str) -> String {
         eng.churn().slot(),
         eng.churn().crashes(),
         eng.churn().restarts(),
+        m.true_delay_p95(),
+        m.true_delay_p99(),
         fnv1a(trace),
     )
 }
