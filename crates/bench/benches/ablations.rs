@@ -3,7 +3,7 @@
 
 use std::hint::black_box;
 use tcw_bench::{bench_settings, Bench};
-use tcw_experiments::{Cell, Panel, PolicyKind};
+use tcw_experiments::{Panel, PolicyKind, RunSpec};
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
 
@@ -23,7 +23,7 @@ fn main() {
         let mut seed = 100u64;
         b.run(&format!("engine_policy/{}", kind.label()), || {
             seed += 1;
-            black_box(Cell::clean(panel, kind, 100.0, bench_settings(), seed).run())
+            black_box(RunSpec::panel(panel, kind, 100.0, bench_settings(), seed).run())
         });
     }
 
@@ -54,7 +54,7 @@ fn main() {
         let mut seed = 200u64;
         b.run(&format!("guard/{name}"), || {
             seed += 1;
-            black_box(Cell::clean(panel, PolicyKind::Controlled, 100.0, settings, seed).run())
+            black_box(RunSpec::panel(panel, PolicyKind::Controlled, 100.0, settings, seed).run())
         });
     }
 }

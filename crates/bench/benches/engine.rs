@@ -32,7 +32,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use tcw_experiments::runner::Cell;
+use tcw_experiments::runner::RunSpec;
 use tcw_experiments::runner::{PolicyKind, SimSettings};
 use tcw_experiments::sweep::{default_jobs, run_cells};
 use tcw_experiments::PANELS;
@@ -185,7 +185,7 @@ fn snapshot_restore_per_sec(samples: usize, horizon: u64) -> f64 {
     rates[rates.len() / 2]
 }
 
-fn sweep_grid(cells: usize) -> Vec<Cell> {
+fn sweep_grid(cells: usize) -> Vec<RunSpec> {
     let settings = SimSettings {
         ticks_per_tau: 8,
         messages: 1_000,
@@ -194,7 +194,7 @@ fn sweep_grid(cells: usize) -> Vec<Cell> {
     };
     (0..cells)
         .map(|i| {
-            Cell::clean(
+            RunSpec::panel(
                 PANELS[i % PANELS.len()],
                 PolicyKind::Controlled,
                 100.0,
@@ -206,7 +206,7 @@ fn sweep_grid(cells: usize) -> Vec<Cell> {
 }
 
 /// Median sweep throughput (cells per second) at the given worker count.
-fn cells_per_sec(cells: &[Cell], jobs: usize, samples: usize) -> f64 {
+fn cells_per_sec(cells: &[RunSpec], jobs: usize, samples: usize) -> f64 {
     let mut rates: Vec<f64> = (0..samples)
         .map(|_| {
             let t0 = Instant::now();

@@ -4,7 +4,7 @@
 
 use std::hint::black_box;
 use tcw_bench::{bench_settings, Bench};
-use tcw_experiments::{Cell, PolicyKind, PANELS};
+use tcw_experiments::{PolicyKind, RunSpec, PANELS};
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
 
@@ -24,7 +24,9 @@ fn main() {
         let mut seed = 0u64;
         b.run(&format!("simulated_{}", panel.id()), || {
             seed += 1;
-            black_box(Cell::clean(panel, PolicyKind::Controlled, k, bench_settings(), seed).run())
+            black_box(
+                RunSpec::panel(panel, PolicyKind::Controlled, k, bench_settings(), seed).run(),
+            )
         });
     }
 }

@@ -18,16 +18,15 @@
 //! ```
 
 use std::path::Path;
-use tcw_experiments::adaptive::{
-    episode, execute, fingerprint, replay, run_cell, AdaptiveRecord, CellOutcome, ControllerKind,
-    Scenario, BASE_SEED, REPLICATES,
-};
+use tcw_experiments::adaptive::{episode, ControllerKind, Scenario, BASE_SEED, REPLICATES};
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
+use tcw_experiments::replay::{execute, replay, Artifact};
+use tcw_experiments::runner::{fingerprint, CellResult, RunSpec};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
 use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
-    observe_engine_cell, write_observability, CellArtifacts, Failure, ObsConfig, SweepMeta,
+    observed_cell, write_observability, CellArtifacts, Failure, ObsConfig, SweepMeta,
 };
 use tcw_sim::rng::stream_seed;
 
@@ -70,16 +69,9 @@ fn record_mode(args: &[String]) -> i32 {
         diag::error("adaptive", &format!("bad replicate index {replicate:?}"));
         return diag::EXIT_USAGE;
     };
-    let mut rec = AdaptiveRecord {
-        scenario,
-        controller,
-        replicate,
-        kind: String::new(),
-        detail: String::new(),
-    };
-    let (kind, detail) = execute(&rec);
-    rec.kind = kind;
-    rec.detail = detail;
+    let spec = RunSpec::adaptive(scenario, controller, replicate);
+    let (kind, detail) = execute(&spec);
+    let rec = Artifact::unmutated("adaptive", spec, kind, detail);
     if let Err(e) = rec.save(Path::new(path)) {
         diag::error("adaptive", &format!("cannot write {path}: {e}"));
         return diag::EXIT_FAILURE;
@@ -100,7 +92,8 @@ fn main() {
             diag::error("adaptive", "--replay needs an artifact path");
             std::process::exit(diag::EXIT_USAGE);
         };
-        std::process::exit(replay(Path::new(path)));
+        diag::reject_unknown("adaptive", &args[2..], &[]);
+        std::process::exit(replay(Path::new(path), "adaptive"));
     }
     if args.first().is_some_and(|a| a == "--record") {
         if args.len() < 5 {
@@ -110,11 +103,14 @@ fn main() {
             );
             std::process::exit(diag::EXIT_USAGE);
         }
+        diag::reject_unknown("adaptive", &args[5..], &[]);
         std::process::exit(record_mode(&args[1..]));
     }
     if args.first().is_some_and(|a| a == "--episode") {
+        diag::reject_unknown("adaptive", &args[1..], &[]);
         std::process::exit(episode_mode());
     }
+    diag::reject_unknown("adaptive", &args, &["--jobs"]);
     let jobs = jobs_from_args("adaptive", &args);
 
     let results = Path::new("results");
@@ -130,55 +126,45 @@ fn main() {
         tcw_experiments::adaptive::K_TICKS,
     );
 
-    let cells: Vec<(Scenario, ControllerKind, u64)> = Scenario::ALL
+    let cells: Vec<(Scenario, ControllerKind, u64, RunSpec)> = Scenario::ALL
         .iter()
         .flat_map(|&s| {
-            ControllerKind::ALL
-                .iter()
-                .flat_map(move |&c| (0..REPLICATES).map(move |r| (s, c, r)))
+            ControllerKind::ALL.iter().flat_map(move |&c| {
+                (0..REPLICATES).map(move |r| (s, c, r, RunSpec::adaptive(s, c, r)))
+            })
         })
         .collect();
-    let fingerprint = fingerprint(&cells);
+    let fingerprint = fingerprint(cells.iter().map(|cell| &cell.3));
     let caps = obs.capture();
     // A cell that keeps panicking is quarantined, and its replay artifact
     // is written from the quarantine report.
-    let (resolved, cell_artifacts): (Vec<CellOutcome>, Vec<CellArtifacts>) = supervised_cells(
+    let (resolved, cell_artifacts): (Vec<CellResult>, Vec<CellArtifacts>) = supervised_cells(
         "adaptive",
         &cells,
         jobs,
         &sup,
         obs.progress,
         fingerprint,
-        |&(s, c, r), q| {
-            let cell = format!(
-                "{} {} rep{r} seed {}",
-                s.label(),
-                c.label(),
-                stream_seed(BASE_SEED, r)
-            );
+        |(s, c, r, spec), q| {
+            let cell = format!("{} {} rep{r} seed {}", s.label(), c.label(), spec.seed);
             let Failure::Panic(message) = &q.failure else {
                 return cell;
-            };
-            let rec = AdaptiveRecord {
-                scenario: s,
-                controller: c,
-                replicate: r,
-                kind: "panic".to_string(),
-                detail: message.clone(),
             };
             let path = failures_dir.join(format!(
                 "adaptive_panic_{}_{}_rep{r}.json",
                 s.label(),
                 c.label()
             ));
-            rec.save(&path).expect("write replay artifact");
+            Artifact::unmutated("adaptive", spec.clone(), "panic".to_string(), message.clone())
+                .save(&path)
+                .expect("write replay artifact");
             format!(
                 "{cell}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin adaptive -- --replay {}",
                 path.display(),
                 path.display()
             )
         },
-        move |i, &(s, c, r), _| {
+        move |i, (s, c, r, spec), progress| {
             let label = format!("{} {} rep{r}", s.label(), c.label());
             let r_s = format!("{r}");
             let labels = [
@@ -186,9 +172,7 @@ fn main() {
                 ("controller", c.label()),
                 ("replicate", r_s.as_str()),
             ];
-            observe_engine_cell(caps, i, &label, &labels, |obs, sink| {
-                run_cell(s, c, r, obs, sink)
-            })
+            observed_cell(caps, i, &label, &labels, spec, progress)
         },
     )
     .into_iter()
@@ -199,9 +183,12 @@ fn main() {
         cells
             .iter()
             .zip(&resolved)
-            .find(|(&(s, c, r), _)| s == scenario && c == ControllerKind::Oracle && r == replicate)
+            .find(|(&(s, c, r, _), _)| {
+                s == scenario && c == ControllerKind::Oracle && r == replicate
+            })
             .expect("oracle cell present")
             .1
+            .point
             .loss
     };
 
@@ -227,9 +214,9 @@ fn main() {
             for r in 0..REPLICATES {
                 let idx = cells
                     .iter()
-                    .position(|&cell| cell == (scenario, kind, r))
+                    .position(|&(s, c, rep, _)| (s, c, rep) == (scenario, kind, r))
                     .expect("cell present");
-                let out = resolved[idx];
+                let (out, ctl) = (resolved[idx].point, resolved[idx].controller);
                 let oracle = oracle_loss(scenario, r);
                 let regret = out.loss - oracle;
                 mean_loss += out.loss / REPLICATES as f64;
@@ -240,9 +227,9 @@ fn main() {
                     oracle,
                     regret,
                     out.offered,
-                    out.window_ticks,
-                    out.shrinks,
-                    out.grows,
+                    ctl.window_ticks,
+                    ctl.shrinks,
+                    ctl.grows,
                 );
                 println!("{line}");
                 report.push_str(&line);
@@ -256,9 +243,9 @@ fn main() {
                     format!("{}", out.loss),
                     format!("{oracle}"),
                     format!("{regret}"),
-                    format!("{}", out.window_ticks),
-                    format!("{}", out.shrinks),
-                    format!("{}", out.grows),
+                    format!("{}", ctl.window_ticks),
+                    format!("{}", ctl.shrinks),
+                    format!("{}", ctl.grows),
                 ]);
             }
             series[ci].points.push((si as f64, mean_loss));

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::runner::{Cell, CellResult, PolicyKind, SimSettings};
+use tcw_experiments::runner::{CellResult, PolicyKind, RunSpec, SimSettings};
 use tcw_experiments::sweep::{jobs_from_args, run_parallel};
 use tcw_experiments::{
     observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
@@ -43,14 +43,18 @@ fn settings() -> SimSettings {
     }
 }
 
+/// One grid cell: its deadline, load and policy, and the run.
+type AoiCell = (f64, f64, PolicyKind, RunSpec);
+
 /// The grid: deadline × load × policy, all on one seed.
-fn grid() -> Vec<Cell> {
+fn grid() -> Vec<AoiCell> {
     let mut cells = Vec::new();
     for &k in &K_TAUS {
         for &rho_prime in &LOADS {
             for &kind in &KINDS {
                 let panel = Panel { rho_prime, m: M };
-                cells.push(Cell::clean(panel, kind, k, settings(), SEED));
+                let spec = RunSpec::panel(panel, kind, k, settings(), SEED);
+                cells.push((k, rho_prime, kind, spec));
             }
         }
     }
@@ -91,8 +95,8 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
         ("k", "25"),
         ("seed", "1983"),
     ];
-    let cell = Cell::clean(panel, kind, k, cell_settings, SEED);
-    let (run, art) = observed_cell(obs.capture(), 0, &label, &labels, &cell, None);
+    let spec = RunSpec::panel(panel, kind, k, cell_settings, SEED);
+    let (run, art) = observed_cell(obs.capture(), 0, &label, &labels, &spec, None);
     if let Err(e) = write_observability(obs, &[art], SweepMeta { cells: 1 }) {
         diag::error("aoi", &e);
         return diag::EXIT_FAILURE;
@@ -122,19 +126,22 @@ fn main() {
 
     let cells = grid();
     let caps = obs.capture();
-    let outcomes: Vec<(CellResult, CellArtifacts)> =
-        run_parallel(&cells, jobs, obs.progress, |i, c, progress| {
-            let rho = c.panel.rho_prime;
-            let label = format!("rho'={rho:.2} {} K={}", c.policy.label(), c.k_tau);
-            let k_s = format!("{}", c.k_tau);
+    let outcomes: Vec<(CellResult, CellArtifacts)> = run_parallel(
+        &cells,
+        jobs,
+        obs.progress,
+        |i, (k, rho, kind, spec), progress| {
+            let label = format!("rho'={rho:.2} {} K={k}", kind.label());
+            let k_s = format!("{k}");
             let rho_s = format!("{rho}");
             let labels = [
                 ("rho", rho_s.as_str()),
-                ("policy", c.policy.label()),
+                ("policy", kind.label()),
                 ("k", k_s.as_str()),
             ];
-            observed_cell(caps, i, &label, &labels, c, progress)
-        });
+            observed_cell(caps, i, &label, &labels, spec, progress)
+        },
+    );
     let (runs, cell_artifacts): (Vec<CellResult>, Vec<CellArtifacts>) =
         outcomes.into_iter().unzip();
 
@@ -153,12 +160,12 @@ fn main() {
             points: Vec::new(),
         });
     }
-    for (cell, run) in cells.iter().zip(&runs) {
+    for ((k, rho, kind, _), run) in cells.iter().zip(&runs) {
         let line = format!(
             "K={:<5} rho'={:.2} {:<10} loss={:.4} util={:.3} mean_age={:.2} peak_age={:.2} violation={:.4} deliveries={} stations={}",
-            cell.k_tau,
-            cell.panel.rho_prime,
-            cell.policy.label(),
+            k,
+            rho,
+            kind.label(),
             run.point.loss,
             run.point.utilization,
             run.aoi.mean_age_tau,
@@ -170,9 +177,9 @@ fn main() {
         println!("  {line}");
         let _ = writeln!(report, "{line}");
         rows.push(vec![
-            format!("{}", cell.k_tau),
-            format!("{}", cell.panel.rho_prime),
-            cell.policy.label().to_string(),
+            format!("{k}"),
+            format!("{rho}"),
+            kind.label().to_string(),
             format!("{}", run.point.loss),
             format!("{}", run.point.utilization),
             format!("{}", run.aoi.mean_age_tau),
@@ -181,12 +188,9 @@ fn main() {
             format!("{}", run.aoi.deliveries),
             format!("{}", run.aoi.stations_observed),
         ]);
-        if cell.policy == PolicyKind::Controlled {
-            let ri = LOADS
-                .iter()
-                .position(|&r| r == cell.panel.rho_prime)
-                .expect("load in grid");
-            series[ri].points.push((cell.k_tau, run.aoi.mean_age_tau));
+        if *kind == PolicyKind::Controlled {
+            let ri = LOADS.iter().position(|r| r == rho).expect("load in grid");
+            series[ri].points.push((*k, run.aoi.mean_age_tau));
         }
     }
 

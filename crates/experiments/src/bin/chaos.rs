@@ -5,8 +5,9 @@
 //! controllers, runs each under the `tcw-window` runtime invariant
 //! monitor (with the mirror divergence detector as a differential check
 //! where it is sound), and delta-debugs any failure down to a minimal
-//! version-stamped replay artifact. Results land in `results/chaos.csv`
-//! and `results/chaos.txt`; failure artifacts under `results/failures/`.
+//! replay artifact (the run's record plus its outcome). Results land in
+//! `results/chaos.csv` and `results/chaos.txt`; failure artifacts under
+//! `results/failures/`.
 //!
 //! ```text
 //! chaos [--configs N] [--jobs N] [--trace-events P] [--metrics P] [--progress]
@@ -27,18 +28,19 @@
 
 use std::path::Path;
 use tcw_experiments::chaos::{
-    execute, execute_observed, inject_config, replay, shrink, ChaosConfig, ChaosOutcome,
-    ChaosRecord, Mutation, BASE_SEED, DEFAULT_CONFIGS,
+    execute, execute_observed, shrink, ChaosOutcome, Mutation, BASE_SEED, DEFAULT_CONFIGS,
 };
 use tcw_experiments::diag;
 use tcw_experiments::plot::write_csv;
+use tcw_experiments::replay::{replay, Artifact};
+use tcw_experiments::runner::{fingerprint, RunSpec};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
 use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
     observe_engine_cell, write_observability, CellArtifacts, ObsConfig, SweepMeta,
 };
 
-fn shrink_report(orig: &ChaosConfig, out: &ChaosOutcome) -> (ChaosRecord, String) {
+fn shrink_report(orig: &RunSpec, mutation: Mutation, out: &ChaosOutcome) -> (Artifact, String) {
     let mut log = String::new();
     log.push_str(&format!(
         "shrinking [{}/{}] seed={} ({} trials max)\n",
@@ -47,7 +49,7 @@ fn shrink_report(orig: &ChaosConfig, out: &ChaosOutcome) -> (ChaosRecord, String
         orig.seed,
         tcw_experiments::chaos::SHRINK_BUDGET
     ));
-    let res = shrink(orig, &out.kind, &out.class);
+    let res = shrink(orig, mutation, &out.kind, &out.class);
     for step in &res.steps {
         log.push_str(&format!(
             "  {} {}\n",
@@ -55,20 +57,22 @@ fn shrink_report(orig: &ChaosConfig, out: &ChaosOutcome) -> (ChaosRecord, String
             step.action
         ));
     }
-    let min_out = execute(&res.config);
+    let min_out = execute(&res.spec, mutation);
     log.push_str(&format!(
         "  fixpoint after {} trials: horizon={} stations={} segments={} controller={} -> [{}/{}] {}\n",
         res.trials,
-        res.config.horizon_ticks,
-        res.config.stations,
-        res.config.segments.len(),
-        res.config.controller.label(),
+        res.spec.horizon_ticks,
+        res.spec.stations,
+        res.spec.load.segments().len(),
+        res.spec.controller.label(),
         min_out.kind,
         min_out.class,
         min_out.detail,
     ));
-    let rec = ChaosRecord {
-        config: res.config,
+    let rec = Artifact {
+        experiment: "chaos".to_string(),
+        spec: res.spec,
+        mutation,
         kind: min_out.kind,
         class: min_out.class,
         detail: min_out.detail,
@@ -91,15 +95,16 @@ fn inject_mode(args: &[String]) -> i32 {
         );
         return diag::EXIT_USAGE;
     };
+    diag::reject_unknown("chaos", args.get(2..).unwrap_or_default(), &[]);
     let default_path = format!("results/failures/chaos_injected_{}.json", mutation.label());
     let path = args.get(1).cloned().unwrap_or(default_path);
-    let cfg = inject_config(mutation);
+    let spec = RunSpec::chaos_inject();
     println!(
         "injecting {} into a clean static-controller run (seed {})",
         mutation.label(),
-        cfg.seed
+        spec.seed
     );
-    let out = execute(&cfg);
+    let out = execute(&spec, mutation);
     if out.kind != "violation" || out.class != expected {
         diag::error(
             "chaos",
@@ -114,7 +119,7 @@ fn inject_mode(args: &[String]) -> i32 {
         "monitor caught it: [{}/{}] {}",
         out.kind, out.class, out.detail
     );
-    let (rec, log) = shrink_report(&cfg, &out);
+    let (rec, log) = shrink_report(&spec, mutation, &out);
     print!("{log}");
     if rec.kind != "violation" || rec.class != expected {
         diag::error(
@@ -131,7 +136,7 @@ fn inject_mode(args: &[String]) -> i32 {
     println!("minimal artifact written to {}", path.display());
     // Verify the artifact replays before handing it to CI: a faithful
     // reproduction of a violation exits EXIT_FAILURE by convention.
-    let code = replay(path);
+    let code = replay(path, "chaos");
     if code != diag::EXIT_FAILURE {
         diag::error(
             "chaos",
@@ -179,23 +184,21 @@ fn main() {
             diag::error("chaos", "--replay needs an artifact path");
             std::process::exit(diag::EXIT_USAGE);
         };
-        std::process::exit(replay(Path::new(path)));
+        diag::reject_unknown("chaos", &args[2..], &[]);
+        std::process::exit(replay(Path::new(path), "chaos"));
     }
     if args.first().is_some_and(|a| a == "--inject") {
         std::process::exit(inject_mode(&args[1..]));
     }
+    diag::reject_unknown("chaos", &args, &["--jobs", "--configs"]);
     let jobs = jobs_from_args("chaos", &args);
-    let configs = args
-        .iter()
-        .position(|a| a == "--configs")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse::<usize>().unwrap_or_else(|_| {
-                diag::error("chaos", &format!("bad --configs value {v:?}"));
-                std::process::exit(diag::EXIT_USAGE);
-            })
-        })
-        .unwrap_or(DEFAULT_CONFIGS);
+    let configs = diag::or_usage(
+        "chaos",
+        diag::flag_value(&args, "--configs").and_then(|v| match v {
+            None => Ok(DEFAULT_CONFIGS),
+            Some(v) => v.parse().map_err(|_| format!("bad --configs value {v:?}")),
+        }),
+    );
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -204,13 +207,13 @@ fn main() {
          invariant monitor on, base seed {BASE_SEED:#x}\n"
     );
 
-    let cells: Vec<ChaosConfig> = (0..configs as u64)
-        .map(|index| ChaosConfig::sample(BASE_SEED, index))
+    let cells: Vec<RunSpec> = (0..configs as u64)
+        .map(|index| RunSpec::chaos_sample(BASE_SEED, index))
         .collect();
-    // The fingerprint covers every field of every sampled config; the
+    // The fingerprint covers every field of every sampled spec; the
     // inject flags are deliberately excluded so a clean resume can reuse
     // the journal of an injected (crashed) run.
-    let fingerprint = ChaosConfig::fingerprint(&cells);
+    let fingerprint = fingerprint(&cells);
     let caps = obs.capture();
     let (outcomes, cell_artifacts): (Vec<ChaosOutcome>, Vec<CellArtifacts>) = supervised_cells(
         "chaos",
@@ -219,22 +222,22 @@ fn main() {
         &sup,
         obs.progress,
         fingerprint,
-        |cfg, _| format!("seed {}", cfg.seed),
-        move |i, cfg, _| {
+        |spec, _| format!("seed {}", spec.seed),
+        move |i, spec, _| {
             if inject_panic == Some(i) {
                 panic!("injected panic in cell {i}");
             }
             if inject_slow == Some(i) {
                 std::thread::sleep(std::time::Duration::from_secs(3600));
             }
-            let label = format!("config {i} ({})", cfg.controller.label());
+            let label = format!("config {i} ({})", spec.controller.label());
             let idx_s = format!("{i}");
             let labels = [
                 ("config", idx_s.as_str()),
-                ("controller", cfg.controller.label()),
+                ("controller", spec.controller.label()),
             ];
             observe_engine_cell(caps, i, &label, &labels, |obs, sink| {
-                execute_observed(cfg, obs, sink)
+                execute_observed(spec, Mutation::None, obs, sink)
             })
         },
     )
@@ -243,9 +246,9 @@ fn main() {
 
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut report = String::new();
-    let mut failures: Vec<(u64, ChaosConfig, ChaosOutcome)> = Vec::new();
+    let mut failures: Vec<(u64, RunSpec, ChaosOutcome)> = Vec::new();
     let mut kind_counts = [0u64; 4];
-    for (i, (cfg, out)) in cells.iter().zip(&outcomes).enumerate() {
+    for (i, (spec, out)) in cells.iter().zip(&outcomes).enumerate() {
         let index = i as u64;
         let kind_idx = match out.kind.as_str() {
             "ok" => 0,
@@ -256,14 +259,14 @@ fn main() {
         kind_counts[kind_idx] += 1;
         rows.push(vec![
             format!("{index}"),
-            format!("{}", cfg.seed),
-            cfg.controller.label().to_string(),
-            format!("{}", cfg.stations),
-            format!("{}", cfg.horizon_ticks),
-            format!("{}", u8::from(!cfg.plan.is_none())),
-            format!("{}", u8::from(cfg.churn != tcw_mac::ChurnPlan::none())),
-            format!("{}", cfg.segments.len()),
-            format!("{}", u8::from(cfg.adv_burst > 0)),
+            format!("{}", spec.seed),
+            spec.controller.label().to_string(),
+            format!("{}", spec.stations),
+            format!("{}", spec.horizon_ticks),
+            format!("{}", u8::from(!spec.faults.is_none())),
+            format!("{}", u8::from(spec.churn != tcw_mac::ChurnPlan::none())),
+            format!("{}", spec.load.segments().len()),
+            format!("{}", u8::from(spec.adv_burst > 0)),
             out.kind.clone(),
             out.class.clone(),
             format!("{}", out.checks),
@@ -274,7 +277,7 @@ fn main() {
             format!("{}", out.loss),
         ]);
         if out.kind != "ok" {
-            failures.push((index, cfg.clone(), out.clone()));
+            failures.push((index, spec.clone(), out.clone()));
         }
     }
 
@@ -294,8 +297,8 @@ fn main() {
 
     // Shrink failures serially in index order so artifacts and the
     // report are deterministic regardless of --jobs.
-    for (index, cfg, out) in &failures {
-        let (rec, log) = shrink_report(cfg, out);
+    for (index, spec, out) in &failures {
+        let (rec, log) = shrink_report(spec, Mutation::None, out);
         print!("{log}");
         report.push_str(&log);
         let path = failures_dir.join(format!("chaos_{index}_{}.json", out.kind));

@@ -22,8 +22,8 @@
 use std::path::Path;
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, replay, FailureRecord};
-use tcw_experiments::runner::{Cell, CellResult, PolicyKind, SimSettings};
+use tcw_experiments::replay::{execute, replay, Artifact};
+use tcw_experiments::runner::{fingerprint, CellResult, PolicyKind, RunSpec, SimSettings};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
 use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
@@ -61,10 +61,10 @@ fn sweep_plan(crash: f64) -> ChurnPlan {
     }
 }
 
-/// The clean cell at load `rho_prime`; the sweep varies its churn plan.
-fn cell_at(rho_prime: f64) -> Cell {
+/// The clean run at load `rho_prime`; the sweep varies its churn plan.
+fn spec_at(rho_prime: f64) -> RunSpec {
     let panel = Panel { rho_prime, m: M };
-    Cell::clean(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
+    RunSpec::panel(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
 }
 
 fn main() {
@@ -79,8 +79,10 @@ fn main() {
             diag::error("churn", "--replay needs an artifact path");
             std::process::exit(diag::EXIT_USAGE);
         };
-        std::process::exit(replay(Path::new(path)));
+        diag::reject_unknown("churn", &args[2..], &[]);
+        std::process::exit(replay(Path::new(path), "churn"));
     }
+    diag::reject_unknown("churn", &args, &["--jobs"]);
     let jobs = jobs_from_args("churn", &args);
 
     let results = Path::new("results");
@@ -95,12 +97,15 @@ fn main() {
     // One supervised sweep over the whole load × crash-rate grid. A cell
     // that keeps panicking is quarantined, and its replay artifact is
     // written from the quarantine report.
-    let cells: Vec<Cell> = LOADS
+    let cells: Vec<(f64, RunSpec)> = LOADS
         .iter()
         .flat_map(|&rho| {
-            CRASH_RATES.iter().map(move |&c| Cell {
-                churn: sweep_plan(c),
-                ..cell_at(rho)
+            CRASH_RATES.iter().map(move |&c| {
+                let spec = RunSpec {
+                    churn: sweep_plan(c),
+                    ..spec_at(rho)
+                };
+                (rho, spec)
             })
         })
         .collect();
@@ -111,38 +116,35 @@ fn main() {
         jobs,
         &sup,
         obs.progress,
-        Cell::fingerprint(&cells),
-        |cell, q| {
-            let (rho, c) = (cell.panel.rho_prime, cell.churn.crash);
+        fingerprint(cells.iter().map(|(_, spec)| spec)),
+        |(rho, spec), q| {
+            let c = spec.churn.crash;
             let desc = format!("rho'={rho:.2} crash={c:.4} seed {SEED}");
             let Failure::Panic(message) = &q.failure else {
                 return desc;
             };
-            let failed = FailureRecord {
-                cell: cell.clone(),
-                kind: "panic".to_string(),
-                detail: message.clone(),
-            };
             let path = failures_dir.join(format!(
                 "failure_panic_seed{}_rho{:02}_c{:04}.json",
-                cell.seed,
+                spec.seed,
                 (rho * 100.0) as u32,
                 (c * 10_000.0).round() as u32
             ));
-            failed.save(&path).expect("write replay artifact");
+            Artifact::unmutated("churn", spec.clone(), "panic".to_string(), message.clone())
+                .save(&path)
+                .expect("write replay artifact");
             format!(
                 "{desc}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",
                 path.display(),
                 path.display()
             )
         },
-        move |i, cell, progress| {
-            let (rho, c) = (cell.panel.rho_prime, cell.churn.crash);
+        move |i, (rho, spec), progress| {
+            let c = spec.churn.crash;
             let label = format!("rho={rho:.2} crash={c:.4}");
             let rho_s = format!("{rho}");
             let c_s = format!("{c}");
             let labels = [("rho", rho_s.as_str()), ("crash_rate", c_s.as_str())];
-            observed_cell(caps, i, &label, &labels, cell, progress)
+            observed_cell(caps, i, &label, &labels, spec, progress)
         },
     )
     .into_iter()
@@ -238,18 +240,18 @@ fn main() {
         outage_slots: 64,
         ..ChurnPlan::none()
     };
-    let cell = Cell {
+    let spec = RunSpec {
         churn: showcase,
-        ..cell_at(0.50)
+        ..spec_at(0.50)
     };
-    let (kind, detail) = execute(&cell);
+    let (kind, detail) = execute(&spec);
     if kind == "ok" {
         let line = format!("  station 0 never diverged ({detail})");
         println!("{line}");
         report.push_str(&line);
     } else {
-        let path = failures_dir.join(format!("failure_churn_{}_seed{}.json", kind, cell.seed));
-        let failed = FailureRecord { cell, kind, detail };
+        let path = failures_dir.join(format!("failure_churn_{}_seed{}.json", kind, spec.seed));
+        let failed = Artifact::unmutated("churn", spec.clone(), kind, detail);
         failed.save(&path).expect("write replay artifact");
         let line = format!(
             "  [{}] {}\n  replay artifact: {}\n  reproduce: cargo run --release -p tcw-experiments --bin churn -- --replay {}",

@@ -25,10 +25,11 @@
 use std::path::{Path, PathBuf};
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
+use tcw_experiments::runner::fingerprint;
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
 use tcw_experiments::{
-    observed_cell, write_observability, Cell, CellArtifacts, CellResult, ObsConfig, Panel,
-    PolicyKind, SimPoint, SimSettings, SweepMeta, PANELS,
+    observed_cell, write_observability, CellArtifacts, CellResult, ObsConfig, Panel, PolicyKind,
+    RunSpec, SimPoint, SimSettings, SweepMeta, PANELS,
 };
 use tcw_queueing::marching::{controlled_curve, fcfs_curve, lcfs_curve, CurvePoint, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
@@ -68,7 +69,7 @@ fn run_panels(
         for (kind, salt) in KINDS {
             for &k in &panel.k_grid_sim() {
                 let seed = seed ^ salt ^ (k as u64);
-                cells.push(Cell::clean(panel, kind, k, settings, seed));
+                cells.push((panel, k, RunSpec::panel(panel, kind, k, settings, seed)));
             }
         }
     }
@@ -79,28 +80,27 @@ fn run_panels(
         jobs,
         sup,
         obs.progress,
-        Cell::fingerprint(&cells),
-        |c, _| {
+        fingerprint(cells.iter().map(|(_, _, spec)| spec)),
+        |(panel, k, spec), _| {
             format!(
-                "{} {} K={} seed {}",
-                c.panel.id(),
-                c.policy.label(),
-                c.k_tau,
-                c.seed
+                "{} {} K={k} seed {}",
+                panel.id(),
+                spec.policy.label(),
+                spec.seed
             )
         },
-        move |i, c, progress| {
-            let id = c.panel.id();
-            let label = format!("{id} {} K={}", c.policy.label(), c.k_tau);
-            let k = format!("{}", c.k_tau);
-            let seed_str = format!("{}", c.seed);
+        move |i, (panel, k, spec), progress| {
+            let id = panel.id();
+            let label = format!("{id} {} K={k}", spec.policy.label());
+            let k = format!("{k}");
+            let seed_str = format!("{}", spec.seed);
             let labels = [
                 ("panel", id.as_str()),
-                ("policy", c.policy.label()),
+                ("policy", spec.policy.label()),
                 ("k", k.as_str()),
                 ("seed", seed_str.as_str()),
             ];
-            observed_cell(caps, i, &label, &labels, c, progress)
+            observed_cell(caps, i, &label, &labels, spec, progress)
         },
     )
     .into_iter()
@@ -319,8 +319,8 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
         ("k", "100"),
         ("seed", seed_str.as_str()),
     ];
-    let cell = Cell::clean(panel, kind, k, settings, seed);
-    let (p, art) = observed_cell(obs.capture(), 0, &label, &labels, &cell, None);
+    let spec = RunSpec::panel(panel, kind, k, settings, seed);
+    let (p, art) = observed_cell(obs.capture(), 0, &label, &labels, &spec, None);
     if let Err(e) = write_observability(obs, &[art], SweepMeta { cells: 1 }) {
         diag::error("fig7", &e);
         return diag::EXIT_FAILURE;

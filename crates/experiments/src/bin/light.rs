@@ -20,7 +20,7 @@
 use std::fmt::Write as _;
 use std::path::Path;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::runner::{Cell, PolicyKind, SimSettings};
+use tcw_experiments::runner::{PolicyKind, RunSpec, SimSettings};
 use tcw_experiments::Panel;
 
 const LOADS: [f64; 3] = [0.02, 0.05, 0.10];
@@ -51,7 +51,7 @@ fn main() {
     for rho_prime in LOADS {
         for kind in KINDS {
             let panel = Panel { rho_prime, m: M };
-            let run = Cell::clean(panel, kind, K_TAU, settings(), SEED).run();
+            let run = RunSpec::panel(panel, kind, K_TAU, settings(), SEED).run();
             let (p, h) = (run.point, run.horizon);
             assert!(
                 h.jumps > 0,

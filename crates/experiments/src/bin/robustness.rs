@@ -21,8 +21,8 @@
 use std::path::{Path, PathBuf};
 use tcw_experiments::diag;
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, replay, FailureRecord};
-use tcw_experiments::runner::{Cell, CellResult, PolicyKind, SimSettings};
+use tcw_experiments::replay::{execute, replay, Artifact};
+use tcw_experiments::runner::{fingerprint, CellResult, PolicyKind, RunSpec, SimSettings};
 use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
 use tcw_experiments::sweep::jobs_from_args;
 use tcw_experiments::{
@@ -45,30 +45,27 @@ fn settings() -> SimSettings {
     }
 }
 
-/// The clean cell at load `rho_prime`; the sweep varies its fault plan.
-fn cell_at(rho_prime: f64) -> Cell {
+/// The clean run at load `rho_prime`; the sweep varies its fault plan.
+fn spec_at(rho_prime: f64) -> RunSpec {
     let panel = Panel { rho_prime, m: M };
-    Cell::clean(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
+    RunSpec::panel(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
 }
 
-/// Runs a cell; on failure writes a replay artifact and returns its path.
-fn guarded(cell: &Cell, out_dir: &Path) -> Result<String, PathBuf> {
-    let (kind, detail) = execute(cell);
+/// Runs a spec; on failure writes a replay artifact and returns its path.
+fn guarded(spec: &RunSpec, out_dir: &Path) -> Result<String, PathBuf> {
+    let (kind, detail) = execute(spec);
     if kind == "ok" {
         return Ok(detail);
     }
     let path = out_dir.join(format!(
         "failure_{}_seed{}_p{:02}.json",
         kind,
-        cell.seed,
-        (cell.plan.erasure * 100.0).round() as u32
+        spec.seed,
+        (spec.faults.erasure * 100.0).round() as u32
     ));
-    let failed = FailureRecord {
-        cell: cell.clone(),
-        kind,
-        detail,
-    };
-    failed.save(&path).expect("write replay artifact");
+    Artifact::unmutated("robustness", spec.clone(), kind, detail)
+        .save(&path)
+        .expect("write replay artifact");
     Err(path)
 }
 
@@ -84,8 +81,10 @@ fn main() {
             diag::error("robustness", "--replay needs an artifact path");
             std::process::exit(diag::EXIT_USAGE);
         };
-        std::process::exit(replay(Path::new(path)));
+        diag::reject_unknown("robustness", &args[2..], &[]);
+        std::process::exit(replay(Path::new(path), "robustness"));
     }
+    diag::reject_unknown("robustness", &args, &["--jobs"]);
     let jobs = jobs_from_args("robustness", &args);
 
     let results = Path::new("results");
@@ -100,12 +99,15 @@ fn main() {
     // The full load × fault-probability grid runs as one supervised
     // sweep. A cell that keeps panicking is quarantined, and its replay
     // artifact is written from the quarantine report.
-    let cells: Vec<Cell> = LOADS
+    let cells: Vec<(f64, RunSpec)> = LOADS
         .iter()
         .flat_map(|&rho| {
-            FAULT_PROBS.iter().map(move |&p| Cell {
-                plan: FaultPlan::uniform(p),
-                ..cell_at(rho)
+            FAULT_PROBS.iter().map(move |&p| {
+                let spec = RunSpec {
+                    faults: FaultPlan::uniform(p),
+                    ..spec_at(rho)
+                };
+                (rho, spec)
             })
         })
         .collect();
@@ -116,38 +118,35 @@ fn main() {
         jobs,
         &sup,
         obs.progress,
-        Cell::fingerprint(&cells),
-        |c, q| {
-            let (rho, p) = (c.panel.rho_prime, c.plan.erasure);
+        fingerprint(cells.iter().map(|(_, spec)| spec)),
+        |(rho, spec), q| {
+            let p = spec.faults.erasure;
             let desc = format!("rho'={rho:.2} p={p:.2} seed {SEED}");
             let Failure::Panic(message) = &q.failure else {
                 return desc;
             };
-            let failed = FailureRecord {
-                cell: c.clone(),
-                kind: "panic".to_string(),
-                detail: message.clone(),
-            };
             let path = failures_dir.join(format!(
                 "failure_panic_seed{}_rho{:02}_p{:02}.json",
-                c.seed,
+                spec.seed,
                 (rho * 100.0) as u32,
                 (p * 100.0).round() as u32
             ));
-            failed.save(&path).expect("write replay artifact");
+            Artifact::unmutated("robustness", spec.clone(), "panic".to_string(), message.clone())
+                .save(&path)
+                .expect("write replay artifact");
             format!(
                 "{desc}; replay artifact written to {}, reproduce: cargo run --release -p tcw-experiments --bin robustness -- --replay {}",
                 path.display(),
                 path.display()
             )
         },
-        move |i, c, progress| {
-            let (rho, p) = (c.panel.rho_prime, c.plan.erasure);
+        move |i, (rho, spec), progress| {
+            let p = spec.faults.erasure;
             let label = format!("rho={rho:.2} p={p:.2}");
             let rho_s = format!("{rho}");
             let p_s = format!("{p}");
             let labels = [("rho", rho_s.as_str()), ("fault_prob", p_s.as_str())];
-            observed_cell(caps, i, &label, &labels, c, progress)
+            observed_cell(caps, i, &label, &labels, spec, progress)
         },
     )
     .into_iter()
@@ -219,9 +218,9 @@ fn main() {
     let mut deaf_plan = FaultPlan::uniform(0.02);
     deaf_plan.deafness = 0.002;
     deaf_plan.deaf_slots = 4;
-    let deaf = Cell {
-        plan: deaf_plan,
-        ..cell_at(0.50)
+    let deaf = RunSpec {
+        faults: deaf_plan,
+        ..spec_at(0.50)
     };
     match guarded(&deaf, &failures_dir) {
         Ok(detail) => {
@@ -230,7 +229,7 @@ fn main() {
             report.push_str(&line);
         }
         Err(path) => {
-            let loaded = FailureRecord::load(&path).expect("reload artifact");
+            let loaded = Artifact::load(&path, "robustness").expect("reload artifact");
             let line = format!(
                 "  [{}] {}\n  replay artifact: {}\n  reproduce: cargo run --release -p tcw-experiments --bin robustness -- --replay {}",
                 loaded.kind,

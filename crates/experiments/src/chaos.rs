@@ -1,92 +1,49 @@
-//! The chaos harness: composed stress configs, invariant monitoring and
+//! The chaos harness: composed stress specs, invariant monitoring and
 //! automatic failure shrinking for the `chaos` binary.
 //!
 //! Each of PR 1/2/5's stressors — [`FaultPlan`] feedback corruption,
 //! [`ChurnPlan`] membership dynamics, piecewise/adversarial load and the
 //! adaptive [`tcw_window::WindowController`]s — has its own invariant
 //! tests in isolation. This module exercises them *together*: thousands
-//! of seeded [`ChaosConfig`]s are sampled from one base seed, each run
-//! under the [`InvariantMonitor`] (message conservation, FCFS order,
-//! age bounds, clock consistency) with a [`DivergenceDetector`] mirror
-//! riding along as a differential oracle wherever it is sound (static
-//! controller; see [`ChaosConfig::strict_differential`]).
+//! of seeded specs ([`RunSpec::chaos_sample`]) are drawn from one base
+//! seed, each run under the [`InvariantMonitor`] (message conservation,
+//! FCFS order, age bounds, clock consistency) with a
+//! [`DivergenceDetector`](tcw_window::DivergenceDetector) mirror riding
+//! along as a differential oracle wherever it is sound (static
+//! controller; see [`strict_differential`]).
 //!
 //! When a run fails — monitor violation, unexpected mirror divergence,
-//! or panic — [`shrink`] delta-debugs the config down to a 1-minimal
-//! reproduction and the result is serialized as a version-stamped
-//! [`ChaosRecord`] replayable with `chaos --replay` (same envelope and
-//! exit-code conventions as the other record/replay binaries; a
-//! reproduced *violation* still exits 2 because violations are failures
-//! under the [`crate::diag`] convention).
+//! or panic — [`shrink`] delta-debugs the spec down to a 1-minimal
+//! reproduction and the result is saved as a replay artifact
+//! ([`crate::replay::Artifact`]) replayable with `chaos --replay` (same
+//! envelope and exit-code conventions as the other record/replay
+//! binaries; a reproduced *violation* still exits 2 because violations
+//! are failures under the [`crate::diag`] convention).
 //!
 //! Because a monitor that can never fire is worthless, [`Mutation`]
 //! deliberately corrupts the event stream *between engine and monitor*
 //! (dropped delivery, reordered FCFS pair, stale probe clock). The
-//! mutation is part of the config — and of the artifact — so seeded
+//! mutation rides beside the spec — and in the artifact — so seeded
 //! violations replay and shrink exactly like organic ones.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 
-use crate::replay::{load_artifact, panic_message, read_artifact, ArtifactWriter};
-use crate::runner::run_to_horizon;
-use tcw_mac::{
-    AdversarialInjector, AdversaryPlan, ArrivalSource, ChannelConfig, ChurnPlan, FaultPlan,
-    MergedSource, PiecewiseArrivals, RateStep,
-};
+use crate::replay::panic_message;
+use crate::runner::{tuned_window, Controller, Load, PolicyKind, RunSpec};
+use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_sim::rng::{stream_seed, Rng};
-use tcw_sim::snap::{checksum, SnapWriter};
 use tcw_sim::stats::MetricSink;
 use tcw_sim::time::{Dur, Time};
-use tcw_window::analysis::optimal_mu;
 use tcw_window::invariant::{InvariantMonitor, MonitorConfig};
-use tcw_window::metrics::MeasureConfig;
 use tcw_window::trace::{EngineObserver, NoopObserver, Tee};
-use tcw_window::{
-    AimdConfig, ControlPolicy, ControllerConfig, DivergenceDetector, Engine, EngineConfig,
-    EstimatorConfig, Interval, ResyncPolicy,
-};
+use tcw_window::{Interval, ResyncPolicy};
 
-/// Base seed: config `i` runs under `stream_seed(BASE_SEED, i)`.
+/// Base seed: spec `i` runs under `stream_seed(BASE_SEED, i)`.
 pub const BASE_SEED: u64 = 0xC4A05;
-/// Default number of composed configs in a sweep.
+/// Default number of composed specs in a sweep.
 pub const DEFAULT_CONFIGS: usize = 1000;
 /// Trial budget for the shrinker (far above any observed fixpoint).
 pub const SHRINK_BUDGET: u64 = 500;
-
-/// Element-(2) controller choice for a chaos config.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosController {
-    /// Static window tuned for the config's mean rate.
-    Static,
-    /// [`tcw_window::AimdController`] seeded at the static window.
-    Aimd,
-    /// [`tcw_window::EstimatorController`] seeded at the static window.
-    Estimator,
-}
-
-impl ChaosController {
-    /// Every controller, in sampling order.
-    pub const ALL: [ChaosController; 3] = [
-        ChaosController::Static,
-        ChaosController::Aimd,
-        ChaosController::Estimator,
-    ];
-
-    /// Stable short name.
-    pub fn label(self) -> &'static str {
-        match self {
-            ChaosController::Static => "static",
-            ChaosController::Aimd => "aimd",
-            ChaosController::Estimator => "estimator",
-        }
-    }
-
-    /// Inverse of [`ChaosController::label`].
-    pub fn parse(s: &str) -> Option<Self> {
-        ChaosController::ALL.into_iter().find(|c| c.label() == s)
-    }
-}
 
 /// A deliberate corruption of the engine→monitor event stream, used to
 /// mutation-test the monitor (and to seed shrinkable violations).
@@ -139,68 +96,33 @@ impl Mutation {
     }
 }
 
-/// One composed stress configuration — everything a run needs, and
-/// everything a [`ChaosRecord`] serializes.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChaosConfig {
-    /// Master seed of the run.
-    pub seed: u64,
-    /// Arrival horizon in ticks (the engine then drains).
-    pub horizon_ticks: u64,
-    /// Station population.
-    pub stations: u32,
-    /// Channel tick resolution.
-    pub ticks_per_tau: u64,
-    /// Message length in units of `tau`.
-    pub message_slots: u64,
-    /// Delivery deadline `K` in ticks.
-    pub k_ticks: u64,
-    /// Element-(2) controller.
-    pub controller: ChaosController,
-    /// Injected feedback faults.
-    pub plan: FaultPlan,
-    /// Injected membership churn.
-    pub churn: ChurnPlan,
-    /// Piecewise-constant legitimate load: `(start_tick, rate_per_tick)`
-    /// segments, first at tick 0, strictly increasing.
-    pub segments: Vec<(u64, f64)>,
-    /// Adversarial injection rate (messages per tick; 0 = no adversary).
-    pub adv_rate: f64,
-    /// Adversarial burst size (`sigma`; 0 = no adversary).
-    pub adv_burst: u32,
-    /// First adversarial burst instant (ticks).
-    pub adv_start: u64,
-    /// Event-stream corruption applied between engine and monitor.
-    pub mutation: Mutation,
-}
-
-impl ChaosConfig {
-    /// Samples config `index` of the sweep keyed by `base_seed`.
+impl RunSpec {
+    /// Spec `index` of the chaos sweep keyed by `base_seed`.
     ///
     /// Dimensions are drawn independently so the sweep composes faults ×
     /// churn × load shape × adversary × controller, with ~1/3 of each
     /// stressor left disabled to keep clean and partially-stressed runs
-    /// in the population.
-    pub fn sample(base_seed: u64, index: u64) -> Self {
+    /// in the population. The measurement window covers the whole run.
+    pub fn chaos_sample(base_seed: u64, index: u64) -> Self {
         let mut rng = Rng::new(stream_seed(base_seed, index));
         let ticks_per_tau = [4u64, 8][rng.below(2) as usize];
         let message_slots = rng.range_inclusive(3, 8);
         let horizon_ticks = rng.range_inclusive(20, 80) * 1_000;
         let horizon_slots = horizon_ticks / ticks_per_tau;
         let stations = rng.range_inclusive(4, 48) as u32;
-        let k_ticks = rng.range_inclusive(30, 150) * ticks_per_tau;
-        let controller = ChaosController::ALL[rng.below(3) as usize];
+        let deadline_ticks = rng.range_inclusive(30, 150) * ticks_per_tau;
+        let controller = Controller::PLAIN[rng.below(3) as usize].clone();
 
-        let mut plan = FaultPlan::none();
+        let mut faults = FaultPlan::none();
         if !rng.chance(0.35) {
-            plan.success_to_collision = rng.f64() * 0.06;
-            plan.collision_to_success = rng.f64() * 0.06;
-            plan.collision_to_idle = rng.f64() * 0.06;
-            plan.idle_to_collision = rng.f64() * 0.06;
-            plan.erasure = rng.f64() * 0.06;
+            faults.success_to_collision = rng.f64() * 0.06;
+            faults.collision_to_success = rng.f64() * 0.06;
+            faults.collision_to_idle = rng.f64() * 0.06;
+            faults.idle_to_collision = rng.f64() * 0.06;
+            faults.erasure = rng.f64() * 0.06;
             if rng.chance(0.25) {
-                plan.deafness = rng.f64() * 0.02;
-                plan.deaf_slots = rng.range_inclusive(1, 5);
+                faults.deafness = rng.f64() * 0.02;
+                faults.deaf_slots = rng.range_inclusive(1, 5);
             }
         }
 
@@ -246,178 +168,103 @@ impl ChaosConfig {
             adv_start = rng.below(horizon_ticks / 2 + 1);
         }
 
-        let cfg = ChaosConfig {
-            seed: stream_seed(base_seed, index),
-            horizon_ticks,
-            stations,
+        let spec = with_static_window(RunSpec {
             ticks_per_tau,
             message_slots,
-            k_ticks,
-            controller,
-            plan,
-            churn,
-            segments,
+            guard: false,
+            policy: PolicyKind::Controlled,
+            window_ticks: 1,
+            deadline_ticks,
+            measure_start: 0,
+            measure_end: u64::MAX,
+            horizon_ticks,
+            stations,
+            load: Load::Piecewise(segments),
             adv_rate,
             adv_burst,
             adv_start,
-            mutation: Mutation::None,
-        };
-        debug_assert!(cfg.check().is_ok(), "sampled invalid config");
-        cfg
+            controller,
+            faults,
+            churn,
+            seed: stream_seed(base_seed, index),
+        });
+        debug_assert!(spec.check().is_ok(), "sampled invalid spec");
+        spec
     }
 
-    /// Validates every parameter (used when loading artifacts, so a
-    /// corrupted file degrades to an error instead of a panic).
-    pub fn check(&self) -> Result<(), String> {
-        if self.stations < 2 {
-            return Err("stations < 2".to_string());
-        }
-        if self.ticks_per_tau == 0 || self.message_slots == 0 {
-            return Err("zero channel dimensions".to_string());
-        }
-        if self.horizon_ticks == 0 || self.k_ticks == 0 {
-            return Err("zero horizon or deadline".to_string());
-        }
-        self.plan
-            .check()
-            .map_err(|e| format!("corrupted fault plan: {e}"))?;
-        self.churn
-            .check()
-            .map_err(|e| format!("corrupted churn plan: {e}"))?;
-        if self.segments.is_empty() {
-            return Err("no load segments".to_string());
-        }
-        if self.segments[0].0 != 0 {
-            return Err("first load segment must start at 0".to_string());
-        }
-        for w in self.segments.windows(2) {
-            if w[0].0 >= w[1].0 {
-                return Err("load segment starts must increase".to_string());
-            }
-        }
-        for &(_, rate) in &self.segments {
-            if !(rate > 0.0 && rate.is_finite()) {
-                return Err("load rates must be positive-finite".to_string());
-            }
-        }
-        if !(self.adv_rate >= 0.0 && self.adv_rate.is_finite()) {
-            return Err("adversary rate must be non-negative finite".to_string());
-        }
-        if self.adv_burst > 0 && self.adv_rate == 0.0 {
-            return Err("adversary burst without a rate".to_string());
-        }
-        Ok(())
-    }
-
-    /// Checksums every field of every config, in grid order, through the
-    /// replay record's field list ([`ChaosRecord::to_json`]): the resume
-    /// journal's grid fingerprint, so an edit to [`ChaosConfig::sample`]
-    /// makes an old journal stale.
-    pub fn fingerprint(configs: &[ChaosConfig]) -> u64 {
-        let mut w = SnapWriter::new();
-        for config in configs {
-            let rec = ChaosRecord {
-                config: config.clone(),
-                kind: String::new(),
-                class: String::new(),
-                detail: String::new(),
-            };
-            w.push_str(&rec.to_json());
-        }
-        checksum(&w.into_words())
-    }
-
-    /// Mean legitimate + adversarial arrival rate over the horizon
-    /// (messages per tick) — what the static window is tuned for.
-    pub fn mean_rate(&self) -> f64 {
-        let h = self.horizon_ticks as f64;
-        let mut acc = 0.0;
-        for (i, &(start, rate)) in self.segments.iter().enumerate() {
-            let end = self
-                .segments
-                .get(i + 1)
-                .map(|&(s, _)| s)
-                .unwrap_or(self.horizon_ticks)
-                .min(self.horizon_ticks);
-            acc += rate * (end.saturating_sub(start)) as f64;
-        }
-        let mut mean = acc / h;
-        if self.adv_burst > 0 {
-            mean += self.adv_rate
-                * (self.horizon_ticks - self.adv_start.min(self.horizon_ticks)) as f64
-                / h;
-        }
-        mean
-    }
-
-    /// The §4.1-heuristic static window (ticks) for [`Self::mean_rate`].
-    pub fn static_window_ticks(&self) -> u64 {
-        ((optimal_mu() / self.mean_rate()).round() as u64).max(1)
-    }
-
-    fn channel(&self) -> ChannelConfig {
-        ChannelConfig {
-            ticks_per_tau: self.ticks_per_tau,
-            message_slots: self.message_slots,
+    /// The deterministic baseline for `--inject`: a clean
+    /// static-controller run whose event stream a [`Mutation`] corrupts —
+    /// guaranteed to trip exactly the monitor class the mutation targets,
+    /// and a fixed starting point for the shrinker demo.
+    pub fn chaos_inject() -> Self {
+        let msg_ticks = (5 * 4) as f64;
+        with_static_window(RunSpec {
+            ticks_per_tau: 4,
+            message_slots: 5,
             guard: false,
-        }
-    }
-
-    fn policy(&self) -> ControlPolicy {
-        ControlPolicy::controlled(
-            Dur::from_ticks(self.k_ticks),
-            Dur::from_ticks(self.static_window_ticks()),
-        )
-    }
-
-    fn source(&self) -> MergedSource {
-        let steps = self
-            .segments
-            .iter()
-            .map(|&(start, rate)| RateStep {
-                start: Time::from_ticks(start),
-                rate_per_tick: rate,
-            })
-            .collect();
-        let mut sources: Vec<Box<dyn ArrivalSource>> =
-            vec![Box::new(PiecewiseArrivals::new(steps, self.stations))];
-        if self.adv_burst > 0 {
-            sources.push(Box::new(AdversarialInjector::new(AdversaryPlan {
-                rate: self.adv_rate,
-                burst: self.adv_burst,
-                start: Time::from_ticks(self.adv_start),
-                stations: self.stations,
-            })));
-        }
-        MergedSource::new(sources)
-    }
-
-    fn build_controller(&self) -> Box<dyn tcw_window::WindowController> {
-        let w = self.static_window_ticks();
-        match self.controller {
-            ChaosController::Static => ControllerConfig::Static.build(),
-            ChaosController::Aimd => ControllerConfig::Aimd(AimdConfig::around(w)).build(),
-            ChaosController::Estimator => {
-                ControllerConfig::Estimator(EstimatorConfig::around(w)).build()
-            }
-        }
-    }
-
-    /// Whether the mirror differential check is *strict* for this
-    /// config: the [`StationMirror`](tcw_window::StationMirror) replays
-    /// decisions from the shared policy, so it is only sound under the
-    /// static controller; the [`DivergenceDetector`] additionally models
-    /// deafness/outage slot loss, after which divergences are expected
-    /// behavior rather than failures.
-    pub fn strict_differential(&self) -> bool {
-        self.controller == ChaosController::Static
-            && self.plan.deafness == 0.0
-            && self.churn.outage_slots == 0
+            policy: PolicyKind::Controlled,
+            window_ticks: 1,
+            deadline_ticks: 400,
+            measure_start: 0,
+            measure_end: u64::MAX,
+            horizon_ticks: 60_000,
+            stations: 16,
+            load: Load::Piecewise(vec![(0, 0.5 / msg_ticks), (30_000, 0.8 / msg_ticks)]),
+            adv_rate: 0.1 / msg_ticks,
+            adv_burst: 4,
+            adv_start: 10_000,
+            controller: Controller::Static,
+            faults: FaultPlan::none(),
+            churn: ChurnPlan::none(),
+            seed: stream_seed(BASE_SEED, 0x1A7EC7),
+        })
     }
 }
 
+/// Mean legitimate + adversarial arrival rate over the horizon (messages
+/// per tick) — what a chaos spec's static window is tuned for.
+fn mean_rate(spec: &RunSpec) -> f64 {
+    let segments = spec.load.segments();
+    let horizon = spec.horizon_ticks;
+    let mut acc = 0.0;
+    for (i, &(start, rate)) in segments.iter().enumerate() {
+        let end = segments
+            .get(i + 1)
+            .map(|&(s, _)| s)
+            .unwrap_or(horizon)
+            .min(horizon);
+        acc += rate * (end.saturating_sub(start)) as f64;
+    }
+    let h = horizon as f64;
+    let mut mean = acc / h;
+    if spec.adv_burst > 0 {
+        mean += spec.adv_rate * (horizon - spec.adv_start.min(horizon)) as f64 / h;
+    }
+    mean
+}
+
+/// `spec` with its window at the §4.1 heuristic for [`mean_rate`] —
+/// chaos's window rule, re-applied after every shrinker edit that moves
+/// the mean rate (adversary included).
+fn with_static_window(mut spec: RunSpec) -> RunSpec {
+    spec.window_ticks = tuned_window(mean_rate(&spec));
+    spec
+}
+
+/// Whether the mirror differential check is *strict* for this spec: the
+/// [`StationMirror`](tcw_window::StationMirror) replays decisions from
+/// the shared policy, so it is only sound under the static controller;
+/// the [`DivergenceDetector`](tcw_window::DivergenceDetector)
+/// additionally models deafness/outage slot loss, after which
+/// divergences are expected behavior rather than failures.
+pub fn strict_differential(spec: &RunSpec) -> bool {
+    spec.controller == Controller::Static
+        && spec.faults.deafness == 0.0
+        && spec.churn.outage_slots == 0
+}
+
 /// What one chaos run produced.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ChaosOutcome {
     /// `"ok"`, `"violation"`, `"divergence"` or `"panic"`.
     pub kind: String,
@@ -573,60 +420,33 @@ impl EngineObserver for MutatingObserver<'_> {
     }
 }
 
-/// Runs one config under the monitor (and, for static-controller
-/// configs, the divergence detector), forwarding events to `extra`
-/// (tracer) and emitting telemetry into `sink` when given. Engine panics
-/// propagate; [`execute_observed`] classifies them.
+/// Runs one spec under the monitor (and, for static-controller specs,
+/// the divergence detector) with `mutation` between engine and monitor,
+/// forwarding events to `extra` (tracer) and emitting telemetry into
+/// `sink` when given. Engine panics propagate; [`execute_observed`]
+/// classifies them.
 fn run_observed(
-    cfg: &ChaosConfig,
+    spec: &RunSpec,
+    mutation: Mutation,
     extra: &mut dyn EngineObserver,
-    sink: Option<&mut dyn MetricSink>,
+    mut sink: Option<&mut dyn MetricSink>,
 ) -> ChaosOutcome {
-    let channel = cfg.channel();
-    let policy = cfg.policy();
-    let ecfg = EngineConfig {
-        channel,
-        policy: policy.clone(),
-        measure: MeasureConfig {
-            start: Time::ZERO,
-            end: Time::MAX,
-            deadline: Dur::from_ticks(cfg.k_ticks),
-        },
-        seed: cfg.seed,
-    };
-    let mut eng = Engine::new(ecfg, cfg.source());
-    eng.set_fault_plan(cfg.plan);
-    eng.set_churn_plan(cfg.churn, cfg.stations);
-    eng.set_controller(cfg.build_controller());
-
+    let static_control = spec.controller == Controller::Static;
     let mcfg = MonitorConfig::for_engine(
-        &channel,
+        &spec.channel(),
         &ResyncPolicy::default(),
-        Some(Dur::from_ticks(cfg.k_ticks)),
+        Some(Dur::from_ticks(spec.deadline_ticks)),
     );
     let mut monitor = InvariantMonitor::new(mcfg);
-    if cfg.controller == ChaosController::Static {
-        monitor = monitor.with_mirror(policy.clone(), cfg.seed);
+    if static_control {
+        monitor = monitor.with_mirror(spec.control_policy(), spec.seed);
     }
-    let mut detector = (cfg.controller == ChaosController::Static).then(|| {
-        let det = DivergenceDetector::new(
-            policy.clone(),
-            cfg.seed,
-            0,
-            cfg.plan.deafness,
-            cfg.plan.deaf_slots,
-        );
-        if cfg.churn.outage_slots > 0 {
-            det.with_outage(cfg.churn.outage_start_slot, cfg.churn.outage_slots)
-        } else {
-            det
-        }
-    });
+    let mut detector = static_control.then(|| spec.detector());
 
-    {
-        let mut mutator = MutatingObserver::new(cfg.mutation, &mut monitor);
-        let horizon = Time::from_ticks(cfg.horizon_ticks);
-        match detector.as_mut() {
+    let eng = {
+        let sink = sink.as_mut().map(|s| &mut **s as &mut dyn MetricSink);
+        let mut mutator = MutatingObserver::new(mutation, &mut monitor);
+        let eng = match detector.as_mut() {
             Some(det) => {
                 let mut inner = Tee {
                     a: det,
@@ -636,29 +456,26 @@ fn run_observed(
                     a: extra,
                     b: &mut inner,
                 };
-                run_to_horizon(&mut eng, horizon, &mut obs, None);
+                spec.run_engine(&mut obs, sink)
             }
             None => {
                 let mut obs = Tee {
                     a: extra,
                     b: &mut mutator,
                 };
-                run_to_horizon(&mut eng, horizon, &mut obs, None);
+                spec.run_engine(&mut obs, sink)
             }
-        }
+        };
         mutator.flush();
-    }
+        eng
+    };
     monitor.finish(
         eng.now(),
         eng.pending_count(),
         &eng.metrics,
         &eng.channel_stats,
     );
-
     if let Some(sink) = sink {
-        eng.metrics.emit(sink);
-        eng.channel_stats.emit(sink);
-        eng.controller().emit(sink);
         monitor.emit(sink);
         if let Some(det) = &detector {
             det.emit(sink);
@@ -673,7 +490,7 @@ fn run_observed(
             v.class.label().to_string(),
             format!("t={} {}", v.at.ticks(), v.detail),
         )
-    } else if cfg.strict_differential() && divergences > 0 {
+    } else if strict_differential(spec) && divergences > 0 {
         let first = detector
             .as_ref()
             .and_then(|d| d.first_divergence())
@@ -705,35 +522,33 @@ fn run_observed(
     }
 }
 
-/// Runs one config under the monitor, forwarding events to `extra` and
-/// emitting telemetry into `sink` when given. A panic — in the engine or
-/// in `extra` — is caught and classified as a `panic` outcome, so a
-/// traced and an untraced run of a failing config report it alike.
-/// Deterministic: the same config always returns the same outcome.
+/// Runs one spec under the monitor with `mutation` applied, forwarding
+/// events to `extra` and emitting telemetry into `sink` when given. A
+/// panic — in the engine or in `extra` — is caught and classified as a
+/// `panic` outcome, so a traced and an untraced run of a failing spec
+/// report it alike. Deterministic: the same inputs always return the
+/// same outcome.
 pub fn execute_observed(
-    cfg: &ChaosConfig,
+    spec: &RunSpec,
+    mutation: Mutation,
     extra: &mut dyn EngineObserver,
     sink: Option<&mut dyn MetricSink>,
 ) -> ChaosOutcome {
-    match catch_unwind(AssertUnwindSafe(|| run_observed(cfg, extra, sink))) {
+    match catch_unwind(AssertUnwindSafe(|| {
+        run_observed(spec, mutation, extra, sink)
+    })) {
         Ok(out) => out,
         Err(payload) => ChaosOutcome {
             kind: "panic".to_string(),
-            class: String::new(),
             detail: panic_message(payload),
-            violations: 0,
-            divergences: 0,
-            checks: 0,
-            deliveries: 0,
-            offered: 0,
-            loss: 0.0,
+            ..ChaosOutcome::default()
         },
     }
 }
 
 /// [`execute_observed`] with no extra observer or sink.
-pub fn execute(cfg: &ChaosConfig) -> ChaosOutcome {
-    execute_observed(cfg, &mut NoopObserver, None)
+pub fn execute(spec: &RunSpec, mutation: Mutation) -> ChaosOutcome {
+    execute_observed(spec, mutation, &mut NoopObserver, None)
 }
 
 /// One shrinker trial.
@@ -741,24 +556,26 @@ pub fn execute(cfg: &ChaosConfig) -> ChaosOutcome {
 pub struct ShrinkStep {
     /// The candidate transformation tried.
     pub action: String,
-    /// Whether the shrunk config still reproduced the failure.
+    /// Whether the shrunk spec still reproduced the failure.
     pub kept: bool,
 }
 
-/// Result of shrinking a failing config.
+/// Result of shrinking a failing spec.
 #[derive(Debug)]
 pub struct ShrinkResult {
-    /// The 1-minimal config.
-    pub config: ChaosConfig,
+    /// The 1-minimal spec.
+    pub spec: RunSpec,
     /// Every trial, in order (capped at 200 entries).
     pub steps: Vec<ShrinkStep>,
     /// Total re-executions spent.
     pub trials: u64,
 }
 
-fn candidates(c: &ChaosConfig) -> Vec<(String, ChaosConfig)> {
+/// Every single-step shrink of `c`, each with its window re-derived by
+/// chaos's rule.
+fn candidates(c: &RunSpec) -> Vec<(String, RunSpec)> {
     let mut out = Vec::new();
-    let mut push = |action: String, cfg: ChaosConfig| out.push((action, cfg));
+    let mut push = |action: String, spec: RunSpec| out.push((action, with_static_window(spec)));
     if c.horizon_ticks > 4_000 {
         let mut n = c.clone();
         n.horizon_ticks /= 2;
@@ -769,78 +586,67 @@ fn candidates(c: &ChaosConfig) -> Vec<(String, ChaosConfig)> {
         n.stations = (n.stations / 2).max(2);
         push(format!("halve stations to {}", n.stations), n);
     }
-    for i in (1..c.segments.len()).rev() {
-        let mut n = c.clone();
-        n.segments.remove(i);
+    let segments = c.load.segments();
+    for i in (1..segments.len()).rev() {
+        let mut kept = segments.to_vec();
+        kept.remove(i);
+        let n = RunSpec {
+            load: Load::Piecewise(kept),
+            ..c.clone()
+        };
         push(format!("drop load segment {i}"), n);
     }
-    if c.adv_burst > 0 {
-        let mut n = c.clone();
-        n.adv_rate = 0.0;
-        n.adv_burst = 0;
-        n.adv_start = 0;
-        push("remove adversary".to_string(), n);
-    }
-    type FaultZero = fn(&mut FaultPlan);
-    let fault_fields: [(&str, FaultZero); 6] = [
-        ("success_to_collision", |p| p.success_to_collision = 0.0),
-        ("collision_to_success", |p| p.collision_to_success = 0.0),
-        ("collision_to_idle", |p| p.collision_to_idle = 0.0),
-        ("idle_to_collision", |p| p.idle_to_collision = 0.0),
-        ("erasure", |p| p.erasure = 0.0),
-        ("deafness", |p| {
-            p.deafness = 0.0;
-            p.deaf_slots = 0;
+    // Each edit zeroes one stressor; it is a candidate only where it
+    // changes the spec.
+    type Edit = fn(&mut RunSpec);
+    let edits: [(&str, Edit); 13] = [
+        ("remove adversary", |s| {
+            (s.adv_rate, s.adv_burst, s.adv_start) = (0.0, 0, 0)
+        }),
+        ("zero fault success_to_collision", |s| {
+            s.faults.success_to_collision = 0.0
+        }),
+        ("zero fault collision_to_success", |s| {
+            s.faults.collision_to_success = 0.0
+        }),
+        ("zero fault collision_to_idle", |s| {
+            s.faults.collision_to_idle = 0.0
+        }),
+        ("zero fault idle_to_collision", |s| {
+            s.faults.idle_to_collision = 0.0
+        }),
+        ("zero fault erasure", |s| s.faults.erasure = 0.0),
+        ("zero fault deafness", |s| {
+            (s.faults.deafness, s.faults.deaf_slots) = (0.0, 0)
+        }),
+        ("zero churn crash", |s| {
+            (s.churn.crash, s.churn.down_slots) = (0.0, 0)
+        }),
+        ("zero churn late-join", |s| {
+            (s.churn.late_join_frac, s.churn.join_slot) = (0.0, 0)
+        }),
+        ("zero churn leave", |s| {
+            (s.churn.leave_frac, s.churn.leave_slot) = (0.0, 0)
+        }),
+        ("zero churn outage", |s| {
+            (s.churn.outage_start_slot, s.churn.outage_slots) = (0, 0)
+        }),
+        ("zero churn catch-up", |s| {
+            // Catch-up serves crashed and late-joining stations.
+            if s.churn.crash == 0.0 && s.churn.late_join_frac == 0.0 {
+                s.churn.catch_up_slots = 0;
+            }
+        }),
+        ("use static controller", |s| {
+            s.controller = Controller::Static
         }),
     ];
-    let active = |p: &FaultPlan, name: &str| match name {
-        "success_to_collision" => p.success_to_collision > 0.0,
-        "collision_to_success" => p.collision_to_success > 0.0,
-        "collision_to_idle" => p.collision_to_idle > 0.0,
-        "idle_to_collision" => p.idle_to_collision > 0.0,
-        "erasure" => p.erasure > 0.0,
-        _ => p.deafness > 0.0,
-    };
-    for (name, zero) in fault_fields {
-        if active(&c.plan, name) {
-            let mut n = c.clone();
-            zero(&mut n.plan);
-            push(format!("zero fault {name}"), n);
+    for (action, edit) in edits {
+        let mut n = c.clone();
+        edit(&mut n);
+        if n != *c {
+            push(action.to_string(), n);
         }
-    }
-    if c.churn.crash > 0.0 {
-        let mut n = c.clone();
-        n.churn.crash = 0.0;
-        n.churn.down_slots = 0;
-        push("zero churn crash".to_string(), n);
-    }
-    if c.churn.late_join_frac > 0.0 {
-        let mut n = c.clone();
-        n.churn.late_join_frac = 0.0;
-        n.churn.join_slot = 0;
-        push("zero churn late-join".to_string(), n);
-    }
-    if c.churn.leave_frac > 0.0 {
-        let mut n = c.clone();
-        n.churn.leave_frac = 0.0;
-        n.churn.leave_slot = 0;
-        push("zero churn leave".to_string(), n);
-    }
-    if c.churn.outage_slots > 0 {
-        let mut n = c.clone();
-        n.churn.outage_start_slot = 0;
-        n.churn.outage_slots = 0;
-        push("zero churn outage".to_string(), n);
-    }
-    if c.churn.catch_up_slots > 0 && c.churn.crash == 0.0 && c.churn.late_join_frac == 0.0 {
-        let mut n = c.clone();
-        n.churn.catch_up_slots = 0;
-        push("zero churn catch-up".to_string(), n);
-    }
-    if c.controller != ChaosController::Static {
-        let mut n = c.clone();
-        n.controller = ChaosController::Static;
-        push("use static controller".to_string(), n);
     }
     out
 }
@@ -848,17 +654,17 @@ fn candidates(c: &ChaosConfig) -> Vec<(String, ChaosConfig)> {
 /// Greedy delta-debugging: repeatedly applies the first candidate
 /// transformation (halve horizon/stations, drop a load segment, remove
 /// the adversary, zero one fault/churn dimension, fall back to the
-/// static controller) that still reproduces `(kind, class)`, until a
-/// full pass accepts nothing.
+/// static controller) that still reproduces `(kind, class)` under
+/// `mutation`, until a full pass accepts nothing.
 ///
 /// The result is **1-minimal with respect to the candidate family**: at
-/// the fixpoint every candidate was re-tried against the final config
+/// the fixpoint every candidate was re-tried against the final spec
 /// and failed to reproduce, so no single remaining transformation can
 /// be applied without losing the failure. Termination is guaranteed —
 /// every accepted step strictly decreases a positive integer measure —
 /// and the whole search re-executes deterministically, capped at
 /// [`SHRINK_BUDGET`] trials.
-pub fn shrink(orig: &ChaosConfig, kind: &str, class: &str) -> ShrinkResult {
+pub fn shrink(orig: &RunSpec, mutation: Mutation, kind: &str, class: &str) -> ShrinkResult {
     let mut current = orig.clone();
     let mut steps = Vec::new();
     let mut trials = 0u64;
@@ -868,7 +674,7 @@ pub fn shrink(orig: &ChaosConfig, kind: &str, class: &str) -> ShrinkResult {
                 break 'outer;
             }
             trials += 1;
-            let out = execute(&cand);
+            let out = execute(&cand, mutation);
             let kept = out.kind == kind && out.class == class;
             if steps.len() < 200 {
                 steps.push(ShrinkStep {
@@ -884,221 +690,16 @@ pub fn shrink(orig: &ChaosConfig, kind: &str, class: &str) -> ShrinkResult {
         break;
     }
     ShrinkResult {
-        config: current,
+        spec: current,
         steps,
         trials,
-    }
-}
-
-/// A version-stamped chaos replay artifact: the (possibly shrunk)
-/// config plus the outcome it must reproduce.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ChaosRecord {
-    /// The failing (or recorded) config.
-    pub config: ChaosConfig,
-    /// Outcome class: `"ok"`, `"violation"`, `"divergence"`, `"panic"`.
-    pub kind: String,
-    /// Invariant class of the violation (empty otherwise).
-    pub class: String,
-    /// The outcome detail that must replay bit-for-bit.
-    pub detail: String,
-}
-
-impl ChaosRecord {
-    /// Serializes the record as one flat JSON object.
-    pub fn to_json(&self) -> String {
-        let c = &self.config;
-        let mut w = ArtifactWriter::new(Some("chaos"));
-        w.u64("seed", c.seed);
-        w.u64("horizon_ticks", c.horizon_ticks);
-        w.u64("stations", u64::from(c.stations));
-        w.u64("ticks_per_tau", c.ticks_per_tau);
-        w.u64("message_slots", c.message_slots);
-        w.u64("k_ticks", c.k_ticks);
-        w.str("controller", c.controller.label());
-        w.str("mutation", c.mutation.label());
-        w.f64("success_to_collision", c.plan.success_to_collision);
-        w.f64("collision_to_success", c.plan.collision_to_success);
-        w.f64("collision_to_idle", c.plan.collision_to_idle);
-        w.f64("idle_to_collision", c.plan.idle_to_collision);
-        w.f64("erasure", c.plan.erasure);
-        w.f64("deafness", c.plan.deafness);
-        w.u64("deaf_slots", c.plan.deaf_slots);
-        w.f64("crash", c.churn.crash);
-        w.u64("down_slots", c.churn.down_slots);
-        w.f64("late_join_frac", c.churn.late_join_frac);
-        w.u64("join_slot", c.churn.join_slot);
-        w.f64("leave_frac", c.churn.leave_frac);
-        w.u64("leave_slot", c.churn.leave_slot);
-        w.u64("catch_up_slots", c.churn.catch_up_slots);
-        w.u64("outage_start_slot", c.churn.outage_start_slot);
-        w.u64("outage_slots", c.churn.outage_slots);
-        let segments = c
-            .segments
-            .iter()
-            .map(|&(start, rate)| format!("{start}:{rate}"))
-            .collect::<Vec<_>>()
-            .join(";");
-        w.str("segments", &segments);
-        w.f64("adv_rate", c.adv_rate);
-        w.u64("adv_burst", u64::from(c.adv_burst));
-        w.u64("adv_start", c.adv_start);
-        w.str("kind", &self.kind);
-        w.str("class", &self.class);
-        w.str("detail", &self.detail);
-        w.finish()
-    }
-
-    /// Parses a record previously written by [`ChaosRecord::to_json`],
-    /// rejecting stale versions and out-of-range parameters.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let r = read_artifact(text, Some("chaos"))?;
-        let controller_label = r.str("controller")?;
-        let controller = ChaosController::parse(controller_label)
-            .ok_or_else(|| format!("unknown controller {controller_label:?}"))?;
-        let mutation_label = r.str("mutation")?;
-        let mutation = Mutation::parse(mutation_label)
-            .ok_or_else(|| format!("unknown mutation {mutation_label:?}"))?;
-        let mut segments = Vec::new();
-        for part in r.str("segments")?.split(';') {
-            let (start, rate) = part
-                .split_once(':')
-                .ok_or_else(|| format!("malformed load segment {part:?}"))?;
-            segments.push((
-                start
-                    .parse::<u64>()
-                    .map_err(|e| format!("segment start {start:?}: {e}"))?,
-                rate.parse::<f64>()
-                    .map_err(|e| format!("segment rate {rate:?}: {e}"))?,
-            ));
-        }
-        let config = ChaosConfig {
-            seed: r.u64("seed")?,
-            horizon_ticks: r.u64("horizon_ticks")?,
-            stations: u32::try_from(r.u64("stations")?)
-                .map_err(|e| format!("field \"stations\": {e}"))?,
-            ticks_per_tau: r.u64("ticks_per_tau")?,
-            message_slots: r.u64("message_slots")?,
-            k_ticks: r.u64("k_ticks")?,
-            controller,
-            plan: FaultPlan {
-                success_to_collision: r.f64("success_to_collision")?,
-                collision_to_success: r.f64("collision_to_success")?,
-                collision_to_idle: r.f64("collision_to_idle")?,
-                idle_to_collision: r.f64("idle_to_collision")?,
-                erasure: r.f64("erasure")?,
-                deafness: r.f64("deafness")?,
-                deaf_slots: r.u64("deaf_slots")?,
-            },
-            churn: ChurnPlan {
-                crash: r.f64("crash")?,
-                down_slots: r.u64("down_slots")?,
-                late_join_frac: r.f64("late_join_frac")?,
-                join_slot: r.u64("join_slot")?,
-                leave_frac: r.f64("leave_frac")?,
-                leave_slot: r.u64("leave_slot")?,
-                catch_up_slots: r.u64("catch_up_slots")?,
-                outage_start_slot: r.u64("outage_start_slot")?,
-                outage_slots: r.u64("outage_slots")?,
-            },
-            segments,
-            adv_rate: r.f64("adv_rate")?,
-            adv_burst: u32::try_from(r.u64("adv_burst")?)
-                .map_err(|e| format!("field \"adv_burst\": {e}"))?,
-            adv_start: r.u64("adv_start")?,
-            mutation,
-        };
-        config.check()?;
-        Ok(ChaosRecord {
-            config,
-            kind: r.str("kind")?.to_string(),
-            class: r.str("class")?.to_string(),
-            detail: r.str("detail")?.to_string(),
-        })
-    }
-
-    /// Writes the record to `path` atomically, creating parent directories.
-    pub fn save(&self, path: &Path) -> std::io::Result<()> {
-        tcw_sim::record::write_atomic(path, &self.to_json())
-    }
-
-    /// Loads a record from `path`.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        Self::from_json(&load_artifact(path)?)
-    }
-}
-
-/// Replays an artifact and returns the process exit code.
-///
-/// A replay that does not reproduce the recorded `(kind, class, detail)`
-/// — or an unloadable/stale artifact — exits
-/// [`crate::diag::EXIT_FAILURE`]. A faithful replay exits `0` only when
-/// the recorded outcome is `"ok"`; a reproduced violation/divergence/
-/// panic also exits [`crate::diag::EXIT_FAILURE`], because under the
-/// shared diag convention an invariant violation is a failure no matter
-/// how it was produced (stdout distinguishes the two: a reproduced
-/// failure prints `replay reproduced the recorded failure`).
-pub fn replay(path: &Path) -> i32 {
-    let rec = match ChaosRecord::load(path) {
-        Ok(r) => r,
-        Err(e) => {
-            crate::diag::error("chaos", &format!("cannot load artifact: {e}"));
-            return crate::diag::EXIT_FAILURE;
-        }
-    };
-    println!(
-        "replaying {} (kind={:?} class={:?} seed={} controller={} mutation={})",
-        path.display(),
-        rec.kind,
-        rec.class,
-        rec.config.seed,
-        rec.config.controller.label(),
-        rec.config.mutation.label(),
-    );
-    let out = execute(&rec.config);
-    println!("recorded: [{}/{}] {}", rec.kind, rec.class, rec.detail);
-    println!("replayed: [{}/{}] {}", out.kind, out.class, out.detail);
-    if out.kind == rec.kind && out.class == rec.class && out.detail == rec.detail {
-        if rec.kind == "ok" {
-            println!("replay reproduced the recorded outcome");
-            0
-        } else {
-            println!("replay reproduced the recorded failure");
-            crate::diag::EXIT_FAILURE
-        }
-    } else {
-        crate::diag::error("chaos", "REPLAY DIVERGED from the recorded outcome");
-        crate::diag::EXIT_FAILURE
-    }
-}
-
-/// Builds the deterministic seeded-violation config for `--inject`: a
-/// clean static-controller run whose event stream is corrupted by
-/// `mutation` — guaranteed to trip exactly the monitor class the
-/// mutation targets, and a fixed starting point for the shrinker demo.
-pub fn inject_config(mutation: Mutation) -> ChaosConfig {
-    let msg_ticks = (5 * 4) as f64;
-    ChaosConfig {
-        seed: stream_seed(BASE_SEED, 0x1A7EC7),
-        horizon_ticks: 60_000,
-        stations: 16,
-        ticks_per_tau: 4,
-        message_slots: 5,
-        k_ticks: 400,
-        controller: ChaosController::Static,
-        plan: FaultPlan::none(),
-        churn: ChurnPlan::none(),
-        segments: vec![(0, 0.5 / msg_ticks), (30_000, 0.8 / msg_ticks)],
-        adv_rate: 0.1 / msg_ticks,
-        adv_burst: 4,
-        adv_start: 10_000,
-        mutation,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::{Artifact, ARTIFACT_VERSION};
 
     #[test]
     fn panicking_observer_is_classified_as_a_panic() {
@@ -1108,74 +709,90 @@ mod tests {
                 panic!("observer boom");
             }
         }
-        let out = execute_observed(&ChaosConfig::sample(BASE_SEED, 0), &mut Boom, None);
+        let spec = RunSpec::chaos_sample(BASE_SEED, 0);
+        let out = execute_observed(&spec, Mutation::None, &mut Boom, None);
         assert_eq!(out.kind, "panic");
         assert_eq!(out.detail, "observer boom");
     }
 
-    #[test]
-    fn record_roundtrip_is_exact() {
-        let mut cfg = ChaosConfig::sample(BASE_SEED, 7);
-        cfg.mutation = Mutation::ReorderPair;
-        let rec = ChaosRecord {
-            config: cfg,
+    fn artifact(spec: RunSpec, mutation: Mutation) -> Artifact {
+        Artifact {
+            experiment: "chaos".to_string(),
+            spec,
+            mutation,
             kind: "violation".to_string(),
             class: "fcfs".to_string(),
             detail: "t=123 example".to_string(),
-        };
-        let parsed = ChaosRecord::from_json(&rec.to_json()).expect("parse");
-        assert_eq!(parsed, rec);
+        }
+    }
+
+    #[test]
+    fn record_roundtrip_is_exact() {
+        let art = artifact(RunSpec::chaos_sample(BASE_SEED, 7), Mutation::ReorderPair);
+        let parsed = Artifact::from_json(&art.to_json(), "chaos").expect("parse");
+        assert_eq!(parsed, art);
     }
 
     #[test]
     fn record_rejects_stale_and_corrupt() {
-        let rec = ChaosRecord {
-            config: ChaosConfig::sample(BASE_SEED, 3),
-            kind: "ok".to_string(),
-            class: String::new(),
-            detail: "x".to_string(),
-        };
-        let stale = rec.to_json().replace(
-            &format!("\"version\": \"{}\"", crate::replay::ARTIFACT_VERSION),
+        let json = artifact(RunSpec::chaos_sample(BASE_SEED, 3), Mutation::None).to_json();
+        let stale = json.replace(
+            &format!("\"version\": \"{ARTIFACT_VERSION}\""),
             "\"version\": \"0.0.0-stale\"",
         );
-        assert!(ChaosRecord::from_json(&stale).is_err());
-        let wrong_family = rec.to_json().replace("\"chaos\"", "\"adaptive\"");
-        assert!(ChaosRecord::from_json(&wrong_family).is_err());
-        let bad_plan = rec.to_json().replace("\"erasure\": 0", "\"erasure\": 9.0");
-        assert!(ChaosRecord::from_json(&bad_plan).is_err());
+        assert!(Artifact::from_json(&stale, "chaos").is_err());
+        assert!(Artifact::from_json(&json, "adaptive").is_err());
+        let bad_plan = json.replace("\"erasure\": 0", "\"erasure\": 9.0");
+        assert!(Artifact::from_json(&bad_plan, "chaos").is_err());
+        let bad_mutation = json.replace("\"mutation\": \"none\"", "\"mutation\": \"x\"");
+        assert!(Artifact::from_json(&bad_mutation, "chaos").is_err());
     }
 
+    /// Every field the chaos sampler draws, on any spec of the grid, and
+    /// the grid's order and size reach the resume journal's fingerprint.
     #[test]
     fn fingerprint_covers_every_config_field() {
-        let grid: Vec<ChaosConfig> = (0..4).map(|i| ChaosConfig::sample(BASE_SEED, i)).collect();
-        let base = ChaosConfig::fingerprint(&grid);
-        let stale = |configs: &[ChaosConfig]| ChaosConfig::fingerprint(configs) != base;
-        type Edit = fn(&mut ChaosConfig);
+        use crate::runner::fingerprint;
+        let grid: Vec<RunSpec> = (0..4)
+            .map(|i| RunSpec::chaos_sample(BASE_SEED, i))
+            .collect();
+        let base = fingerprint(&grid);
+        let stale = |specs: &[RunSpec]| fingerprint(specs) != base;
+        type Edit = fn(&mut RunSpec);
         let edits: [(&str, Edit); 15] = [
-            ("seed", |c| c.seed += 1),
-            ("horizon_ticks", |c| c.horizon_ticks += 1),
-            ("stations", |c| c.stations += 1),
-            ("ticks_per_tau", |c| c.ticks_per_tau += 1),
-            ("message_slots", |c| c.message_slots += 1),
-            ("k_ticks", |c| c.k_ticks += 1),
-            ("controller", |c| {
-                let [a, b, _] = ChaosController::ALL;
-                c.controller = if c.controller == a { b } else { a };
+            ("seed", |s| s.seed += 1),
+            ("horizon_ticks", |s| s.horizon_ticks += 1),
+            ("stations", |s| s.stations += 1),
+            ("ticks_per_tau", |s| s.ticks_per_tau += 1),
+            ("message_slots", |s| s.message_slots += 1),
+            ("deadline_ticks", |s| s.deadline_ticks += 1),
+            ("controller", |s| {
+                let [a, b, _] = Controller::PLAIN;
+                s.controller = if s.controller == a { b } else { a };
             }),
-            ("fault probability", |c| c.plan.erasure += 0.01),
-            ("deaf_slots", |c| c.plan.deaf_slots += 1),
-            ("crash rate", |c| c.churn.crash += 1e-4),
-            ("outage_slots", |c| c.churn.outage_slots += 1),
-            ("segment rate", |c| c.segments[0].1 *= 1.5),
-            ("segment count", |c| c.segments.push((u64::MAX, 0.01))),
-            ("adv_rate", |c| c.adv_rate += 0.001),
-            ("adv_start", |c| c.adv_start += 1),
+            ("fault probability", |s| s.faults.erasure += 0.01),
+            ("deaf_slots", |s| s.faults.deaf_slots += 1),
+            ("crash rate", |s| s.churn.crash += 1e-4),
+            ("outage_slots", |s| s.churn.outage_slots += 1),
+            ("segment rate", |s| {
+                let Load::Piecewise(segments) = &mut s.load else {
+                    unreachable!("chaos samples piecewise loads")
+                };
+                segments[0].1 *= 1.5;
+            }),
+            ("segment count", |s| {
+                let Load::Piecewise(segments) = &mut s.load else {
+                    unreachable!("chaos samples piecewise loads")
+                };
+                segments.push((u64::MAX, 0.01));
+            }),
+            ("adv_rate", |s| s.adv_rate += 0.001),
+            ("adv_start", |s| s.adv_start += 1),
         ];
         for (field, edit) in edits {
-            let mut configs = grid.clone();
-            edit(&mut configs[2]);
-            assert!(stale(&configs), "{field} is not covered");
+            let mut specs = grid.clone();
+            edit(&mut specs[2]);
+            assert!(stale(&specs), "{field} is not covered");
         }
         let mut reordered = grid.clone();
         reordered.swap(0, 1);
@@ -1186,11 +803,14 @@ mod tests {
     #[test]
     fn sampled_configs_are_valid_and_deterministic() {
         for i in 0..64 {
-            let a = ChaosConfig::sample(BASE_SEED, i);
-            let b = ChaosConfig::sample(BASE_SEED, i);
+            let a = RunSpec::chaos_sample(BASE_SEED, i);
+            let b = RunSpec::chaos_sample(BASE_SEED, i);
             assert_eq!(a, b);
             a.check().expect("valid sample");
-            assert!(a.static_window_ticks() >= 1);
+            assert!(a.window_ticks >= 1);
         }
+        RunSpec::chaos_inject()
+            .check()
+            .expect("valid injection baseline");
     }
 }

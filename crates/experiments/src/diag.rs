@@ -36,6 +36,46 @@ pub fn or_usage<T>(tool: &str, parsed: Result<T, String>) -> T {
     })
 }
 
+/// The value of the flag `name` in `args`, given as `name V` or
+/// `name=V`: `None` when the flag is absent, an error when it has no
+/// value.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a == name {
+            return match it.next() {
+                Some(v) => Ok(Some(v)),
+                None => Err(format!("{name} needs a value")),
+            };
+        }
+        if let Some(v) = a.strip_prefix(name).and_then(|rest| rest.strip_prefix('=')) {
+            return Ok(Some(v));
+        }
+    }
+    Ok(None)
+}
+
+/// Exits with [`EXIT_USAGE`] unless every argument in `args` is one of
+/// `value_flags` with its value (`--name V` or `--name=V`): an unknown
+/// flag or a stray operand is a usage error, never silently ignored.
+/// Binaries call it with what is left after their own parsing.
+pub fn reject_unknown(tool: &str, args: &[String], value_flags: &[&str]) {
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        let (name, inline) = match a.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (a.as_str(), false),
+        };
+        if !value_flags.contains(&name) {
+            error(tool, &format!("unknown argument {a:?}"));
+            std::process::exit(EXIT_USAGE);
+        }
+        if !inline {
+            it.next();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

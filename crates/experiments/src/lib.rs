@@ -31,11 +31,15 @@
 //!   controllers) run under the `tcw-window` invariant monitor, with
 //!   delta-debugging shrinking of failures to minimal replay artifacts.
 //!
-//! The library part hosts [`runner::Cell`], the one description of a
-//! panel simulation (the panel sweeps, the replay artifacts and the
-//! `tcw-bench` panel benches all run through it, so the benches time
-//! exactly the code that produced EXPERIMENTS.md), the sweep worker pool
-//! and its supervisor, and small CSV/ASCII-plot helpers.
+//! The library part hosts [`runner::RunSpec`], the one description of a
+//! run: every sweep grid is a list of specs, one builder
+//! ([`runner::RunSpec::engine`]) makes every engine, a resume journal
+//! fingerprints the specs' records ([`runner::fingerprint`]), and a
+//! replay artifact ([`replay::Artifact`]) is one spec's record plus the
+//! experiment tag, chaos's mutation and the outcome. The `tcw-bench`
+//! panel benches run specs too, so they time exactly the code that
+//! produced EXPERIMENTS.md. Beside it sit the sweep worker pool and its
+//! supervisor, and small CSV/ASCII-plot helpers.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -52,16 +56,17 @@ pub mod supervise;
 pub mod sweep;
 
 pub use chaos::{
-    execute as chaos_execute, shrink, ChaosConfig, ChaosController, ChaosOutcome, ChaosRecord,
-    Mutation, ShrinkResult, ShrinkStep,
+    execute as chaos_execute, shrink, ChaosOutcome, Mutation, ShrinkResult, ShrinkStep,
 };
 pub use obs::{
     observe_engine_cell, observed_cell, write_observability, Capture, CellArtifacts, ObsConfig,
     SweepMeta,
 };
 pub use panels::{Panel, PANELS};
-pub use replay::FailureRecord;
-pub use runner::{Cell, CellResult, FaultCounters, PolicyKind, SimPoint, SimSettings};
+pub use replay::Artifact;
+pub use runner::{
+    CellResult, Controller, FaultCounters, Load, PolicyKind, RunSpec, SimPoint, SimSettings,
+};
 pub use supervise::{
     run_supervised, supervised_cells, Journal, JournalItem, SupervisorOptions, SweepOutcome,
 };

@@ -12,7 +12,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::runner::{Cell, CellResult};
+use crate::runner::{CellResult, RunSpec};
 use tcw_obs::{EventTracer, Progress, Registry, SpanTracer};
 use tcw_window::trace::{NoopObserver, Tee};
 
@@ -117,14 +117,14 @@ pub struct CellArtifacts {
     pub registry: Option<Registry>,
 }
 
-/// Runs one panel cell with telemetry capture: when `caps.tracing` or
+/// Runs one spec with telemetry capture: when `caps.tracing` or
 /// `caps.spans`, the protocol event stream / message-lifecycle span
 /// stream is recorded under a `cell` header carrying `cell_index` and
 /// `label`; when `caps.metrics`, the run's metrics register into a fresh
 /// [`Registry`] under `labels`. With `progress`, the run's event-horizon
 /// counters feed the live line's `[hzn: ...]` segment.
 ///
-/// The result is bit-identical to [`Cell::run`] — observers are passive
+/// The result is bit-identical to [`RunSpec::run`] — observers are passive
 /// and never touch an RNG stream. Span capture alone keeps the
 /// event-horizon fast path on; event tracing forces slot stepping.
 pub fn observed_cell(
@@ -132,11 +132,11 @@ pub fn observed_cell(
     cell_index: usize,
     label: &str,
     labels: &[(&str, &str)],
-    cell: &Cell,
+    spec: &RunSpec,
     progress: Option<&Progress>,
 ) -> (CellResult, CellArtifacts) {
     let (result, artifacts) = observe_engine_cell(caps, cell_index, label, labels, |obs, sink| {
-        cell.run_observed(obs, sink)
+        spec.run_observed(obs, sink)
     });
     if let Some(p) = progress {
         let h = result.horizon;
@@ -146,8 +146,9 @@ pub fn observed_cell(
 }
 
 /// Runs an arbitrary engine-driving closure with the same per-cell
-/// telemetry capture as [`observed_cell`], for binaries that build their
-/// engines directly instead of running a [`Cell`]. The closure receives
+/// telemetry capture as [`observed_cell`], for runs that wrap a spec in
+/// observers of their own (the chaos harness) or build their engines
+/// directly (the ablations). The closure receives
 /// the observer to thread through `Engine::run_until`/`drain` and, when
 /// metrics are on, the sink to `emit` counters into after the run.
 pub fn observe_engine_cell<T>(
@@ -333,7 +334,7 @@ mod tests {
             stations: 20,
             guard: false,
         };
-        let cell = Cell::clean(panel, PolicyKind::Controlled, 100.0, settings, 7);
+        let cell = RunSpec::panel(panel, PolicyKind::Controlled, 100.0, settings, 7);
         let plain = cell.run();
         let (observed, art) = observed_cell(
             Capture {
@@ -371,7 +372,7 @@ mod tests {
             stations: 20,
             guard: false,
         };
-        let cell = Cell::clean(panel, PolicyKind::Controlled, 100.0, settings, 11);
+        let cell = RunSpec::panel(panel, PolicyKind::Controlled, 100.0, settings, 11);
         let plain = cell.run();
         let (observed, art) = observed_cell(
             Capture {

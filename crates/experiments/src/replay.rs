@@ -1,69 +1,52 @@
-//! Deterministic failure-replay artifacts.
+//! The run record and deterministic replay artifacts.
 //!
-//! When a fault- or churn-injected run panics, trips an invariant, or a
-//! divergence detector fires, the robustness harness serializes everything
-//! needed to reproduce the failure — master seed, [`FaultPlan`],
-//! [`ChurnPlan`], workload and policy parameters, and the observed failure
-//! — into a small flat JSON file under `results/failures/`. Because every
-//! random choice in a run derives from the master seed, replaying the
-//! record re-executes the identical timeline and must reproduce the
-//! identical failure.
+//! One writer and one parser serialize a [`RunSpec`] as flat record
+//! fields: the journal fingerprint ([`crate::runner::fingerprint`])
+//! checksums that record, and a replay [`Artifact`] is the record plus
+//! the experiment tag, the chaos harness's event-stream mutation and the
+//! outcome the replay must reproduce. Because every random choice in a
+//! run derives from the master seed in the record, replaying an artifact
+//! re-executes the identical timeline.
 //!
-//! The format is a flat record (one JSON object, scalar values only),
-//! read through the workspace's one codec, [`tcw_sim::record`], and
-//! written atomically so a crash never leaves a torn artifact. Each
-//! artifact is stamped with the workspace version that wrote it; loading
-//! a stale or corrupted artifact returns an error (the replay binaries
-//! exit with code 2) instead of silently replaying a different timeline.
+//! An artifact is one flat JSON object (scalar values only), read
+//! through the workspace's one codec, [`tcw_sim::record`], and written
+//! atomically so a crash never leaves a torn file. It is stamped with
+//! [`RECORD_FORMAT`], checked before any other field is read, so an
+//! artifact in an older layout is refused (the replay binaries exit with
+//! code 2) instead of silently replaying a different timeline.
 
-use crate::panels::Panel;
-use crate::runner::{Cell, PolicyKind, SimSettings};
+use crate::chaos::Mutation;
+use crate::runner::{Controller, Load, PolicyKind, RunSpec};
 use std::fs;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::str::FromStr;
 use tcw_mac::{ChurnPlan, FaultPlan};
 use tcw_sim::record::{self, Record};
 
-/// The workspace version stamped into every artifact.
+/// Layout of the run record and its artifact envelope; bumped on any
+/// change to either.
+pub const RECORD_FORMAT: u64 = 1;
+
+/// The workspace version stamped into every artifact and journal.
 pub const ARTIFACT_VERSION: &str = env!("CARGO_PKG_VERSION");
 
-/// Everything needed to reproduce one failed run.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FailureRecord {
-    /// The failing run.
-    pub cell: Cell,
-    /// Failure class: `"panic"` or `"divergence"`.
-    pub kind: String,
-    /// The failure itself (panic payload or first divergence).
-    pub detail: String,
-}
-
-/// Incremental writer for the flat-JSON artifact envelope shared by every
-/// record/replay binary (`robustness`, `churn`, `adaptive`, `chaos`).
-///
-/// Opens the object and stamps [`ARTIFACT_VERSION`] (plus an optional
-/// `experiment` tag distinguishing artifact families); [`ArtifactWriter::finish`]
-/// closes it. Byte layout matches the historical hand-rolled writers, so
-/// previously committed artifacts stay byte-identical on regeneration.
-pub struct ArtifactWriter {
+/// Incremental writer for one flat JSON record: one `"key": value` line
+/// per field.
+struct RecordWriter {
     out: String,
 }
 
-impl ArtifactWriter {
-    /// Starts an envelope; `experiment` tags the artifact family
-    /// (`None` for the original robustness/churn format).
-    pub fn new(experiment: Option<&str>) -> Self {
-        let mut w = ArtifactWriter {
+impl Default for RecordWriter {
+    fn default() -> Self {
+        RecordWriter {
             out: String::from("{\n"),
-        };
-        w.str("version", ARTIFACT_VERSION);
-        if let Some(tag) = experiment {
-            w.str("experiment", tag);
         }
-        w
     }
+}
 
+impl RecordWriter {
     /// Appends a field with an already-JSON-formatted value.
     fn raw(&mut self, key: &str, value: &str) {
         self.out.push_str(&format!("  \"{key}\": {value},\n"));
@@ -101,143 +84,307 @@ impl ArtifactWriter {
     }
 }
 
-/// Parses artifact text and verifies its envelope — the version stamp and
-/// the `experiment` family tag (`None` for the untagged robustness/churn
-/// format) — *before* any field is read: a stale or foreign artifact
-/// would replay a different timeline, so every loader rejects it up front
-/// (the binaries then exit with [`crate::diag::EXIT_FAILURE`]).
-pub fn read_artifact(text: &str, experiment: Option<&str>) -> Result<Record, String> {
-    let r = Record::parse(text)?;
-    r.check_envelope(ARTIFACT_VERSION, experiment)
-        .map_err(|e| format!("artifact {e}; regenerate it with the current binaries"))?;
-    Ok(r)
-}
-
-/// Reads artifact text from `path`.
-pub fn load_artifact(path: &Path) -> Result<String, String> {
-    fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-impl FailureRecord {
-    /// Serializes the record as one flat JSON object.
-    pub fn to_json(&self) -> String {
-        let Cell {
-            panel,
+impl RunSpec {
+    /// Writes every field. The destructuring names each field of the
+    /// spec and of both plans, with no `..`, so a new field does not
+    /// compile until it is written here (and read in
+    /// [`RunSpec::from_record`]).
+    fn write_fields(&self, w: &mut RecordWriter) {
+        let RunSpec {
+            ticks_per_tau,
+            message_slots,
+            guard,
             policy,
-            k_tau,
-            settings,
-            seed,
-            plan,
+            window_ticks,
+            deadline_ticks,
+            measure_start,
+            measure_end,
+            horizon_ticks,
+            stations,
+            load,
+            adv_rate,
+            adv_burst,
+            adv_start,
+            controller,
+            faults,
             churn,
-        } = &self.cell;
-        let mut w = ArtifactWriter::new(None);
+            seed,
+        } = self;
+        let FaultPlan {
+            success_to_collision,
+            collision_to_success,
+            collision_to_idle,
+            idle_to_collision,
+            erasure,
+            deafness,
+            deaf_slots,
+        } = faults;
+        let ChurnPlan {
+            crash,
+            down_slots,
+            late_join_frac,
+            join_slot,
+            leave_frac,
+            leave_slot,
+            catch_up_slots,
+            outage_start_slot,
+            outage_slots,
+        } = churn;
         w.u64("seed", *seed);
-        w.f64("success_to_collision", plan.success_to_collision);
-        w.f64("collision_to_success", plan.collision_to_success);
-        w.f64("collision_to_idle", plan.collision_to_idle);
-        w.f64("idle_to_collision", plan.idle_to_collision);
-        w.f64("erasure", plan.erasure);
-        w.f64("deafness", plan.deafness);
-        w.u64("deaf_slots", plan.deaf_slots);
-        w.f64("crash", churn.crash);
-        w.u64("down_slots", churn.down_slots);
-        w.f64("late_join_frac", churn.late_join_frac);
-        w.u64("join_slot", churn.join_slot);
-        w.f64("leave_frac", churn.leave_frac);
-        w.u64("leave_slot", churn.leave_slot);
-        w.u64("catch_up_slots", churn.catch_up_slots);
-        w.u64("outage_start_slot", churn.outage_start_slot);
-        w.u64("outage_slots", churn.outage_slots);
-        w.f64("rho_prime", panel.rho_prime);
-        w.u64("m", panel.m);
+        w.u64("ticks_per_tau", *ticks_per_tau);
+        w.u64("message_slots", *message_slots);
+        w.bool("guard", *guard);
         w.str("policy", policy.label());
-        w.f64("k_tau", *k_tau);
-        w.u64("ticks_per_tau", settings.ticks_per_tau);
-        w.u64("messages", settings.messages);
-        w.u64("warmup", settings.warmup);
-        w.u64("stations", u64::from(settings.stations));
-        w.bool("guard", settings.guard);
+        w.u64("window_ticks", *window_ticks);
+        w.u64("deadline_ticks", *deadline_ticks);
+        w.u64("measure_start", *measure_start);
+        w.u64("measure_end", *measure_end);
+        w.u64("horizon_ticks", *horizon_ticks);
+        w.u64("stations", u64::from(*stations));
+        w.str("load", &load_text(load));
+        w.f64("adv_rate", *adv_rate);
+        w.u64("adv_burst", u64::from(*adv_burst));
+        w.u64("adv_start", *adv_start);
+        w.str("controller", &controller_text(controller));
+        w.f64("success_to_collision", *success_to_collision);
+        w.f64("collision_to_success", *collision_to_success);
+        w.f64("collision_to_idle", *collision_to_idle);
+        w.f64("idle_to_collision", *idle_to_collision);
+        w.f64("erasure", *erasure);
+        w.f64("deafness", *deafness);
+        w.u64("deaf_slots", *deaf_slots);
+        w.f64("crash", *crash);
+        w.u64("down_slots", *down_slots);
+        w.f64("late_join_frac", *late_join_frac);
+        w.u64("join_slot", *join_slot);
+        w.f64("leave_frac", *leave_frac);
+        w.u64("leave_slot", *leave_slot);
+        w.u64("catch_up_slots", *catch_up_slots);
+        w.u64("outage_start_slot", *outage_start_slot);
+        w.u64("outage_slots", *outage_slots);
+    }
+
+    /// The spec's record: a flat JSON object holding every field.
+    pub fn record(&self) -> String {
+        let mut w = RecordWriter::default();
+        self.write_fields(&mut w);
+        w.finish()
+    }
+
+    /// Reads the fields [`RunSpec::record`] writes. This checks
+    /// structure only; [`RunSpec::check`] validates the values.
+    pub(crate) fn from_record(r: &Record) -> Result<Self, String> {
+        let narrow = |key: &str| -> Result<u32, String> {
+            u32::try_from(r.u64(key)?).map_err(|e| format!("field {key:?}: {e}"))
+        };
+        let policy = r.str("policy")?;
+        Ok(RunSpec {
+            ticks_per_tau: r.u64("ticks_per_tau")?,
+            message_slots: r.u64("message_slots")?,
+            guard: r.bool("guard")?,
+            policy: PolicyKind::parse(policy)
+                .ok_or_else(|| format!("unknown policy {policy:?}"))?,
+            window_ticks: r.u64("window_ticks")?,
+            deadline_ticks: r.u64("deadline_ticks")?,
+            measure_start: r.u64("measure_start")?,
+            measure_end: r.u64("measure_end")?,
+            horizon_ticks: r.u64("horizon_ticks")?,
+            stations: narrow("stations")?,
+            load: parse_load(r.str("load")?)?,
+            adv_rate: r.f64("adv_rate")?,
+            adv_burst: narrow("adv_burst")?,
+            adv_start: r.u64("adv_start")?,
+            controller: parse_controller(r.str("controller")?)?,
+            faults: FaultPlan {
+                success_to_collision: r.f64("success_to_collision")?,
+                collision_to_success: r.f64("collision_to_success")?,
+                collision_to_idle: r.f64("collision_to_idle")?,
+                idle_to_collision: r.f64("idle_to_collision")?,
+                erasure: r.f64("erasure")?,
+                deafness: r.f64("deafness")?,
+                deaf_slots: r.u64("deaf_slots")?,
+            },
+            churn: ChurnPlan {
+                crash: r.f64("crash")?,
+                down_slots: r.u64("down_slots")?,
+                late_join_frac: r.f64("late_join_frac")?,
+                join_slot: r.u64("join_slot")?,
+                leave_frac: r.f64("leave_frac")?,
+                leave_slot: r.u64("leave_slot")?,
+                catch_up_slots: r.u64("catch_up_slots")?,
+                outage_start_slot: r.u64("outage_start_slot")?,
+                outage_slots: r.u64("outage_slots")?,
+            },
+            seed: r.u64("seed")?,
+        })
+    }
+}
+
+/// `start:value` pairs joined by `;`.
+fn pairs_text<T: std::fmt::Display>(pairs: &[(u64, T)]) -> String {
+    let items: Vec<String> = pairs.iter().map(|(s, v)| format!("{s}:{v}")).collect();
+    items.join(";")
+}
+
+fn parse_pairs<T: FromStr>(text: &str) -> Result<Vec<(u64, T)>, String> {
+    text.split(';')
+        .map(|item| {
+            let bad = || format!("malformed list item {item:?}");
+            let (start, value) = item.split_once(':').ok_or_else(bad)?;
+            Ok((
+                start.parse().map_err(|_| bad())?,
+                value.parse().map_err(|_| bad())?,
+            ))
+        })
+        .collect()
+}
+
+/// `piecewise START:RATE;...` or `voice TALKSPURT:SILENCE:INTERVAL`.
+fn load_text(load: &Load) -> String {
+    match load {
+        Load::Piecewise(segments) => format!("piecewise {}", pairs_text(segments)),
+        Load::Voice {
+            talkspurt,
+            silence,
+            interval,
+        } => format!("voice {talkspurt}:{silence}:{interval}"),
+    }
+}
+
+fn parse_load(text: &str) -> Result<Load, String> {
+    match text.split_once(' ') {
+        Some(("piecewise", list)) => Ok(Load::Piecewise(parse_pairs(list)?)),
+        Some(("voice", params)) => {
+            let bad = || format!("malformed voice load {params:?}");
+            let values: Vec<u64> = params
+                .split(':')
+                .map(str::parse)
+                .collect::<Result<_, _>>()
+                .map_err(|_| bad())?;
+            let &[talkspurt, silence, interval] = &values[..] else {
+                return Err(bad());
+            };
+            Ok(Load::Voice {
+                talkspurt,
+                silence,
+                interval,
+            })
+        }
+        _ => Err(format!("unknown load {text:?}")),
+    }
+}
+
+/// The controller's label, followed for the oracle by its schedule.
+fn controller_text(controller: &Controller) -> String {
+    match controller {
+        Controller::Oracle(schedule) => format!("oracle {}", pairs_text(schedule)),
+        other => other.label().to_string(),
+    }
+}
+
+fn parse_controller(text: &str) -> Result<Controller, String> {
+    match text.split_once(' ') {
+        Some(("oracle", schedule)) => Ok(Controller::Oracle(parse_pairs(schedule)?)),
+        _ => Controller::PLAIN
+            .into_iter()
+            .find(|c| c.label() == text)
+            .ok_or_else(|| format!("unknown controller {text:?}")),
+    }
+}
+
+/// A replay artifact: one run's record, the experiment that wrote it,
+/// the chaos harness's event-stream mutation ([`Mutation::None`]
+/// elsewhere) and the outcome a replay must reproduce.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Artifact {
+    /// Experiment tag: `robustness`, `churn`, `adaptive` or `chaos`.
+    pub experiment: String,
+    /// The run.
+    pub spec: RunSpec,
+    /// Corruption applied between engine and invariant monitor.
+    pub mutation: Mutation,
+    /// Outcome class: `ok`, `divergence`, `violation` or `panic`.
+    pub kind: String,
+    /// Invariant class of a violation (empty otherwise).
+    pub class: String,
+    /// The outcome detail that must replay bit for bit.
+    pub detail: String,
+}
+
+impl Artifact {
+    /// The artifact of an unmutated run: what `robustness`, `churn` and
+    /// `adaptive` record, with no invariant class.
+    pub fn unmutated(experiment: &str, spec: RunSpec, kind: String, detail: String) -> Self {
+        Artifact {
+            experiment: experiment.to_string(),
+            spec,
+            mutation: Mutation::None,
+            kind,
+            class: String::new(),
+            detail,
+        }
+    }
+
+    /// Serializes the artifact as one flat JSON object.
+    pub fn to_json(&self) -> String {
+        let mut w = RecordWriter::default();
+        w.u64("record_format", RECORD_FORMAT);
+        w.str("version", ARTIFACT_VERSION);
+        w.str("experiment", &self.experiment);
+        self.spec.write_fields(&mut w);
+        w.str("mutation", self.mutation.label());
         w.str("kind", &self.kind);
+        w.str("class", &self.class);
         w.str("detail", &self.detail);
         w.finish()
     }
 
-    /// Parses a record previously written by [`FailureRecord::to_json`].
-    ///
-    /// Rejects artifacts missing a version stamp, stamped by a different
-    /// workspace version, or carrying out-of-range plan parameters — a
-    /// stale or corrupted artifact would replay a *different* timeline and
-    /// report a spurious divergence.
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let r = read_artifact(text, None)?;
-        let num = |key: &str| r.f64(key);
-        let int = |key: &str| r.u64(key);
-        let policy = match r.str("policy")? {
-            "controlled" => PolicyKind::Controlled,
-            "fcfs" => PolicyKind::Fcfs,
-            "lcfs" => PolicyKind::Lcfs,
-            "random" => PolicyKind::Random,
-            other => return Err(format!("unknown policy {other:?}")),
-        };
-        let plan = FaultPlan {
-            success_to_collision: num("success_to_collision")?,
-            collision_to_success: num("collision_to_success")?,
-            collision_to_idle: num("collision_to_idle")?,
-            idle_to_collision: num("idle_to_collision")?,
-            erasure: num("erasure")?,
-            deafness: num("deafness")?,
-            deaf_slots: int("deaf_slots")?,
-        };
-        plan.check()
-            .map_err(|e| format!("corrupted fault plan: {e}"))?;
-        let churn = ChurnPlan {
-            crash: num("crash")?,
-            down_slots: int("down_slots")?,
-            late_join_frac: num("late_join_frac")?,
-            join_slot: int("join_slot")?,
-            leave_frac: num("leave_frac")?,
-            leave_slot: int("leave_slot")?,
-            catch_up_slots: int("catch_up_slots")?,
-            outage_start_slot: int("outage_start_slot")?,
-            outage_slots: int("outage_slots")?,
-        };
-        churn
-            .check()
-            .map_err(|e| format!("corrupted churn plan: {e}"))?;
-        Ok(FailureRecord {
-            cell: Cell {
-                panel: Panel {
-                    rho_prime: num("rho_prime")?,
-                    m: int("m")?,
-                },
-                policy,
-                k_tau: num("k_tau")?,
-                settings: SimSettings {
-                    ticks_per_tau: int("ticks_per_tau")?,
-                    messages: int("messages")?,
-                    warmup: int("warmup")?,
-                    stations: u32::try_from(int("stations")?)
-                        .map_err(|e| format!("field \"stations\": {e}"))?,
-                    // Absent in artifacts that predate the guard flag.
-                    guard: r.contains("guard") && r.bool("guard")?,
-                },
-                seed: int("seed")?,
-                plan,
-                churn,
-            },
+    /// Parses an artifact of `experiment`, checking the record format,
+    /// then the version stamp and experiment tag, before any other field
+    /// is read, and validating the spec ([`RunSpec::check`]): a stale,
+    /// foreign or corrupted artifact would replay a different timeline,
+    /// so it is refused.
+    pub fn from_json(text: &str, experiment: &str) -> Result<Self, String> {
+        let r = Record::parse(text)?;
+        let regenerate = "regenerate it with the current binaries";
+        let format = r.u64("record_format").map_err(|_| {
+            format!(
+                "artifact has no record_format stamp (this binary reads record \
+                 format {RECORD_FORMAT}); {regenerate}"
+            )
+        })?;
+        if format != RECORD_FORMAT {
+            return Err(format!(
+                "artifact has record format {format}, this binary reads record \
+                 format {RECORD_FORMAT}; {regenerate}"
+            ));
+        }
+        r.check_envelope(ARTIFACT_VERSION, Some(experiment))
+            .map_err(|e| format!("artifact {e}; {regenerate}"))?;
+        let spec = RunSpec::from_record(&r)?;
+        spec.check()?;
+        let mutation = r.str("mutation")?;
+        Ok(Artifact {
+            experiment: experiment.to_string(),
+            spec,
+            mutation: Mutation::parse(mutation)
+                .ok_or_else(|| format!("unknown mutation {mutation:?}"))?,
             kind: r.str("kind")?.to_string(),
+            class: r.str("class")?.to_string(),
             detail: r.str("detail")?.to_string(),
         })
     }
 
-    /// Writes the record to `path` atomically, creating parent directories.
+    /// Writes the artifact to `path` atomically, creating parent
+    /// directories.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         record::write_atomic(path, &self.to_json())
     }
 
-    /// Loads a record from `path`.
-    pub fn load(path: &Path) -> Result<Self, String> {
-        Self::from_json(&load_artifact(path)?)
+    /// Loads an artifact of `experiment` from `path`.
+    pub fn load(path: &Path, experiment: &str) -> Result<Self, String> {
+        let text = fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
+        Self::from_json(&text, experiment)
     }
 }
 
@@ -252,20 +399,21 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Executes `cell` and returns the observed `(kind, detail)` outcome —
-/// `("ok", summary)` when nothing failed. Deterministic: the same cell
-/// always returns the same pair.
+/// Executes `spec` and returns the observed `(kind, detail)` outcome —
+/// `("ok", ...)` carrying the exact loss bits and offered count when
+/// nothing failed. Deterministic: the same spec always returns the same
+/// pair.
 ///
-/// The cell's divergence detector ([`Cell::detector`]) rides along
-/// whenever the cell injects receive deafness or a churn listener
+/// Station 0's divergence detector ([`RunSpec::detector`]) rides along
+/// whenever the spec injects receive deafness or a churn listener
 /// outage; a detected divergence is itself a reportable failure.
-pub fn execute(cell: &Cell) -> (String, String) {
+pub fn execute(spec: &RunSpec) -> (String, String) {
     let run = || -> (String, String) {
-        let mut det = cell.detector();
-        let result = if cell.plan.deafness > 0.0 || cell.churn.outage_slots > 0 {
-            cell.run_observed(&mut det, None)
+        let mut det = spec.detector();
+        let result = if spec.faults.deafness > 0.0 || spec.churn.outage_slots > 0 {
+            spec.run_observed(&mut det, None)
         } else {
-            cell.run()
+            spec.run()
         };
         match det.first_divergence() {
             Some(first) => (
@@ -278,7 +426,18 @@ pub fn execute(cell: &Cell) -> (String, String) {
                     det.churn_repairs()
                 ),
             ),
-            None => ("ok".to_string(), format!("loss={:.6}", result.point.loss)),
+            None => {
+                let p = result.point;
+                (
+                    "ok".to_string(),
+                    format!(
+                        "loss_bits={:016x} loss={:.6} offered={}",
+                        p.loss.to_bits(),
+                        p.loss,
+                        p.offered
+                    ),
+                )
+            }
         }
     };
     match catch_unwind(AssertUnwindSafe(run)) {
@@ -287,36 +446,61 @@ pub fn execute(cell: &Cell) -> (String, String) {
     }
 }
 
-/// Replays an artifact and returns the process exit code, following the
-/// convention in [`crate::diag`]: [`crate::diag::EXIT_FAILURE`] when the
-/// artifact cannot be loaded (missing, stale version, or corrupted) or
-/// when the replay did not reproduce the recorded failure, `0` when it
-/// did.
-pub fn replay(path: &Path) -> i32 {
-    let rec = match FailureRecord::load(path) {
-        Ok(r) => r,
+/// Replays an artifact of `experiment` and returns the process exit
+/// code, following the convention in [`crate::diag`].
+///
+/// An unloadable, stale or foreign artifact, or a replay that does not
+/// reproduce the recorded `(kind, class, detail)`, exits
+/// [`crate::diag::EXIT_FAILURE`]. A faithful replay exits `0`, except a
+/// chaos artifact that records a failure: under the shared convention an
+/// invariant violation is a failure however it was produced, so it exits
+/// [`crate::diag::EXIT_FAILURE`] too (stdout then says `replay
+/// reproduced the recorded failure`). Chaos artifacts replay under the
+/// invariant monitor ([`crate::chaos::execute`]), all others through
+/// [`execute`].
+pub fn replay(path: &Path, experiment: &str) -> i32 {
+    let art = match Artifact::load(path, experiment) {
+        Ok(a) => a,
         Err(e) => {
-            crate::diag::error("replay", &format!("cannot load artifact: {e}"));
+            crate::diag::error(experiment, &format!("cannot load artifact: {e}"));
             return crate::diag::EXIT_FAILURE;
         }
     };
+    let spec = &art.spec;
     println!(
-        "replaying {} (kind={:?}, seed={}, plan={:?}, churn={:?})",
+        "replaying {} (kind={:?}, seed={}, controller={}, mutation={}, plan={:?}, churn={:?})",
         path.display(),
-        rec.kind,
-        rec.cell.seed,
-        rec.cell.plan,
-        rec.cell.churn
+        art.kind,
+        spec.seed,
+        spec.controller.label(),
+        art.mutation.label(),
+        spec.faults,
+        spec.churn
     );
-    let (kind, detail) = execute(&rec.cell);
-    println!("recorded: [{}] {}", rec.kind, rec.detail);
-    println!("replayed: [{kind}] {detail}");
-    if kind == rec.kind && detail == rec.detail {
-        println!("replay reproduced the identical failure");
+    let chaos = experiment == "chaos";
+    let (kind, class, detail) = if chaos {
+        let out = crate::chaos::execute(spec, art.mutation);
+        (out.kind, out.class, out.detail)
+    } else {
+        let (kind, detail) = execute(spec);
+        (kind, String::new(), detail)
+    };
+    println!("recorded: [{}/{}] {}", art.kind, art.class, art.detail);
+    println!("replayed: [{kind}/{class}] {detail}");
+    if (&kind, &class, &detail) != (&art.kind, &art.class, &art.detail) {
+        crate::diag::error(experiment, "REPLAY DIVERGED from the recorded outcome");
+        return crate::diag::EXIT_FAILURE;
+    }
+    if art.kind == "ok" {
+        println!("replay reproduced the recorded outcome");
         0
     } else {
-        crate::diag::error("replay", "REPLAY DIVERGED from the recorded failure");
-        crate::diag::EXIT_FAILURE
+        println!("replay reproduced the recorded failure");
+        if chaos {
+            crate::diag::EXIT_FAILURE
+        } else {
+            0
+        }
     }
 }
 
@@ -334,75 +518,115 @@ pub(crate) fn fmt_f64(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::panels::Panel;
+    use crate::runner::SimSettings;
 
-    fn record() -> FailureRecord {
+    fn artifact() -> Artifact {
         let panel = Panel {
             rho_prime: 0.5,
             m: 25,
         };
-        let settings = SimSettings::default();
-        FailureRecord {
-            cell: Cell {
-                plan: FaultPlan {
-                    success_to_collision: 0.05,
-                    collision_to_success: 0.05,
-                    collision_to_idle: 0.05,
-                    idle_to_collision: 0.05,
-                    erasure: 0.05,
-                    deafness: 0.01,
-                    deaf_slots: 3,
-                },
-                churn: ChurnPlan {
-                    crash: 0.001,
-                    down_slots: 40,
-                    catch_up_slots: 100,
-                    ..ChurnPlan::none()
-                },
-                ..Cell::clean(panel, PolicyKind::Controlled, 100.0, settings, 42)
+        let spec = RunSpec {
+            faults: FaultPlan {
+                success_to_collision: 0.05,
+                collision_to_success: 0.05,
+                collision_to_idle: 0.05,
+                idle_to_collision: 0.05,
+                erasure: 0.05,
+                deafness: 0.01,
+                deaf_slots: 3,
             },
+            churn: ChurnPlan {
+                crash: 0.001,
+                down_slots: 40,
+                catch_up_slots: 100,
+                ..ChurnPlan::none()
+            },
+            ..RunSpec::panel(
+                panel,
+                PolicyKind::Controlled,
+                100.0,
+                SimSettings::default(),
+                42,
+            )
+        };
+        Artifact {
+            experiment: "robustness".to_string(),
+            spec,
+            mutation: Mutation::None,
             kind: "panic".to_string(),
+            class: String::new(),
             detail: "assertion \"failed\"\nwith a newline and a \\ backslash".to_string(),
         }
     }
 
     #[test]
     fn json_roundtrip_is_exact() {
-        let r = record();
-        let parsed = FailureRecord::from_json(&r.to_json()).expect("parse");
-        assert_eq!(parsed, r);
+        let a = artifact();
+        let parsed = Artifact::from_json(&a.to_json(), "robustness").expect("parse");
+        assert_eq!(parsed, a);
+        let voice = Artifact {
+            spec: RunSpec {
+                load: Load::Voice {
+                    talkspurt: 4_000,
+                    silence: 12_000,
+                    interval: 400,
+                },
+                controller: Controller::Oracle(vec![(0, 36), (150_000, 7)]),
+                ..a.spec.clone()
+            },
+            ..a
+        };
+        let parsed = Artifact::from_json(&voice.to_json(), "robustness").expect("parse");
+        assert_eq!(parsed, voice);
     }
 
     #[test]
     fn parse_rejects_missing_version() {
-        let json = record().to_json().replace("\"version\"", "\"vversion\"");
-        let err = FailureRecord::from_json(&json).unwrap_err();
+        let json = artifact().to_json().replace("\"version\"", "\"vversion\"");
+        let err = Artifact::from_json(&json, "robustness").unwrap_err();
         assert!(err.contains("no version stamp"), "{err}");
     }
 
     #[test]
     fn parse_rejects_stale_version() {
         let stamp = format!("\"version\": \"{ARTIFACT_VERSION}\"");
-        let json = record()
+        let json = artifact()
             .to_json()
             .replace(&stamp, "\"version\": \"0.0.0-stale\"");
-        let err = FailureRecord::from_json(&json).unwrap_err();
+        let err = Artifact::from_json(&json, "robustness").unwrap_err();
         assert!(
             err.contains("0.0.0-stale") && err.contains(ARTIFACT_VERSION),
             "{err}"
         );
     }
 
+    /// The record format is checked before any other field: a stale or
+    /// missing stamp is named in the error, whatever else the file holds.
+    #[test]
+    fn parse_rejects_stale_record_format() {
+        let stamp = format!("\"record_format\": {RECORD_FORMAT}");
+        let json = artifact()
+            .to_json()
+            .replace(&stamp, "\"record_format\": 999");
+        let err = Artifact::from_json(&json, "robustness").unwrap_err();
+        assert!(err.contains("record format 999"), "{err}");
+        let json = artifact().to_json().replace(&stamp, "\"format\": 1");
+        let err = Artifact::from_json(&json, "robustness").unwrap_err();
+        assert!(err.contains("no record_format stamp"), "{err}");
+    }
+
     #[test]
     fn parse_rejects_corrupted_plans() {
-        let json = record()
+        let json = artifact()
             .to_json()
             .replace("\"erasure\": 0.05", "\"erasure\": 7.0");
-        let err = FailureRecord::from_json(&json).unwrap_err();
+        let err = Artifact::from_json(&json, "robustness").unwrap_err();
         assert!(err.contains("corrupted fault plan"), "{err}");
-        let json = record()
+        let json = artifact()
             .to_json()
             .replace("\"crash\": 0.001", "\"crash\": -1.0");
-        let err = FailureRecord::from_json(&json).unwrap_err();
+        let err = Artifact::from_json(&json, "robustness").unwrap_err();
         assert!(err.contains("corrupted churn plan"), "{err}");
     }
 
@@ -410,17 +634,20 @@ mod tests {
     fn roundtrip_survives_save_and_load() {
         let dir = std::env::temp_dir().join("tcw_replay_test");
         let path = dir.join("failure.json");
-        let r = record();
-        r.save(&path).expect("save");
-        let loaded = FailureRecord::load(&path).expect("load");
-        assert_eq!(loaded, r);
+        let a = artifact();
+        a.save(&path).expect("save");
+        let loaded = Artifact::load(&path, "robustness").expect("load");
+        assert_eq!(loaded, a);
+        assert!(Artifact::load(&path, "churn")
+            .unwrap_err()
+            .contains("experiment"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(FailureRecord::from_json("not json").is_err());
-        assert!(FailureRecord::from_json("{}").is_err());
+        assert!(Artifact::from_json("not json", "robustness").is_err());
+        assert!(Artifact::from_json("{}", "robustness").is_err());
     }
 
     #[test]

@@ -41,7 +41,9 @@
 //! a core until the cell returns or the process exits.
 
 use crate::replay::ARTIFACT_VERSION;
-use crate::runner::{AoiPoint, CellResult, ChurnCounters, FaultCounters, SimPoint};
+use crate::runner::{
+    AoiPoint, CellResult, ChurnCounters, ControllerCounters, FaultCounters, SimPoint,
+};
 use crate::sweep::{pool, Failure, Quarantined};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -53,7 +55,7 @@ use tcw_sim::snap::{self, SnapError, SnapReader, SnapWriter};
 use tcw_window::engine::HorizonStats;
 
 /// Journal file format version; bumped on any layout change.
-pub const JOURNAL_FORMAT: u64 = 4;
+pub const JOURNAL_FORMAT: u64 = 5;
 
 // ---------------------------------------------------------------------------
 // Options
@@ -155,10 +157,12 @@ pub trait JournalItem: Sized {
 }
 
 impl JournalItem for CellResult {
-    /// Every field in declaration order, batched into runs of `f64` and
-    /// `u64` words; `decode` reads them back in the same order.
+    /// Every field, batched into runs of `f64` and `u64` words (the
+    /// controller's words last); `decode` reads them back in the same
+    /// order.
     fn encode(&self, w: &mut SnapWriter) {
         let (p, f, c, a, h) = (self.point, self.faults, self.churn, self.aoi, self.horizon);
+        let ctl = self.controller;
         for x in [
             p.k,
             p.loss,
@@ -205,6 +209,9 @@ impl JournalItem for CellResult {
             h.slots_skipped,
             h.batched_runs,
             h.batched_slots,
+            ctl.window_ticks,
+            ctl.shrinks,
+            ctl.grows,
         ] {
             w.push(x);
         }
@@ -255,25 +262,11 @@ impl JournalItem for CellResult {
                 batched_runs: r.take()?,
                 batched_slots: r.take()?,
             },
-        })
-    }
-}
-
-impl JournalItem for crate::adaptive::CellOutcome {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.push(self.offered);
-        w.push_f64(self.loss);
-        w.push(self.window_ticks);
-        w.push(self.shrinks);
-        w.push(self.grows);
-    }
-    fn decode(r: &mut SnapReader) -> Result<Self, SnapError> {
-        Ok(crate::adaptive::CellOutcome {
-            offered: r.take()?,
-            loss: r.take_f64()?,
-            window_ticks: r.take()?,
-            shrinks: r.take()?,
-            grows: r.take()?,
+            controller: ControllerCounters {
+                window_ticks: r.take()?,
+                shrinks: r.take()?,
+                grows: r.take()?,
+            },
         })
     }
 }
@@ -1016,6 +1009,11 @@ mod tests {
                 rejoin_mean_slots: f64::NAN,
                 rejoin_max_slots: 64.0,
             },
+            controller: ControllerCounters {
+                window_ticks: 20,
+                shrinks: 21,
+                grows: 22,
+            },
             aoi: AoiPoint {
                 k: 100.0,
                 mean_age_tau: 18.5,
@@ -1045,6 +1043,7 @@ mod tests {
             csp.churn.rejoin_mean_slots.to_bits()
         );
         assert_eq!(back.horizon, csp.horizon);
+        assert_eq!(back.controller, csp.controller);
         assert_eq!(format!("{back:?}"), format!("{csp:?}"));
 
         let chaos = crate::chaos::ChaosOutcome {

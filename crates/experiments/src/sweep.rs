@@ -1,8 +1,8 @@
 //! Sweep execution: the one worker pool every sweep runs on.
 //!
 //! Every experiment binary sweeps a grid of *cells* — fully specified,
-//! mutually independent simulation points (for the panel sweeps, one
-//! [`Cell`]: panel × policy × deadline × seed × fault/churn plan). Cells
+//! mutually independent simulation points (most often one
+//! [`RunSpec`]: every input of a run, the seed included). Cells
 //! share no state: each engine derives every random draw from its own
 //! master seed, so the grid is embarrassingly parallel and the paper's
 //! Section-5 panels can use all available cores.
@@ -32,7 +32,7 @@
 //! [`Progress`] and hand each cell an `Option<&Progress>`.
 
 use crate::replay::panic_message;
-use crate::runner::{Cell, CellResult};
+use crate::runner::{CellResult, RunSpec};
 use std::fmt;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,7 +46,7 @@ use tcw_obs::Progress;
 /// A panicking cell aborts the sweep with a message naming both the
 /// cell index and its master seed, so the failure can be replayed
 /// without guessing which grid point died.
-pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<CellResult> {
+pub fn run_cells(cells: &[RunSpec], jobs: usize) -> Vec<CellResult> {
     run_parallel(cells, jobs, false, |_, c, _| {
         catch_unwind(AssertUnwindSafe(|| c.run()))
             .unwrap_or_else(|e| panic!("cell with seed {} panicked: {}", c.seed, panic_message(e)))
@@ -274,19 +274,13 @@ pub fn jobs_from_args(tool: &str, args: &[String]) -> usize {
 }
 
 fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let value = match a.strip_prefix("--jobs=") {
-            Some(v) => v,
-            None if a == "--jobs" => it.next().ok_or("--jobs needs a value")?,
-            None => continue,
-        };
-        return value
+    match crate::diag::flag_value(args, "--jobs")? {
+        None => Ok(default_jobs()),
+        Some(value) => value
             .parse::<NonZeroUsize>()
             .map(NonZeroUsize::get)
-            .map_err(|_| format!("--jobs expects a positive integer, got {value:?}"));
+            .map_err(|_| format!("--jobs expects a positive integer, got {value:?}")),
     }
-    Ok(default_jobs())
 }
 
 #[cfg(test)]
@@ -387,7 +381,7 @@ mod tests {
             rho_prime: -1.0,
             m: 25,
         };
-        let cells = vec![Cell::clean(
+        let cells = vec![RunSpec::panel(
             bad,
             PolicyKind::Controlled,
             100.0,
@@ -408,8 +402,8 @@ mod tests {
             ticks_per_tau: 8,
             ..Default::default()
         };
-        let cells: Vec<Cell> = (0..4)
-            .map(|i| Cell::clean(PANELS[0], PolicyKind::Controlled, 100.0, settings, 100 + i))
+        let cells: Vec<RunSpec> = (0..4)
+            .map(|i| RunSpec::panel(PANELS[0], PolicyKind::Controlled, 100.0, settings, 100 + i))
             .collect();
         let serial = run_cells(&cells, 1);
         let parallel = run_cells(&cells, 4);

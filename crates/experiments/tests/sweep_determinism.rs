@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 use tcw_experiments::plot::write_csv;
-use tcw_experiments::runner::{Cell, CellResult, PolicyKind, SimSettings};
+use tcw_experiments::runner::{CellResult, PolicyKind, RunSpec, SimSettings};
 use tcw_experiments::sweep::{run_cells, run_parallel};
 use tcw_experiments::{observed_cell, Capture, CellArtifacts, PANELS};
 use tcw_mac::{ChurnPlan, FaultPlan};
@@ -29,18 +29,18 @@ fn small() -> SimSettings {
 
 /// The miniature robustness-style grid used by the test: two loads ×
 /// three fault probabilities, seeds mixed per cell like the binaries do.
-fn grid() -> Vec<Cell> {
+fn grid() -> Vec<RunSpec> {
     let mut cells = Vec::new();
     for (li, &panel) in [PANELS[0], PANELS[4]].iter().enumerate() {
         for (pi, &p) in [0.0, 0.02, 0.05].iter().enumerate() {
-            let mut c = Cell::clean(
+            let mut c = RunSpec::panel(
                 panel,
                 PolicyKind::Controlled,
                 100.0,
                 small(),
                 1983 ^ ((li as u64) << 8) ^ pi as u64,
             );
-            c.plan = FaultPlan::uniform(p);
+            c.faults = FaultPlan::uniform(p);
             if pi == 2 {
                 c.churn = ChurnPlan::crash_restart(0.002, 40, 100);
             }

@@ -1,9 +1,9 @@
 //! End-to-end checks of the churn sweep machinery and the versioned,
 //! churn-aware failure-replay artifact.
 
-use tcw_experiments::replay::{execute, FailureRecord, ARTIFACT_VERSION};
-use tcw_experiments::runner::{Cell, PolicyKind, SimSettings};
-use tcw_experiments::Panel;
+use tcw_experiments::replay::{execute, Artifact, ARTIFACT_VERSION};
+use tcw_experiments::runner::{PolicyKind, RunSpec, SimSettings};
+use tcw_experiments::{Mutation, Panel};
 use tcw_mac::{ChurnPlan, FaultPlan};
 
 fn quick() -> SimSettings {
@@ -26,12 +26,24 @@ fn crashy() -> ChurnPlan {
     ChurnPlan::crash_restart(0.002, 40, 100)
 }
 
-/// The controlled cell at `K = 100` under `plan` and `churn`.
-fn cell(seed: u64, plan: FaultPlan, churn: ChurnPlan) -> Cell {
-    Cell {
-        plan,
+/// The controlled run at `K = 100` under `plan` and `churn`.
+fn cell(seed: u64, plan: FaultPlan, churn: ChurnPlan) -> RunSpec {
+    RunSpec {
+        faults: plan,
         churn,
-        ..Cell::clean(panel(), PolicyKind::Controlled, 100.0, quick(), seed)
+        ..RunSpec::panel(panel(), PolicyKind::Controlled, 100.0, quick(), seed)
+    }
+}
+
+/// A churn artifact of `spec` with an outcome to fill in.
+fn artifact(spec: RunSpec, kind: &str, detail: &str) -> Artifact {
+    Artifact {
+        experiment: "churn".to_string(),
+        spec,
+        mutation: Mutation::None,
+        kind: kind.to_string(),
+        class: String::new(),
+        detail: detail.to_string(),
     }
 }
 
@@ -71,12 +83,8 @@ fn churn_artifact_roundtrips_and_replays() {
         outage_slots: 32,
         ..crashy()
     };
-    let rec = FailureRecord {
-        cell: cell(11, FaultPlan::none(), churn),
-        kind: String::new(),
-        detail: String::new(),
-    };
-    let (kind, detail) = execute(&rec.cell);
+    let rec = artifact(cell(11, FaultPlan::none(), churn), "", "");
+    let (kind, detail) = execute(&rec.spec);
     assert_eq!(kind, "divergence", "outage must diverge: {detail}");
     assert!(detail.contains("churn repair"), "{detail}");
 
@@ -86,20 +94,20 @@ fn churn_artifact_roundtrips_and_replays() {
     let dir = std::env::temp_dir().join("tcw_churn_membership_test");
     let path = dir.join("artifact.json");
     failed.save(&path).expect("save artifact");
-    let loaded = FailureRecord::load(&path).expect("load artifact");
+    let loaded = Artifact::load(&path, "churn").expect("load artifact");
     assert_eq!(loaded, failed);
-    let (kind2, detail2) = execute(&loaded.cell);
+    let (kind2, detail2) = execute(&loaded.spec);
     assert_eq!((kind2, detail2), (loaded.kind, loaded.detail));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn stale_or_corrupted_artifacts_are_rejected() {
-    let rec = FailureRecord {
-        cell: cell(3, FaultPlan::none(), ChurnPlan::none()),
-        kind: "panic".to_string(),
-        detail: "boom".to_string(),
-    };
+    let rec = artifact(
+        cell(3, FaultPlan::none(), ChurnPlan::none()),
+        "panic",
+        "boom",
+    );
     let dir = std::env::temp_dir().join("tcw_churn_stale_test");
     std::fs::create_dir_all(&dir).expect("mkdir");
 
@@ -110,20 +118,20 @@ fn stale_or_corrupted_artifacts_are_rejected() {
     );
     let p1 = dir.join("stale.json");
     std::fs::write(&p1, stale).expect("write");
-    let err = FailureRecord::load(&p1).unwrap_err();
+    let err = Artifact::load(&p1, "churn").unwrap_err();
     assert!(err.contains("0.0.0-prehistoric"), "{err}");
 
     // Out-of-range churn parameters.
     let corrupt = rec.to_json().replace("\"crash\": 0.0", "\"crash\": 2.5");
     let p2 = dir.join("corrupt.json");
     std::fs::write(&p2, corrupt).expect("write");
-    let err = FailureRecord::load(&p2).unwrap_err();
+    let err = Artifact::load(&p2, "churn").unwrap_err();
     assert!(err.contains("corrupted churn plan"), "{err}");
 
     // Not JSON at all.
     let p3 = dir.join("garbage.json");
     std::fs::write(&p3, "definitely not json").expect("write");
-    assert!(FailureRecord::load(&p3).is_err());
+    assert!(Artifact::load(&p3, "churn").is_err());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -232,8 +232,9 @@ fn telemetry_is_unchanged_under_retries() {
 }
 
 /// Malformed supervision values, `--jobs 0`, `--resume` with an
-/// observability export (journaled cells carry no telemetry) and
-/// `--inject-slow` without a watchdog are usage errors (exit 1). A bare
+/// observability export (journaled cells carry no telemetry),
+/// `--inject-slow` without a watchdog, and misspelled flags (`--resum`,
+/// `--config`) are usage errors (exit 1) that open no journal. A bare
 /// `--inject-panic` needs no flag: the default supervision quarantines
 /// the cell (exit 2).
 #[test]
@@ -245,6 +246,8 @@ fn incompatible_flag_combinations_are_usage_errors() {
         &["--jobs", "x"],
         &["--jobs", "0"],
         &["--cell-timeout", "1e30"],
+        &["--resum", "J"],
+        &["--config", "2"],
     ] {
         let mut full = vec!["--configs", "2"];
         full.extend_from_slice(args);

@@ -7,8 +7,13 @@
 //! seeded corruption per invariant class asserting the monitor reports
 //! exactly that class.
 
-use tcw_experiments::chaos::{inject_config, ChaosConfig, ChaosController, Mutation, BASE_SEED};
-use tcw_experiments::chaos_execute as execute;
+use tcw_experiments::chaos::{Mutation, BASE_SEED};
+use tcw_experiments::{chaos_execute, ChaosOutcome, Controller, RunSpec};
+
+/// Runs `spec` under the monitor with a faithful event stream.
+fn execute(spec: &RunSpec) -> ChaosOutcome {
+    chaos_execute(spec, Mutation::None)
+}
 
 /// Faithful event streams are clean, whatever the stress composition.
 /// This samples the head of the real chaos sweep, which mixes faults,
@@ -17,11 +22,11 @@ use tcw_experiments::chaos_execute as execute;
 fn composed_stress_has_no_false_positives() {
     let mut controllers_seen = [false; 3];
     for index in 0..24 {
-        let cfg = ChaosConfig::sample(BASE_SEED, index);
+        let cfg = RunSpec::chaos_sample(BASE_SEED, index);
         controllers_seen[match cfg.controller {
-            ChaosController::Static => 0,
-            ChaosController::Aimd => 1,
-            ChaosController::Estimator => 2,
+            Controller::Static => 0,
+            Controller::Aimd => 1,
+            _ => 2,
         }] = true;
         let out = execute(&cfg);
         assert_eq!(
@@ -41,14 +46,14 @@ fn composed_stress_has_no_false_positives() {
 /// The clean seeded baseline used by `chaos --inject` really is clean.
 #[test]
 fn inject_baseline_is_clean() {
-    let out = execute(&inject_config(Mutation::None));
+    let out = execute(&RunSpec::chaos_inject());
     assert_eq!(out.kind, "ok", "[{}] {}", out.class, out.detail);
     assert!(out.deliveries > 0, "baseline must deliver messages");
 }
 
 fn assert_caught(mutation: Mutation) {
     let expected = mutation.expected_class().expect("corrupting mutation");
-    let out = execute(&inject_config(mutation));
+    let out = chaos_execute(&RunSpec::chaos_inject(), mutation);
     assert_eq!(
         out.kind,
         "violation",
@@ -93,24 +98,16 @@ fn stale_clock_trips_clock() {
 fn mutations_caught_under_composed_stress() {
     // Find a stressed sample config that is clean when faithful.
     let cfg = (0..64)
-        .map(|i| ChaosConfig::sample(BASE_SEED, i))
+        .map(|i| RunSpec::chaos_sample(BASE_SEED, i))
         .find(|c| {
-            !c.plan.is_none()
+            !c.faults.is_none()
                 && c.churn != tcw_mac::ChurnPlan::none()
                 && execute(c).kind == "ok"
-                && execute(&ChaosConfig {
-                    mutation: Mutation::DropDelivery,
-                    ..c.clone()
-                })
-                .deliveries
-                    >= 4
+                && chaos_execute(c, Mutation::DropDelivery).deliveries >= 4
         })
         .expect("a clean faulted+churned sample in the sweep head");
     for mutation in Mutation::CORRUPTING {
-        let out = execute(&ChaosConfig {
-            mutation,
-            ..cfg.clone()
-        });
+        let out = chaos_execute(&cfg, mutation);
         assert_eq!(
             out.kind,
             "violation",
@@ -129,7 +126,7 @@ fn mutations_caught_under_composed_stress() {
 #[test]
 fn outcomes_are_deterministic() {
     for index in [0, 7, 13] {
-        let cfg = ChaosConfig::sample(BASE_SEED, index);
+        let cfg = RunSpec::chaos_sample(BASE_SEED, index);
         let a = execute(&cfg);
         let b = execute(&cfg);
         assert_eq!(a, b, "config {index} not deterministic");

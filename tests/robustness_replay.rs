@@ -3,11 +3,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use tcw_experiments::adaptive::AdaptiveRecord;
-use tcw_experiments::replay::FailureRecord;
-use tcw_experiments::runner::{Cell, PolicyKind, SimSettings};
-use tcw_experiments::ChaosRecord;
-use tcw_experiments::Panel;
+use std::process::Command;
+use tcw_experiments::replay::{Artifact, RECORD_FORMAT};
+use tcw_experiments::runner::{PolicyKind, RunSpec, SimSettings};
+use tcw_experiments::{Mutation, Panel};
 use tcw_mac::FaultPlan;
 use tcw_sim::record::Record;
 use tcw_window::mirror::DivergenceDetector;
@@ -28,18 +27,18 @@ fn panel() -> Panel {
     }
 }
 
-/// The controlled cell at `K = 100` under `plan`.
-fn cell(seed: u64, plan: FaultPlan) -> Cell {
-    Cell {
-        plan,
-        ..Cell::clean(panel(), PolicyKind::Controlled, 100.0, quick(), seed)
+/// The controlled run at `K = 100` under `plan`.
+fn cell(seed: u64, plan: FaultPlan) -> RunSpec {
+    RunSpec {
+        faults: plan,
+        ..RunSpec::panel(panel(), PolicyKind::Controlled, 100.0, quick(), seed)
     }
 }
 
-/// Runs `cell` under its station-0 divergence detector.
-fn detect(cell: &Cell) -> DivergenceDetector {
-    let mut det = cell.detector();
-    cell.run_observed(&mut det, None);
+/// Runs `spec` under its station-0 divergence detector.
+fn detect(spec: &RunSpec) -> DivergenceDetector {
+    let mut det = spec.detector();
+    spec.run_observed(&mut det, None);
     det
 }
 
@@ -96,18 +95,21 @@ fn artifact_roundtrip_reproduces_the_failure() {
         .first_divergence()
         .map(str::to_string)
         .expect("deafness must diverge");
-    let rec = FailureRecord {
-        cell: cell(11, plan),
+    let rec = Artifact {
+        experiment: "robustness".to_string(),
+        spec: cell(11, plan),
+        mutation: Mutation::None,
         kind: "divergence".to_string(),
+        class: String::new(),
         detail: first.clone(),
     };
     let dir = std::env::temp_dir().join("tcw_robustness_test");
     let path = dir.join("artifact.json");
     rec.save(&path).expect("save artifact");
-    let loaded = FailureRecord::load(&path).expect("load artifact");
+    let loaded = Artifact::load(&path, "robustness").expect("load artifact");
     assert_eq!(loaded, rec);
     // Replay from the loaded record alone.
-    let replayed = detect(&loaded.cell);
+    let replayed = detect(&loaded.spec);
     assert_eq!(
         replayed.first_divergence(),
         Some(first.as_str()),
@@ -130,7 +132,7 @@ fn panics_are_catchable_for_the_harness() {
 }
 
 /// Every committed artifact under `results/failures/` loads through the
-/// record type of its family and re-serializes to identical bytes.
+/// one artifact parser and re-serializes to identical bytes.
 #[test]
 fn committed_failure_artifacts_reserialize_byte_for_byte() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/failures");
@@ -139,18 +141,74 @@ fn committed_failure_artifacts_reserialize_byte_for_byte() {
         let path = entry.expect("directory entry").path();
         let text = std::fs::read_to_string(&path).expect("read artifact");
         let record = Record::parse(&text).expect("artifact is a flat record");
-        let family = record
-            .contains("experiment")
-            .then(|| record.str("experiment"));
-        let again = match family.transpose().expect("string family tag") {
-            None => FailureRecord::load(&path).map(|r| r.to_json()),
-            Some("chaos") => ChaosRecord::load(&path).map(|r| r.to_json()),
-            Some("adaptive") => AdaptiveRecord::load(&path).map(|r| r.to_json()),
-            Some(other) => panic!("{}: unknown family {other:?}", path.display()),
-        };
-        let again = again.unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let family = record.str("experiment").expect("experiment tag");
+        let again = Artifact::load(&path, family)
+            .map(|a| a.to_json())
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert_eq!(again, text, "{} does not round-trip", path.display());
         seen += 1;
     }
     assert!(seen >= 4, "found only {seen} committed artifacts");
+}
+
+/// `results/failures/failure_divergence_seed1983_p02.json` as committed
+/// before the record format stamp existed.
+const UNSTAMPED_ARTIFACT: &str = r#"{
+  "version": "0.1.0",
+  "seed": 1983,
+  "success_to_collision": 0.02,
+  "collision_to_success": 0.02,
+  "collision_to_idle": 0.02,
+  "idle_to_collision": 0.02,
+  "erasure": 0.02,
+  "deafness": 0.002,
+  "deaf_slots": 4,
+  "crash": 0.0,
+  "down_slots": 0,
+  "late_join_frac": 0.0,
+  "join_slot": 0,
+  "leave_frac": 0.0,
+  "leave_slot": 0,
+  "catch_up_slots": 0,
+  "outage_start_slot": 0,
+  "outage_slots": 0,
+  "rho_prime": 0.5,
+  "m": 25,
+  "policy": "controlled",
+  "k_tau": 100.0,
+  "ticks_per_tau": 16,
+  "messages": 8000,
+  "warmup": 800,
+  "stations": 50,
+  "guard": false,
+  "kind": "divergence",
+  "detail": "station 0 diverged 948 time(s) (2032 slots missed, 948 resyncs, 0 churn repair(s)); first: t=1248: decision arrived mid-round"
+}
+"#;
+
+/// An artifact in the layout that predates the record format stamp is
+/// refused with an error naming the format, and `robustness --replay`
+/// exits 2 on it.
+#[test]
+fn unstamped_artifact_is_rejected_naming_the_format() {
+    let err = Artifact::from_json(UNSTAMPED_ARTIFACT, "robustness").unwrap_err();
+    assert!(err.contains("record_format"), "{err}");
+    assert!(
+        err.contains(&format!("record format {RECORD_FORMAT}")),
+        "{err}"
+    );
+
+    let dir = std::env::temp_dir().join(format!("tcw_unstamped_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let path = dir.join("old.json");
+    std::fs::write(&path, UNSTAMPED_ARTIFACT).expect("write");
+    let out = Command::new(env!("CARGO_BIN_EXE_robustness"))
+        .arg("--replay")
+        .arg(&path)
+        .output()
+        .expect("spawn robustness");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("record_format"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,7 +2,7 @@
 //! input to the queueing model's service distribution) against the
 //! protocol engine's measurements.
 
-use tcw_experiments::{Cell, Panel, PolicyKind, SimSettings};
+use tcw_experiments::{Panel, PolicyKind, RunSpec, SimSettings};
 use tcw_window::analysis::{expected_overhead_slots, optimal_mu, overhead_slot_pmf};
 
 fn settings() -> SimSettings {
@@ -25,7 +25,7 @@ fn per_round_overhead_matches_recursion_under_saturation() {
         rho_prime: 1.5,
         m: 25,
     };
-    let p = Cell::clean(panel, PolicyKind::Fcfs, 1.0e9, settings(), 3)
+    let p = RunSpec::panel(panel, PolicyKind::Fcfs, 1.0e9, settings(), 3)
         .run()
         .point;
     let mu = optimal_mu(); // the runner picks w* = mu*/lambda
@@ -57,7 +57,7 @@ fn mean_sched_time_between_zero_and_redraw_model() {
         rho_prime: 0.75,
         m: 25,
     };
-    let p = Cell::clean(panel, PolicyKind::Controlled, 400.0, settings(), 4)
+    let p = RunSpec::panel(panel, PolicyKind::Controlled, 400.0, settings(), 4)
         .run()
         .point;
     let upper = expected_overhead_slots(optimal_mu());
@@ -96,7 +96,7 @@ fn heuristic_window_is_near_the_simulated_optimum() {
     assert!(at_opt < too_small && at_opt < too_large);
     // And the simulated utilization at w* is close to the ideal
     // M / (M + E[S]).
-    let p = Cell::clean(panel, PolicyKind::Fcfs, 10_000.0, settings(), 5)
+    let p = RunSpec::panel(panel, PolicyKind::Fcfs, 10_000.0, settings(), 5)
         .run()
         .point;
     let ideal = panel.rho_prime; // offered load is carried entirely

@@ -5,7 +5,7 @@
 //! actual loss; and the controlled protocol dominates every uncontrolled
 //! discipline of [Kurose 83].
 
-use tcw_experiments::{Cell, Panel, PolicyKind, SimSettings};
+use tcw_experiments::{Panel, PolicyKind, RunSpec, SimSettings};
 use tcw_sim::time::{Dur, Time};
 use tcw_window::analysis::optimal_mu;
 use tcw_window::engine::poisson_engine;
@@ -80,11 +80,11 @@ fn controlled_dominates_uncontrolled_baselines() {
         ..Default::default()
     };
     for k in [50.0, 100.0, 200.0] {
-        let c = Cell::clean(panel, PolicyKind::Controlled, k, settings, 17)
+        let c = RunSpec::panel(panel, PolicyKind::Controlled, k, settings, 17)
             .run()
             .point;
         for kind in [PolicyKind::Fcfs, PolicyKind::Lcfs, PolicyKind::Random] {
-            let b = Cell::clean(panel, kind, k, settings, 17).run().point;
+            let b = RunSpec::panel(panel, kind, k, settings, 17).run().point;
             assert!(
                 c.loss <= b.loss + 0.01,
                 "K={k}: controlled {:.4} vs {} {:.4}",
@@ -116,10 +116,10 @@ fn fcfs_lcfs_cross_over_in_k() {
     };
     let tight = 50.0;
     let loose = 400.0;
-    let f_tight = Cell::clean(panel, PolicyKind::Fcfs, tight, settings, 19)
+    let f_tight = RunSpec::panel(panel, PolicyKind::Fcfs, tight, settings, 19)
         .run()
         .point;
-    let l_tight = Cell::clean(panel, PolicyKind::Lcfs, tight, settings, 19)
+    let l_tight = RunSpec::panel(panel, PolicyKind::Lcfs, tight, settings, 19)
         .run()
         .point;
     assert!(
@@ -128,10 +128,10 @@ fn fcfs_lcfs_cross_over_in_k() {
         l_tight.loss,
         f_tight.loss
     );
-    let f_loose = Cell::clean(panel, PolicyKind::Fcfs, loose, settings, 19)
+    let f_loose = RunSpec::panel(panel, PolicyKind::Fcfs, loose, settings, 19)
         .run()
         .point;
-    let l_loose = Cell::clean(panel, PolicyKind::Lcfs, loose, settings, 19)
+    let l_loose = RunSpec::panel(panel, PolicyKind::Lcfs, loose, settings, 19)
         .run()
         .point;
     assert!(
