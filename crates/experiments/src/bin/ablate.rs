@@ -125,6 +125,7 @@ fn controlled_with(
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (obs, args) = diag::or_usage("ablate", ObsConfig::split_args(&raw));
+    diag::reject_unknown("ablate", &args, &["--jobs"]);
     let jobs = jobs_from_args("ablate", &args);
     let settings = SimSettings {
         messages: 30_000,

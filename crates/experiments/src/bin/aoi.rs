@@ -115,7 +115,10 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (obs, args) = diag::or_usage("aoi", ObsConfig::split_args(&raw));
-    if args.iter().any(|a| a == "--obs-cell") {
+    let (cell, args): (Vec<String>, Vec<String>) =
+        args.into_iter().partition(|a| a == "--obs-cell");
+    diag::reject_unknown("aoi", &args, &["--jobs"]);
+    if !cell.is_empty() {
         std::process::exit(run_obs_cell(&obs));
     }
     let jobs = jobs_from_args("aoi", &args);

@@ -13,7 +13,8 @@
 //! panel and a summary of the shape checks. Run with `--quick` for a
 //! fast smoke pass (fewer messages), `--jobs N` to set the sweep worker
 //! count (`--jobs 1` reproduces the serial output byte-for-byte), or
-//! pass a panel id (e.g. `rho50_m25`) to regenerate a single panel.
+//! pass a panel id (e.g. `rho50_m25`) to regenerate a single panel. Any
+//! other argument is a usage error (exit 1) before anything runs.
 //!
 //! Observability (see EXPERIMENTS.md): `--trace-events PATH` streams
 //! every protocol event as NDJSON, `--metrics PATH[.prom]` snapshots the
@@ -342,15 +343,17 @@ fn main() {
         "fig7",
         SupervisorOptions::split_args(&args, obs.wants_telemetry()),
     );
-    if args.iter().any(|a| a == "--obs-cell") {
+    // The bare flags and the panel labels; the rest may only be `--jobs N`.
+    let (named, args): (Vec<String>, Vec<String>) = args
+        .into_iter()
+        .partition(|a| a == "--quick" || a == "--obs-cell" || PANELS.iter().any(|p| p.id() == *a));
+    diag::reject_unknown("fig7", &args, &["--jobs"]);
+    if named.iter().any(|a| a == "--obs-cell") {
         std::process::exit(run_obs_cell(&obs));
     }
-    let quick = args.iter().any(|a| a == "--quick");
+    let quick = named.iter().any(|a| a == "--quick");
     let jobs = tcw_experiments::jobs_from_args("fig7", &args);
-    let panel_filter: Vec<&String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--") && a.parse::<u64>().is_err())
-        .collect();
+    let panel_filter: Vec<&String> = named.iter().filter(|a| !a.starts_with("--")).collect();
     let settings = if quick {
         SimSettings {
             messages: 5_000,

@@ -111,6 +111,7 @@ fn panel_checks(
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (obs, args) = diag::or_usage("limits", ObsConfig::split_args(&raw));
+    diag::reject_unknown("limits", &args, &["--jobs"]);
     let jobs = jobs_from_args("limits", &args);
     let mut failures = 0u32;
     println!("eq. 4.7 boundary checks\n");

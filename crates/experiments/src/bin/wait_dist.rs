@@ -33,6 +33,7 @@ use tcw_window::policy::ControlPolicy;
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let (obs, args) = diag::or_usage("wait_dist", ObsConfig::split_args(&raw));
+    diag::reject_unknown("wait_dist", &args, &["--jobs"]);
     let jobs = jobs_from_args("wait_dist", &args);
     let (rho_prime, m, k_tau) = (0.75f64, 25u64, 200.0f64);
     let lambda = rho_prime / m as f64;

@@ -143,13 +143,14 @@ impl Default for ResyncPolicy {
 /// the golden-metrics tests).
 #[derive(Default)]
 struct RoundScratch {
-    /// Actual-time segments of the currently probed window.
+    /// Actual-time segments of the current window, written only for a
+    /// per-slot decision point or from the pseudo map.
     segments: Vec<Interval>,
     /// Segments of a sibling window (observer callback only).
     sib_segments: Vec<Interval>,
-    /// The initial window's pending messages, oldest first, collected
-    /// once per round at the decision point from the stretch of the book
-    /// that two `partition_point`s bound (see [`Engine::round`]).
+    /// The initial window's pending messages, oldest first, copied once
+    /// per round at the decision point from the stretch of the book the
+    /// window's hull bounds (see [`Engine::decide`]).
     members: Vec<Message>,
     /// A probe's transmitters when they are not a plain slice of
     /// `members`; the active set during sub-tick cluster resolution.
@@ -158,6 +159,18 @@ struct RoundScratch {
     ids: Vec<MessageId>,
     /// "Older" half of a sub-tick cluster partition.
     older: Vec<Message>,
+}
+
+impl RoundScratch {
+    /// Empty buffers, `segments` with the room its first push would
+    /// give it. Batched rounds never write `segments`, so without this a
+    /// run batched through its warm-up would allocate it mid-run.
+    fn new() -> Self {
+        RoundScratch {
+            segments: Vec::with_capacity(4),
+            ..Default::default()
+        }
+    }
 }
 
 /// What a decision point chose (see [`Engine::decide`]).
@@ -189,14 +202,17 @@ impl<'a> Axis<'a> {
         match self {
             Axis::Shifted(base) => {
                 out.clear();
-                out.push(Interval::new(
-                    base + Dur::from_ticks(p.lo),
-                    base + Dur::from_ticks(p.hi),
-                ));
+                out.push(shifted(base, p));
             }
             Axis::Mapped(pm) => pm.preimage_into(p, out),
         }
     }
+}
+
+/// The actual-time span of the pseudo window `p` when the unexamined
+/// region is one trailing gap starting at `base`.
+fn shifted(base: Time, p: PseudoInterval) -> Interval {
+    Interval::new(base + Dur::from_ticks(p.lo), base + Dur::from_ticks(p.hi))
 }
 
 /// How a sub-tick cluster resolution ended.
@@ -280,8 +296,9 @@ pub struct Engine<S: ArrivalSource> {
     /// Pending (arrived, untransmitted, undiscarded) messages, strictly
     /// increasing in `(arrival, id)`. FCFS service and the element (4)
     /// discard touch it at its two ends, so a sorted deque serves as the
-    /// book: admission pushes at the back, the discard sweep pops at the
-    /// front, and lookups are binary searches (see [`Engine::book`]).
+    /// book: admission pushes at the back, FCFS deliveries and the discard
+    /// sweep pop at the front, and other lookups are binary searches (see
+    /// [`Engine::book`] and [`Engine::unbook`]).
     pending: VecDeque<Message>,
     source: S,
     lookahead: Option<Arrival>,
@@ -385,7 +402,7 @@ impl<S: ArrivalSource> Engine<S> {
             churn_touched: HashSet::new(),
             rejoining: Vec::new(),
             controller: Box::new(StaticController::new()),
-            scratch: RoundScratch::default(),
+            scratch: RoundScratch::new(),
             pseudo: PseudoMap::default(),
             sweep_keys: Vec::new(),
             orphans_swap: Vec::new(),
@@ -767,7 +784,7 @@ impl<S: ArrivalSource> Engine<S> {
         r.finish()?;
         // Scratch buffers hold no live content at a decision boundary;
         // clear them so a reused engine starts the next cycle clean.
-        self.scratch = RoundScratch::default();
+        self.scratch = RoundScratch::new();
         self.churn_events.clear();
         self.sweep_keys.clear();
         self.orphans_swap.clear();
@@ -1003,8 +1020,8 @@ impl<S: ArrivalSource> Engine<S> {
     /// Batched resolution kernel: under the Oldest (FCFS) position with a
     /// single trailing gap, whole windowing rounds run back to back
     /// through [`Engine::decide`] and [`Engine::round`] with per-slot
-    /// callbacks off, each costing two `partition_point`s over the book
-    /// and no pseudo-map rebuild.
+    /// callbacks off, each reading the window's members off the front of
+    /// the book, with no pseudo-map rebuild.
     ///
     /// `round` handles faults, mid-round membership transitions and
     /// `Random` splits the same way with or without per-slot callbacks,
@@ -1048,7 +1065,21 @@ impl<S: ArrivalSource> Engine<S> {
     /// admission opens a lifecycle span via
     /// [`EngineObserver::on_arrival`]; blocked arrivals (churn-blocked or
     /// single-buffer) never enter the protocol and open no span.
+    ///
+    /// Most decision points come before the next arrival, which the
+    /// inlined check answers from the lookahead; [`Engine::admit`] runs
+    /// out of line.
+    #[inline(always)]
     fn ingest(&mut self, now: Time, obs: &mut dyn EngineObserver) {
+        if self.lookahead.is_some_and(|a| a.time > now) {
+            return;
+        }
+        self.admit(now, obs);
+    }
+
+    /// The admission loop of [`Engine::ingest`].
+    #[inline(never)]
+    fn admit(&mut self, now: Time, obs: &mut dyn EngineObserver) {
         loop {
             if self.lookahead.is_none() && !self.source_done {
                 self.lookahead = self.source.next_arrival(&mut self.rng_source);
@@ -1122,11 +1153,15 @@ impl<S: ArrivalSource> Engine<S> {
 
     /// The decision point of `cycle` and the batched kernel: ingest,
     /// recovery, the element (4) discard and the window choice. For a
-    /// round, `bufs` ends up holding the window's segments and members:
-    /// its pending messages, oldest first, copied from the stretch of the
-    /// sorted book between two `partition_point`s (filtered by segment
-    /// when the window has several). The pseudo map is rebuilt only when
-    /// the unexamined region is not one trailing gap.
+    /// round, `bufs` ends up holding the window's members: its pending
+    /// messages, oldest first, copied from the stretch of the sorted book
+    /// inside the window's hull (filtered by segment when the window has
+    /// several). `bufs.segments` holds the window's segments when
+    /// `per_slot` reports them or the pseudo map maps them. The pseudo
+    /// map is rebuilt only when the unexamined region is not one trailing
+    /// gap; with one, the window is that gap's start shifted by the
+    /// window's pseudo bounds, and the stretch starts at the book's front
+    /// unless messages wait in examined time.
     ///
     /// Without `per_slot` (the batched kernel) no beacon is reported, and
     /// the decision point goes back to `cycle` (`None`) — before any RNG
@@ -1179,30 +1214,56 @@ impl<S: ArrivalSource> Engine<S> {
         let Some(initial) = window else {
             return Some(Decision::Idle);
         };
-        let base = gap.map(|g| g.lo);
-        Axis::new(base, &self.pseudo).segments_into(initial, &mut bufs.segments);
-        let (first, last) = (bufs.segments[0], bufs.segments[bufs.segments.len() - 1]);
-        let lo = self.pending.partition_point(|m| m.arrival < first.lo);
-        let hi = self.pending.partition_point(|m| m.arrival < last.hi);
         bufs.members.clear();
-        push_in_segments(
-            self.pending.range(lo..hi),
-            &bufs.segments,
-            &mut bufs.members,
-        );
-        // The two searches' postconditions: the book's stretch `lo..hi`
-        // holds exactly its messages inside the window's hull.
+        let (hull, lo, hi) = match gap {
+            Some(g) => {
+                // One span, so the book's stretch inside it is the
+                // members. An FCFS window starts at `t_past`, so the
+                // book's front lies inside it unless messages wait in
+                // examined time; the forward scan for `hi` is no longer
+                // than the copy that follows it.
+                let span = shifted(g.lo, initial);
+                if per_slot {
+                    bufs.segments.clear();
+                    bufs.segments.push(span);
+                }
+                let lo = if self.pending.front().is_some_and(|m| m.arrival >= span.lo) {
+                    0
+                } else {
+                    self.pending.partition_point(|m| m.arrival < span.lo)
+                };
+                let hi = lo
+                    + self
+                        .pending
+                        .range(lo..)
+                        .take_while(|m| m.arrival < span.hi)
+                        .count();
+                bufs.members.extend(self.pending.range(lo..hi));
+                (span, lo, hi)
+            }
+            None => {
+                self.pseudo.preimage_into(initial, &mut bufs.segments);
+                let (first, last) = (bufs.segments[0], bufs.segments[bufs.segments.len() - 1]);
+                let hull = Interval::new(first.lo, last.hi);
+                let lo = self.pending.partition_point(|m| m.arrival < hull.lo);
+                let hi = self.pending.partition_point(|m| m.arrival < hull.hi);
+                push_in_segments(
+                    self.pending.range(lo..hi),
+                    &bufs.segments,
+                    &mut bufs.members,
+                );
+                (hull, lo, hi)
+            }
+        };
+        // The searches' postconditions: the book's stretch `lo..hi` holds
+        // exactly its messages inside the window's hull.
         debug_assert!(
-            (lo == 0 || self.pending[lo - 1].arrival < first.lo)
-                && self
-                    .pending
-                    .range(lo..hi)
-                    .all(|m| first.lo <= m.arrival && m.arrival < last.hi)
-                && !self.pending.get(hi).is_some_and(|m| m.arrival < last.hi),
-            "book stretch {lo}..{hi} is not the hull of {:?}",
-            bufs.segments
+            (lo == 0 || self.pending[lo - 1].arrival < hull.lo)
+                && self.pending.range(lo..hi).all(|m| hull.contains(m.arrival))
+                && !self.pending.get(hi).is_some_and(|m| m.arrival < hull.hi),
+            "book stretch {lo}..{hi} is not the hull {hull:?}"
         );
-        Some(Decision::Round(initial, base))
+        Some(Decision::Round(initial, gap.map(|g| g.lo)))
     }
 
     /// Decision-point recovery, ahead of the discard sweep. Restarted
@@ -1328,10 +1389,7 @@ impl<S: ArrivalSource> Engine<S> {
             let span;
             let segments: &[Interval] = match axis {
                 Axis::Shifted(base) => {
-                    span = Interval::new(
-                        base + Dur::from_ticks(current.lo),
-                        base + Dur::from_ticks(current.hi),
-                    );
+                    span = shifted(base, current);
                     std::slice::from_ref(&span)
                 }
                 Axis::Mapped(pm) => {
@@ -1759,8 +1817,8 @@ impl<S: ArrivalSource> Engine<S> {
             return;
         };
         let cutoff = now.saturating_sub(k);
-        while self.pending.front().is_some_and(|m| m.arrival < cutoff) {
-            let msg = self.unbook_at(0);
+        while let Some(m) = self.pending.front().filter(|m| m.arrival < cutoff) {
+            let msg = self.unbook((m.arrival, m.id));
             let counted = self.metrics.config().counts(msg.arrival);
             if take_touched(&mut self.fault_touched, msg.id) && counted {
                 self.metrics.on_fault_loss();
@@ -1805,19 +1863,23 @@ impl<S: ArrivalSource> Engine<S> {
             .binary_search_by(|m| (m.arrival, m.id).cmp(&key))
     }
 
-    /// Removes a resolved message from the pending book by binary search,
-    /// which lands near the front under FCFS, and clears its station's
-    /// busy flag.
+    /// Removes a resolved message from the pending book and clears its
+    /// station's busy flag. FCFS delivers and the discard sweep drops at
+    /// the book's front, which is a `pop_front`; any other key is found
+    /// by binary search.
     fn unbook(&mut self, key: (Time, MessageId)) -> Message {
-        let i = self
-            .book_position(key)
-            .expect("resolved message was pending");
-        self.unbook_at(i)
-    }
-
-    /// As [`Engine::unbook`], for the message at index `i` of the book.
-    fn unbook_at(&mut self, i: usize) -> Message {
-        let msg = self.pending.remove(i).expect("index inside the book");
+        let msg = if self
+            .pending
+            .front()
+            .is_some_and(|m| (m.arrival, m.id) == key)
+        {
+            self.pending.pop_front()
+        } else {
+            self.book_position(key)
+                .ok()
+                .and_then(|i| self.pending.remove(i))
+        }
+        .expect("resolved message was pending");
         if let Some(busy) = self.busy.get_mut(msg.station.0 as usize) {
             *busy = false;
         }
@@ -2374,24 +2436,40 @@ mod tests {
 
     #[test]
     fn book_keeps_out_of_order_keys_sorted() {
-        let mut eng = fcfs_engine(&[], 16);
-        for (t, id) in [(5, 0), (9, 1), (7, 2), (5, 3), (1, 4)] {
-            eng.book(Message::new(
-                MessageId(id),
-                StationId(0),
-                Time::from_ticks(t),
-            ));
-        }
+        // Message `id` comes from station `id`, which admission marks busy.
+        let booked = || {
+            let mut eng = fcfs_engine(&[], 16);
+            for (t, id) in [(5, 0), (9, 1), (7, 2), (5, 3), (1, 4)] {
+                let station = StationId(id as u32);
+                eng.mark_busy(station);
+                eng.book(Message::new(MessageId(id), station, Time::from_ticks(t)));
+            }
+            eng
+        };
         let keys = |eng: &Engine<TraceArrivals>| -> Vec<(u64, u64)> {
             eng.pending
                 .iter()
                 .map(|m| (m.arrival.ticks(), m.id.0))
                 .collect()
         };
-        assert_eq!(keys(&eng), [(1, 4), (5, 0), (5, 3), (7, 2), (9, 1)]);
-        let msg = eng.unbook((Time::from_ticks(5), MessageId(3)));
-        assert_eq!(msg.id, MessageId(3));
-        assert_eq!(keys(&eng), [(1, 4), (5, 0), (7, 2), (9, 1)]);
+        let sorted = [(1, 4), (5, 0), (5, 3), (7, 2), (9, 1)];
+        assert_eq!(keys(&booked()), sorted);
+        // The front's pop and the other keys' binary search remove just
+        // that message and clear just its station's flag, down to an
+        // FCFS drain that pops the front every time.
+        for (t, id) in sorted {
+            let mut eng = booked();
+            let msg = eng.unbook((Time::from_ticks(t), MessageId(id)));
+            assert_eq!(msg.id, MessageId(id));
+            let rest: Vec<_> = sorted.into_iter().filter(|&k| k != (t, id)).collect();
+            assert_eq!(keys(&eng), rest);
+            assert_eq!(eng.busy, (0..5).map(|s| s != id).collect::<Vec<_>>());
+        }
+        let mut eng = booked();
+        for (t, id) in sorted {
+            eng.unbook((Time::from_ticks(t), MessageId(id)));
+        }
+        assert!(eng.pending.is_empty() && eng.busy.iter().all(|&b| !b));
     }
 
     #[test]

@@ -85,7 +85,8 @@ impl StationAge {
         let u = self.u.ticks();
         let a0 = self.flushed_to.ticks() - u;
         let a1 = hi.ticks() - u;
-        self.twice_area += (a1 as u128) * (a1 as u128) - (a0 as u128) * (a0 as u128);
+        // a1² − a0² with one multiply; it fits, as a1² < 2^128 does.
+        self.twice_area += u128::from(a1 - a0) * (u128::from(a1) + u128::from(a0));
         let viol_from = (u + threshold.ticks()).max(self.flushed_to.ticks());
         self.violation += hi.ticks().saturating_sub(viol_from);
         self.flushed_to = hi;
@@ -1034,6 +1035,35 @@ mod tests {
         // Age exceeds θ=10 on (10,30) and (30,100): 20 + 70 ticks of 90.
         let v = a.violation_fraction().unwrap();
         assert!((v - 1.0).abs() < 1e-12, "{v}");
+    }
+
+    /// `flush` adds a1² − a0² for the ages a0, a1 at the ends of the
+    /// flushed stretch as one product; it must equal the two squares'
+    /// difference up to ages next to `u64::MAX`.
+    #[test]
+    fn aoi_flush_area_is_the_difference_of_squares() {
+        let max = u64::MAX;
+        let square = |a: u64| u128::from(a) * u128::from(a);
+        for (a0, a1) in [
+            (0, max),
+            (max - 1, max),
+            (1 << 63, max),
+            (max / 3, 2 * (max / 3)),
+            (0, 1),
+            (12_345, 1 << 40),
+        ] {
+            let mut s = StationAge {
+                u: Time::ZERO,
+                obs_start: Time::ZERO,
+                flushed_to: Time::from_ticks(a0),
+                twice_area: 7,
+                violation: 0,
+                deliveries: 1,
+            };
+            s.flush(Time::from_ticks(a1), Time::MAX, Dur::ZERO);
+            assert_eq!(s.twice_area - 7, square(a1) - square(a0), "ages {a0}..{a1}");
+            assert_eq!(s.flushed_to, Time::from_ticks(a1));
+        }
     }
 
     #[test]

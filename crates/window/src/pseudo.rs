@@ -69,8 +69,15 @@ impl PseudoInterval {
         }
         // Floor, so halving odd widths gives the older part the shorter
         // piece — matching `Interval::split` and the decision model's
-        // lattice split.
-        let cut = ((w as f64 * frac).floor() as u64).clamp(1, w - 1);
+        // lattice split. The product is non-negative, so the cast's
+        // truncation is the floor; a half of a width that `f64` holds
+        // exactly is `w / 2`.
+        let cut = if frac == 0.5 && w < 1 << f64::MANTISSA_DIGITS {
+            w / 2
+        } else {
+            (w as f64 * frac) as u64
+        };
+        let cut = cut.clamp(1, w - 1);
         let mid = self.lo + cut;
         Some((
             PseudoInterval {
@@ -293,6 +300,24 @@ mod tests {
         assert_eq!(a, PseudoInterval::new(4, 8));
         assert_eq!(b, PseudoInterval::new(8, 13));
         assert!(PseudoInterval::new(3, 4).split().is_none());
+    }
+
+    /// The integer halving and the truncating cast equal the floored
+    /// float product on every width up to 2^20 and on both sides of 2^53,
+    /// where `f64` stops holding every width exactly.
+    #[test]
+    fn split_cut_is_the_floored_float_product() {
+        let huge = 1u64 << 53;
+        for frac in [0.5, 0.3] {
+            for w in (2..=1u64 << 20).chain(huge - 2..=huge + 2) {
+                let floored = ((w as f64 * frac).floor() as u64).clamp(1, w - 1);
+                let (older, younger) = PseudoInterval::new(7, 7 + w)
+                    .split_at_fraction(frac)
+                    .expect("two ticks or wider");
+                assert_eq!(older, PseudoInterval::new(7, 7 + floored), "{frac} of {w}");
+                assert_eq!(younger, PseudoInterval::new(7 + floored, 7 + w));
+            }
+        }
     }
 
     #[test]

@@ -60,6 +60,14 @@ impl Timeline {
         if iv.is_empty() {
             return;
         }
+        // The FCFS steady state: `iv` touches or overlaps the lone
+        // examined prefix, which absorbs it in place.
+        if let [e] = self.examined.as_mut_slice() {
+            if e.lo == Time::ZERO && iv.lo <= e.hi {
+                e.hi = e.hi.max(iv.hi);
+                return;
+            }
+        }
         // Find insertion range: all stored intervals overlapping or adjacent
         // to iv get merged into one.
         let start = self.examined.partition_point(|e| e.hi < iv.lo);
@@ -72,8 +80,7 @@ impl Timeline {
             end += 1;
         }
         // Merged in place: the first absorbed interval takes the union and
-        // the rest are drained. Extending the examined prefix, the FCFS
-        // steady state, absorbs exactly one and moves nothing.
+        // the rest are drained.
         let merged = Interval::new(lo, hi);
         if start == end {
             self.examined.insert(start, merged);
@@ -506,11 +513,14 @@ mod tests {
                         flags.resize(to as usize, false);
                     }
                     2 | 3 => {
-                        // Half of the marks extend the examined prefix,
-                        // the engine's common case.
+                        // Half of the marks start where the examined
+                        // prefix ends or just inside it — touching,
+                        // overlapping, extending or inside it — the
+                        // engine's common case.
                         let (lo, hi) = if rng.below(2) == 0 {
                             let e = flags.iter().position(|&f| !f).unwrap_or(flags.len()) as u64;
-                            (e, e + rng.below(now - e + 1))
+                            let lo = e.saturating_sub(rng.below(3));
+                            (lo, lo + rng.below(now - lo + 1))
                         } else {
                             span(&mut rng)
                         };

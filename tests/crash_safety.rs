@@ -3,7 +3,8 @@
 //! watchdog cuts off a wedged cell, a corrupted or stale journal is
 //! rejected up front, a clean `--resume` finishes the sweep with CSV/TXT
 //! outputs byte-identical to an uninterrupted `--jobs 1` run, and
-//! retries leave the telemetry exports byte-identical.
+//! retries leave the telemetry exports byte-identical. A misspelled flag
+//! is a usage error, in `chaos` and in the sweeps that keep no journal.
 //!
 //! Each scenario runs the real `chaos` binary in its own temp directory,
 //! because the binary writes `results/` relative to the working
@@ -261,5 +262,43 @@ fn incompatible_flag_combinations_are_usage_errors() {
     let err = stderr(&out);
     assert!(err.contains("quarantined cell 0"), "{err}");
     assert!(!dir.join("results/chaos.csv").exists(), "outputs withheld");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The non-journaling sweeps refuse a misspelled flag or a stray operand
+/// before they run or write anything, as `chaos` does.
+#[test]
+fn misspelled_flags_are_usage_errors_in_every_sweep() {
+    let dir = fresh_dir("misspelled");
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_fig7"), &["--quik", "--jobs", "2"][..]),
+        (env!("CARGO_BIN_EXE_fig7"), &["rho25_m26"]),
+        (env!("CARGO_BIN_EXE_aoi"), &["--job", "2"]),
+        (env!("CARGO_BIN_EXE_ablate"), &["--jobs=2", "--progres"]),
+        (env!("CARGO_BIN_EXE_wait_dist"), &["--quick"]),
+        (env!("CARGO_BIN_EXE_limits"), &["--jobs", "2", "3"]),
+    ] {
+        let out = Command::new(bin)
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("spawn sweep binary");
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "{bin} {args:?}: {}",
+            stderr(&out)
+        );
+        assert!(
+            stderr(&out).contains("unknown argument"),
+            "{}",
+            stderr(&out)
+        );
+    }
+    let written: Vec<_> = fs::read_dir(&dir).expect("read temp dir").collect();
+    assert!(
+        written.is_empty(),
+        "a usage error writes nothing: {written:?}"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
