@@ -21,12 +21,12 @@
 //! (metrics snapshot labeled by variant) and `--progress` (stderr
 //! progress line).
 
+use tcw_experiments::diag::{self, Mode, JOBS, TELEMETRY};
 use tcw_experiments::plot::write_csv;
 use tcw_experiments::runner::{measure_window, run_to_horizon};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel};
+use tcw_experiments::sweep::run_parallel;
 use tcw_experiments::{
-    diag, observe_engine_cell, write_observability, Capture, CellArtifacts, ObsConfig, Panel,
-    SimSettings, SweepMeta,
+    observe_engine_cell, write_observability, Capture, CellArtifacts, Panel, SimSettings,
 };
 use tcw_mdp::howard::policy_iteration;
 use tcw_mdp::smdp::{Smdp, SmdpConfig};
@@ -122,11 +122,11 @@ fn controlled_with(
     }
 }
 
+const MODES: &[Mode] = &[Mode::run(&[TELEMETRY, JOBS])];
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("ablate", ObsConfig::split_args(&raw));
-    diag::reject_unknown("ablate", &args, &["--jobs"]);
-    let jobs = jobs_from_args("ablate", &args);
+    let cli = diag::parse("ablate", MODES);
+    let (obs, jobs) = (&cli.obs, cli.jobs);
     let settings = SimSettings {
         messages: 30_000,
         warmup: 3_000,
@@ -410,13 +410,7 @@ fn main() {
 
     let path = std::path::PathBuf::from("results/ablations.csv");
     write_csv(&path, &["variant", "loss", "ci95", "utilization"], &rows).expect("csv");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(obs, &cell_artifacts) {
         diag::error("ablate", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

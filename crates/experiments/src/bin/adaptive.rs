@@ -11,7 +11,8 @@
 //! artifact under `results/failures/`. Modes:
 //!
 //! ```text
-//! adaptive [--jobs N] [--trace-events P] [--metrics P] [--progress]
+//! adaptive [--jobs N] [--trace-events P] [--spans P] [--metrics P] [--progress]
+//!          [--resume P] [--cell-timeout SECS] [--retries N]
 //! adaptive --episode                      # AIMD/estimator load-step walk-through
 //! adaptive --record SCENARIO CONTROLLER REPLICATE PATH
 //! adaptive --replay PATH                  # must reproduce the recorded outcome
@@ -19,16 +20,20 @@
 
 use std::path::Path;
 use tcw_experiments::adaptive::{episode, ControllerKind, Scenario, BASE_SEED, REPLICATES};
-use tcw_experiments::diag;
+use tcw_experiments::diag::{self, Mode, JOBS, REPLAY, SUPERVISION, TELEMETRY};
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, replay, Artifact};
+use tcw_experiments::replay::{execute, Artifact};
 use tcw_experiments::runner::{fingerprint, CellResult, RunSpec};
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::jobs_from_args;
-use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, Failure, ObsConfig, SweepMeta,
-};
+use tcw_experiments::supervise::supervised_cells;
+use tcw_experiments::{observed_cell, write_observability, CellArtifacts, Failure};
 use tcw_sim::rng::stream_seed;
+
+const MODES: &[Mode] = &[
+    Mode::run(&[TELEMETRY, SUPERVISION, JOBS]),
+    REPLAY,
+    Mode::select("--record", "SCENARIO CONTROLLER REPLICATE PATH"),
+    Mode::select("--episode", ""),
+];
 
 /// Load-step instants at which `--episode` samples the commanded window
 /// (the step itself is at 150_000).
@@ -54,8 +59,8 @@ fn episode_mode() -> i32 {
 }
 
 fn record_mode(args: &[String]) -> i32 {
-    let [scenario, controller, replicate, path] = &args[..4] else {
-        unreachable!("caller checked arity");
+    let [scenario, controller, replicate, path] = args else {
+        unreachable!("the grammar gives --record four operands");
     };
     let Some(scenario) = Scenario::parse(scenario) else {
         diag::error("adaptive", &format!("unknown scenario {scenario:?}"));
@@ -81,37 +86,12 @@ fn record_mode(args: &[String]) -> i32 {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("adaptive", ObsConfig::split_args(&raw));
-    let (sup, args) = diag::or_usage(
-        "adaptive",
-        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
-    );
-    if args.first().is_some_and(|a| a == "--replay") {
-        let Some(path) = args.get(1) else {
-            diag::error("adaptive", "--replay needs an artifact path");
-            std::process::exit(diag::EXIT_USAGE);
-        };
-        diag::reject_unknown("adaptive", &args[2..], &[]);
-        std::process::exit(replay(Path::new(path), "adaptive"));
+    let cli = diag::parse("adaptive", MODES);
+    match cli.mode.flag {
+        "--record" => std::process::exit(record_mode(&cli.operands)),
+        "--episode" => std::process::exit(episode_mode()),
+        _ => {}
     }
-    if args.first().is_some_and(|a| a == "--record") {
-        if args.len() < 5 {
-            diag::error(
-                "adaptive",
-                "--record needs SCENARIO CONTROLLER REPLICATE PATH",
-            );
-            std::process::exit(diag::EXIT_USAGE);
-        }
-        diag::reject_unknown("adaptive", &args[5..], &[]);
-        std::process::exit(record_mode(&args[1..]));
-    }
-    if args.first().is_some_and(|a| a == "--episode") {
-        diag::reject_unknown("adaptive", &args[1..], &[]);
-        std::process::exit(episode_mode());
-    }
-    diag::reject_unknown("adaptive", &args, &["--jobs"]);
-    let jobs = jobs_from_args("adaptive", &args);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -135,15 +115,12 @@ fn main() {
         })
         .collect();
     let fingerprint = fingerprint(cells.iter().map(|cell| &cell.3));
-    let caps = obs.capture();
+    let caps = cli.obs.capture();
     // A cell that keeps panicking is quarantined, and its replay artifact
     // is written from the quarantine report.
     let (resolved, cell_artifacts): (Vec<CellResult>, Vec<CellArtifacts>) = supervised_cells(
-        "adaptive",
+        &cli,
         &cells,
-        jobs,
-        &sup,
-        obs.progress,
         fingerprint,
         |(s, c, r, spec), q| {
             let cell = format!("{} {} rep{r} seed {}", s.label(), c.label(), spec.seed);
@@ -291,13 +268,7 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("adaptive.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(&cli.obs, &cell_artifacts) {
         diag::error("adaptive", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

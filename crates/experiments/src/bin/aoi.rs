@@ -20,13 +20,20 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
-use tcw_experiments::diag;
+use tcw_experiments::diag::{self, Mode, JOBS, OUTPUTS, TELEMETRY};
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
 use tcw_experiments::runner::{CellResult, PolicyKind, RunSpec, SimSettings};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel};
-use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, ObsConfig, Panel, SweepMeta,
-};
+use tcw_experiments::sweep::run_parallel;
+use tcw_experiments::{observed_cell, write_observability, CellArtifacts, ObsConfig, Panel};
+
+const MODES: &[Mode] = &[
+    Mode::run(&[TELEMETRY, JOBS]),
+    Mode {
+        needs: &[("--obs-cell", "--spans"), ("--obs-cell", "--metrics")],
+        accepts: &[OUTPUTS],
+        ..Mode::select("--obs-cell", "")
+    },
+];
 
 const K_TAUS: [f64; 3] = [25.0, 50.0, 100.0];
 const LOADS: [f64; 3] = [0.25, 0.50, 0.75];
@@ -67,13 +74,6 @@ fn grid() -> Vec<AoiCell> {
 /// collisions and a deadline discard for the EXPERIMENTS.md forensics
 /// walkthrough. Fully deterministic, so CI diff-checks the outputs.
 fn run_obs_cell(obs: &ObsConfig) -> i32 {
-    if obs.spans.is_none() || obs.metrics.is_none() {
-        diag::error(
-            "aoi",
-            "--obs-cell needs both --spans PATH and --metrics PATH",
-        );
-        return diag::EXIT_USAGE;
-    }
     let panel = Panel {
         rho_prime: 0.75,
         m: M,
@@ -97,7 +97,7 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
     ];
     let spec = RunSpec::panel(panel, kind, k, cell_settings, SEED);
     let (run, art) = observed_cell(obs.capture(), 0, &label, &labels, &spec, None);
-    if let Err(e) = write_observability(obs, &[art], SweepMeta { cells: 1 }) {
+    if let Err(e) = write_observability(obs, &[art]) {
         diag::error("aoi", &e);
         return diag::EXIT_FAILURE;
     }
@@ -113,15 +113,11 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("aoi", ObsConfig::split_args(&raw));
-    let (cell, args): (Vec<String>, Vec<String>) =
-        args.into_iter().partition(|a| a == "--obs-cell");
-    diag::reject_unknown("aoi", &args, &["--jobs"]);
-    if !cell.is_empty() {
-        std::process::exit(run_obs_cell(&obs));
+    let cli = diag::parse("aoi", MODES);
+    let obs = &cli.obs;
+    if cli.mode.flag == "--obs-cell" {
+        std::process::exit(run_obs_cell(obs));
     }
-    let jobs = jobs_from_args("aoi", &args);
     let results = Path::new("results");
     std::fs::create_dir_all(results).expect("create results dir");
 
@@ -131,7 +127,7 @@ fn main() {
     let caps = obs.capture();
     let outcomes: Vec<(CellResult, CellArtifacts)> = run_parallel(
         &cells,
-        jobs,
+        cli.jobs,
         obs.progress,
         |i, (k, rho, kind, spec), progress| {
             let label = format!("rho'={rho:.2} {} K={k}", kind.label());
@@ -233,13 +229,7 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("aoi.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(obs, &cell_artifacts) {
         diag::error("aoi", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

@@ -10,7 +10,9 @@
 //! `results/failures/`.
 //!
 //! ```text
-//! chaos [--configs N] [--jobs N] [--trace-events P] [--metrics P] [--progress]
+//! chaos [--configs N] [--jobs N] [--trace-events P] [--spans P] [--metrics P] [--progress]
+//!       [--resume P] [--cell-timeout SECS] [--retries N]
+//!       [--inject-panic CELL] [--inject-slow CELL]
 //! chaos --replay PATH             # must reproduce the recorded outcome
 //! chaos --inject MUTATION [PATH]  # seed a violation, shrink it, verify replay
 //! ```
@@ -30,15 +32,32 @@ use std::path::Path;
 use tcw_experiments::chaos::{
     execute, execute_observed, shrink, ChaosOutcome, Mutation, BASE_SEED, DEFAULT_CONFIGS,
 };
-use tcw_experiments::diag;
+use tcw_experiments::diag::{self, Arg, Mode, JOBS, REPLAY, SUPERVISION, TELEMETRY};
 use tcw_experiments::plot::write_csv;
 use tcw_experiments::replay::{replay, Artifact};
 use tcw_experiments::runner::{fingerprint, RunSpec};
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::jobs_from_args;
-use tcw_experiments::{
-    observe_engine_cell, write_observability, CellArtifacts, ObsConfig, SweepMeta,
-};
+use tcw_experiments::supervise::supervised_cells;
+use tcw_experiments::{observe_engine_cell, write_observability, CellArtifacts};
+
+/// The injected cell of `--inject-slow` sleeps for an hour, so it needs
+/// the watchdog.
+const MODES: &[Mode] = &[
+    Mode {
+        needs: &[("--inject-slow", "--cell-timeout")],
+        ..Mode::run(&[
+            TELEMETRY,
+            SUPERVISION,
+            JOBS,
+            &[
+                Arg::Count("--configs"),
+                Arg::Count("--inject-panic"),
+                Arg::Count("--inject-slow"),
+            ],
+        ])
+    },
+    REPLAY,
+    Mode::select("--inject", "MUTATION [PATH]"),
+];
 
 fn shrink_report(orig: &RunSpec, mutation: Mutation, out: &ChaosOutcome) -> (Artifact, String) {
     let mut log = String::new();
@@ -95,7 +114,6 @@ fn inject_mode(args: &[String]) -> i32 {
         );
         return diag::EXIT_USAGE;
     };
-    diag::reject_unknown("chaos", args.get(2..).unwrap_or_default(), &[]);
     let default_path = format!("results/failures/chaos_injected_{}.json", mutation.label());
     let path = args.get(1).cloned().unwrap_or(default_path);
     let spec = RunSpec::chaos_inject();
@@ -148,57 +166,14 @@ fn inject_mode(args: &[String]) -> i32 {
     0
 }
 
-/// Parses `NAME CELL` out of `args`, removing both tokens.
-fn take_cell_flag(args: &mut Vec<String>, name: &str) -> Option<usize> {
-    let i = args.iter().position(|a| a == name)?;
-    let Some(v) = args.get(i + 1) else {
-        diag::error("chaos", &format!("{name} needs a cell index"));
-        std::process::exit(diag::EXIT_USAGE);
-    };
-    let cell = v.parse::<usize>().unwrap_or_else(|_| {
-        diag::error("chaos", &format!("bad {name} value {v:?}"));
-        std::process::exit(diag::EXIT_USAGE);
-    });
-    args.drain(i..=i + 1);
-    Some(cell)
-}
-
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("chaos", ObsConfig::split_args(&raw));
-    let (sup, mut args) = diag::or_usage(
-        "chaos",
-        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
-    );
-    let inject_panic = take_cell_flag(&mut args, "--inject-panic");
-    let inject_slow = take_cell_flag(&mut args, "--inject-slow");
-    if inject_slow.is_some() && sup.cell_timeout.is_none() {
-        diag::error(
-            "chaos",
-            "--inject-slow needs --cell-timeout (the injected cell sleeps for an hour)",
-        );
-        std::process::exit(diag::EXIT_USAGE);
+    let cli = diag::parse("chaos", MODES);
+    if cli.mode.flag == "--inject" {
+        std::process::exit(inject_mode(&cli.operands));
     }
-    if args.first().is_some_and(|a| a == "--replay") {
-        let Some(path) = args.get(1) else {
-            diag::error("chaos", "--replay needs an artifact path");
-            std::process::exit(diag::EXIT_USAGE);
-        };
-        diag::reject_unknown("chaos", &args[2..], &[]);
-        std::process::exit(replay(Path::new(path), "chaos"));
-    }
-    if args.first().is_some_and(|a| a == "--inject") {
-        std::process::exit(inject_mode(&args[1..]));
-    }
-    diag::reject_unknown("chaos", &args, &["--jobs", "--configs"]);
-    let jobs = jobs_from_args("chaos", &args);
-    let configs = diag::or_usage(
-        "chaos",
-        diag::flag_value(&args, "--configs").and_then(|v| match v {
-            None => Ok(DEFAULT_CONFIGS),
-            Some(v) => v.parse().map_err(|_| format!("bad --configs value {v:?}")),
-        }),
-    );
+    let configs = cli.count("--configs").unwrap_or(DEFAULT_CONFIGS);
+    let inject_panic = cli.count("--inject-panic");
+    let inject_slow = cli.count("--inject-slow");
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -214,13 +189,10 @@ fn main() {
     // inject flags are deliberately excluded so a clean resume can reuse
     // the journal of an injected (crashed) run.
     let fingerprint = fingerprint(&cells);
-    let caps = obs.capture();
+    let caps = cli.obs.capture();
     let (outcomes, cell_artifacts): (Vec<ChaosOutcome>, Vec<CellArtifacts>) = supervised_cells(
-        "chaos",
+        &cli,
         &cells,
-        jobs,
-        &sup,
-        obs.progress,
         fingerprint,
         |spec, _| format!("seed {}", spec.seed),
         move |i, spec, _| {
@@ -337,13 +309,7 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("chaos.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(&cli.obs, &cell_artifacts) {
         diag::error("chaos", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

@@ -20,15 +20,12 @@
 //! failure (the binary exits non-zero if it does not).
 
 use std::path::Path;
-use tcw_experiments::diag;
+use tcw_experiments::diag::{self, Mode, JOBS, REPLAY, SUPERVISION, TELEMETRY};
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, replay, Artifact};
+use tcw_experiments::replay::{execute, Artifact};
 use tcw_experiments::runner::{fingerprint, CellResult, PolicyKind, RunSpec, SimSettings};
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::jobs_from_args;
-use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, Failure, ObsConfig, Panel, SweepMeta,
-};
+use tcw_experiments::supervise::supervised_cells;
+use tcw_experiments::{observed_cell, write_observability, CellArtifacts, Failure, Panel};
 use tcw_mac::ChurnPlan;
 
 const CRASH_RATES: [f64; 5] = [0.0, 0.0005, 0.001, 0.002, 0.005];
@@ -67,23 +64,10 @@ fn spec_at(rho_prime: f64) -> RunSpec {
     RunSpec::panel(panel, PolicyKind::Controlled, K_TAU, settings(), SEED)
 }
 
+const MODES: &[Mode] = &[Mode::run(&[TELEMETRY, SUPERVISION, JOBS]), REPLAY];
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("churn", ObsConfig::split_args(&raw));
-    let (sup, args) = diag::or_usage(
-        "churn",
-        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
-    );
-    if args.first().is_some_and(|a| a == "--replay") {
-        let Some(path) = args.get(1) else {
-            diag::error("churn", "--replay needs an artifact path");
-            std::process::exit(diag::EXIT_USAGE);
-        };
-        diag::reject_unknown("churn", &args[2..], &[]);
-        std::process::exit(replay(Path::new(path), "churn"));
-    }
-    diag::reject_unknown("churn", &args, &["--jobs"]);
-    let jobs = jobs_from_args("churn", &args);
+    let cli = diag::parse("churn", MODES);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -109,13 +93,10 @@ fn main() {
             })
         })
         .collect();
-    let caps = obs.capture();
+    let caps = cli.obs.capture();
     let (outcomes, cell_artifacts): (Vec<CellResult>, Vec<CellArtifacts>) = supervised_cells(
-        "churn",
+        &cli,
         &cells,
-        jobs,
-        &sup,
-        obs.progress,
         fingerprint(cells.iter().map(|(_, spec)| spec)),
         |(rho, spec), q| {
             let c = spec.churn.crash;
@@ -285,13 +266,7 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("churn.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(&cli.obs, &cell_artifacts) {
         diag::error("churn", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

@@ -20,20 +20,46 @@
 //! every protocol event as NDJSON, `--metrics PATH[.prom]` snapshots the
 //! per-cell metrics registries, `--progress` renders a live stderr
 //! progress line. `--obs-cell` runs a single tiny sample cell (panel
-//! `rho50_m25`, controlled, `K = 100`) and writes its trace/metrics to
+//! `rho75_m25`, controlled, `K = 100`) and writes its trace/metrics to
 //! the given paths — the committed `results/obs/` samples come from it.
+//! It needs `--trace-events` and `--metrics` and accepts no flag but the
+//! three telemetry outputs.
 
 use std::path::{Path, PathBuf};
-use tcw_experiments::diag;
+use tcw_experiments::diag::{self, Arg, Cli, Mode, JOBS, OUTPUTS, SUPERVISION, TELEMETRY};
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
 use tcw_experiments::runner::fingerprint;
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
+use tcw_experiments::supervise::supervised_cells;
 use tcw_experiments::{
     observed_cell, write_observability, CellArtifacts, CellResult, ObsConfig, Panel, PolicyKind,
-    RunSpec, SimPoint, SimSettings, SweepMeta, PANELS,
+    RunSpec, SimPoint, SimSettings, PANELS,
 };
 use tcw_queueing::marching::{controlled_curve, fcfs_curve, lcfs_curve, CurvePoint, PanelConfig};
 use tcw_queueing::service::SchedulingShape;
+
+const MODES: &[Mode] = &[
+    Mode::run(&[TELEMETRY, SUPERVISION, JOBS, OWN]),
+    Mode {
+        needs: &[
+            ("--obs-cell", "--trace-events"),
+            ("--obs-cell", "--metrics"),
+        ],
+        accepts: &[OUTPUTS],
+        ..Mode::select("--obs-cell", "")
+    },
+];
+
+/// `--quick`, and the [`Panel::id`] of each of [`PANELS`]: given labels
+/// restrict the run to their panels.
+const OWN: &[Arg] = &[
+    Arg::Switch("--quick"),
+    Arg::Switch("rho25_m25"),
+    Arg::Switch("rho25_m100"),
+    Arg::Switch("rho50_m25"),
+    Arg::Switch("rho50_m100"),
+    Arg::Switch("rho75_m25"),
+    Arg::Switch("rho75_m100"),
+];
 
 struct PanelResult {
     panel: Panel,
@@ -59,9 +85,7 @@ fn run_panels(
     panels: &[Panel],
     settings: SimSettings,
     seed: u64,
-    jobs: usize,
-    obs: &ObsConfig,
-    sup: &SupervisorOptions,
+    cli: &Cli,
 ) -> (Vec<PanelResult>, Vec<CellArtifacts>) {
     // Each cell's seed mixes the policy salt and K exactly like the
     // historical serial loop.
@@ -74,13 +98,10 @@ fn run_panels(
             }
         }
     }
-    let caps = obs.capture();
+    let caps = cli.obs.capture();
     let (runs, artifacts): (Vec<CellResult>, Vec<CellArtifacts>) = supervised_cells(
-        "fig7",
+        cli,
         &cells,
-        jobs,
-        sup,
-        obs.progress,
         fingerprint(cells.iter().map(|(_, _, spec)| spec)),
         |(panel, k, spec), _| {
             format!(
@@ -293,13 +314,6 @@ fn emit(result: &PanelResult, out_dir: &Path) {
 /// cell is fully deterministic (fixed seed, no wall-clock values), so the
 /// outputs can be diff-checked in CI.
 fn run_obs_cell(obs: &ObsConfig) -> i32 {
-    if obs.trace_events.is_none() || obs.metrics.is_none() {
-        diag::error(
-            "fig7",
-            "--obs-cell needs both --trace-events PATH and --metrics PATH",
-        );
-        return diag::EXIT_USAGE;
-    }
     let panel = PANELS[4]; // rho' = 0.75, M = 25: busy enough to collide
     let (kind, salt) = KINDS[0]; // controlled
     let k = 100.0;
@@ -322,7 +336,7 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
     ];
     let spec = RunSpec::panel(panel, kind, k, settings, seed);
     let (p, art) = observed_cell(obs.capture(), 0, &label, &labels, &spec, None);
-    if let Err(e) = write_observability(obs, &[art], SweepMeta { cells: 1 }) {
+    if let Err(e) = write_observability(obs, &[art]) {
         diag::error("fig7", &e);
         return diag::EXIT_FAILURE;
     }
@@ -337,24 +351,11 @@ fn run_obs_cell(obs: &ObsConfig) -> i32 {
 }
 
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("fig7", ObsConfig::split_args(&raw));
-    let (sup, args) = diag::or_usage(
-        "fig7",
-        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
-    );
-    // The bare flags and the panel labels; the rest may only be `--jobs N`.
-    let (named, args): (Vec<String>, Vec<String>) = args
-        .into_iter()
-        .partition(|a| a == "--quick" || a == "--obs-cell" || PANELS.iter().any(|p| p.id() == *a));
-    diag::reject_unknown("fig7", &args, &["--jobs"]);
-    if named.iter().any(|a| a == "--obs-cell") {
-        std::process::exit(run_obs_cell(&obs));
+    let cli = diag::parse("fig7", MODES);
+    if cli.mode.flag == "--obs-cell" {
+        std::process::exit(run_obs_cell(&cli.obs));
     }
-    let quick = named.iter().any(|a| a == "--quick");
-    let jobs = tcw_experiments::jobs_from_args("fig7", &args);
-    let panel_filter: Vec<&String> = named.iter().filter(|a| !a.starts_with("--")).collect();
-    let settings = if quick {
+    let settings = if cli.has("--quick") {
         SimSettings {
             messages: 5_000,
             warmup: 500,
@@ -369,21 +370,15 @@ fn main() {
         "Reproducing Figure 7 ({} messages per simulated point; seed base 42)\n",
         settings.messages
     );
-    let panels: Vec<Panel> = PANELS
-        .into_iter()
-        .filter(|panel| panel_filter.is_empty() || panel_filter.iter().any(|f| **f == panel.id()))
-        .collect();
-    let (results, artifacts) = run_panels(&panels, settings, 42, jobs, &obs, &sup);
+    let mut panels: Vec<Panel> = PANELS.into_iter().filter(|p| cli.has(&p.id())).collect();
+    if panels.is_empty() {
+        panels = PANELS.to_vec();
+    }
+    let (results, artifacts) = run_panels(&panels, settings, 42, &cli);
     for result in &results {
         emit(result, &out_dir);
     }
-    if let Err(e) = write_observability(
-        &obs,
-        &artifacts,
-        SweepMeta {
-            cells: artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(&cli.obs, &artifacts) {
         diag::error("fig7", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

@@ -19,6 +19,7 @@
 
 use std::fmt::Write as _;
 use std::path::Path;
+use tcw_experiments::diag;
 use tcw_experiments::plot::write_csv;
 use tcw_experiments::runner::{PolicyKind, RunSpec, SimSettings};
 use tcw_experiments::Panel;
@@ -39,6 +40,7 @@ fn settings() -> SimSettings {
 }
 
 fn main() {
+    diag::parse("light", diag::NO_ARGS);
     let results = Path::new("results");
     std::fs::create_dir_all(results).expect("create results dir");
 

@@ -12,11 +12,9 @@
 //! exported artifacts are byte-identical for any worker count. Exits
 //! with [`diag::EXIT_FAILURE`] if any check fails.
 
-use tcw_experiments::diag;
-use tcw_experiments::sweep::{jobs_from_args, run_parallel};
-use tcw_experiments::{
-    observe_engine_cell, write_observability, CellArtifacts, ObsConfig, SweepMeta,
-};
+use tcw_experiments::diag::{self, Mode, JOBS, TELEMETRY};
+use tcw_experiments::sweep::run_parallel;
+use tcw_experiments::{observe_engine_cell, write_observability, CellArtifacts};
 use tcw_numerics::grid::GridDist;
 use tcw_queueing::impatient::{loss_probability, p_idle};
 use tcw_queueing::simqueue::{simulate, LossMode};
@@ -108,11 +106,11 @@ fn panel_checks(
     checks
 }
 
+const MODES: &[Mode] = &[Mode::run(&[TELEMETRY, JOBS])];
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("limits", ObsConfig::split_args(&raw));
-    diag::reject_unknown("limits", &args, &["--jobs"]);
-    let jobs = jobs_from_args("limits", &args);
+    let cli = diag::parse("limits", MODES);
+    let (obs, jobs) = (&cli.obs, cli.jobs);
     let mut failures = 0u32;
     println!("eq. 4.7 boundary checks\n");
 
@@ -163,13 +161,7 @@ fn main() {
         failures += 1;
     }
 
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(obs, &cell_artifacts) {
         diag::error("limits", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

@@ -14,6 +14,7 @@
 //!    the §4.1 heuristic `w* = mu*/lambda`; the SMDP gain is compared
 //!    with the eq. 4.7 loss.
 
+use tcw_experiments::diag;
 use tcw_experiments::plot::write_csv;
 use tcw_mdp::howard::{evaluate_policy, policy_iteration};
 use tcw_mdp::smdp::{Smdp, SmdpConfig};
@@ -26,6 +27,7 @@ use tcw_window::policy::{ControlPolicy, SplitRule, WindowLength, WindowPosition}
 use tcw_window::trace::NoopObserver;
 
 fn main() {
+    diag::parse("mdp_verify", diag::NO_ARGS);
     let mut failures = 0u32;
 
     println!("== 1. Lemma 3: one-step pseudo loss, min-slack vs alternatives ==\n");

@@ -19,15 +19,12 @@
 //! failure (the binary exits non-zero if it does not).
 
 use std::path::{Path, PathBuf};
-use tcw_experiments::diag;
+use tcw_experiments::diag::{self, Mode, JOBS, REPLAY, SUPERVISION, TELEMETRY};
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::replay::{execute, replay, Artifact};
+use tcw_experiments::replay::{execute, Artifact};
 use tcw_experiments::runner::{fingerprint, CellResult, PolicyKind, RunSpec, SimSettings};
-use tcw_experiments::supervise::{supervised_cells, SupervisorOptions};
-use tcw_experiments::sweep::jobs_from_args;
-use tcw_experiments::{
-    observed_cell, write_observability, CellArtifacts, Failure, ObsConfig, Panel, SweepMeta,
-};
+use tcw_experiments::supervise::supervised_cells;
+use tcw_experiments::{observed_cell, write_observability, CellArtifacts, Failure, Panel};
 use tcw_mac::FaultPlan;
 
 const FAULT_PROBS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.10];
@@ -69,23 +66,10 @@ fn guarded(spec: &RunSpec, out_dir: &Path) -> Result<String, PathBuf> {
     Err(path)
 }
 
+const MODES: &[Mode] = &[Mode::run(&[TELEMETRY, SUPERVISION, JOBS]), REPLAY];
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("robustness", ObsConfig::split_args(&raw));
-    let (sup, args) = diag::or_usage(
-        "robustness",
-        SupervisorOptions::split_args(&args, obs.wants_telemetry()),
-    );
-    if args.first().is_some_and(|a| a == "--replay") {
-        let Some(path) = args.get(1) else {
-            diag::error("robustness", "--replay needs an artifact path");
-            std::process::exit(diag::EXIT_USAGE);
-        };
-        diag::reject_unknown("robustness", &args[2..], &[]);
-        std::process::exit(replay(Path::new(path), "robustness"));
-    }
-    diag::reject_unknown("robustness", &args, &["--jobs"]);
-    let jobs = jobs_from_args("robustness", &args);
+    let cli = diag::parse("robustness", MODES);
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");
@@ -111,13 +95,10 @@ fn main() {
             })
         })
         .collect();
-    let caps = obs.capture();
+    let caps = cli.obs.capture();
     let (outcomes, cell_artifacts): (Vec<CellResult>, Vec<CellArtifacts>) = supervised_cells(
-        "robustness",
+        &cli,
         &cells,
-        jobs,
-        &sup,
-        obs.progress,
         fingerprint(cells.iter().map(|(_, spec)| spec)),
         |(rho, spec), q| {
             let p = spec.faults.erasure;
@@ -261,13 +242,7 @@ fn main() {
     )
     .expect("write csv");
     std::fs::write(results.join("robustness.txt"), &report).expect("write report");
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(&cli.obs, &cell_artifacts) {
         diag::error("robustness", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

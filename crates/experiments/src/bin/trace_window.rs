@@ -7,6 +7,7 @@
 //! * **Figure 2** — a station's fragmented view of the time axis under a
 //!   non-FCFS discipline (LCFS leaves examined gaps).
 
+use tcw_experiments::diag;
 use tcw_mac::{ChannelConfig, TraceArrivals};
 use tcw_sim::time::{Dur, Time};
 use tcw_window::engine::{Engine, EngineConfig};
@@ -31,6 +32,7 @@ fn measure() -> MeasureConfig {
 }
 
 fn main() {
+    diag::parse("trace_window", diag::NO_ARGS);
     println!("== Figure 1: operation of the time window protocol ==\n");
     println!("Four stations; station 1 and 2 and 3 hold messages whose arrival");
     println!("times fall inside the second initial window; splitting isolates");

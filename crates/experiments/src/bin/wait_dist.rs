@@ -17,9 +17,10 @@
 //! `--progress`. A sup distance above 0.05 is a gate failure (exit 2).
 
 use std::path::PathBuf;
+use tcw_experiments::diag::{self, Mode, JOBS, TELEMETRY};
 use tcw_experiments::plot::{ascii_plot, write_csv, Series};
-use tcw_experiments::sweep::{jobs_from_args, run_parallel};
-use tcw_experiments::{diag, observe_engine_cell, write_observability, ObsConfig, SweepMeta};
+use tcw_experiments::sweep::run_parallel;
+use tcw_experiments::{observe_engine_cell, write_observability};
 use tcw_mac::ChannelConfig;
 use tcw_numerics::grid::renewal_series;
 use tcw_queueing::marching::{controlled_curve, PanelConfig};
@@ -30,11 +31,11 @@ use tcw_window::engine::poisson_engine;
 use tcw_window::metrics::MeasureConfig;
 use tcw_window::policy::ControlPolicy;
 
+const MODES: &[Mode] = &[Mode::run(&[TELEMETRY, JOBS])];
+
 fn main() {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (obs, args) = diag::or_usage("wait_dist", ObsConfig::split_args(&raw));
-    diag::reject_unknown("wait_dist", &args, &["--jobs"]);
-    let jobs = jobs_from_args("wait_dist", &args);
+    let cli = diag::parse("wait_dist", MODES);
+    let (obs, jobs) = (&cli.obs, cli.jobs);
     let (rho_prime, m, k_tau) = (0.75f64, 25u64, 200.0f64);
     let lambda = rho_prime / m as f64;
     println!("waiting-time distribution at rho' = {rho_prime}, M = {m}, K = {k_tau} tau\n");
@@ -146,13 +147,7 @@ fn main() {
     println!("messages simulated : {offered}");
     println!("sup |analytic - simulated| over the CDF grid = {sup:.4}");
     println!("data: {}", path.display());
-    if let Err(e) = write_observability(
-        &obs,
-        &cell_artifacts,
-        SweepMeta {
-            cells: cell_artifacts.len(),
-        },
-    ) {
+    if let Err(e) = write_observability(obs, &cell_artifacts) {
         diag::error("wait_dist", &e);
         std::process::exit(diag::EXIT_FAILURE);
     }

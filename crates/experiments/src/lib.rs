@@ -39,7 +39,11 @@
 //! experiment tag, chaos's mutation and the outcome. The `tcw-bench`
 //! panel benches run specs too, so they time exactly the code that
 //! produced EXPERIMENTS.md. Beside it sit the sweep worker pool and its
-//! supervisor, and small CSV/ASCII-plot helpers.
+//! supervisor, small CSV/ASCII-plot helpers, and the one command-line
+//! grammar ([`diag`]): each binary declares its modes and their flags
+//! once, and [`diag::parse`] turns the command line into the mode, the
+//! telemetry and supervision flags, the worker count and the binary's
+//! own values, or a usage error before anything runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,7 +64,6 @@ pub use chaos::{
 };
 pub use obs::{
     observe_engine_cell, observed_cell, write_observability, Capture, CellArtifacts, ObsConfig,
-    SweepMeta,
 };
 pub use panels::{Panel, PANELS};
 pub use replay::Artifact;
@@ -70,4 +73,4 @@ pub use runner::{
 pub use supervise::{
     run_supervised, supervised_cells, Journal, JournalItem, SupervisorOptions, SweepOutcome,
 };
-pub use sweep::{jobs_from_args, run_parallel, Failure, Quarantined};
+pub use sweep::{run_parallel, Failure, Quarantined};

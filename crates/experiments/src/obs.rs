@@ -1,6 +1,7 @@
 //! Observability glue for the experiment binaries: the shared
-//! `--trace-events` / `--spans` / `--metrics` / `--progress` flags,
-//! per-cell telemetry capture, and deterministic artifact assembly.
+//! `--trace-events` / `--spans` / `--metrics` / `--progress` flags (parsed
+//! by [`crate::diag::parse`] into an [`ObsConfig`]), per-cell telemetry
+//! capture, and deterministic artifact assembly.
 //!
 //! Each sweep cell produces its telemetry into cell-local buffers (an
 //! NDJSON fragment from an [`EventTracer`], a lifecycle-span fragment
@@ -58,38 +59,6 @@ impl Capture {
 }
 
 impl ObsConfig {
-    /// Extracts the observability flags from a raw argument list,
-    /// returning the parsed config and the remaining arguments (so each
-    /// binary's own argument handling never sees them).
-    pub fn split_args(args: &[String]) -> Result<(ObsConfig, Vec<String>), String> {
-        let mut cfg = ObsConfig::default();
-        let mut rest = Vec::with_capacity(args.len());
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if a == "--trace-events" {
-                let v = it.next().ok_or("--trace-events needs a path")?;
-                cfg.trace_events = Some(PathBuf::from(v));
-            } else if let Some(v) = a.strip_prefix("--trace-events=") {
-                cfg.trace_events = Some(PathBuf::from(v));
-            } else if a == "--spans" {
-                let v = it.next().ok_or("--spans needs a path")?;
-                cfg.spans = Some(PathBuf::from(v));
-            } else if let Some(v) = a.strip_prefix("--spans=") {
-                cfg.spans = Some(PathBuf::from(v));
-            } else if a == "--metrics" {
-                let v = it.next().ok_or("--metrics needs a path")?;
-                cfg.metrics = Some(PathBuf::from(v));
-            } else if let Some(v) = a.strip_prefix("--metrics=") {
-                cfg.metrics = Some(PathBuf::from(v));
-            } else if a == "--progress" {
-                cfg.progress = true;
-            } else {
-                rest.push(a.clone());
-            }
-        }
-        Ok((cfg, rest))
-    }
-
     /// Whether any per-cell telemetry (tracing, spans or metrics) is
     /// requested.
     pub fn wants_telemetry(&self) -> bool {
@@ -203,26 +172,16 @@ pub fn observe_engine_cell<T>(
     )
 }
 
-/// Sweep-level facts recorded alongside the merged metrics.
-#[derive(Clone, Copy, Debug)]
-pub struct SweepMeta {
-    /// Number of cells in the sweep grid.
-    pub cells: usize,
-}
-
 /// Assembles per-cell telemetry into the files `cfg` requests: traces are
 /// concatenated and registries merged **in cell order**, making both
 /// artifacts byte-identical for any worker count. The merged registry
-/// additionally carries the executor's own `tcw_sweep_cells` gauge.
+/// additionally carries the executor's own `tcw_sweep_cells` gauge: the
+/// number of cells, one artifact each.
 ///
 /// Metrics format is chosen by extension: `.prom` writes the Prometheus
 /// text exposition format, anything else the JSON export. Every file is
 /// written atomically ([`tcw_sim::record::write_atomic`]).
-pub fn write_observability(
-    cfg: &ObsConfig,
-    artifacts: &[CellArtifacts],
-    meta: SweepMeta,
-) -> Result<(), String> {
+pub fn write_observability(cfg: &ObsConfig, artifacts: &[CellArtifacts]) -> Result<(), String> {
     let write = |path: &Path, text: &str| {
         tcw_sim::record::write_atomic(path, text).map_err(|e| format!("{}: {e}", path.display()))
     };
@@ -256,7 +215,7 @@ pub fn write_observability(
         merged.gauge(
             "tcw_sweep_cells",
             "cells in the sweep grid",
-            meta.cells as f64,
+            artifacts.len() as f64,
         );
         let text = if path.extension().is_some_and(|e| e == "prom") {
             merged.to_prometheus()
@@ -273,55 +232,24 @@ mod tests {
     use super::*;
     use crate::runner::{PolicyKind, SimSettings};
 
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn split_args_extracts_obs_flags() {
-        let (cfg, rest) = ObsConfig::split_args(&strs(&[
-            "--quick",
-            "--trace-events",
-            "out.ndjson",
-            "--spans=out.spans.ndjson",
-            "--metrics=m.prom",
-            "--progress",
-            "--jobs",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(cfg.trace_events.as_deref(), Some(Path::new("out.ndjson")));
-        assert_eq!(cfg.spans.as_deref(), Some(Path::new("out.spans.ndjson")));
-        assert_eq!(cfg.metrics.as_deref(), Some(Path::new("m.prom")));
-        assert!(cfg.progress);
-        assert!(cfg.wants_telemetry());
-        let caps = cfg.capture();
-        assert!(caps.tracing && caps.metrics && caps.spans && caps.any());
-        assert_eq!(rest, strs(&["--quick", "--jobs", "2"]));
-    }
-
     #[test]
     fn spans_alone_count_as_telemetry() {
-        let (cfg, _) = ObsConfig::split_args(&strs(&["--spans", "s.spans.ndjson"])).unwrap();
+        let cfg = ObsConfig {
+            spans: Some(PathBuf::from("s.spans.ndjson")),
+            ..ObsConfig::default()
+        };
         assert!(cfg.wants_telemetry());
         let caps = cfg.capture();
-        assert!(caps.spans && !caps.tracing && !caps.metrics);
+        assert!(caps.spans && !caps.tracing && !caps.metrics && caps.any());
         assert!(!Capture::OFF.any());
     }
 
     #[test]
-    fn split_args_rejects_missing_values() {
-        assert!(ObsConfig::split_args(&strs(&["--trace-events"])).is_err());
-        assert!(ObsConfig::split_args(&strs(&["--spans"])).is_err());
-        assert!(ObsConfig::split_args(&strs(&["--metrics"])).is_err());
-    }
-
-    #[test]
     fn no_flags_is_disabled() {
-        let (cfg, rest) = ObsConfig::split_args(&strs(&["--quick"])).unwrap();
+        let cfg = ObsConfig::default();
         assert!(!cfg.wants_telemetry());
         assert!(!cfg.progress);
-        assert_eq!(rest, strs(&["--quick"]));
+        assert!(!cfg.capture().any());
     }
 
     #[test]

@@ -40,11 +40,12 @@
 //! threads hold no locks — cells share no state — so they can only waste
 //! a core until the cell returns or the process exits.
 
+use crate::diag::Cli;
 use crate::replay::ARTIFACT_VERSION;
 use crate::runner::{
     AoiPoint, CellResult, ChurnCounters, ControllerCounters, FaultCounters, SimPoint,
 };
-use crate::sweep::{pool, Failure, Quarantined};
+use crate::sweep::{pool, workers, Failure, Quarantined};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -83,60 +84,6 @@ impl Default for SupervisorOptions {
             retries: 2,
             backoff: Duration::from_millis(100),
         }
-    }
-}
-
-impl SupervisorOptions {
-    /// Splits the supervision flags out of a raw argument list, returning
-    /// the options (the defaults for absent flags) and the remaining
-    /// arguments. `telemetry` says whether `--trace-events`, `--spans` or
-    /// `--metrics` was given: `--resume` excludes them, since journaled
-    /// cells carry no telemetry.
-    pub fn split_args(args: &[String], telemetry: bool) -> Result<(Self, Vec<String>), String> {
-        let mut opts = SupervisorOptions::default();
-        let mut rest = Vec::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            let value = |name: &str, inline: Option<&str>, it: &mut std::slice::Iter<String>| {
-                match inline {
-                    Some(v) => Ok(v.to_string()),
-                    None => it
-                        .next()
-                        .cloned()
-                        .ok_or_else(|| format!("{name} needs a value")),
-                }
-            };
-            if a == "--resume" || a.starts_with("--resume=") {
-                let v = value("--resume", a.strip_prefix("--resume="), &mut it)?;
-                opts.resume = Some(PathBuf::from(v));
-            } else if a == "--cell-timeout" || a.starts_with("--cell-timeout=") {
-                let v = value("--cell-timeout", a.strip_prefix("--cell-timeout="), &mut it)?;
-                let secs: f64 = v
-                    .parse()
-                    .map_err(|_| format!("--cell-timeout expects seconds, got {v:?}"))?;
-                if !(secs > 0.0 && secs.is_finite()) {
-                    return Err(format!("--cell-timeout must be positive, got {v:?}"));
-                }
-                let limit = Duration::try_from_secs_f64(secs)
-                    .map_err(|_| format!("--cell-timeout is out of range, got {v:?}"))?;
-                opts.cell_timeout = Some(limit);
-            } else if a == "--retries" || a.starts_with("--retries=") {
-                let v = value("--retries", a.strip_prefix("--retries="), &mut it)?;
-                opts.retries = v
-                    .parse()
-                    .map_err(|_| format!("--retries expects a non-negative integer, got {v:?}"))?;
-            } else {
-                rest.push(a.clone());
-            }
-        }
-        if opts.resume.is_some() && telemetry {
-            return Err(
-                "--resume is incompatible with --trace-events/--spans/--metrics \
-                 (journaled cells carry no telemetry)"
-                    .to_string(),
-            );
-        }
-        Ok((opts, rest))
     }
 }
 
@@ -588,7 +535,8 @@ where
         }
     }
     let todo: Vec<usize> = (0..n).filter(|&i| results[i].is_none()).collect();
-    let progress = show_progress.then(|| Arc::new(Progress::new(todo.len(), jobs)));
+    let progress =
+        show_progress.then(|| Arc::new(Progress::new(todo.len(), workers(jobs, todo.len()))));
     if let Some(p) = &progress {
         p.note_resume_skipped(resumed as u64);
     }
@@ -634,7 +582,8 @@ where
 
 /// Binary-side entry point of every supervised sweep: opens the resume
 /// journal when `--resume` was given (the journal's experiment tag is
-/// `tool`), runs `f` over `cells` with [`run_supervised`], and returns
+/// the binary's name), runs `f` over `cells` with [`run_supervised`] on
+/// the command line's jobs, supervision and progress flags, and returns
 /// each cell's `(result, side output)` in grid order.
 ///
 /// A sweep that resumed, retried, timed out or quarantined anything
@@ -646,13 +595,9 @@ where
 /// written from a partial sweep; the journal keeps every completed cell
 /// for the next `--resume`. Journal staleness/corruption and I/O
 /// failures exit the same way.
-#[allow(clippy::too_many_arguments)]
 pub fn supervised_cells<I, T, A, F, D>(
-    tool: &str,
+    cli: &Cli,
     cells: &[I],
-    jobs: usize,
-    sup: &SupervisorOptions,
-    show_progress: bool,
     fingerprint: u64,
     describe: D,
     f: F,
@@ -668,6 +613,7 @@ where
         crate::diag::error(tool, msg);
         std::process::exit(crate::diag::EXIT_FAILURE)
     }
+    let (tool, sup) = (cli.tool, &cli.sup);
     let mut journal = sup
         .resume
         .as_ref()
@@ -675,10 +621,10 @@ where
     let owned: Arc<[I]> = cells.into();
     let outcome = run_supervised(
         cells.len(),
-        jobs,
+        cli.jobs,
         sup,
         journal.as_mut(),
-        show_progress,
+        cli.obs.progress,
         move |i, progress| f(i, &owned[i], progress),
     )
     .unwrap_or_else(|e| fail(tool, &e));
@@ -729,10 +675,6 @@ mod tests {
         }
     }
 
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
     fn fast() -> SupervisorOptions {
         SupervisorOptions {
             backoff: Duration::from_millis(1),
@@ -744,46 +686,6 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("tcw_supervise_{name}_{}", std::process::id()));
         p
-    }
-
-    #[test]
-    fn split_args_extracts_supervision_flags() {
-        let (opts, rest) = SupervisorOptions::split_args(
-            &strs(&[
-                "--jobs",
-                "4",
-                "--resume",
-                "j.ndjson",
-                "--cell-timeout=1.5",
-                "--retries",
-                "0",
-                "--quick",
-            ]),
-            false,
-        )
-        .unwrap();
-        assert_eq!(opts.resume.as_deref(), Some(Path::new("j.ndjson")));
-        assert_eq!(opts.cell_timeout, Some(Duration::from_secs_f64(1.5)));
-        assert_eq!(opts.retries, 0);
-        assert_eq!(rest, strs(&["--jobs", "4", "--quick"]));
-
-        let (defaults, rest) =
-            SupervisorOptions::split_args(&strs(&["--jobs", "2"]), true).unwrap();
-        assert_eq!(defaults, SupervisorOptions::default());
-        assert_eq!(rest, strs(&["--jobs", "2"]));
-
-        // Retries and the watchdog compose with telemetry; the journal
-        // does not.
-        assert!(SupervisorOptions::split_args(&strs(&["--retries", "1"]), true).is_ok());
-        assert!(SupervisorOptions::split_args(&strs(&["--cell-timeout", "9"]), true).is_ok());
-        assert!(SupervisorOptions::split_args(&strs(&["--resume", "j"]), true).is_err());
-
-        let rejects = |v: &[&str]| SupervisorOptions::split_args(&strs(v), false).is_err();
-        assert!(rejects(&["--resume"]));
-        assert!(rejects(&["--cell-timeout", "0"]));
-        assert!(rejects(&["--cell-timeout", "x"]));
-        assert!(rejects(&["--cell-timeout", "1e30"]));
-        assert!(rejects(&["--retries", "-1"]));
     }
 
     #[test]
@@ -858,12 +760,19 @@ mod tests {
     #[test]
     fn supervised_sweep_matches_direct_execution() {
         let opts = fast();
-        let out = run_supervised(8, 3, &opts, None, false, |i, _| (V(i as u64 * 10), ())).unwrap();
-        assert!(out.quarantined.is_empty());
-        assert_eq!(out.resumed, 0);
-        assert_eq!(out.retries + out.timeouts, 0);
-        let vals = out.into_results();
-        assert_eq!(vals, (0..8).map(|i| (V(i * 10), ())).collect::<Vec<_>>());
+        // The progress line is sized by the workers the pool starts, not
+        // by the jobs requested, so usize::MAX jobs are fine.
+        for (jobs, progress) in [(3, false), (usize::MAX, true)] {
+            let out = run_supervised(8, jobs, &opts, None, progress, |i, _| {
+                (V(i as u64 * 10), ())
+            })
+            .unwrap();
+            assert!(out.quarantined.is_empty());
+            assert_eq!(out.resumed, 0);
+            assert_eq!(out.retries + out.timeouts, 0);
+            let vals = out.into_results();
+            assert_eq!(vals, (0..8).map(|i| (V(i * 10), ())).collect::<Vec<_>>());
+        }
     }
 
     #[test]

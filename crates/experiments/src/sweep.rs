@@ -26,10 +26,11 @@
 //! are byte-identical. The `sweep_determinism` integration test pins
 //! this property.
 //!
-//! Binaries expose the pool width as `--jobs N` (parsed by
-//! [`jobs_from_args`]; default: available parallelism) and the stderr
-//! progress line as `--progress`; both entry points own the
-//! [`Progress`] and hand each cell an `Option<&Progress>`.
+//! Binaries expose the pool width as `--jobs N` (parsed with the rest of
+//! the command line by [`crate::diag::parse`]; default: available
+//! parallelism) and the stderr progress line as `--progress`; both entry
+//! points own the [`Progress`], sized by the workers the pool starts, and
+//! hand each cell an `Option<&Progress>`.
 
 use crate::replay::panic_message;
 use crate::runner::{CellResult, RunSpec};
@@ -73,7 +74,7 @@ where
     T: Send,
     F: Fn(usize, &I, Option<&Progress>) -> T + Sync,
 {
-    let progress = show_progress.then(|| Progress::new(items.len(), jobs));
+    let progress = show_progress.then(|| Progress::new(items.len(), workers(jobs, items.len())));
     let progress = progress.as_ref();
     let cells: Vec<usize> = (0..items.len()).collect();
     let mut out: Vec<Option<Result<T, Quarantined>>> = Vec::with_capacity(items.len());
@@ -167,7 +168,7 @@ where
     R: Fn(usize) -> Result<T, Failure> + Sync,
     K: FnMut(usize, Result<T, Quarantined>) -> Result<(), String>,
 {
-    let workers = jobs.max(1).min(cells.len());
+    let workers = workers(jobs, cells.len());
     let next = AtomicUsize::new(0);
     let retried = AtomicU64::new(0);
     let timeouts = AtomicU64::new(0);
@@ -255,32 +256,17 @@ where
     })
 }
 
+/// The number of workers the pool starts for `cells` cells on `jobs`
+/// requested workers: at least one, and no more than there are cells.
+pub(crate) fn workers(jobs: usize, cells: usize) -> usize {
+    jobs.max(1).min(cells)
+}
+
 /// The default worker count: the host's available parallelism.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Parses `--jobs N` (or `--jobs=N`) out of a raw argument list,
-/// defaulting to [`default_jobs`]. `--jobs 1` runs the pool with one
-/// worker.
-///
-/// A present but malformed flag (including `--jobs 0`) is a usage error:
-/// it is reported as `tool: message` and the process exits with
-/// [`crate::diag::EXIT_USAGE`].
-pub fn jobs_from_args(tool: &str, args: &[String]) -> usize {
-    crate::diag::or_usage(tool, parse_jobs(args))
-}
-
-fn parse_jobs(args: &[String]) -> Result<usize, String> {
-    match crate::diag::flag_value(args, "--jobs")? {
-        None => Ok(default_jobs()),
-        Some(value) => value
-            .parse::<NonZeroUsize>()
-            .map(NonZeroUsize::get)
-            .map_err(|_| format!("--jobs expects a positive integer, got {value:?}")),
-    }
 }
 
 #[cfg(test)]
@@ -314,16 +300,26 @@ mod tests {
 
     #[test]
     fn jobs_flag_parsing() {
-        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        use crate::diag::{parse_args, Arg, Mode, JOBS};
+        const MODES: &[Mode] = &[Mode::run(&[JOBS, &[Arg::Switch("--quick")]])];
+        let jobs = |v: &[&str]| parse_args("test", MODES, v.iter().map(|s| s.to_string()));
+        assert_eq!(jobs(&["--quick", "--jobs", "3"]).unwrap().jobs, 3);
+        assert_eq!(jobs(&["--jobs=7"]).unwrap().jobs, 7);
+        assert_eq!(jobs(&["--quick"]).unwrap().jobs, default_jobs());
+        assert!(jobs(&["--jobs", "0"]).is_err());
+        assert!(jobs(&["--jobs=x"]).is_err());
+        assert!(jobs(&["--jobs"]).is_err());
+    }
+
+    #[test]
+    fn progress_is_sized_by_the_workers_the_pool_starts() {
+        // One progress slot per requested job would ask for usize::MAX
+        // slots; the pool starts two workers for two items.
+        let items = [1u64, 2];
         assert_eq!(
-            jobs_from_args("test", &args(&["--quick", "--jobs", "3"])),
-            3
+            run_parallel(&items, usize::MAX, true, |_, x, _| x * 2),
+            vec![2, 4]
         );
-        assert_eq!(jobs_from_args("test", &args(&["--jobs=7"])), 7);
-        assert_eq!(jobs_from_args("test", &args(&["--quick"])), default_jobs());
-        assert!(parse_jobs(&args(&["--jobs", "0"])).is_err());
-        assert!(parse_jobs(&args(&["--jobs=x"])).is_err());
-        assert!(parse_jobs(&args(&["--jobs"])).is_err());
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! watchdog cuts off a wedged cell, a corrupted or stale journal is
 //! rejected up front, a clean `--resume` finishes the sweep with CSV/TXT
 //! outputs byte-identical to an uninterrupted `--jobs 1` run, and
-//! retries leave the telemetry exports byte-identical. A misspelled flag
-//! is a usage error, in `chaos` and in the sweeps that keep no journal.
+//! retries leave the telemetry exports byte-identical. A misspelled flag,
+//! a flag the selected mode does not use and a repeated flag are usage
+//! errors that write nothing, in every experiment binary.
 //!
 //! Each scenario runs the real `chaos` binary in its own temp directory,
 //! because the binary writes `results/` relative to the working
@@ -265,35 +266,23 @@ fn incompatible_flag_combinations_are_usage_errors() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The non-journaling sweeps refuse a misspelled flag or a stray operand
-/// before they run or write anything, as `chaos` does.
-#[test]
-fn misspelled_flags_are_usage_errors_in_every_sweep() {
-    let dir = fresh_dir("misspelled");
-    for (bin, args) in [
-        (env!("CARGO_BIN_EXE_fig7"), &["--quik", "--jobs", "2"][..]),
-        (env!("CARGO_BIN_EXE_fig7"), &["rho25_m26"]),
-        (env!("CARGO_BIN_EXE_aoi"), &["--job", "2"]),
-        (env!("CARGO_BIN_EXE_ablate"), &["--jobs=2", "--progres"]),
-        (env!("CARGO_BIN_EXE_wait_dist"), &["--quick"]),
-        (env!("CARGO_BIN_EXE_limits"), &["--jobs", "2", "3"]),
-    ] {
+/// Runs each `(binary, arguments)` row in an empty temp directory and
+/// requires exit 1 with `message` on stderr, and a directory still empty.
+fn usage_errors_write_nothing(name: &str, message: &str, rows: &[(&str, &[&str])]) {
+    let dir = fresh_dir(name);
+    for (bin, args) in rows {
         let out = Command::new(bin)
             .current_dir(&dir)
-            .args(args)
+            .args(*args)
             .output()
-            .expect("spawn sweep binary");
+            .expect("spawn experiment binary");
         assert_eq!(
             out.status.code(),
             Some(1),
             "{bin} {args:?}: {}",
             stderr(&out)
         );
-        assert!(
-            stderr(&out).contains("unknown argument"),
-            "{}",
-            stderr(&out)
-        );
+        assert!(stderr(&out).contains(message), "{}", stderr(&out));
     }
     let written: Vec<_> = fs::read_dir(&dir).expect("read temp dir").collect();
     assert!(
@@ -301,4 +290,121 @@ fn misspelled_flags_are_usage_errors_in_every_sweep() {
         "a usage error writes nothing: {written:?}"
     );
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every experiment binary refuses a misspelled flag or a stray operand
+/// before it runs or writes anything.
+#[test]
+fn misspelled_flags_are_usage_errors_in_every_sweep() {
+    usage_errors_write_nothing(
+        "misspelled",
+        "unknown argument",
+        &[
+            (env!("CARGO_BIN_EXE_fig7"), &["--quik", "--jobs", "2"]),
+            (env!("CARGO_BIN_EXE_fig7"), &["rho25_m26"]),
+            (env!("CARGO_BIN_EXE_aoi"), &["--job", "2"]),
+            (env!("CARGO_BIN_EXE_ablate"), &["--jobs=2", "--progres"]),
+            (env!("CARGO_BIN_EXE_wait_dist"), &["--quick"]),
+            (env!("CARGO_BIN_EXE_limits"), &["--jobs", "2", "3"]),
+            (env!("CARGO_BIN_EXE_light"), &["--quik"]),
+            (env!("CARGO_BIN_EXE_mdp_verify"), &["--quik"]),
+            (env!("CARGO_BIN_EXE_trace_window"), &["--quik"]),
+            (
+                env!("CARGO_BIN_EXE_robustness"),
+                &["--jobs", "2", "--progres"],
+            ),
+            (env!("CARGO_BIN_EXE_churn"), &["--resum", "J"]),
+            (env!("CARGO_BIN_EXE_adaptive"), &["--episod"]),
+            (env!("CARGO_BIN_EXE_chaos"), &["--config", "2"]),
+        ],
+    );
+}
+
+/// A flag the selected mode does not use, and a repeated flag, are usage
+/// errors that write nothing: no row may run with a flag ignored or
+/// overridden.
+#[test]
+fn mode_foreign_and_repeated_flags_are_usage_errors() {
+    macro_rules! artifact {
+        ($name:literal) => {
+            concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../results/failures/",
+                $name
+            )
+        };
+    }
+    let obs_cell: &[&str] = &[
+        "--obs-cell",
+        "--trace-events",
+        "T",
+        "--metrics",
+        "M",
+        "--retries",
+        "3",
+        "--quick",
+        "rho25_m25",
+        "--jobs",
+        "3",
+    ];
+    usage_errors_write_nothing(
+        "mode_foreign",
+        "",
+        &[
+            (env!("CARGO_BIN_EXE_fig7"), obs_cell),
+            (
+                env!("CARGO_BIN_EXE_robustness"),
+                &[
+                    "--replay",
+                    artifact!("failure_divergence_seed1983_p02.json"),
+                    "--metrics",
+                    "M",
+                ],
+            ),
+            (
+                env!("CARGO_BIN_EXE_churn"),
+                &[
+                    "--replay",
+                    artifact!("failure_churn_divergence_seed1983.json"),
+                    "--resume",
+                    "J",
+                ],
+            ),
+            (
+                env!("CARGO_BIN_EXE_adaptive"),
+                &[
+                    "--replay",
+                    artifact!("adaptive_step_aimd_rep0.json"),
+                    "--retries",
+                    "5",
+                    "--cell-timeout",
+                    "1",
+                ],
+            ),
+            (
+                env!("CARGO_BIN_EXE_adaptive"),
+                &["--episode", "--trace-events", "E"],
+            ),
+            (
+                env!("CARGO_BIN_EXE_chaos"),
+                &["--inject", "reorder_pair", "P", "--metrics", "M"],
+            ),
+            (
+                env!("CARGO_BIN_EXE_chaos"),
+                &[
+                    "--replay",
+                    artifact!("chaos_injected_reorder_pair.json"),
+                    "--inject-panic",
+                    "0",
+                    "--progress",
+                    "--retries",
+                    "9",
+                ],
+            ),
+            (
+                env!("CARGO_BIN_EXE_chaos"),
+                &["--configs", "3", "--configs", "5"],
+            ),
+        ],
+    );
 }
