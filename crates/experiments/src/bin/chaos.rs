@@ -12,7 +12,7 @@
 //! ```text
 //! chaos [--configs N] [--jobs N] [--trace-events P] [--spans P] [--metrics P] [--progress]
 //!       [--resume P] [--cell-timeout SECS] [--retries N]
-//!       [--inject-panic CELL] [--inject-slow CELL]
+//!       [--inject-panic CELL] [--inject-slow CELL]   # N <= 100000, CELL < N
 //! chaos --replay PATH             # must reproduce the recorded outcome
 //! chaos --inject MUTATION [PATH]  # seed a violation, shrink it, verify replay
 //! ```
@@ -22,6 +22,8 @@
 //! watchdog and `--resume PATH` a journal of completed cells.
 //! `--inject-panic CELL` and `--inject-slow CELL` (which needs
 //! `--cell-timeout`) exist to exercise exactly that machinery from CI.
+//! A `CELL` outside the grid, or `N` above `MAX_CONFIGS` (the whole grid
+//! is built before the sweep), is a usage error.
 //!
 //! `MUTATION` is one of `drop_delivery`, `reorder_pair`, `stale_clock`.
 //! Exit codes follow the shared convention: `0` clean, `1` usage,
@@ -31,6 +33,7 @@
 use std::path::Path;
 use tcw_experiments::chaos::{
     execute, execute_observed, shrink, ChaosOutcome, Mutation, BASE_SEED, DEFAULT_CONFIGS,
+    MAX_CONFIGS,
 };
 use tcw_experiments::diag::{self, Arg, Mode, JOBS, REPLAY, SUPERVISION, TELEMETRY};
 use tcw_experiments::plot::write_csv;
@@ -174,6 +177,25 @@ fn main() {
     let configs = cli.count("--configs").unwrap_or(DEFAULT_CONFIGS);
     let inject_panic = cli.count("--inject-panic");
     let inject_slow = cli.count("--inject-slow");
+    let usage = |msg: String| {
+        diag::error("chaos", &msg);
+        std::process::exit(diag::EXIT_USAGE)
+    };
+    if configs > MAX_CONFIGS {
+        usage(format!(
+            "--configs {configs} is above the maximum {MAX_CONFIGS}"
+        ));
+    }
+    for (flag, cell) in [
+        ("--inject-panic", inject_panic),
+        ("--inject-slow", inject_slow),
+    ] {
+        if let Some(cell) = cell.filter(|&cell| cell >= configs) {
+            usage(format!(
+                "{flag} {cell} is not a cell of the {configs} configs"
+            ));
+        }
+    }
 
     let results = Path::new("results");
     let failures_dir = results.join("failures");

@@ -42,6 +42,10 @@ use tcw_window::{Interval, ResyncPolicy};
 pub const BASE_SEED: u64 = 0xC4A05;
 /// Default number of composed specs in a sweep.
 pub const DEFAULT_CONFIGS: usize = 1000;
+/// Most composed specs one sweep takes. The whole grid is built before
+/// the sweep starts, a few hundred bytes per spec, so this bounds it to
+/// tens of MB.
+pub const MAX_CONFIGS: usize = 100_000;
 /// Trial budget for the shrinker (far above any observed fixpoint).
 pub const SHRINK_BUDGET: u64 = 500;
 

@@ -227,6 +227,42 @@ fn snapshot_between_single_steps_is_bit_identical() {
     );
 }
 
+/// A faults + crash-churn engine reads the same whether its churn
+/// process steps inline or draws ahead on a worker thread: the same
+/// outputs, and the same snapshot words at splits that fall inside a
+/// run-ahead chunk, also after a restore.
+#[test]
+fn churn_drawn_ahead_matches_inline_outputs_and_snapshot_words() {
+    let plan = FaultPlan::uniform(0.05);
+    let churn = ChurnPlan::crash_restart(0.002, 40, 100);
+    let ctl = ControllerConfig::Aimd(AimdConfig::around(12));
+    let run = |ahead: bool| {
+        tcw_mac::churn::with_run_ahead(ahead, || {
+            let mut eng = build(31, &plan, &churn, &ctl);
+            let mut rec = TraceRecorder::new(1_000_000);
+            let mut words = Vec::new();
+            for split in [9_973, 41_250] {
+                eng.run_until(Time::from_ticks(split), &mut rec);
+                words.push(eng.snapshot().expect("snapshot"));
+            }
+            let mut revived = build(32, &plan, &churn, &ctl);
+            revived.restore(&words[0]).expect("restore");
+            // A recorder as on `eng`: a slow-path observer turns the fast
+            // path off, and its counters are snapshot words too.
+            revived.run_until(Time::from_ticks(41_250), &mut TraceRecorder::new(1_000_000));
+            words.push(revived.snapshot().expect("snapshot"));
+            eng.run_until(Time::from_ticks(HORIZON), &mut rec);
+            eng.drain(&mut rec);
+            words.push(eng.snapshot().expect("snapshot"));
+            (fingerprint(&eng, &rec.text()), words)
+        })
+    };
+    let inline = run(false);
+    assert!(!inline.0.contains("crashes=0 "), "no crash: {}", inline.0);
+    assert_eq!(inline.1[1], inline.1[2], "restore diverged");
+    assert!(inline == run(true), "drawing ahead moved an output");
+}
+
 #[test]
 fn corrupted_snapshots_are_rejected() {
     let mut eng = build(

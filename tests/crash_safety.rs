@@ -408,3 +408,42 @@ fn mode_foreign_and_repeated_flags_are_usage_errors() {
         ],
     );
 }
+
+/// `chaos` refuses an injected cell outside its grid, and a grid above
+/// its maximum, before it builds the grid or writes anything: the
+/// injection would be ignored, and the grid would be allocated whole.
+#[test]
+fn chaos_rejects_cells_outside_the_grid_and_oversized_grids() {
+    usage_errors_write_nothing(
+        "chaos_cells",
+        "is not a cell of the 2 configs",
+        &[
+            (
+                env!("CARGO_BIN_EXE_chaos"),
+                &["--configs", "2", "--jobs", "1", "--inject-panic", "5"],
+            ),
+            (
+                env!("CARGO_BIN_EXE_chaos"),
+                &[
+                    "--configs",
+                    "2",
+                    "--inject-slow",
+                    "2",
+                    "--cell-timeout",
+                    "1",
+                ],
+            ),
+        ],
+    );
+    usage_errors_write_nothing(
+        "chaos_grid",
+        "is above the maximum 100000",
+        &[
+            (
+                env!("CARGO_BIN_EXE_chaos"),
+                &["--configs", "18446744073709551615"],
+            ),
+            (env!("CARGO_BIN_EXE_chaos"), &["--configs", "100001"]),
+        ],
+    );
+}
