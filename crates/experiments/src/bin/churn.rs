@@ -176,6 +176,7 @@ fn main() {
                     }
                 ),
                 format!("{}", csp.churn.rejoin_max_slots),
+                format!("{}", csp.point.ci95),
             ]);
             points.push((c, csp.point.loss));
         }
@@ -261,6 +262,7 @@ fn main() {
             "reopened",
             "rejoin_mean_slots",
             "rejoin_max_slots",
+            "loss_ci95",
         ],
         &rows,
     )

@@ -169,9 +169,6 @@ where
     K: FnMut(usize, Result<T, Quarantined>) -> Result<(), String>,
 {
     let workers = workers(jobs, cells.len());
-    // A cell's churn process draws ahead on a thread of its own only
-    // while a core is idle, so a pool as wide as the host keeps it inline.
-    let _busy = tcw_sim::cores::pool(workers);
     let next = AtomicUsize::new(0);
     let retried = AtomicU64::new(0);
     let timeouts = AtomicU64::new(0);

@@ -23,15 +23,6 @@ pub struct ChannelConfig {
 }
 
 impl ChannelConfig {
-    /// A configuration with the given `M`, 64 ticks per `tau`, no guard.
-    pub fn with_message_slots(m: u64) -> Self {
-        ChannelConfig {
-            ticks_per_tau: 64,
-            message_slots: m,
-            guard: false,
-        }
-    }
-
     /// One propagation delay as a duration.
     pub fn tau(&self) -> Dur {
         Dur::from_ticks(self.ticks_per_tau)

@@ -26,18 +26,13 @@
 //!
 //! The process is clocked in *probe slots*: the engine steps it once per
 //! channel probe, the only unit of time every surviving station can count
-//! by listening. When its plan draws and a core is idle, the process
-//! draws ahead on a worker thread (see [`ChurnProcess`]); no output
-//! depends on which path it takes.
+//! by listening. A station draws the slot of its next crash when it comes
+//! up, so the process costs nothing between transitions (see
+//! [`ChurnProcess`]).
 
 use crate::message::{Message, StationId};
-use std::borrow::Cow;
-use std::cell::Cell;
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError, TrySendError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use tcw_sim::cores::{self, Busy, Cores};
 use tcw_sim::rng::Rng;
+use tcw_sim::variates::Geometric;
 
 /// Per-station membership dynamics. All values are flat scalars so a plan
 /// embeds directly in the flat-JSON failure-replay artifacts.
@@ -168,244 +163,326 @@ impl ChurnEvent {
     }
 }
 
+/// One station's membership, with the probe slot of its next crash or
+/// restart.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum MemberState {
-    Up,
-    Down { remaining: u64 },
+enum Member {
+    /// Hears the channel, and crashes at step `crash_at`: 0 until the
+    /// first step draws it, [`NEVER`] under a plan without crashes.
+    Up { crash_at: u64 },
+    /// Crashed; restarts at step `restart_at`.
+    Down { restart_at: u64 },
+    /// A late joiner that has not come up yet.
     Absent,
+    /// Left permanently.
     Left,
 }
 
-/// Slots one chunk of drawn-ahead transitions covers. At 512 slots a
-/// 50-station crash plan is ~25 600 draws (~40–100 µs on a 2-vCPU Xeon
-/// VM): the two channel hand-offs per chunk cost a few percent of that,
-/// and [`ChurnProcess::save_state`] re-draws at most one chunk.
-const CHUNK_SLOTS: u64 = 512;
+/// The slot of a transition that never comes.
+const NEVER: u64 = u64::MAX;
 
-/// Drawn chunks the channel holds. With the chunk being applied and the
-/// one the worker fills, `DEPTH + 2` chunks circulate, all made when the
-/// worker starts.
-const DEPTH: usize = 4;
-
-/// How long the engine's side spins on an empty channel before it
-/// sleeps. Where the draws take longer than the rest of the run, the
-/// engine waits for nearly every chunk, and waking it cost the worker a
-/// system call of 2–16 µs per chunk on a 2-vCPU VM, a fifth of the
-/// worker's time in the `churn` sweep; a chunk takes ~50–100 µs to draw,
-/// so it mostly arrives within this. The worker does not spin: when it
-/// is ahead, the engine is busy and the worker's core is better idle.
-const SPIN: Duration = Duration::from_micros(200);
-
-/// Run-ahead workers alive at once in a process. A worker that waits on
-/// a full channel holds no core, so the busy count would let every
-/// stepped process start one; this bounds the threads of a program that
-/// keeps many stepped processes alive.
-const MAX_WORKERS: usize = 16;
-
-static WORKERS: Cores = Cores::new(0);
-
-/// The membership state machine: everything a step reads or writes.
+/// The membership process, stepped once per channel probe slot.
 ///
-/// A step costs O(1) plus one crash draw per up station when
-/// `crash > 0`: the per-station passes run only when a join, leave or
-/// restart can be due, which the derived counts below tell without a
-/// scan. The derived values are rebuilt from `state` and `leave_at` on
-/// construction and on load and are not serialized, so the snapshot
-/// format does not depend on them.
-#[derive(Clone, Debug)]
-struct Machine {
+/// Each station is an alternating renewal process: up for a
+/// Geometric(`crash`) number of probe slots, then down for exactly
+/// `down_slots`. A station draws the slot of its next crash once, when it
+/// comes up: the initial population at the first [`step`](Self::step)
+/// (not in [`new`](Self::new), so [`stream`](Self::stream) is the
+/// untouched fork until then), a late joiner when it joins and a crashed
+/// station when it restarts. Members carry these absolute slots and the
+/// process keeps the earliest one, so a step between transitions is one
+/// comparison and [`next_scheduled_transition`](Self::next_scheduled_transition)
+/// is exact. A step at a transition slot makes one pass over the stations
+/// for joins and leaves, then one for crashes and restarts, both in
+/// station order; only these passes draw. The earliest slot is rebuilt
+/// after each such step, on construction and on load, and is not
+/// serialized.
+#[derive(Debug)]
+pub struct ChurnProcess {
     plan: ChurnPlan,
     rng: Rng,
-    state: Vec<MemberState>,
-    /// Slot at which each station leaves permanently (`u64::MAX` = never).
+    members: Vec<Member>,
+    /// Slot at which each station leaves permanently ([`NEVER`] = never).
     leave_at: Vec<u64>,
     slot: u64,
     crashes: u64,
     restarts: u64,
     joins: u64,
     leaves: u64,
-    /// Derived: stations still absent (waiting for `join_slot`).
-    absent: usize,
-    /// Derived: stations down.
-    down: usize,
-    /// Derived: the earliest `leave_at` of a station that has not left
-    /// (`u64::MAX` = none).
-    next_leave: u64,
-    /// Derived: [`Rng::chance_threshold`] of `plan.crash`.
-    crash_threshold: u64,
+    /// Derived: up-period lengths, `None` without crashes.
+    up_time: Option<Geometric>,
+    /// Derived: the earliest slot at which a member is due to transition.
+    next: u64,
 }
 
-impl Machine {
-    fn new(plan: ChurnPlan, stations: u32, rng: Rng) -> Self {
+impl ChurnProcess {
+    /// Creates a membership process over `stations` stations. `rng` must
+    /// be a dedicated substream (the engine forks it as `"churn"` from the
+    /// master seed). With a [`ChurnPlan::none`] plan the stream is never
+    /// touched.
+    pub fn new(plan: ChurnPlan, stations: u32, rng: Rng) -> Self {
         plan.validate();
         let n = stations as usize;
-        let joiners = if plan.late_join_frac > 0.0 {
-            ((plan.late_join_frac * n as f64).ceil() as usize).min(n)
-        } else {
-            0
+        let share = |frac: f64| {
+            if frac > 0.0 {
+                ((frac * n as f64).ceil() as usize).min(n)
+            } else {
+                0
+            }
         };
-        let leavers = if plan.leave_frac > 0.0 {
-            ((plan.leave_frac * n as f64).ceil() as usize).min(n)
-        } else {
-            0
-        };
-        let mut state = vec![MemberState::Up; n];
+        let crash_at = if plan.crash > 0.0 { 0 } else { NEVER };
+        let mut members = vec![Member::Up { crash_at }; n];
         // Late joiners occupy the highest indices, leavers the lowest, so
         // the two sets only overlap when the fractions sum past 1.
-        for s in state.iter_mut().skip(n - joiners) {
-            *s = MemberState::Absent;
+        for m in members.iter_mut().skip(n - share(plan.late_join_frac)) {
+            *m = Member::Absent;
         }
-        let mut leave_at = vec![u64::MAX; n];
-        for l in leave_at.iter_mut().take(leavers) {
+        let mut leave_at = vec![NEVER; n];
+        for l in leave_at.iter_mut().take(share(plan.leave_frac)) {
             *l = plan.leave_slot;
         }
-        let mut m = Machine {
+        let mut p = ChurnProcess {
             plan,
             rng,
-            state,
+            members,
             leave_at,
             slot: 0,
             crashes: 0,
             restarts: 0,
             joins: 0,
             leaves: 0,
-            absent: 0,
-            down: 0,
-            next_leave: u64::MAX,
-            crash_threshold: Rng::chance_threshold(plan.crash),
+            up_time: (plan.crash > 0.0).then(|| Geometric::new(plan.crash)),
+            next: NEVER,
         };
-        m.derive();
-        m
+        p.derive();
+        p
     }
 
-    /// Recomputes the derived counts from `state` and `leave_at`.
+    /// A process with no stations and no plan (the engine default before
+    /// [`ChurnProcess::new`] replaces it).
+    pub fn disabled(rng: Rng) -> Self {
+        Self::new(ChurnPlan::none(), 0, rng)
+    }
+
+    /// The next slot at which station `i` is due to transition.
+    fn due(&self, i: usize) -> u64 {
+        let own = match self.members[i] {
+            Member::Up { crash_at } => crash_at,
+            Member::Down { restart_at } => restart_at,
+            Member::Absent => self.plan.join_slot,
+            Member::Left => return NEVER,
+        };
+        own.min(self.leave_at[i])
+    }
+
+    /// Recomputes the earliest due slot.
     fn derive(&mut self) {
-        self.absent = 0;
-        self.down = 0;
-        self.next_leave = u64::MAX;
-        for (m, &l) in self.state.iter().zip(&self.leave_at) {
-            match m {
-                MemberState::Absent => self.absent += 1,
-                MemberState::Down { .. } => self.down += 1,
-                MemberState::Up | MemberState::Left => {}
-            }
-            if *m != MemberState::Left {
-                self.next_leave = self.next_leave.min(l);
-            }
+        self.next = (0..self.members.len())
+            .map(|i| self.due(i))
+            .min()
+            .unwrap_or(NEVER);
+    }
+
+    /// The crash slot of a station whose first slot up is `from + 1`:
+    /// `from + G` for G ~ Geometric(`crash`), one draw (none at
+    /// `crash = 1`, where G is 1).
+    fn crash_after(&mut self, from: u64) -> u64 {
+        match self.up_time {
+            Some(g) => from.saturating_add(g.sample(&mut self.rng)),
+            None => NEVER,
         }
     }
 
-    /// One probe slot, handing each transition to `emit`.
-    fn step(&mut self, emit: &mut impl FnMut(ChurnEvent)) {
-        self.slot += 1;
-        if self.plan.is_none() {
-            return;
+    /// The active plan.
+    pub fn plan(&self) -> &ChurnPlan {
+        &self.plan
+    }
+
+    /// A clone of the current RNG stream position. The engine uses this
+    /// to rebuild the process when a plan is installed before a run
+    /// starts (the first step makes the first draw, so before it the
+    /// clone is exactly the original `"churn"` fork).
+    pub fn stream(&self) -> Rng {
+        self.rng.clone()
+    }
+
+    /// Probe slots stepped so far.
+    pub fn slot(&self) -> u64 {
+        self.slot
+    }
+
+    /// Crashes so far.
+    pub fn crashes(&self) -> u64 {
+        self.crashes
+    }
+
+    /// Restarts so far.
+    pub fn restarts(&self) -> u64 {
+        self.restarts
+    }
+
+    /// Late joins so far.
+    pub fn joins(&self) -> u64 {
+        self.joins
+    }
+
+    /// Permanent leaves so far.
+    pub fn leaves(&self) -> u64 {
+        self.leaves
+    }
+
+    /// Pushes the membership counters into `sink` under stable
+    /// `tcw_churn_*` names.
+    pub fn emit(&self, sink: &mut dyn tcw_sim::stats::MetricSink) {
+        sink.counter(
+            "tcw_churn_slots_total",
+            "probe slots stepped by the membership process",
+            self.slot,
+        );
+        sink.counter("tcw_churn_crashes_total", "station crashes", self.crashes);
+        sink.counter(
+            "tcw_churn_restarts_total",
+            "station restarts",
+            self.restarts,
+        );
+        sink.counter("tcw_churn_joins_total", "late joins", self.joins);
+        sink.counter("tcw_churn_leaves_total", "permanent leaves", self.leaves);
+    }
+
+    /// Whether the station currently hears the channel and may transmit.
+    /// Stations beyond the modelled population are always up.
+    pub fn is_up(&self, station: StationId) -> bool {
+        match self.members.get(station.0 as usize) {
+            Some(m) => matches!(m, Member::Up { .. }),
+            None => true,
         }
+    }
+
+    /// Whether the station still exists (it may be down, but has not left
+    /// permanently). Messages of present stations stay resolvable;
+    /// messages of departed stations never will be.
+    pub fn is_present(&self, station: StationId) -> bool {
+        match self.members.get(station.0 as usize) {
+            Some(m) => !matches!(m, Member::Left),
+            None => true,
+        }
+    }
+
+    /// Drops messages whose sender cannot currently transmit.
+    pub fn retain_up(&self, msgs: &mut Vec<Message>) {
+        msgs.retain(|m| self.is_up(m.station));
+    }
+
+    /// The earliest future probe slot (strictly after the current one) at
+    /// which [`step`](Self::step) will emit an event or change any
+    /// member's state, or `None` if no transition will ever occur: the
+    /// next slot until the first step has drawn the initial crash slots,
+    /// then the earliest scheduled join or leave or drawn crash or
+    /// restart. O(1). The engine's event-horizon fast path uses this to
+    /// bound how many slots it may [`skip_slots`](Self::skip_slots) past.
+    pub fn next_scheduled_transition(&self) -> Option<u64> {
+        (self.next != NEVER).then(|| self.next.max(self.slot + 1))
+    }
+
+    /// Advances the slot clock by `n` without stepping the state machine,
+    /// for runs of slots proven transition-free via
+    /// [`next_scheduled_transition`](Self::next_scheduled_transition).
+    /// Draws nothing and emits nothing, so it is bit-identical to `n`
+    /// transition-free [`step`](Self::step) calls.
+    #[inline]
+    pub fn skip_slots(&mut self, n: u64) {
+        debug_assert!(
+            match self.next_scheduled_transition() {
+                None => true,
+                Some(s) => s > self.slot + n,
+            },
+            "skip_slots({n}) would jump over a membership transition"
+        );
+        self.slot += n;
+    }
+
+    /// Advances the membership process one probe slot, appending any
+    /// transitions to `events`. Between transitions this is one
+    /// comparison and draws nothing.
+    #[inline]
+    pub fn step(&mut self, events: &mut Vec<ChurnEvent>) {
+        self.slot += 1;
+        if self.slot >= self.next {
+            self.transition(events);
+        }
+    }
+
+    /// The transitions due at the current slot, in one fixed order, and
+    /// the next due slot.
+    fn transition(&mut self, events: &mut Vec<ChurnEvent>) {
         let slot = self.slot;
         // Scheduled membership first: joins and permanent leaves happen at
-        // exact slots, independent of the crash process.
-        if (self.absent > 0 && slot >= self.plan.join_slot) || self.next_leave <= slot {
-            for i in 0..self.state.len() {
-                let id = StationId(i as u32);
-                if self.state[i] == MemberState::Absent && slot >= self.plan.join_slot {
-                    self.state[i] = MemberState::Up;
-                    self.joins += 1;
-                    emit(ChurnEvent::Join(id));
-                }
-                if self.leave_at[i] <= slot && self.state[i] != MemberState::Left {
-                    self.state[i] = MemberState::Left;
-                    self.leaves += 1;
-                    emit(ChurnEvent::Leave(id));
-                }
+        // exact slots. A joiner is up in its join slot, so it can crash in
+        // it.
+        for i in 0..self.members.len() {
+            let id = StationId(i as u32);
+            if self.members[i] == (Member::Up { crash_at: 0 }) {
+                // The initial population, at the first step.
+                let crash_at = self.crash_after(0);
+                self.members[i] = Member::Up { crash_at };
             }
-            self.derive();
-        }
-        if self.crash_threshold > 0 || self.down > 0 {
-            self.crash_and_restart(emit);
-        }
-    }
-
-    /// Crash/restart dynamics: exactly one RNG draw per live station per
-    /// slot (when crash > 0), in station order, so the stream is
-    /// reproducible regardless of what the protocol is doing. The draws
-    /// run on a local copy of the stream, written back once.
-    fn crash_and_restart(&mut self, emit: &mut impl FnMut(ChurnEvent)) {
-        let threshold = self.crash_threshold;
-        let mut rng = self.rng.clone();
-        for (i, m) in self.state.iter_mut().enumerate() {
-            match *m {
-                MemberState::Up => {
-                    if threshold > 0 && rng.chance_below(threshold) {
-                        *m = MemberState::Down {
-                            remaining: self.plan.down_slots,
-                        };
-                        self.crashes += 1;
-                        self.down += 1;
-                        emit(ChurnEvent::Crash(StationId(i as u32)));
-                    }
-                }
-                MemberState::Down { remaining } => {
-                    if remaining <= 1 {
-                        *m = MemberState::Up;
-                        self.restarts += 1;
-                        self.down -= 1;
-                        emit(ChurnEvent::Restart(StationId(i as u32)));
-                    } else {
-                        *m = MemberState::Down {
-                            remaining: remaining - 1,
-                        };
-                    }
-                }
-                MemberState::Absent | MemberState::Left => {}
+            if self.members[i] == Member::Absent && slot >= self.plan.join_slot {
+                let crash_at = self.crash_after(slot - 1);
+                self.members[i] = Member::Up { crash_at };
+                self.joins += 1;
+                events.push(ChurnEvent::Join(id));
+            }
+            if self.leave_at[i] <= slot && self.members[i] != Member::Left {
+                self.members[i] = Member::Left;
+                self.leaves += 1;
+                events.push(ChurnEvent::Leave(id));
             }
         }
-        self.rng = rng;
-    }
-
-    /// Records a transition drawn elsewhere: the member's up/down/absent/
-    /// left state and the counters. Outage countdowns, derived counts and
-    /// the stream are left as they were.
-    fn apply(&mut self, ev: ChurnEvent) {
-        let (member, counter) = match ev {
-            ChurnEvent::Crash(_) => (
-                MemberState::Down {
-                    remaining: self.plan.down_slots,
-                },
-                &mut self.crashes,
-            ),
-            ChurnEvent::Restart(_) => (MemberState::Up, &mut self.restarts),
-            ChurnEvent::Join(_) => (MemberState::Up, &mut self.joins),
-            ChurnEvent::Leave(_) => (MemberState::Left, &mut self.leaves),
-        };
-        *counter += 1;
-        self.state[ev.station().0 as usize] = member;
-    }
-
-    /// Draws the next `slots` slots into `chunk`.
-    fn fill(&mut self, slots: u64, chunk: &mut Chunk) {
-        chunk.events.clear();
-        for _ in 0..slots {
-            let slot = self.slot + 1;
-            self.step(&mut |ev| chunk.events.push((slot, ev)));
+        // Then crashes and restarts. A restarted station is up from the
+        // next slot on.
+        for i in 0..self.members.len() {
+            let id = StationId(i as u32);
+            match self.members[i] {
+                Member::Up { crash_at } if crash_at <= slot => {
+                    let restart_at = slot.saturating_add(self.plan.down_slots);
+                    self.members[i] = Member::Down { restart_at };
+                    self.crashes += 1;
+                    events.push(ChurnEvent::Crash(id));
+                }
+                Member::Down { restart_at } if restart_at <= slot => {
+                    let crash_at = self.crash_after(slot);
+                    self.members[i] = Member::Up { crash_at };
+                    self.restarts += 1;
+                    events.push(ChurnEvent::Restart(id));
+                }
+                _ => {}
+            }
         }
-        chunk.end.copy_from(self);
+        self.derive();
     }
 
-    /// Makes `self` equal to `src`, reusing `self`'s buffers.
-    fn copy_from(&mut self, src: &Machine) {
-        let mut state = std::mem::take(&mut self.state);
-        let mut leave_at = std::mem::take(&mut self.leave_at);
-        state.clone_from(&src.state);
-        leave_at.clone_from(&src.leave_at);
-        *self = Machine {
-            rng: src.rng.clone(),
-            state,
-            leave_at,
-            ..*src
-        };
+    /// Whether the plan can have put `m` where it is by the current slot.
+    fn reachable(&self, m: Member) -> bool {
+        let (slot, plan) = (self.slot, &self.plan);
+        match m {
+            Member::Up { crash_at } if plan.crash == 0.0 => crash_at == NEVER,
+            Member::Up { crash_at } if slot == 0 => crash_at == 0,
+            Member::Up { crash_at } if plan.crash >= 1.0 => crash_at == slot.saturating_add(1),
+            Member::Up { crash_at } => crash_at > slot,
+            // It crashed at `restart_at - down_slots`, in `1..=slot`.
+            Member::Down { restart_at } => {
+                plan.crash > 0.0
+                    && restart_at > slot.max(plan.down_slots)
+                    && restart_at - plan.down_slots <= slot
+            }
+            Member::Absent | Member::Left => true,
+        }
     }
 
-    fn save(&self, w: &mut tcw_sim::snap::SnapWriter) {
+    /// Serializes the full membership state (plan, RNG position, per-station
+    /// states with their crash or restart slots, leave schedule, slot clock,
+    /// event counters) for an engine checkpoint.
+    pub fn save_state(&self, w: &mut tcw_sim::snap::SnapWriter) {
         w.push_f64(self.plan.crash);
         w.push(self.plan.down_slots);
         w.push_f64(self.plan.late_join_frac);
@@ -418,17 +495,17 @@ impl Machine {
         for s in self.rng.state() {
             w.push(s);
         }
-        w.push_usize(self.state.len());
-        for m in &self.state {
-            // Fixed two words per member: discriminant + payload.
-            let (tag, payload) = match m {
-                MemberState::Up => (0u64, 0u64),
-                MemberState::Down { remaining } => (1, *remaining),
-                MemberState::Absent => (2, 0),
-                MemberState::Left => (3, 0),
+        w.push_usize(self.members.len());
+        for m in &self.members {
+            // Fixed two words per member: tag + crash or restart slot.
+            let (tag, at) = match *m {
+                Member::Up { crash_at } => (0u64, crash_at),
+                Member::Down { restart_at } => (1, restart_at),
+                Member::Absent => (2, 0),
+                Member::Left => (3, 0),
             };
             w.push(tag);
-            w.push(payload);
+            w.push(at);
         }
         for &l in &self.leave_at {
             w.push(l);
@@ -440,7 +517,12 @@ impl Machine {
         w.push(self.leaves);
     }
 
-    fn load(r: &mut tcw_sim::snap::SnapReader<'_>) -> Result<Self, tcw_sim::snap::SnapError> {
+    /// Rebuilds a process from checkpoint state written by
+    /// [`ChurnProcess::save_state`]. A crash or restart slot that the plan
+    /// cannot have reached by the saved slot is an error.
+    pub fn load_state(
+        r: &mut tcw_sim::snap::SnapReader<'_>,
+    ) -> Result<Self, tcw_sim::snap::SnapError> {
         let plan = ChurnPlan {
             crash: r.take_f64()?,
             down_slots: r.take()?,
@@ -457,524 +539,38 @@ impl Machine {
         for x in s.iter_mut() {
             *x = r.take()?;
         }
-        let rng = Rng::from_state(s);
+        let mut p = ChurnProcess::new(plan, 0, Rng::from_state(s));
         let n = r.take_len()?;
-        let mut state = Vec::with_capacity(n);
         for _ in 0..n {
-            let tag = r.take()?;
-            let payload = r.take()?;
-            state.push(match tag {
-                0 => MemberState::Up,
-                1 => MemberState::Down { remaining: payload },
-                2 => MemberState::Absent,
-                3 => MemberState::Left,
-                t => {
+            let (tag, at) = (r.take()?, r.take()?);
+            p.members.push(match (tag, at) {
+                (0, crash_at) => Member::Up { crash_at },
+                (1, restart_at) => Member::Down { restart_at },
+                (2, 0) => Member::Absent,
+                (3, 0) => Member::Left,
+                _ => {
                     return Err(tcw_sim::snap::SnapError::new(format!(
-                        "invalid member-state tag {t}"
+                        "invalid member state: tag {tag}, slot {at}"
                     )))
                 }
             });
         }
-        let mut leave_at = Vec::with_capacity(n);
         for _ in 0..n {
-            leave_at.push(r.take()?);
+            p.leave_at.push(r.take()?);
         }
-        let mut m = Machine::new(plan, 0, rng);
-        m.state = state;
-        m.leave_at = leave_at;
-        m.slot = r.take()?;
-        m.crashes = r.take()?;
-        m.restarts = r.take()?;
-        m.joins = r.take()?;
-        m.leaves = r.take()?;
-        m.derive();
-        Ok(m)
-    }
-}
-
-/// The membership state machine, stepped once per channel probe slot.
-///
-/// Nothing the protocol does feeds back into the process: its
-/// trajectory is a function of its RNG stream and the slot count alone.
-/// So when the plan draws (`crash > 0`, at least one station) and a core
-/// is idle ([`tcw_sim::cores::try_claim`]), the first [`step`](Self::step)
-/// starts a worker thread that runs the same per-slot step ahead of the
-/// caller, 512 slots at a time. Each chunk's transitions, with the state
-/// after its last slot, arrive over a bounded channel and go back over a
-/// second one once applied, so the steady state allocates nothing.
-/// `step` then only applies the slot's transitions: `is_up`,
-/// `is_present`, the counters and `slot` are exact at every slot, on
-/// either path. [`save_state`](Self::save_state) writes the same words
-/// on either path, re-drawing at most one chunk from that chunk's start,
-/// and a loaded process picks its path at its own first step. With every
-/// core busy (a sweep pool as wide as the host) the process steps
-/// inline, as it does when its plan draws nothing. Dropping the process
-/// closes both channels and joins the worker; if the worker panicked,
-/// the next `step` re-raises its panic.
-#[derive(Debug)]
-pub struct ChurnProcess {
-    /// Inline, the exact machine. Running ahead, its membership,
-    /// counters and slot, which the accessors read, are exact; its
-    /// stream, outage countdowns and derived counts are not kept.
-    m: Machine,
-    path: Path,
-}
-
-/// How a process steps.
-#[derive(Debug)]
-enum Path {
-    /// Not stepped yet: the first step picks the path.
-    Undecided,
-    /// Each step draws on the caller's thread.
-    Inline,
-    /// A worker draws ahead.
-    Ahead(Box<RunAhead>),
-}
-
-/// A chunk of drawn-ahead slots.
-#[derive(Debug)]
-struct Chunk {
-    /// The chunk's transitions in order, each with its slot.
-    events: Vec<(u64, ChurnEvent)>,
-    /// The machine after the chunk's last slot.
-    end: Machine,
-}
-
-impl Chunk {
-    fn new(m: &Machine) -> Self {
-        Chunk {
-            events: Vec::with_capacity(64),
-            end: m.clone(),
+        p.slot = r.take()?;
+        p.crashes = r.take()?;
+        p.restarts = r.take()?;
+        p.joins = r.take()?;
+        p.leaves = r.take()?;
+        if let Some(m) = p.members.iter().find(|&&m| !p.reachable(m)) {
+            return Err(tcw_sim::snap::SnapError::new(format!(
+                "member state {m:?} unreachable at slot {} under {:?}",
+                p.slot, p.plan
+            )));
         }
-    }
-}
-
-/// The two claims a run-ahead worker holds: a place among the
-/// [`MAX_WORKERS`] live workers, and an idle core while it draws.
-type Claims = (Busy<'static>, Busy<'static>);
-
-/// The caller's side of a run-ahead worker.
-#[derive(Debug)]
-struct RunAhead {
-    // Fields drop in order: both channel ends close before `worker`
-    // joins, which wakes a worker blocked on either channel.
-    full: Receiver<Chunk>,
-    empty: SyncSender<Chunk>,
-    /// The chunk being applied.
-    chunk: Chunk,
-    /// Index in `chunk.events` of the next transition to apply.
-    next: usize,
-    /// The exact machine before `chunk`'s first slot.
-    base: Machine,
-    worker: Worker,
-}
-
-impl RunAhead {
-    /// Starts a worker that fills chunks with `fill`, drawing from
-    /// `start`; `None` when the host will not start a thread.
-    fn spawn(
-        start: &Machine,
-        claims: Claims,
-        fill: impl FnMut(&mut Chunk) + Send + 'static,
-    ) -> Option<Self> {
-        let (full_tx, full) = mpsc::sync_channel(DEPTH);
-        let (empty, empty_rx) = mpsc::sync_channel(DEPTH + 2);
-        for _ in 0..=DEPTH {
-            empty
-                .try_send(Chunk::new(start))
-                .expect("the recycling channel holds every chunk");
-        }
-        let worker = std::thread::Builder::new()
-            .name("churn-ahead".to_string())
-            .spawn(move || draw_ahead(claims, full_tx, empty_rx, fill))
-            .ok()?;
-        Some(RunAhead {
-            full,
-            empty,
-            // Used up from the start: the first step fetches chunk one.
-            chunk: Chunk::new(start),
-            next: 0,
-            base: start.clone(),
-            worker: Worker(Some(worker)),
-        })
-    }
-
-    /// One slot: applies its transitions to `m` and appends them to
-    /// `events`.
-    #[inline]
-    fn step(&mut self, m: &mut Machine, events: &mut Vec<ChurnEvent>) {
-        m.slot += 1;
-        if m.slot > self.chunk.end.slot {
-            self.advance(m);
-        }
-        while let Some(&(slot, ev)) = self.chunk.events.get(self.next) {
-            if slot != m.slot {
-                break;
-            }
-            m.apply(ev);
-            events.push(ev);
-            self.next += 1;
-        }
-    }
-
-    /// Moves on to the next chunk: the used-up chunk's end becomes the
-    /// base, and its buffers go back to the worker.
-    #[inline(never)]
-    fn advance(&mut self, m: &Machine) {
-        debug_assert_eq!(self.next, self.chunk.events.len(), "unapplied transitions");
-        std::mem::swap(&mut self.base, &mut self.chunk.end);
-        debug_assert!(
-            self.base.slot + 1 == m.slot
-                && [m.crashes, m.restarts, m.joins, m.leaves]
-                    == [
-                        self.base.crashes,
-                        self.base.restarts,
-                        self.base.joins,
-                        self.base.leaves
-                    ],
-            "the applied transitions left the drawn ones"
-        );
-        let deadline = Instant::now() + SPIN;
-        let next = loop {
-            match self.full.try_recv() {
-                Ok(chunk) => break chunk,
-                Err(TryRecvError::Empty) if Instant::now() < deadline => std::hint::spin_loop(),
-                Err(_) => match self.full.recv() {
-                    Ok(chunk) => break chunk,
-                    Err(_) => self.worker.reraise(),
-                },
-            }
-        };
-        let done = std::mem::replace(&mut self.chunk, next);
-        self.next = 0;
-        // Never full: it has room for every chunk but the two in hand. A
-        // worker that has died is reported by the next `advance`.
-        let _ = self.empty.try_send(done);
-    }
-}
-
-/// The worker's loop: fill a recycled chunk, send it, repeat, until the
-/// process drops its channel ends. While it waits on a full channel it
-/// marks no core busy.
-fn draw_ahead(
-    claims: Claims,
-    full: SyncSender<Chunk>,
-    empty: Receiver<Chunk>,
-    mut fill: impl FnMut(&mut Chunk),
-) {
-    let (_live, mut busy) = claims;
-    while let Ok(mut chunk) = empty.recv() {
-        fill(&mut chunk);
-        chunk = match full.try_send(chunk) {
-            Ok(()) => continue,
-            Err(TrySendError::Full(chunk)) => chunk,
-            Err(TrySendError::Disconnected(_)) => return,
-        };
-        drop(busy);
-        if full.send(chunk).is_err() {
-            return;
-        }
-        busy = cores::occupy(1);
-    }
-}
-
-/// A run-ahead worker's thread, joined on drop.
-#[derive(Debug)]
-struct Worker(Option<JoinHandle<()>>);
-
-impl Worker {
-    /// Joins a worker that hung up while its process lived and re-raises
-    /// its panic.
-    fn reraise(&mut self) -> ! {
-        if let Some(Err(panic)) = self.0.take().map(JoinHandle::join) {
-            std::panic::resume_unwind(panic);
-        }
-        panic!("the churn process's run-ahead worker has stopped");
-    }
-}
-
-impl Drop for Worker {
-    fn drop(&mut self) {
-        if let Some(worker) = self.0.take() {
-            // A panic here was never needed by a step; dropping it keeps
-            // `drop` from panicking.
-            let _ = worker.join();
-        }
-    }
-}
-
-/// How the next processes to take their first step on this thread pick
-/// their path.
-#[derive(Clone, Copy, Debug)]
-enum Forced {
-    /// Ahead when the plan draws and a core is idle.
-    Rule,
-    Inline,
-    /// Ahead whenever the plan draws, in chunks of this many slots.
-    Ahead(u64),
-}
-
-thread_local! {
-    static FORCED: Cell<Forced> = const { Cell::new(Forced::Rule) };
-}
-
-/// Runs `f` with processes whose first step runs inside it on this
-/// thread taking the path `how`.
-fn forced<R>(how: Forced, f: impl FnOnce() -> R) -> R {
-    struct Restore(Forced);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            FORCED.set(self.0);
-        }
-    }
-    let _restore = Restore(FORCED.replace(how));
-    f()
-}
-
-/// Runs `f` with every churn process whose first step runs inside it on
-/// this thread stepping inline (`ahead == false`) or drawing ahead on a
-/// worker whenever its plan draws (`true`), whatever the idle-core rule
-/// says. For tests that cover both paths on any host.
-#[doc(hidden)]
-pub fn with_run_ahead<R>(ahead: bool, f: impl FnOnce() -> R) -> R {
-    forced(
-        if ahead {
-            Forced::Ahead(CHUNK_SLOTS)
-        } else {
-            Forced::Inline
-        },
-        f,
-    )
-}
-
-/// Claims taken whatever the counts read.
-fn forced_claims() -> Claims {
-    (WORKERS.occupy(1), cores::occupy(1))
-}
-
-impl ChurnProcess {
-    /// Creates a membership process over `stations` stations. `rng` must
-    /// be a dedicated substream (the engine forks it as `"churn"` from the
-    /// master seed). With a [`ChurnPlan::none`] plan the stream is never
-    /// touched.
-    pub fn new(plan: ChurnPlan, stations: u32, rng: Rng) -> Self {
-        ChurnProcess {
-            m: Machine::new(plan, stations, rng),
-            path: Path::Undecided,
-        }
-    }
-
-    /// A process with no stations and no plan (the engine default before
-    /// [`ChurnProcess::new`] replaces it).
-    pub fn disabled(rng: Rng) -> Self {
-        Self::new(ChurnPlan::none(), 0, rng)
-    }
-
-    /// The active plan.
-    pub fn plan(&self) -> &ChurnPlan {
-        &self.m.plan
-    }
-
-    /// A clone of the current RNG stream position. The engine uses this
-    /// to rebuild the process when a plan is installed before a run
-    /// starts (the stream is untouched until the first crash draw, so the
-    /// clone is exactly the original `"churn"` fork).
-    pub fn stream(&self) -> Rng {
-        self.exact().rng.clone()
-    }
-
-    /// Probe slots stepped so far.
-    pub fn slot(&self) -> u64 {
-        self.m.slot
-    }
-
-    /// Crashes so far.
-    pub fn crashes(&self) -> u64 {
-        self.m.crashes
-    }
-
-    /// Restarts so far.
-    pub fn restarts(&self) -> u64 {
-        self.m.restarts
-    }
-
-    /// Late joins so far.
-    pub fn joins(&self) -> u64 {
-        self.m.joins
-    }
-
-    /// Permanent leaves so far.
-    pub fn leaves(&self) -> u64 {
-        self.m.leaves
-    }
-
-    /// Pushes the membership counters into `sink` under stable
-    /// `tcw_churn_*` names.
-    pub fn emit(&self, sink: &mut dyn tcw_sim::stats::MetricSink) {
-        sink.counter(
-            "tcw_churn_slots_total",
-            "probe slots stepped by the membership process",
-            self.m.slot,
-        );
-        sink.counter("tcw_churn_crashes_total", "station crashes", self.m.crashes);
-        sink.counter(
-            "tcw_churn_restarts_total",
-            "station restarts",
-            self.m.restarts,
-        );
-        sink.counter("tcw_churn_joins_total", "late joins", self.m.joins);
-        sink.counter("tcw_churn_leaves_total", "permanent leaves", self.m.leaves);
-    }
-
-    /// Whether the station currently hears the channel and may transmit.
-    /// Stations beyond the modelled population are always up.
-    pub fn is_up(&self, station: StationId) -> bool {
-        match self.m.state.get(station.0 as usize) {
-            Some(s) => matches!(s, MemberState::Up),
-            None => true,
-        }
-    }
-
-    /// Whether the station still exists (it may be down, but has not left
-    /// permanently). Messages of present stations stay resolvable;
-    /// messages of departed stations never will be.
-    pub fn is_present(&self, station: StationId) -> bool {
-        match self.m.state.get(station.0 as usize) {
-            Some(s) => !matches!(s, MemberState::Left),
-            None => true,
-        }
-    }
-
-    /// Drops messages whose sender cannot currently transmit.
-    pub fn retain_up(&self, msgs: &mut Vec<Message>) {
-        msgs.retain(|m| self.is_up(m.station));
-    }
-
-    /// The earliest future probe slot (strictly after the current one) at
-    /// which [`step`](Self::step) could emit an event or mutate any
-    /// member's state, or `None` if no transition will ever occur. With a
-    /// positive crash probability (or any station mid-outage) every slot
-    /// can transition, so the answer is the very next slot. O(1), from
-    /// the derived counts. The engine's event-horizon fast path uses this
-    /// to bound how many slots it may [`skip_slots`](Self::skip_slots)
-    /// past.
-    pub fn next_scheduled_transition(&self) -> Option<u64> {
-        let m = &self.m;
-        if m.plan.is_none() {
-            return None;
-        }
-        // A down station mutates (counts down) on every step. A process
-        // that draws ahead has `crash > 0`, so it answers here, before
-        // the derived counts it does not keep.
-        if m.plan.crash > 0.0 || m.down > 0 {
-            return Some(m.slot + 1);
-        }
-        let join = (m.absent > 0).then_some(m.plan.join_slot);
-        let leave = (m.next_leave != u64::MAX).then_some(m.next_leave);
-        join.into_iter()
-            .chain(leave)
-            .min()
-            .map(|s| s.max(m.slot + 1))
-    }
-
-    /// Advances the slot clock by `n` without stepping the state machine,
-    /// for runs of slots proven transition-free via
-    /// [`next_scheduled_transition`](Self::next_scheduled_transition).
-    /// Draws nothing and emits nothing, so it is bit-identical to `n`
-    /// transition-free [`step`](Self::step) calls.
-    #[inline]
-    pub fn skip_slots(&mut self, n: u64) {
-        debug_assert!(
-            match self.next_scheduled_transition() {
-                None => true,
-                Some(s) => s > self.m.slot + n,
-            },
-            "skip_slots({n}) would jump over a membership transition"
-        );
-        if matches!(self.path, Path::Ahead(_)) {
-            // A drawing plan can transition at every slot, so `n` is 0
-            // here; stepping keeps the applied slots in line with the
-            // chunk whatever `n` is.
-            for _ in 0..n {
-                self.step(&mut Vec::new());
-            }
-        } else {
-            self.m.slot += n;
-        }
-    }
-
-    /// Advances the membership process one probe slot, appending any
-    /// transitions to `events`. With [`ChurnPlan::none`] this only
-    /// advances the slot counter and draws nothing from the RNG.
-    pub fn step(&mut self, events: &mut Vec<ChurnEvent>) {
-        match &mut self.path {
-            Path::Ahead(ahead) => ahead.step(&mut self.m, events),
-            Path::Inline => self.m.step(&mut |ev| events.push(ev)),
-            Path::Undecided => {
-                self.path = self.pick_path();
-                self.step(events);
-            }
-        }
-    }
-
-    /// The path of the first step: ahead when the plan draws, a core is
-    /// idle and fewer than [`MAX_WORKERS`] workers live, or as a test
-    /// forces it; inline otherwise.
-    fn pick_path(&self) -> Path {
-        if self.m.crash_threshold == 0 || self.m.state.is_empty() {
-            return Path::Inline;
-        }
-        let (claims, slots) = match FORCED.get() {
-            Forced::Rule => (
-                WORKERS.try_claim(MAX_WORKERS).zip(cores::try_claim()),
-                CHUNK_SLOTS,
-            ),
-            Forced::Inline => (None, CHUNK_SLOTS),
-            Forced::Ahead(slots) => (Some(forced_claims()), slots),
-        };
-        let Some(claims) = claims else {
-            return Path::Inline;
-        };
-        let mut m = self.m.clone();
-        match RunAhead::spawn(&self.m, claims, move |chunk| m.fill(slots, chunk)) {
-            Some(ahead) => Path::Ahead(Box::new(ahead)),
-            None => Path::Inline,
-        }
-    }
-
-    /// The exact machine at the current slot: `m` itself inline; running
-    /// ahead, the current chunk's end once the chunk is used up, else the
-    /// chunk's start re-drawn up to the current slot.
-    fn exact(&self) -> Cow<'_, Machine> {
-        let Path::Ahead(ahead) = &self.path else {
-            return Cow::Borrowed(&self.m);
-        };
-        if ahead.chunk.end.slot == self.m.slot {
-            return Cow::Borrowed(&ahead.chunk.end);
-        }
-        let mut m = ahead.base.clone();
-        while m.slot < self.m.slot {
-            m.step(&mut |_| {});
-        }
-        Cow::Owned(m)
-    }
-
-    /// Serializes the full membership state (plan, RNG position, per-station
-    /// states, leave schedule, slot clock, event counters) for an engine
-    /// checkpoint.
-    pub fn save_state(&self, w: &mut tcw_sim::snap::SnapWriter) {
-        self.exact().save(w);
-    }
-
-    /// Rebuilds a process from checkpoint state written by
-    /// [`ChurnProcess::save_state`]. Its first step picks its path.
-    pub fn load_state(
-        r: &mut tcw_sim::snap::SnapReader<'_>,
-    ) -> Result<Self, tcw_sim::snap::SnapError> {
-        Ok(ChurnProcess {
-            m: Machine::load(r)?,
-            path: Path::Undecided,
-        })
+        p.derive();
+        Ok(p)
     }
 }
 
@@ -996,7 +592,7 @@ mod tests {
             assert!(p.is_up(StationId(i)));
             assert!(p.is_present(StationId(i)));
         }
-        assert_eq!(p.m.rng.next_u64(), witness.next_u64());
+        assert_eq!(p.rng.next_u64(), witness.next_u64());
     }
 
     #[test]
@@ -1085,103 +681,6 @@ mod tests {
         assert!(p.is_present(StationId(99)));
     }
 
-    /// The per-station process as it was before the derived counts: both
-    /// passes scan every station on every slot, and the next transition
-    /// is found by a scan. The event-cost process must match it exactly.
-    struct Reference {
-        plan: ChurnPlan,
-        rng: Rng,
-        state: Vec<MemberState>,
-        leave_at: Vec<u64>,
-        slot: u64,
-        counters: [u64; 4],
-    }
-
-    impl Reference {
-        fn of(p: &ChurnProcess) -> Self {
-            let m = p.exact();
-            Reference {
-                plan: m.plan,
-                rng: m.rng.clone(),
-                state: m.state.clone(),
-                leave_at: m.leave_at.clone(),
-                slot: m.slot,
-                counters: [m.crashes, m.restarts, m.joins, m.leaves],
-            }
-        }
-
-        fn step(&mut self, events: &mut Vec<ChurnEvent>) {
-            self.slot += 1;
-            if self.plan.is_none() {
-                return;
-            }
-            let slot = self.slot;
-            for i in 0..self.state.len() {
-                let id = StationId(i as u32);
-                if self.state[i] == MemberState::Absent && slot >= self.plan.join_slot {
-                    self.state[i] = MemberState::Up;
-                    self.counters[2] += 1;
-                    events.push(ChurnEvent::Join(id));
-                }
-                if self.leave_at[i] <= slot && self.state[i] != MemberState::Left {
-                    self.state[i] = MemberState::Left;
-                    self.counters[3] += 1;
-                    events.push(ChurnEvent::Leave(id));
-                }
-            }
-            for i in 0..self.state.len() {
-                match self.state[i] {
-                    MemberState::Up => {
-                        if self.plan.crash > 0.0 && self.rng.chance(self.plan.crash) {
-                            self.state[i] = MemberState::Down {
-                                remaining: self.plan.down_slots,
-                            };
-                            self.counters[0] += 1;
-                            events.push(ChurnEvent::Crash(StationId(i as u32)));
-                        }
-                    }
-                    MemberState::Down { remaining } => {
-                        if remaining <= 1 {
-                            self.state[i] = MemberState::Up;
-                            self.counters[1] += 1;
-                            events.push(ChurnEvent::Restart(StationId(i as u32)));
-                        } else {
-                            self.state[i] = MemberState::Down {
-                                remaining: remaining - 1,
-                            };
-                        }
-                    }
-                    MemberState::Absent | MemberState::Left => {}
-                }
-            }
-        }
-
-        fn next_scheduled_transition(&self) -> Option<u64> {
-            if self.plan.is_none() {
-                return None;
-            }
-            if self.plan.crash > 0.0 {
-                return Some(self.slot + 1);
-            }
-            let mut next: Option<u64> = None;
-            let consider = |candidate: u64, next: &mut Option<u64>| {
-                let c = candidate.max(self.slot + 1);
-                *next = Some(next.map_or(c, |n: u64| n.min(c)));
-            };
-            for (i, m) in self.state.iter().enumerate() {
-                match m {
-                    MemberState::Absent => consider(self.plan.join_slot, &mut next),
-                    MemberState::Down { .. } => consider(self.slot + 1, &mut next),
-                    MemberState::Up | MemberState::Left => {}
-                }
-                if self.leave_at[i] != u64::MAX && !matches!(m, MemberState::Left) {
-                    consider(self.leave_at[i], &mut next);
-                }
-            }
-            next
-        }
-    }
-
     fn random_plan(rng: &mut Rng) -> ChurnPlan {
         let crash = match rng.below(4) {
             0 => 0.0,
@@ -1226,193 +725,476 @@ mod tests {
         q
     }
 
-    /// Chunk sizes the run-ahead cases cycle through: from one slot, so
-    /// every slot crosses a chunk boundary, to the production size.
-    const CHUNKS: [u64; 7] = [1, 2, 3, 7, 16, 64, CHUNK_SLOTS];
+    /// The crash clock as a naive scan: every slot visits every station
+    /// for joins and leaves and then for crashes and restarts, drawing as
+    /// the process does, and the next transition is found by a scan. The
+    /// process, which scans only at transition slots, must match it
+    /// exactly.
+    struct Reference {
+        plan: ChurnPlan,
+        rng: Rng,
+        members: Vec<Member>,
+        leave_at: Vec<u64>,
+        slot: u64,
+        counters: [u64; 4],
+    }
 
-    /// Every case runs twice, stepping inline and drawing ahead on a
-    /// worker, and both must match the reference slot by slot: events,
-    /// stream position, counters and member states (the run-ahead
-    /// process's re-drawn ones), with a snapshot round trip at a random
-    /// slot.
+    impl Reference {
+        fn new(plan: ChurnPlan, stations: u32, rng: Rng) -> Self {
+            let n = stations as usize;
+            let count = |frac: f64| ((frac * n as f64).ceil() as usize).min(n);
+            let up = Member::Up { crash_at: NEVER };
+            Reference {
+                plan,
+                rng,
+                members: (0..n)
+                    .map(|i| match i + count(plan.late_join_frac) >= n {
+                        true => Member::Absent,
+                        false => up,
+                    })
+                    .collect(),
+                leave_at: (0..n)
+                    .map(|i| match i < count(plan.leave_frac) {
+                        true => plan.leave_slot,
+                        false => NEVER,
+                    })
+                    .collect(),
+                slot: 0,
+                counters: [0; 4],
+            }
+        }
+
+        /// `from + G`, with G drawn as the process draws it.
+        fn crash_after(&mut self, from: u64) -> u64 {
+            match self.plan.crash > 0.0 {
+                true => from + Geometric::new(self.plan.crash).sample(&mut self.rng),
+                false => NEVER,
+            }
+        }
+
+        fn step(&mut self, events: &mut Vec<ChurnEvent>) {
+            self.slot += 1;
+            let slot = self.slot;
+            for i in 0..self.members.len() {
+                let id = StationId(i as u32);
+                if slot == 1 && matches!(self.members[i], Member::Up { .. }) {
+                    self.members[i] = Member::Up {
+                        crash_at: self.crash_after(0),
+                    };
+                }
+                if self.members[i] == Member::Absent && slot >= self.plan.join_slot {
+                    self.members[i] = Member::Up {
+                        crash_at: self.crash_after(slot - 1),
+                    };
+                    self.counters[2] += 1;
+                    events.push(ChurnEvent::Join(id));
+                }
+                if self.leave_at[i] <= slot && self.members[i] != Member::Left {
+                    self.members[i] = Member::Left;
+                    self.counters[3] += 1;
+                    events.push(ChurnEvent::Leave(id));
+                }
+            }
+            for i in 0..self.members.len() {
+                let id = StationId(i as u32);
+                match self.members[i] {
+                    Member::Up { crash_at } if crash_at == slot => {
+                        self.members[i] = Member::Down {
+                            restart_at: slot + self.plan.down_slots,
+                        };
+                        self.counters[0] += 1;
+                        events.push(ChurnEvent::Crash(id));
+                    }
+                    Member::Down { restart_at } if restart_at == slot => {
+                        self.members[i] = Member::Up {
+                            crash_at: self.crash_after(slot),
+                        };
+                        self.counters[1] += 1;
+                        events.push(ChurnEvent::Restart(id));
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        fn next_scheduled_transition(&self) -> Option<u64> {
+            // The first step draws the initial crash slots.
+            let undrawn = self.slot == 0 && self.plan.crash > 0.0;
+            let mut due = Vec::new();
+            for (m, &leave) in self.members.iter().zip(&self.leave_at) {
+                match *m {
+                    Member::Up { .. } if undrawn => due.push(1),
+                    Member::Up { crash_at } => due.push(crash_at),
+                    Member::Down { restart_at } => due.push(restart_at),
+                    Member::Absent => due.push(self.plan.join_slot),
+                    Member::Left => continue,
+                }
+                due.push(leave);
+            }
+            due.into_iter()
+                .filter(|&s| s != NEVER)
+                .min()
+                .map(|s| s.max(self.slot + 1))
+        }
+    }
+
+    /// The process matches the naive scan slot by slot over random plans:
+    /// events, stream position, counters, member states and the next
+    /// transition, with a snapshot round trip at a random slot. A slot
+    /// that draws or transitions is always the one announced.
     #[test]
     fn event_cost_process_matches_the_per_station_reference() {
         let mut draws = Rng::new(0xC4_0001);
         // Events of each kind over the suite, so it cannot pass vacuously.
         let mut seen = [0u64; 4];
-        let mut drew_ahead = 0;
         for case in 0..300u64 {
             let plan = random_plan(&mut draws);
             let stations = 1 + draws.below(20) as u32;
             let restore_at = draws.below(300);
-            let chunk = CHUNKS[case as usize % CHUNKS.len()];
-            for how in [Forced::Inline, Forced::Ahead(chunk)] {
-                let ep = forced(how, || {
-                    let mut p = ChurnProcess::new(plan, stations, Rng::new(case));
-                    let mut r = Reference::of(&p);
-                    let (mut ep, mut er) = (Vec::new(), Vec::new());
-                    for slot in 0..300 {
-                        if slot == restore_at {
-                            p = round_trip(&p);
-                        }
-                        let at = format!("case {case} slot {slot} {how:?}: {plan:?}");
-                        assert_eq!(
-                            p.next_scheduled_transition(),
-                            r.next_scheduled_transition(),
-                            "{at}"
-                        );
-                        p.step(&mut ep);
-                        r.step(&mut er);
-                        assert_eq!(ep, er, "{at}");
-                        let exact = p.exact();
-                        assert_eq!(exact.rng.state(), r.rng.state(), "{at}");
-                        assert_eq!(
-                            [p.crashes(), p.restarts(), p.joins(), p.leaves()],
-                            r.counters,
-                            "{at}"
-                        );
-                        assert_eq!(p.slot(), r.slot, "{at}");
-                        for (i, m) in r.state.iter().enumerate() {
-                            let id = StationId(i as u32);
-                            assert_eq!(p.is_up(id), *m == MemberState::Up, "{at}");
-                            assert_eq!(p.is_present(id), *m != MemberState::Left, "{at}");
-                        }
-                        assert_eq!(exact.state, r.state, "{at}");
-                    }
-                    if matches!(p.path, Path::Ahead(_)) {
-                        drew_ahead += 1;
-                    }
-                    ep
-                });
-                for ev in &ep {
-                    seen[match ev {
-                        ChurnEvent::Crash(_) => 0,
-                        ChurnEvent::Restart(_) => 1,
-                        ChurnEvent::Join(_) => 2,
-                        ChurnEvent::Leave(_) => 3,
-                    }] += 1;
+            let mut p = ChurnProcess::new(plan, stations, Rng::new(case));
+            let mut r = Reference::new(plan, stations, Rng::new(case));
+            let (mut ep, mut er) = (Vec::new(), Vec::new());
+            for slot in 0..300 {
+                if slot == restore_at {
+                    p = round_trip(&p);
                 }
+                let at = format!("case {case} slot {slot}: {plan:?}");
+                let next = r.next_scheduled_transition();
+                assert_eq!(p.next_scheduled_transition(), next, "{at}");
+                let (stream, before) = (r.rng.state(), er.len());
+                p.step(&mut ep);
+                r.step(&mut er);
+                if r.rng.state() != stream || er.len() > before {
+                    assert_eq!(next, Some(slot + 1), "{at}: unannounced transition");
+                }
+                assert_eq!(ep, er, "{at}");
+                assert_eq!(p.rng.state(), r.rng.state(), "{at}");
+                assert_eq!(
+                    [p.crashes(), p.restarts(), p.joins(), p.leaves()],
+                    r.counters,
+                    "{at}"
+                );
+                assert_eq!(p.slot(), r.slot, "{at}");
+                assert_eq!(p.members, r.members, "{at}");
+                for (i, m) in r.members.iter().enumerate() {
+                    let id = StationId(i as u32);
+                    assert_eq!(p.is_up(id), matches!(m, Member::Up { .. }), "{at}");
+                    assert_eq!(p.is_present(id), *m != Member::Left, "{at}");
+                }
+            }
+            for ev in &ep {
+                seen[match ev {
+                    ChurnEvent::Crash(_) => 0,
+                    ChurnEvent::Restart(_) => 1,
+                    ChurnEvent::Join(_) => 2,
+                    ChurnEvent::Leave(_) => 3,
+                }] += 1;
             }
         }
         assert!(seen.iter().all(|&n| n > 0), "event mix {seen:?}");
-        assert!(drew_ahead > 100, "{drew_ahead} cases drew ahead");
     }
 
-    /// A snapshot taken on a chunk boundary, or one slot either side of
-    /// it, holds the inline process's words, and the restored process
-    /// resumes the same trajectory.
+    /// The initial crash slots are drawn at the first step, not in `new`:
+    /// until then the stream is the untouched fork, which
+    /// `Engine::set_churn_plan` rebuilds from, and the next transition is
+    /// the next slot, also after a snapshot round trip.
     #[test]
-    fn round_trips_at_a_chunk_boundary_resume_exactly() {
+    fn initial_crash_slots_are_drawn_at_the_first_step() {
+        let mut p = ChurnProcess::new(ChurnPlan::crash_restart(0.001, 10, 10), 5, Rng::new(21));
+        assert_eq!(p.stream().state(), Rng::new(21).state());
+        assert_eq!(p.next_scheduled_transition(), Some(1));
+        p = round_trip(&p);
+        assert_eq!(p.next_scheduled_transition(), Some(1));
+        p.step(&mut Vec::new());
+        let mut witness = Rng::new(21);
+        let g = Geometric::new(0.001);
+        let first = (0..5).map(|_| g.sample(&mut witness)).min();
+        assert_eq!(p.stream().state(), witness.state());
+        assert!(first > Some(1), "a crash at slot 1: {first:?}");
+        assert_eq!(p.next_scheduled_transition(), first);
+    }
+
+    /// Slot arithmetic at crash = 1, where G is 1 and nothing is drawn: a
+    /// station that joins at slot j crashes at j (its crash slot is
+    /// j − 1 + G), a crash at c restarts at c + D, and a restarted station
+    /// cannot crash in its restart slot.
+    #[test]
+    fn joiners_crash_from_their_join_slot_and_restarts_from_the_next() {
         let plan = ChurnPlan {
-            late_join_frac: 0.25,
-            join_slot: 600,
-            ..ChurnPlan::crash_restart(0.01, 9, 10)
+            late_join_frac: 1.0,
+            join_slot: 5,
+            ..ChurnPlan::crash_restart(1.0, 3, 10)
         };
-        for chunk in [5, CHUNK_SLOTS] {
-            for at in [chunk - 1, chunk, chunk + 1, 2 * chunk, 2 * chunk + 1] {
-                let run = |how| {
-                    forced(how, || {
-                        let mut p = ChurnProcess::new(plan, 12, Rng::new(at));
-                        let mut events = Vec::new();
-                        for _ in 0..at {
-                            p.step(&mut events);
-                        }
-                        let saved = words(&p);
-                        let mut q = round_trip(&p);
-                        drop(p);
-                        for _ in 0..chunk + 700 {
-                            q.step(&mut events);
-                        }
-                        (saved, events, words(&q))
-                    })
-                };
-                let inline = run(Forced::Inline);
-                assert!(inline.1.len() > 10, "{} transitions", inline.1.len());
-                assert!(
-                    inline == run(Forced::Ahead(chunk)),
-                    "chunk {chunk}, at {at}"
-                );
-            }
+        let mut p = ChurnProcess::new(plan, 1, Rng::new(8));
+        let mut log = Vec::new();
+        for _ in 0..12 {
+            let mut events = Vec::new();
+            p.step(&mut events);
+            log.extend(events.into_iter().map(|ev| (p.slot(), ev)));
         }
+        let s = StationId(0);
+        use ChurnEvent::{Crash, Join, Restart};
+        assert_eq!(
+            log,
+            [
+                (5, Join(s)),
+                (5, Crash(s)),
+                (8, Restart(s)),
+                (9, Crash(s)),
+                (12, Restart(s))
+            ]
+        );
+        assert_eq!(p.stream().state(), Rng::new(8).state());
     }
 
-    fn crashing_machine() -> Machine {
-        Machine::new(ChurnPlan::crash_restart(0.05, 3, 10), 8, Rng::new(9))
-    }
-
-    /// A worker asleep on a full channel wakes when its process drops,
-    /// and the drop's join returns.
+    /// On a crash plan the stream advances exactly one draw per station
+    /// that comes up: each station of the initial population at the first
+    /// step, each restart and each join. A plan without crashes draws
+    /// nothing, and neither does crash = 1.
     #[test]
-    fn dropping_a_process_joins_a_worker_asleep_on_a_full_channel() {
-        // The worker's claims on a count of the test's own: it gives its
-        // core back just before it sleeps on the full channel.
-        static COUNT: Cores = Cores::new(0);
-        let m = crashing_machine();
-        let mut drawn = m.clone();
-        let claims = (COUNT.occupy(1), COUNT.occupy(1));
-        let ahead = RunAhead::spawn(&m, claims, move |chunk| drawn.fill(CHUNK_SLOTS, chunk))
-            .expect("spawn the worker");
-        // Nothing consumes: the worker fills the channel's DEPTH chunks
-        // and one more, then sleeps.
-        let deadline = Instant::now() + Duration::from_secs(60);
-        while COUNT.busy() == 2 {
-            assert!(Instant::now() < deadline, "the worker never slept");
-            std::thread::yield_now();
-        }
-        let p = ChurnProcess {
-            m,
-            path: Path::Ahead(Box::new(ahead)),
-        };
-        let (dropped_tx, dropped) = mpsc::channel();
-        let dropper = std::thread::spawn(move || {
-            drop(p);
-            dropped_tx.send(()).expect("the test waits for the drop");
-        });
-        dropped
-            .recv_timeout(Duration::from_secs(60))
-            .expect("dropping the process joins its worker");
-        dropper.join().expect("the drop does not panic");
-        assert_eq!(COUNT.busy(), 0, "the worker's claims outlived it");
-    }
-
-    #[test]
-    fn a_dead_worker_re_raises_its_own_panic_at_the_next_step() {
-        let m = crashing_machine();
-        let ahead =
-            RunAhead::spawn(&m, forced_claims(), |_| panic!("worker fault 17")).expect("spawn");
-        let mut p = ChurnProcess {
-            m,
-            path: Path::Ahead(Box::new(ahead)),
-        };
-        let raised =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| p.step(&mut Vec::new())))
-                .expect_err("the step re-raises the worker's panic");
-        assert_eq!(raised.downcast_ref::<&str>(), Some(&"worker fault 17"));
-    }
-
-    /// The process picks its path at its first step, after `load_state`
-    /// too, and only a drawing plan over at least one station runs ahead.
-    #[test]
-    fn only_a_drawing_plan_runs_ahead_and_only_from_its_first_step() {
-        let ahead = |plan: ChurnPlan, stations: u32| {
-            forced(Forced::Ahead(CHUNK_SLOTS), || {
-                let mut p = ChurnProcess::new(plan, stations, Rng::new(4));
-                assert!(matches!(p.path, Path::Undecided));
-                p.step(&mut Vec::new());
-                let q = round_trip(&p);
-                assert!(matches!(q.path, Path::Undecided));
-                matches!(p.path, Path::Ahead(_))
-            })
-        };
-        assert!(ahead(ChurnPlan::crash_restart(0.01, 5, 10), 3));
-        assert!(!ahead(ChurnPlan::crash_restart(0.01, 5, 10), 0));
-        assert!(!ahead(ChurnPlan::none(), 3));
+    fn the_stream_advances_one_draw_per_station_that_comes_up() {
         let scheduled = ChurnPlan {
-            leave_frac: 0.5,
-            leave_slot: 3,
+            late_join_frac: 0.3,
+            join_slot: 700,
+            leave_frac: 0.2,
+            leave_slot: 1_500,
             ..ChurnPlan::none()
         };
-        assert!(!ahead(scheduled, 3));
+        let crashing = ChurnPlan {
+            crash: 0.01,
+            down_slots: 30,
+            ..scheduled
+        };
+        for (plan, draws_per_station) in [
+            (crashing, 1),
+            (ChurnPlan::crash_restart(0.01, 30, 10), 1),
+            (
+                ChurnPlan {
+                    crash: 1.0,
+                    ..crashing
+                },
+                0,
+            ),
+            (scheduled, 0),
+            (ChurnPlan::none(), 0),
+        ] {
+            let mut p = ChurnProcess::new(plan, 20, Rng::new(5));
+            let initial = (0..20).filter(|&i| p.is_up(StationId(i))).count() as u64;
+            for _ in 0..3_000 {
+                p.step(&mut Vec::new());
+            }
+            let came_up = initial + p.restarts() + p.joins();
+            let mut witness = Rng::new(5);
+            for _ in 0..draws_per_station * came_up {
+                witness.next_u64();
+            }
+            assert_eq!(p.stream().state(), witness.state(), "{plan:?}");
+            if plan.crash > 0.0 {
+                assert!(p.restarts() > 20, "{} restarts", p.restarts());
+            }
+            assert_eq!(p.joins(), if plan.late_join_frac > 0.0 { 6 } else { 0 });
+        }
+    }
+
+    /// Per-station statistics of one long run: each station's down
+    /// fraction and crash rate, and the lengths of the up periods that
+    /// began in the run's first half. Every one of those ends inside the
+    /// run unless it is longer than half of it, which has probability
+    /// (1 − p)^(slots/2).
+    struct Law {
+        per_station: Vec<[f64; 2]>,
+        up_periods: Vec<u64>,
+    }
+
+    /// The crash clock over `slots` slots, skipped from transition to
+    /// transition.
+    fn crash_clock(p: f64, d: u64, stations: u32, slots: u64, seed: u64) -> Law {
+        let plan = ChurnPlan::crash_restart(p, d, 0);
+        let mut clock = ChurnProcess::new(plan, stations, Rng::new(seed));
+        let n = stations as usize;
+        // The slot of each station's last crash or restart.
+        let (mut since, mut crashes, mut down) = (vec![0; n], vec![0; n], vec![0; n]);
+        let mut up_periods = Vec::new();
+        let mut events = Vec::new();
+        while let Some(at) = clock.next_scheduled_transition().filter(|&at| at <= slots) {
+            clock.skip_slots(at - clock.slot() - 1);
+            clock.step(&mut events);
+            for ev in events.drain(..) {
+                let i = ev.station().0 as usize;
+                match ev {
+                    ChurnEvent::Crash(_) if since[i] < slots / 2 => up_periods.push(at - since[i]),
+                    ChurnEvent::Crash(_) => {}
+                    ChurnEvent::Restart(_) => down[i] += at - since[i],
+                    ev => panic!("{ev:?} under a crash-only plan"),
+                }
+                crashes[i] += u64::from(matches!(ev, ChurnEvent::Crash(_)));
+                since[i] = at;
+            }
+        }
+        for i in 0..n {
+            if !clock.is_up(StationId(i as u32)) {
+                down[i] += slots + 1 - since[i];
+            }
+        }
+        Law {
+            per_station: (0..n)
+                .map(|i| {
+                    [
+                        down[i] as f64 / slots as f64,
+                        crashes[i] as f64 / slots as f64,
+                    ]
+                })
+                .collect(),
+            up_periods,
+        }
+    }
+
+    /// The per-slot Bernoulli process the crash clock replaced, kept as
+    /// the law reference: every up station crashes with probability `p`
+    /// in each slot, is down in that slot and the next `d − 1`, and draws
+    /// again from the slot after its restart. Per-station down fraction
+    /// and crash rate.
+    fn bernoulli(p: f64, d: u64, stations: u32, slots: u64, seed: u64) -> Vec<[f64; 2]> {
+        let n = stations as usize;
+        let mut rng = Rng::new(seed);
+        let threshold = Rng::chance_threshold(p);
+        let (mut remaining, mut crashes, mut down) = (vec![0; n], vec![0; n], vec![0; n]);
+        for _ in 0..slots {
+            for i in 0..n {
+                if remaining[i] > 0 {
+                    remaining[i] -= 1;
+                } else if rng.chance_below(threshold) {
+                    remaining[i] = d;
+                    crashes[i] += 1;
+                }
+                down[i] += u64::from(remaining[i] > 0);
+            }
+        }
+        (0..n)
+            .map(|i| {
+                [
+                    down[i] as f64 / slots as f64,
+                    crashes[i] as f64 / slots as f64,
+                ]
+            })
+            .collect()
+    }
+
+    /// Mean and standard error of independent replicates.
+    fn mean_se(xs: &[f64]) -> (f64, f64) {
+        let n = xs.len() as f64;
+        let mean = xs.iter().sum::<f64>() / n;
+        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        (mean, (var / n).sqrt())
+    }
+
+    /// Pearson's statistic of `samples` against Geometric(p) on
+    /// {1, 2, ...}, over `bins` bins cut at its quantiles j/bins.
+    fn chi_square_geometric(samples: &[u64], p: f64, bins: usize) -> f64 {
+        let ln_q = (-p).ln_1p();
+        let tail = |k: u64| (k as f64 * ln_q).exp();
+        let mut edges: Vec<u64> = (1..bins)
+            .map(|j| ((1.0 - j as f64 / bins as f64).ln() / ln_q).ceil() as u64)
+            .collect();
+        edges.dedup();
+        edges.push(u64::MAX);
+        let mut observed = vec![0u64; edges.len()];
+        for &g in samples {
+            observed[edges.partition_point(|&e| e < g)] += 1;
+        }
+        let mut lo = 0;
+        let mut chi2 = 0.0;
+        for (&hi, &o) in edges.iter().zip(&observed) {
+            let prob = tail(lo) - if hi == u64::MAX { 0.0 } else { tail(hi) };
+            let expected = prob * samples.len() as f64;
+            chi2 += (o as f64 - expected).powi(2) / expected;
+            lo = hi;
+        }
+        chi2
+    }
+
+    /// Each station alternates Geometric(p) up periods with outages of
+    /// exactly D slots, so the renewal theorem gives its long-run down
+    /// fraction D/(1/p + D) and crash rate 1/(1/p + D). Checked at three
+    /// (p, D), with per-station replicates (four seeds × 25 stations ×
+    /// 1 000 cycles for the clock, two seeds × 25 × 100 for the per-slot
+    /// reference, whose every slot draws): the clock and the reference
+    /// each lie within four standard errors of the renewal values and
+    /// of each other, and the clock's up periods pass a chi-square test
+    /// against Geometric(p).
+    #[test]
+    fn crash_clock_follows_the_renewal_law() {
+        for (p, d) in [(0.002, 200), (0.0005, 200), (0.01, 20)] {
+            let cycle = 1.0 / p + d as f64;
+            let clock: Vec<Law> = (0..4)
+                .map(|seed| crash_clock(p, d, 25, (1_000.0 * cycle) as u64, seed))
+                .collect();
+            let reference: Vec<[f64; 2]> = (10..12)
+                .flat_map(|seed| bernoulli(p, d, 25, (100.0 * cycle) as u64, seed))
+                .collect();
+            let renewal = [d as f64 / cycle, 1.0 / cycle];
+            for (k, name) in ["down fraction", "crash rate"].into_iter().enumerate() {
+                let stat = |per_station: &mut dyn Iterator<Item = &[f64; 2]>| {
+                    mean_se(&per_station.map(|s| s[k]).collect::<Vec<_>>())
+                };
+                let (c, c_se) = stat(&mut clock.iter().flat_map(|l| &l.per_station));
+                let (b, b_se) = stat(&mut reference.iter());
+                let at = format!(
+                    "p={p} D={d} {name}: renewal {:.6}, clock {c:.6} ± {c_se:.6}, \
+                     per-slot {b:.6} ± {b_se:.6}",
+                    renewal[k]
+                );
+                assert!((c - renewal[k]).abs() <= 4.0 * c_se, "{at}");
+                assert!((b - renewal[k]).abs() <= 4.0 * b_se, "{at}");
+                assert!((c - b).abs() <= 4.0 * c_se.hypot(b_se), "{at}");
+            }
+            let periods: Vec<u64> = clock.iter().flat_map(|l| l.up_periods.clone()).collect();
+            // 20 bins, 19 degrees of freedom: 43.82 is the 0.1% critical
+            // value of chi-square.
+            let chi2 = chi_square_geometric(&periods, p, 20);
+            assert!(
+                chi2 < 43.82,
+                "p={p} D={d}: chi2 {chi2:.1} over {} up periods",
+                periods.len()
+            );
+        }
+    }
+
+    /// A snapshot whose crash or restart slot the saved slot and the plan
+    /// rule out is refused; the words of a reachable state load.
+    #[test]
+    fn load_rejects_slots_the_plan_rules_out() {
+        let plan = ChurnPlan::crash_restart(0.05, 10, 10);
+        let mut p = ChurnProcess::new(plan, 6, Rng::new(3));
+        for _ in 0..200 {
+            p.step(&mut Vec::new());
+        }
+        let (slot, down) = (p.slot(), plan.down_slots);
+        let member = |tag: u64, at: u64| {
+            let mut q = ChurnProcess::new(plan, 0, p.stream());
+            q.members = vec![match tag {
+                0 => Member::Up { crash_at: at },
+                _ => Member::Down { restart_at: at },
+            }];
+            q.leave_at = vec![NEVER];
+            q.slot = slot;
+            let words = words(&q);
+            ChurnProcess::load_state(&mut tcw_sim::snap::SnapReader::new(&words)).is_ok()
+        };
+        assert!(member(0, slot + 1) && member(0, NEVER));
+        assert!(member(1, slot + 1) && member(1, slot + down));
+        // A crash or restart already past, or a restart more than D away.
+        assert!(!member(0, slot) && !member(0, 0));
+        assert!(!member(1, slot) && !member(1, slot + down + 1));
+        // Before the first step an up station's crash slot is not drawn.
+        let fresh = ChurnProcess::new(plan, 3, Rng::new(3));
+        let mut w = words(&fresh);
+        // Nine plan words, four of stream state and the member count, then
+        // the first member's tag and crash slot.
+        let first_crash_at = 9 + 4 + 1 + 1;
+        assert_eq!(w[first_crash_at - 1..=first_crash_at], [0, 0]);
+        w[first_crash_at] = 7;
+        assert!(ChurnProcess::load_state(&mut tcw_sim::snap::SnapReader::new(&w)).is_err());
     }
 
     #[test]

@@ -23,9 +23,7 @@
 //! * [`record`] — the flat text-record codec every workspace file is
 //!   written and read with: JSON string escaping, a strict flat-object
 //!   parser, the version/family envelope check, hex word payloads and an
-//!   atomic file write;
-//! * [`cores`] — the process-wide busy-thread count that tells a helper
-//!   thread whether a core is idle.
+//!   atomic file write.
 //!
 //! Determinism is a design requirement (the paper's Figure 7 simulation
 //! points must be regenerable bit-for-bit), which is why the RNG is
@@ -47,7 +45,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cores;
 pub mod events;
 pub mod record;
 pub mod rng;

@@ -70,6 +70,9 @@ impl Exponential {
 #[derive(Clone, Copy, Debug)]
 pub struct Geometric {
     p: f64,
+    /// `ln(1 - p)`, through `ln_1p`: `(1.0 - p).ln()` is 0 once `1 - p`
+    /// rounds to 1 (p below ~1.1e-16), and loses digits well before.
+    ln_q: f64,
 }
 
 impl Geometric {
@@ -79,7 +82,10 @@ impl Geometric {
     /// Panics if `p` is outside `(0, 1]`.
     pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "p must be in (0,1], got {p}");
-        Geometric { p }
+        Geometric {
+            p,
+            ln_q: (-p).ln_1p(),
+        }
     }
 
     /// Creates a geometric on `{1,2,...}` with the given mean (`>= 1`).
@@ -93,21 +99,20 @@ impl Geometric {
         self.p
     }
 
-    /// Draws one sample by inversion of the CDF.
+    /// Draws one sample by inversion of the CDF: one draw, none at
+    /// `p = 1`.
     pub fn sample(&self, rng: &mut Rng) -> u64 {
         if self.p >= 1.0 {
             return 1;
         }
-        let u = rng.f64_open_left();
-        // ceil(ln(u) / ln(1-p)) has the geometric law on {1,2,...}.
-        let x = (u.ln() / (1.0 - self.p).ln()).ceil();
-        if x < 1.0 {
-            1
-        } else if x >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            x as u64
-        }
+        self.invert(rng.f64_open_left())
+    }
+
+    /// The sample at `u ∈ (0, 1]`: `1 + floor(ln u / ln(1 - p))`, which
+    /// exceeds `k` exactly when `u <= (1 - p)^k`. Saturates at
+    /// `u64::MAX` (the float-to-integer cast does).
+    fn invert(&self, u: f64) -> u64 {
+        ((u.ln() / self.ln_q).floor() as u64).saturating_add(1)
     }
 }
 
@@ -316,6 +321,30 @@ mod tests {
             x as f64
         });
         assert!((m - 4.0).abs() < 0.1, "mean = {m}");
+    }
+
+    #[test]
+    fn geometric_stays_exact_for_tiny_p() {
+        // ln 2 / -ln(1 - p): the sample at u = 1/2.
+        for p in [1e-16f64, 1e-17, 1e-12, 0.3] {
+            let want = std::f64::consts::LN_2 / -(-p).ln_1p();
+            let got = Geometric::new(p).invert(0.5) as f64;
+            assert!(
+                (got - want.floor() - 1.0).abs() <= want * 1e-12,
+                "p={p}: {got} vs {want}"
+            );
+        }
+        // u = 1 is the smallest sample, 1, at any p.
+        for p in [1e-300, 1e-17, 0.3, 0.999] {
+            assert_eq!(Geometric::new(p).invert(1.0), 1, "p={p}");
+        }
+        let mut rng = Rng::new(12);
+        let g = Geometric::new(1e-17);
+        let m = mean_of(20_000, || g.sample(&mut rng) as f64);
+        assert!((m / 1e17 - 1.0).abs() < 0.05, "mean = {m:e}");
+        // Mean 1e300: every draw saturates.
+        let g = Geometric::new(1e-300);
+        assert!((0..1_000).all(|_| g.sample(&mut rng) == u64::MAX));
     }
 
     #[test]

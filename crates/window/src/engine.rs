@@ -112,7 +112,9 @@ pub struct EngineConfig {
     pub seed: u64,
 }
 
-/// Bounded retry behaviour after a detectably corrupted slot.
+/// Bounded retry behaviour after a detectably corrupted slot. Every
+/// engine runs the [`Default`] budget; the invariant monitor takes the
+/// same value to check it.
 #[derive(Clone, Copy, Debug)]
 pub struct ResyncPolicy {
     /// How many times a window whose feedback was detectably corrupted is
@@ -239,7 +241,7 @@ const BOOK_CAPACITY: usize = 16;
 const SNAP_MAGIC: u64 = 0x7463_775f_736e_6170;
 /// Snapshot layout version; bumped whenever the word stream changes so
 /// stale snapshots are rejected instead of misdecoded.
-const SNAP_FORMAT: u64 = 4;
+const SNAP_FORMAT: u64 = 5;
 
 /// Telemetry of the event-horizon fast path: how much work the engine
 /// avoided by jumping over analytically known idle runs and by resolving
@@ -317,8 +319,6 @@ pub struct Engine<S: ArrivalSource> {
     /// set on admission, cleared when the message is delivered,
     /// discarded or dropped. Read only in single-buffer mode.
     busy: Vec<bool>,
-    /// Retry/backoff budget for detectably corrupted slots.
-    resync: ResyncPolicy,
     /// Messages stranded in examined time by a misread slot; their arrival
     /// intervals are reopened at the next decision point.
     orphans: Vec<(Time, MessageId)>,
@@ -394,7 +394,6 @@ impl<S: ArrivalSource> Engine<S> {
             last_tx_end: Time::ZERO,
             single_buffer: false,
             busy: Vec::new(),
-            resync: ResyncPolicy::default(),
             orphans: Vec::new(),
             fault_touched: HashSet::new(),
             churn: ChurnProcess::disabled(rng_churn),
@@ -436,11 +435,6 @@ impl<S: ArrivalSource> Engine<S> {
         self.medium.set_plan(plan);
     }
 
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.medium.plan()
-    }
-
     /// Installs a churn plan over `stations` stations. Must be called
     /// before the run starts; [`ChurnPlan::none`] (the default) leaves
     /// the run bit-identical to a static-population build.
@@ -451,11 +445,6 @@ impl<S: ArrivalSource> Engine<S> {
     /// The station membership process (counters, plan, current slot).
     pub fn churn(&self) -> &ChurnProcess {
         &self.churn
-    }
-
-    /// Overrides the retry/backoff budget for detectably corrupted slots.
-    pub fn set_resync_policy(&mut self, resync: ResyncPolicy) {
-        self.resync = resync;
     }
 
     /// Installs an online window-length controller (adaptive element 2).
@@ -554,8 +543,6 @@ impl<S: ArrivalSource> Engine<S> {
         for (s, _) in self.busy.iter().enumerate().filter(|(_, &b)| b) {
             w.push(s as u64);
         }
-        w.push(u64::from(self.resync.max_retries));
-        w.push(self.resync.backoff_cap_slots);
         w.push_usize(self.orphans.len());
         for &(t, id) in &self.orphans {
             w.push(t.ticks());
@@ -711,11 +698,6 @@ impl<S: ArrivalSource> Engine<S> {
             }
             self.mark_busy(s);
         }
-        self.resync = ResyncPolicy {
-            max_retries: u32::try_from(r.take()?)
-                .map_err(|_| SnapError::new("resync retries overflow u32"))?,
-            backoff_cap_slots: r.take()?,
-        };
         self.orphans.clear();
         let n = r.take_len()?;
         for _ in 0..n {
@@ -865,8 +847,8 @@ impl<S: ArrivalSource> Engine<S> {
     ///   transition) probes the whole one-`tau` trailing gap idle, so the
     ///   clock, examined prefix, idle counters and controller feedback are
     ///   all advanced in O(1) + the controller's own feedback cost; under
-    ///   feedback faults or random crashes the slots are stepped one by
-    ///   one up to the first faulted probe or membership transition;
+    ///   feedback faults the slots are stepped one by one up to the first
+    ///   faulted probe or membership transition;
     /// * **batched resolution** — pending book nonempty, single trailing
     ///   gap, Oldest position: whole windowing rounds run through `cycle`'s
     ///   own decision step and round ([`Engine::round`]) with per-slot
@@ -907,12 +889,13 @@ impl<S: ArrivalSource> Engine<S> {
     /// feedback events — which [`WindowController::on_idle_run`] applies
     /// (or replays) exactly.
     ///
-    /// Without feedback faults or random crashes no RNG stream is
-    /// touched and no churn transition happens before the bound, so the
-    /// jump is O(1) plus the controller's feedback cost. With either, each
-    /// slot draws, and [`Engine::step_idle_slots`] walks the slots one at
-    /// a time, stopping before the first faulted probe and after the
-    /// first membership transition.
+    /// Without feedback faults no RNG stream is touched and no churn
+    /// transition happens before the bound (the churn process's next
+    /// transition, random crashes included), so the jump is O(1) plus the
+    /// controller's feedback cost. With faults each probe draws, and
+    /// [`Engine::step_idle_slots`] walks the slots one at a time, stopping
+    /// before the first faulted probe and after the first membership
+    /// transition.
     fn idle_jump(&mut self, limit: Time, tau: Dur, obs: &mut dyn EngineObserver) -> bool {
         // A sub-`tau` discard deadline would eat into the trailing gap at
         // every cycle; leave that pathology to the slow path.
@@ -941,7 +924,7 @@ impl<S: ArrivalSource> Engine<S> {
             // exhausted, so there is no arrival bound.
             None => debug_assert!(self.source_done),
         }
-        let per_slot = !self.medium.plan().is_none() || self.churn.plan().crash > 0.0;
+        let per_slot = !self.medium.plan().is_none();
         if !per_slot {
             if let Some(s) = self.churn.next_scheduled_transition() {
                 n = n.min(s - self.churn.slot() - 1);
@@ -975,7 +958,7 @@ impl<S: ArrivalSource> Engine<S> {
     }
 
     /// Up to `n` idle slots of the jump, one at a time, for runs with
-    /// feedback faults or random crashes; returns the slots consumed.
+    /// feedback faults; returns the slots consumed.
     /// Per slot, in three steps that each leave nothing to undo:
     ///
     /// 1. the probe's fault draw is peeked — a faulted probe ends the
@@ -1664,8 +1647,9 @@ impl<S: ArrivalSource> Engine<S> {
     /// `false` when the retry budget is exhausted and the round must be
     /// abandoned (the abandonment itself is recorded here).
     fn backoff_or_abandon(&mut self, retries: &mut u32, obs: &mut dyn EngineObserver) -> bool {
+        let resync = ResyncPolicy::default();
         *retries += 1;
-        if *retries > self.resync.max_retries {
+        if *retries > resync.max_retries {
             self.metrics.on_round_abandoned();
             obs.on_round_abandoned(self.timeline.now());
             return false;
@@ -1674,7 +1658,7 @@ impl<S: ArrivalSource> Engine<S> {
         let slots = 1u64
             .checked_shl(*retries - 1)
             .unwrap_or(u64::MAX)
-            .min(self.resync.backoff_cap_slots);
+            .min(resync.backoff_cap_slots);
         let dur = Dur::from_ticks(slots * self.medium.config().ticks_per_tau);
         let now = self.timeline.now();
         self.channel_stats.record_quiet(dur);

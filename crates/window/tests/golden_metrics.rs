@@ -107,7 +107,11 @@ fn churny() -> ChurnPlan {
 /// The churn trace hashes were regenerated once (DESIGN.md §7): fixing
 /// the leave-during-delivery ordering bug moved `on_transmit` ahead of
 /// the same slot's churn events. Every metric stayed bit-identical;
-/// only the event order inside churn slots changed.
+/// only the event order inside churn slots changed. The churn + fault
+/// fingerprints were re-derived once more when the per-slot crash draws
+/// gave way to the crash clock (DESIGN.md §6): the same Geometric up
+/// periods, drawn once per station that comes up, so other draws and
+/// other crash slots.
 const GOLDEN_CLEAN: [&str; 3] = [
     "offered=1753 sender=0 receiver=0 loss=0000000000000000 now=80028 succ=2389 coll=565 idle=7497 erased=0 paper_mean=4044c63e3608785b true_mean=4045619fe8a26434 sched=4013d96c5627a5ed slots=3fd2ac186e963c2d util=3fe31af5cd4ddc5a corrupted=0 resyncs=0 abandoned=0 reopened=0 fault_losses=0 churn_blocked=0 churn_losses=0 churn_reopened=0 trace=affabc16221c02e5",
     "offered=1738 sender=0 receiver=0 loss=0000000000000000 now=80016 succ=2339 coll=589 idle=7720 erased=0 paper_mean=4044a7b23a5440de true_mean=40454c14083fa1bb sched=4013fcef7928d300 slots=3fd49a8a8fd0b7e8 util=3fe2b5506b4b32a0 corrupted=0 resyncs=0 abandoned=0 reopened=0 fault_losses=0 churn_blocked=0 churn_losses=0 churn_reopened=0 trace=234034fb2c5a9f46",
@@ -119,9 +123,9 @@ const GOLDEN_FAULTS: [&str; 3] = [
     "offered=1803 sender=76 receiver=18 loss=3faab17b62ae1307 now=80204 succ=2373 coll=1136 idle=5944 erased=520 paper_mean=4063815f0498626d true_mean=4063cfa38084d148 sched=4027f11bcfd2732a slots=3fe0c7b82bcc5176 util=3fe2ef8af2b5870b corrupted=515 resyncs=545 abandoned=46 reopened=76 fault_losses=27 churn_blocked=0 churn_losses=0 churn_reopened=0 trace=063f6e85a3a66137",
 ];
 const GOLDEN_CHURN: [&str; 3] = [
-    "offered=1753 sender=46 receiver=6 loss=3fb8d3758ef7f7d2 now=80060 succ=2189 coll=1054 idle=6830 erased=562 paper_mean=4057cbcd1709d3d7 true_mean=405865d1ec58497b sched=4027396e394fc8dd slots=3fdfb7b4da4eb6dc util=3fe17fb653c6f46d corrupted=544 resyncs=587 abandoned=46 reopened=78 fault_losses=14 churn_blocked=118 churn_losses=29 churn_reopened=4 trace=4de4a1b0368d105a",
-    "offered=1738 sender=39 receiver=3 loss=3fb8bee531326009 now=80016 succ=2152 coll=1011 idle=7062 erased=554 paper_mean=40568cfaa11e6f06 true_mean=405726c6399cb987 sched=4026be2a2003d9fa slots=3fe001ecfbc99947 util=3fe1366a2ae5a324 corrupted=522 resyncs=586 abandoned=31 reopened=58 fault_losses=6 churn_blocked=126 churn_losses=29 churn_reopened=4 trace=e93dfdaf9b402f60",
-    "offered=1803 sender=66 receiver=7 loss=3fbdaccbe42bbb47 now=80116 succ=2198 coll=1099 idle=6794 erased=540 paper_mean=405d1f8a504513ae true_mean=405dc10a12de42e0 sched=4028503addf0189f slots=3fe051a77653ca56 util=3fe18efc7c2f4a9b corrupted=559 resyncs=565 abandoned=48 reopened=100 fault_losses=16 churn_blocked=136 churn_losses=49 churn_reopened=12 trace=91c2e22c58366c52",
+    "offered=1753 sender=38 receiver=6 loss=3fb8ae12fc0e9a81 now=80028 succ=2196 coll=1039 idle=6809 erased=557 paper_mean=4058061e44e9231e true_mean=40588f4bac46d7b9 sched=402713bf33ac4856 slots=3fdd9ecd826c8c78 util=3fe18fd59f0918fd corrupted=537 resyncs=582 abandoned=40 reopened=68 fault_losses=5 churn_blocked=125 churn_losses=23 churn_reopened=1 trace=57351c87f68265f5",
+    "offered=1738 sender=42 receiver=1 loss=3fb9a1243c18bee5 now=80020 succ=2141 coll=1035 idle=7094 erased=559 paper_mean=4058943e28e50277 true_mean=40592a685ce99706 sched=402703e3cc75aaee slots=3fdf7bbed85f4d1c util=3fe11fac0d908a35 corrupted=534 resyncs=585 abandoned=37 reopened=78 fault_losses=9 churn_blocked=131 churn_losses=31 churn_reopened=6 trace=104d91808d5ed682",
+    "offered=1803 sender=70 receiver=5 loss=3fbcd2b4e3beafc7 now=80064 succ=2198 coll=1089 idle=6773 erased=539 paper_mean=405e43b55a6ff853 true_mean=405ed03ab2529f2b sched=40281368fae92860 slots=3fddad63892c2558 util=3fe191e7da58cfe9 corrupted=550 resyncs=570 abandoned=55 reopened=82 fault_losses=11 churn_blocked=128 churn_losses=57 churn_reopened=11 trace=50467d9a84bb9d76",
 ];
 
 #[test]

@@ -227,40 +227,42 @@ fn snapshot_between_single_steps_is_bit_identical() {
     );
 }
 
-/// A faults + crash-churn engine reads the same whether its churn
-/// process steps inline or draws ahead on a worker thread: the same
-/// outputs, and the same snapshot words at splits that fall inside a
-/// run-ahead chunk, also after a restore.
+/// A faults + crash-churn engine revived from a mid-run snapshot reaches
+/// the same snapshot words as the engine it came from, whether a
+/// slow-path recorder steps every slot or the fast path jumps across the
+/// crash clock's idle stretches.
 #[test]
-fn churn_drawn_ahead_matches_inline_outputs_and_snapshot_words() {
+fn faults_and_crashes_restore_to_the_same_snapshot_words() {
     let plan = FaultPlan::uniform(0.05);
     let churn = ChurnPlan::crash_restart(0.002, 40, 100);
     let ctl = ControllerConfig::Aimd(AimdConfig::around(12));
-    let run = |ahead: bool| {
-        tcw_mac::churn::with_run_ahead(ahead, || {
-            let mut eng = build(31, &plan, &churn, &ctl);
-            let mut rec = TraceRecorder::new(1_000_000);
-            let mut words = Vec::new();
-            for split in [9_973, 41_250] {
-                eng.run_until(Time::from_ticks(split), &mut rec);
-                words.push(eng.snapshot().expect("snapshot"));
+    for traced in [true, false] {
+        // The same observer kind on both engines: a slow-path observer
+        // turns the fast path off, and the fast path's counters are
+        // snapshot words.
+        let run = |eng: &mut Engine<PoissonArrivals>, to: u64| {
+            let to = Time::from_ticks(to);
+            if traced {
+                eng.run_until(to, &mut TraceRecorder::new(1_000_000));
+            } else {
+                eng.run_until(to, &mut NoopObserver);
             }
-            let mut revived = build(32, &plan, &churn, &ctl);
-            revived.restore(&words[0]).expect("restore");
-            // A recorder as on `eng`: a slow-path observer turns the fast
-            // path off, and its counters are snapshot words too.
-            revived.run_until(Time::from_ticks(41_250), &mut TraceRecorder::new(1_000_000));
-            words.push(revived.snapshot().expect("snapshot"));
-            eng.run_until(Time::from_ticks(HORIZON), &mut rec);
-            eng.drain(&mut rec);
-            words.push(eng.snapshot().expect("snapshot"));
-            (fingerprint(&eng, &rec.text()), words)
-        })
-    };
-    let inline = run(false);
-    assert!(!inline.0.contains("crashes=0 "), "no crash: {}", inline.0);
-    assert_eq!(inline.1[1], inline.1[2], "restore diverged");
-    assert!(inline == run(true), "drawing ahead moved an output");
+        };
+        let mut eng = build(31, &plan, &churn, &ctl);
+        run(&mut eng, 9_973);
+        let split = eng.snapshot().expect("snapshot");
+        run(&mut eng, 41_250);
+        let mut revived = build(32, &plan, &churn, &ctl);
+        revived.restore(&split).expect("restore");
+        run(&mut revived, 41_250);
+        assert_eq!(
+            revived.snapshot().expect("snapshot"),
+            eng.snapshot().expect("snapshot"),
+            "restore diverged (traced: {traced})"
+        );
+        assert!(eng.churn().crashes() > 0, "no crash (traced: {traced})");
+        assert_eq!(eng.horizon_stats.jumps > 0, !traced);
+    }
 }
 
 #[test]
@@ -329,6 +331,19 @@ fn stale_format_is_rejected_even_with_valid_checksum() {
     );
     let err = target.restore(&stale).unwrap_err();
     assert!(err.to_string().contains("format"), "got: {err}");
+
+    // So is a format-4 snapshot, whose members carried outage countdowns
+    // instead of crash and restart slots.
+    let mut old = words.clone();
+    old[1] = 4;
+    let n = old.len();
+    old[n - 1] = tcw_sim::snap::checksum(&old[..n - 1]);
+    let err = target.restore(&old).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "snapshot error: unsupported snapshot format 4 (expected 5)",
+        "got: {err}"
+    );
 
     // Same for a non-snapshot payload (bad magic).
     let mut alien = words;

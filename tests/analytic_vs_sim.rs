@@ -164,3 +164,56 @@ fn k_zero_anchor_is_exact() {
         );
     }
 }
+
+/// Loss under crash/restart churn against a blocking model built on eq.
+/// 4.7, for every crash cell of the committed `results/churn.csv` (M = 25,
+/// K = 100 τ, outages of D = 40 probe slots). Each station is down for
+/// the renewal fraction f = D/(1/p + D) of probe slots; an arrival at a
+/// down station is blocked, and the others see eq. 4.7's controlled loss
+/// L at the load that gets through: f + (1 − f)·L(rho'(1 − f)), with L
+/// from `controlled_curve` on a 0.5 τ K grid. The model takes slot
+/// durations to be independent of which stations are down. Tolerance:
+/// the rule the eq. 4.7 checks above apply, max(4·ci95, 0.015).
+#[test]
+fn churn_loss_matches_the_renewal_blocking_model() {
+    const M: u64 = 25;
+    const K: f64 = 100.0;
+    const D: f64 = 40.0;
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/churn.csv");
+    let csv = std::fs::read_to_string(path).expect("read results/churn.csv");
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+    let col = |name: &str| header.iter().position(|h| *h == name).expect(name);
+    let (rho, crash, loss, ci95) = (
+        col("rho_prime"),
+        col("crash_rate"),
+        col("loss"),
+        col("loss_ci95"),
+    );
+    let ks: Vec<f64> = (1..=(2.0 * K) as u32).map(|i| f64::from(i) * 0.5).collect();
+    let mut cells = 0;
+    for line in lines {
+        let row: Vec<f64> = line.split(',').map(|x| x.parse().expect(x)).collect();
+        let p = row[crash];
+        if p == 0.0 {
+            continue;
+        }
+        let f = D / (1.0 / p + D);
+        let cfg = PanelConfig {
+            m: M,
+            rho_prime: row[rho] * (1.0 - f),
+            shape: SchedulingShape::Geometric,
+        };
+        let l = controlled_curve(cfg, &ks).last().expect("K grid").loss;
+        let model = f + (1.0 - f) * l;
+        let tol = (4.0 * row[ci95]).max(0.015);
+        assert!(
+            (model - row[loss]).abs() <= tol,
+            "rho'={} crash={p}: model {model:.4} vs sim {:.4} (tol {tol:.4})",
+            row[rho],
+            row[loss]
+        );
+        cells += 1;
+    }
+    assert_eq!(cells, 12, "crash cells in {path}");
+}
