@@ -31,6 +31,8 @@
 //! [`ChurnProcess`]).
 
 use crate::message::{Message, StationId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use tcw_sim::rng::Rng;
 use tcw_sim::variates::Geometric;
 
@@ -192,14 +194,16 @@ const NEVER: u64 = u64::MAX;
 /// station when it restarts. Members carry these absolute slots and the
 /// process keeps the earliest one, so a step between transitions is one
 /// comparison and [`next_scheduled_transition`](Self::next_scheduled_transition)
-/// is exact. A step at a transition slot makes one pass over the stations
-/// for joins and leaves, then one for crashes and restarts, both in
-/// station order; only these passes draw. The earliest slot is rebuilt
-/// after each such step, on construction and on load, and is not
-/// serialized.
+/// is exact. A queue keyed by due slot names the stations due at a
+/// transition slot; the step makes one pass over them for joins and
+/// leaves, then one for crashes and restarts, both in station order, and
+/// only these passes draw. The queue is rebuilt on construction and on
+/// load, and is not serialized.
 #[derive(Debug)]
 pub struct ChurnProcess {
     plan: ChurnPlan,
+    /// Derived: `!plan.is_none()`, read at every round.
+    active: bool,
     rng: Rng,
     members: Vec<Member>,
     /// Slot at which each station leaves permanently ([`NEVER`] = never).
@@ -211,7 +215,12 @@ pub struct ChurnProcess {
     leaves: u64,
     /// Derived: up-period lengths, `None` without crashes.
     up_time: Option<Geometric>,
-    /// Derived: the earliest slot at which a member is due to transition.
+    /// Derived: `(due slot, station)` for every station with a pending
+    /// transition, earliest first; one entry per station.
+    queue: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Reused buffer for the stations due at one transition slot.
+    popped: Vec<u32>,
+    /// Derived: the earliest due slot, [`NEVER`] if none.
     next: u64,
 }
 
@@ -243,6 +252,7 @@ impl ChurnProcess {
         }
         let mut p = ChurnProcess {
             plan,
+            active: !plan.is_none(),
             rng,
             members,
             leave_at,
@@ -252,6 +262,8 @@ impl ChurnProcess {
             joins: 0,
             leaves: 0,
             up_time: (plan.crash > 0.0).then(|| Geometric::new(plan.crash)),
+            queue: BinaryHeap::new(),
+            popped: Vec::new(),
             next: NEVER,
         };
         p.derive();
@@ -275,12 +287,13 @@ impl ChurnProcess {
         own.min(self.leave_at[i])
     }
 
-    /// Recomputes the earliest due slot.
+    /// Rebuilds the due queue from the members.
     fn derive(&mut self) {
-        self.next = (0..self.members.len())
-            .map(|i| self.due(i))
-            .min()
-            .unwrap_or(NEVER);
+        self.queue = (0..self.members.len())
+            .map(|i| Reverse((self.due(i), i as u32)))
+            .filter(|e| e.0 .0 != NEVER)
+            .collect();
+        self.next = self.queue.peek().map_or(NEVER, |e| e.0 .0);
     }
 
     /// The crash slot of a station whose first slot up is `from + 1`:
@@ -296,6 +309,11 @@ impl ChurnProcess {
     /// The active plan.
     pub fn plan(&self) -> &ChurnPlan {
         &self.plan
+    }
+
+    /// Whether the plan changes the shared membership at all.
+    pub fn is_active(&self) -> bool {
+        self.active
     }
 
     /// A clone of the current RNG stream position. The engine uses this
@@ -412,15 +430,26 @@ impl ChurnProcess {
         }
     }
 
-    /// The transitions due at the current slot, in one fixed order, and
-    /// the next due slot.
+    /// The transitions due at the current slot, in one fixed order. The
+    /// stations that were due go back on the queue at their next due
+    /// slots.
     fn transition(&mut self, events: &mut Vec<ChurnEvent>) {
         let slot = self.slot;
+        let mut stations = std::mem::take(&mut self.popped);
+        stations.clear();
+        while let Some(&Reverse((at, i))) = self.queue.peek() {
+            if at > slot {
+                break;
+            }
+            self.queue.pop();
+            stations.push(i);
+        }
+        stations.sort_unstable();
         // Scheduled membership first: joins and permanent leaves happen at
         // exact slots. A joiner is up in its join slot, so it can crash in
         // it.
-        for i in 0..self.members.len() {
-            let id = StationId(i as u32);
+        for &id in &stations {
+            let i = id as usize;
             if self.members[i] == (Member::Up { crash_at: 0 }) {
                 // The initial population, at the first step.
                 let crash_at = self.crash_after(0);
@@ -430,35 +459,42 @@ impl ChurnProcess {
                 let crash_at = self.crash_after(slot - 1);
                 self.members[i] = Member::Up { crash_at };
                 self.joins += 1;
-                events.push(ChurnEvent::Join(id));
+                events.push(ChurnEvent::Join(StationId(id)));
             }
             if self.leave_at[i] <= slot && self.members[i] != Member::Left {
                 self.members[i] = Member::Left;
                 self.leaves += 1;
-                events.push(ChurnEvent::Leave(id));
+                events.push(ChurnEvent::Leave(StationId(id)));
             }
         }
         // Then crashes and restarts. A restarted station is up from the
         // next slot on.
-        for i in 0..self.members.len() {
-            let id = StationId(i as u32);
+        for &id in &stations {
+            let i = id as usize;
             match self.members[i] {
                 Member::Up { crash_at } if crash_at <= slot => {
                     let restart_at = slot.saturating_add(self.plan.down_slots);
                     self.members[i] = Member::Down { restart_at };
                     self.crashes += 1;
-                    events.push(ChurnEvent::Crash(id));
+                    events.push(ChurnEvent::Crash(StationId(id)));
                 }
                 Member::Down { restart_at } if restart_at <= slot => {
                     let crash_at = self.crash_after(slot);
                     self.members[i] = Member::Up { crash_at };
                     self.restarts += 1;
-                    events.push(ChurnEvent::Restart(id));
+                    events.push(ChurnEvent::Restart(StationId(id)));
                 }
                 _ => {}
             }
         }
-        self.derive();
+        for &id in &stations {
+            let at = self.due(id as usize);
+            if at != NEVER {
+                self.queue.push(Reverse((at, id)));
+            }
+        }
+        self.next = self.queue.peek().map_or(NEVER, |e| e.0 .0);
+        self.popped = stations;
     }
 
     /// Whether the plan can have put `m` where it is by the current slot.
@@ -672,6 +708,26 @@ mod tests {
         assert!(!p.is_present(StationId(0)));
         assert_eq!(p.joins(), 2);
         assert_eq!(p.leaves(), 1);
+    }
+
+    /// At the first step the due queue holds joiners due at slot 0 ahead
+    /// of leavers due at slot 1; the step still handles them in station
+    /// order, as a pass over all stations would.
+    #[test]
+    fn stations_due_at_different_slots_step_in_station_order() {
+        let plan = ChurnPlan {
+            late_join_frac: 0.2,
+            join_slot: 0,
+            leave_frac: 0.2,
+            leave_slot: 1,
+            ..ChurnPlan::none()
+        };
+        let mut p = ChurnProcess::new(plan, 10, Rng::new(4));
+        let mut events = Vec::new();
+        p.step(&mut events);
+        use ChurnEvent::{Join, Leave};
+        let s = StationId;
+        assert_eq!(events, [Leave(s(0)), Leave(s(1)), Join(s(8)), Join(s(9))]);
     }
 
     #[test]

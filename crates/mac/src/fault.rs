@@ -202,6 +202,9 @@ impl ProbeReport {
 pub struct FaultyMedium {
     inner: Medium,
     plan: FaultPlan,
+    /// Derived: `!plan.is_none()`, read at every probe. Refreshed in
+    /// `new`, `set_plan` and `load_state`; not serialized.
+    faulty: bool,
     rng: Rng,
 }
 
@@ -211,7 +214,12 @@ impl FaultyMedium {
     /// so injection is reproducible and independent of all other streams.
     pub fn new(inner: Medium, plan: FaultPlan, rng: Rng) -> Self {
         plan.validate();
-        FaultyMedium { inner, plan, rng }
+        FaultyMedium {
+            inner,
+            plan,
+            faulty: !plan.is_none(),
+            rng,
+        }
     }
 
     /// The underlying channel configuration.
@@ -219,15 +227,17 @@ impl FaultyMedium {
         self.inner.config()
     }
 
-    /// The active fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+    /// Whether the plan injects shared-feedback faults, that is, whether
+    /// probes draw.
+    pub fn is_faulty(&self) -> bool {
+        self.faulty
     }
 
     /// Replaces the fault plan (validated).
     pub fn set_plan(&mut self, plan: FaultPlan) {
         plan.validate();
         self.plan = plan;
+        self.faulty = !plan.is_none();
     }
 
     /// Channel time a slot consumes given what the stations observe.
@@ -247,7 +257,7 @@ impl FaultyMedium {
     /// draws nothing from the RNG stream.
     pub fn probe(&mut self, transmitters: &[MessageId]) -> ProbeReport {
         let (actual, clean_dur) = self.inner.probe(transmitters);
-        if self.plan.is_none() {
+        if !self.faulty {
             return ProbeReport {
                 actual,
                 observed: Feedback::Observed(actual),
@@ -266,27 +276,32 @@ impl FaultyMedium {
         }
     }
 
-    /// Whether probing an empty window now would be observed cleanly.
-    /// Looks at the probe's fault draw without taking it, so the caller
-    /// can still decide not to probe.
-    pub fn idle_probe_is_clean(&self) -> bool {
-        self.plan.is_none()
-            || self
-                .inject(SlotOutcome::Idle, self.rng.clone().f64(), &[])
-                .1
-                .is_none()
-    }
-
-    /// Probes an empty window that [`idle_probe_is_clean`] reported clean:
-    /// takes the fault draw, exactly as `probe(&[])` would, and nothing
-    /// else. The observation is a plain idle slot of one `tau`.
-    ///
-    /// [`idle_probe_is_clean`]: FaultyMedium::idle_probe_is_clean
-    pub fn take_clean_idle(&mut self) {
-        debug_assert!(self.idle_probe_is_clean(), "idle probe would be faulted");
-        if !self.plan.is_none() {
+    /// Up to `n` probes of empty windows, ahead of time: counts on a copy
+    /// of the stream how many of the next `n` would be observed cleanly,
+    /// up to the first faulted one, and passes that count to `take`.
+    /// Then takes the fault draws of as many probes as `take` returns (at
+    /// most the count), exactly as that many `probe(&[])` calls would,
+    /// and returns it. Each clean probe is a plain idle slot of one
+    /// `tau`. Without faults nothing is drawn and `take` gets `n`.
+    pub fn clean_idle_run(&mut self, n: u64, take: impl FnOnce(u64) -> u64) -> u64 {
+        if !self.faulty {
+            return take(n);
+        }
+        // `inject` faults an idle probe when its draw is below `erasure`
+        // or below `erasure + idle_to_collision`, which is no smaller, so
+        // a clean probe is a failed `chance` of the sum.
+        let threshold = Rng::chance_threshold(self.plan.erasure + self.plan.idle_to_collision);
+        let mut ahead = self.rng.clone();
+        let mut clean = 0;
+        while clean < n && !ahead.chance_below(threshold) {
+            clean += 1;
+        }
+        let taken = take(clean);
+        assert!(taken <= clean, "took {taken} of {clean} clean idle probes");
+        for _ in 0..taken {
             self.rng.next_u64();
         }
+        taken
     }
 
     /// What the stations observe of `actual` given the probe's uniform
@@ -387,6 +402,7 @@ impl FaultyMedium {
             *x = r.take()?;
         }
         self.plan = plan;
+        self.faulty = !plan.is_none();
         self.rng = Rng::from_state(s);
         Ok(())
     }
@@ -500,8 +516,12 @@ mod tests {
         assert_eq!(r.delivered(), None);
     }
 
+    /// `clean_idle_run` against `probe(&[])` one slot at a time: the
+    /// count it offers is the number of clean probes before the first
+    /// faulted one (or `n`), and whatever prefix of them is taken leaves
+    /// the stream where that many probes leave it.
     #[test]
-    fn idle_peek_agrees_with_probe_and_takes_the_same_draw() {
+    fn clean_idle_run_counts_and_takes_the_draws_of_single_probes() {
         let plans = [
             FaultPlan::none(),
             FaultPlan::uniform(0.2),
@@ -515,24 +535,48 @@ mod tests {
             },
         ];
         for (k, plan) in plans.into_iter().enumerate() {
-            let mut peeked = FaultyMedium::new(Medium::new(cfg()), plan, Rng::new(k as u64));
-            let mut probed = peeked.clone();
-            let mut clean = 0;
-            for _ in 0..500 {
-                let is_clean = peeked.idle_probe_is_clean();
-                let report = probed.probe(&[]);
-                assert_eq!(is_clean, report.fault.is_none(), "plan {k}");
-                if is_clean {
-                    clean += 1;
+            let mut run = FaultyMedium::new(Medium::new(cfg()), plan, Rng::new(k as u64));
+            // Runs cut short by a faulted probe, and clean probes taken.
+            let (mut cut, mut taken_total) = (0, 0);
+            for step in 0..600u64 {
+                let n = step % 23;
+                let before = run.clone();
+                let mut single = run.clone();
+                let mut want = 0;
+                while want < n {
+                    let report = single.probe(&[]);
+                    if report.fault.is_some() {
+                        cut += 1;
+                        break;
+                    }
                     assert_eq!(report.observed, Feedback::Observed(SlotOutcome::Idle));
                     assert_eq!(report.dur, cfg().tau());
-                    peeked.take_clean_idle();
-                } else {
-                    peeked.probe(&[]);
+                    want += 1;
                 }
-                assert_eq!(peeked.rng.state(), probed.rng.state(), "plan {k}");
+                let mut offered = None;
+                let taken = run.clean_idle_run(n, |clean| {
+                    offered = Some(clean);
+                    [clean, clean / 2, 0][step as usize % 3]
+                });
+                assert_eq!(offered, Some(want), "plan {k} step {step}");
+                let mut reference = before;
+                for _ in 0..taken {
+                    reference.probe(&[]);
+                }
+                assert_eq!(
+                    run.rng.state(),
+                    reference.rng.state(),
+                    "plan {k} step {step}"
+                );
+                taken_total += taken;
+                // Move on past the faulted probe, as the slow path would.
+                if taken == want && want < n {
+                    run.probe(&[]);
+                }
             }
-            assert!(clean > 0, "plan {k}");
+            assert!(taken_total > 0, "plan {k}");
+            let idle_faults = plan.erasure + plan.idle_to_collision > 0.0;
+            assert_eq!(cut > 0, idle_faults, "plan {k}");
         }
     }
 

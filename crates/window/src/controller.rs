@@ -162,6 +162,9 @@ fn round_u64(x: f64) -> u64 {
     }
 }
 
+/// 2^52, from which every `f64` is an integer.
+const TWO_52: f64 = (1u64 << 52) as f64;
+
 /// The static oracle: element (2) exactly as configured in the
 /// [`ControlPolicy`]. Feedback is ignored; the engine behaves
 /// bit-identically to a controller-free build.
@@ -267,6 +270,10 @@ pub struct AimdController {
     cfg: AimdConfig,
     /// Continuous internal length; commanded length is the rounding.
     window: f64,
+    /// Derived: `window` rounded and clamped to `[min, max]`. Refreshed
+    /// whenever `window` moves, on construction and on load; not
+    /// serialized.
+    command: u64,
     shrinks: u64,
     grows: u64,
 }
@@ -278,16 +285,72 @@ impl AimdController {
     /// Panics on an invalid config (see [`AimdConfig::check`]).
     pub fn new(cfg: AimdConfig) -> Self {
         cfg.check();
-        AimdController {
+        let mut c = AimdController {
             cfg,
             window: cfg.initial as f64,
+            command: 0,
             shrinks: 0,
             grows: 0,
-        }
+        };
+        c.command = c.commanded();
+        c
     }
 
     fn commanded(&self) -> u64 {
         round_u64(self.window).clamp(self.cfg.min, self.cfg.max)
+    }
+
+    /// Refreshes `command` after `window` moved. Below 2^52 the windows
+    /// that round to a command `c` are exactly `[c − 0.5, c + 0.5)`, both
+    /// bounds exact, so a window still inside keeps its command without a
+    /// rounding.
+    fn recommand(&mut self) {
+        let c = self.command as f64;
+        if !(c < TWO_52 && (c - 0.5..c + 0.5).contains(&self.window)) {
+            self.command = self.commanded();
+        }
+    }
+
+    /// The default idle replay, one `f64` add per slot: a slot's command
+    /// after its feedback is the next slot's bail check, and once the
+    /// window stops changing (at `max`) every remaining slot is a no-op.
+    fn idle_slot_by_slot(&mut self, width: u64, n: u64) -> u64 {
+        let max = self.cfg.max as f64;
+        for i in 0..n {
+            if self.command < width {
+                return i;
+            }
+            let window = (self.window + self.cfg.grow).min(max);
+            if window == self.window {
+                break;
+            }
+            self.window = window;
+            let before = self.command;
+            self.recommand();
+            self.count(before, self.command);
+        }
+        n
+    }
+
+    /// How many idle steps after the window `w` (at most `left`) add
+    /// `grow` exactly without reaching the next binade or passing `max`:
+    /// zero unless `w >= 1` and the ulp of its binade divides `grow`.
+    /// Then every such sum is a multiple of that ulp below the binade's
+    /// end, so each step is exact and a stretch of them is one multiply.
+    fn exact_steps(&self, w: f64, left: u64) -> u64 {
+        if w < 1.0 {
+            return 0;
+        }
+        let binade = ((w.to_bits() >> 52) as i32) - 1023;
+        let ulp = 2f64.powi(binade - 52);
+        let grow = self.cfg.grow / ulp;
+        if grow.fract() != 0.0 {
+            return 0;
+        }
+        // In ulps, all exact: `w` lies in [2^52, 2^53), and `top` is the
+        // last whole number below 2^53 and at most `max`.
+        let top = (self.cfg.max as f64 / ulp).min(TWO_52 * 2.0 - 1.0);
+        ((top - w / ulp) as u64 / grow as u64).min(left)
     }
 
     /// Counts a command change as a shrink or a grow.
@@ -302,11 +365,11 @@ impl AimdController {
 
 impl WindowController for AimdController {
     fn next_length(&mut self, _now: Time, _backlog: Dur, _policy: &ControlPolicy) -> u64 {
-        self.commanded()
+        self.command
     }
 
     fn on_slot(&mut self, _ctx: SlotContext, outcome: &SlotOutcome) {
-        let before = self.commanded();
+        let before = self.command;
         match outcome {
             SlotOutcome::Collision(_) => {
                 self.window = (self.window * self.cfg.shrink).max(self.cfg.min as f64);
@@ -315,35 +378,46 @@ impl WindowController for AimdController {
                 self.window = (self.window + self.cfg.grow).min(self.cfg.max as f64);
             }
         }
-        let after = self.commanded();
-        self.count(before, after);
+        self.recommand();
+        self.count(before, self.command);
     }
 
-    /// The default replay with one rounding per slot instead of three:
-    /// a slot's command after its feedback is the next slot's bail check.
-    /// Idle feedback only grows the window, and once it stops changing
-    /// (at `max`) every remaining slot is a no-op, so the loop ends there.
+    /// The default replay in O(binades) rather than O(n) where it can be
+    /// exact: with `grow <= 0.5`, `max < 2^52` and a finite window, idle
+    /// feedback never lowers the command (from above `max` the window
+    /// drops to `max`, whose command is `max`), so the first bail check
+    /// decides all `n` slots. One slot moves the window by at most
+    /// `grow` plus half an ulp, under 1, so the command by at most one,
+    /// and the grows are the command's rise. The window itself advances
+    /// by real `f64` adds only where a step crosses a binade or reaches
+    /// `max`; in between, `exact_steps` takes whole stretches at once.
+    /// Elsewhere the slots run one by one.
     fn on_idle_run(&mut self, _now: Time, width: u64, n: u64, _policy: &ControlPolicy) -> u64 {
-        let max = self.cfg.max as f64;
-        let mut command = self.commanded();
-        for i in 0..n {
-            if command < width {
-                return i;
-            }
+        if self.cfg.grow > 0.5 || self.cfg.max >= 1 << 52 || !self.window.is_finite() {
+            return self.idle_slot_by_slot(width, n);
+        }
+        if self.command < width {
+            return 0;
+        }
+        let (max, before) = (self.cfg.max as f64, self.command);
+        let mut left = n;
+        while left > 0 {
             let window = (self.window + self.cfg.grow).min(max);
             if window == self.window {
                 break;
             }
-            self.window = window;
-            let after = self.commanded();
-            self.count(command, after);
-            command = after;
+            left -= 1;
+            let k = self.exact_steps(window, left);
+            self.window = window + (k as f64) * self.cfg.grow;
+            left -= k;
         }
+        self.command = self.commanded();
+        self.grows += self.command - before;
         n
     }
 
     fn window_ticks(&self) -> u64 {
-        self.commanded()
+        self.command
     }
 
     fn shrinks(&self) -> u64 {
@@ -365,6 +439,7 @@ impl WindowController for AimdController {
         r: &mut tcw_sim::snap::SnapReader<'_>,
     ) -> Result<(), tcw_sim::snap::SnapError> {
         self.window = r.take_f64()?;
+        self.command = self.commanded();
         self.shrinks = r.take()?;
         self.grows = r.take()?;
         Ok(())
@@ -712,10 +787,40 @@ mod tests {
         w.into_words()
     }
 
+    /// An AIMD controller restored to `window` with random counters. The
+    /// window is set directly, so the command cache is refreshed by hand.
+    fn restored(cfg: AimdConfig, window: f64, rng: &mut tcw_sim::rng::Rng) -> AimdController {
+        let mut c = AimdController::new(cfg);
+        c.window = window;
+        c.command = c.commanded();
+        c.shrinks = rng.below(100);
+        c.grows = rng.below(100);
+        c
+    }
+
+    /// Runs the override and the default replay from the same state: the
+    /// same result, the same snapshot words, and both command caches
+    /// equal to a fresh rounding.
+    fn check_idle_run(at: &str, a: AimdController, width: u64, n: u64) {
+        let (mut a, mut b) = (a.clone(), a);
+        let got = a.on_idle_run(Time::ZERO, width, n, &policy());
+        let want = default_idle_replay(&mut b, width, n);
+        let at = format!("{at}: {:?} width={width} n={n}", a.cfg);
+        assert_eq!(got, want, "{at}");
+        assert_eq!(words(&a), words(&b), "{at}");
+        assert_eq!([a.command, b.command], [a.commanded(); 2], "{at}");
+    }
+
+    /// `2^k` less one ulp.
+    fn just_below_power_of_two(k: u64) -> f64 {
+        f64::from_bits(((1u64 << k) as f64).to_bits() - 1)
+    }
+
     #[test]
     fn aimd_idle_run_matches_the_default_replay() {
         let mut rng = tcw_sim::rng::Rng::new(11);
-        let grows = [0.25, 0.5, 0.999, 1.0, 1.5, 3.7];
+        // Dyadic and non-dyadic, up to 0.5 and above.
+        let grows = [0.125, 0.25, 0.5, 0.1, 0.3, 0.999, 1.0, 1.5, 3.7];
         for case in 0..4_000u64 {
             let min = 1 + rng.below(8);
             let max = match case % 5 {
@@ -735,32 +840,46 @@ mod tests {
                 shrink: 0.5,
                 grow,
             };
-            let mut a = AimdController::new(cfg);
             // Restored states cover ties, windows just below a tie whose
-            // `+ 1` rounds up to it, and windows above `max`.
-            a.window = match case % 4 {
+            // `+ 1` rounds up to it, windows just below a power of two and
+            // windows above `max`, each with every kind of `max`.
+            let window = match (case / 5) % 5 {
                 0 => (min + rng.below(max - min + 1)) as f64 + 0.5,
                 1 => 7.5 - 2f64.powi(-50),
                 2 => max as f64 + rng.f64() * 10.0,
+                3 => just_below_power_of_two(1 + rng.below(64 - u64::from(max.leading_zeros()))),
                 _ => min as f64 + rng.f64() * (max - min) as f64,
             };
-            a.shrinks = rng.below(100);
-            a.grows = rng.below(100);
-            let mut b = a.clone();
+            let a = restored(cfg, window, &mut rng);
             // Mostly gaps the first command covers, so the replay runs.
             let width = if case % 9 == 0 {
                 1 + rng.below(2 * max.min(500))
             } else {
-                1 + rng.below(a.commanded())
+                1 + rng.below(a.command)
             };
-            let n = rng.below(600);
-            let got = a.on_idle_run(Time::ZERO, width, n, &policy());
-            let want = default_idle_replay(&mut b, width, n);
-            assert_eq!(got, want, "case {case}: {cfg:?} width={width} n={n}");
-            assert_eq!(
-                words(&a),
-                words(&b),
-                "case {case}: {cfg:?} width={width} n={n}"
+            check_idle_run(&format!("case {case}"), a, width, rng.below(600));
+        }
+        // Runs of up to 2^20 slots with `max` out of their reach, so they
+        // cross binades without saturating.
+        for case in 0..27u64 {
+            let cfg = AimdConfig {
+                initial: 1,
+                min: 1,
+                max: 1 << (40 + rng.below(12)),
+                shrink: 0.5,
+                grow: grows[case as usize % grows.len()],
+            };
+            let window = match case % 3 {
+                0 => just_below_power_of_two(1 + rng.below(12)),
+                1 => rng.below(1 << 12) as f64 + 0.5,
+                _ => 1.0 + rng.f64() * 4096.0,
+            };
+            let n = (1 << 19) + rng.below(1 << 19);
+            check_idle_run(
+                &format!("long case {case}"),
+                restored(cfg, window, &mut rng),
+                1,
+                n,
             );
         }
     }

@@ -58,8 +58,10 @@
 //! ## Station churn and dynamic membership
 //!
 //! A [`ChurnPlan`] breaks the fixed-population assumption: stations
-//! crash and restart, join late, or leave permanently, driven by a
-//! dedicated RNG fork stepped once per probe slot ([`ChurnProcess`]).
+//! crash and restart, join late, or leave permanently ([`ChurnProcess`],
+//! clocked in probe slots). A station draws its next crash slot from a
+//! dedicated RNG fork when it comes up, so the process costs nothing
+//! between transitions.
 //! The engine models the consensus view of the *surviving* population:
 //!
 //! * a **down** station neither hears nor transmits — its pending
@@ -843,12 +845,12 @@ impl<S: ArrivalSource> Engine<S> {
     /// [`Engine::cycle`]. Two kernels:
     ///
     /// * **idle-run jump** — pending book empty: every cycle until the
-    ///   next arrival (bounded by the horizon and the next scheduled churn
-    ///   transition) probes the whole one-`tau` trailing gap idle, so the
-    ///   clock, examined prefix, idle counters and controller feedback are
-    ///   all advanced in O(1) + the controller's own feedback cost; under
-    ///   feedback faults the slots are stepped one by one up to the first
-    ///   faulted probe or membership transition;
+    ///   next arrival (bounded by the horizon, the next membership
+    ///   transition and, under feedback faults, the first faulted probe)
+    ///   probes the whole one-`tau` trailing gap idle, so the clock,
+    ///   examined prefix, idle counters and controller feedback are all
+    ///   advanced in O(1) + the controller's own feedback cost + one fault
+    ///   draw per slot under faults;
     /// * **batched resolution** — pending book nonempty, single trailing
     ///   gap, Oldest position: whole windowing rounds run through `cycle`'s
     ///   own decision step and round ([`Engine::round`]) with per-slot
@@ -887,15 +889,17 @@ impl<S: ArrivalSource> Engine<S> {
     /// `(n-1)*tau` (the final gap stays unexamined), `n` idle slots of
     /// channel time, `n` churn slots, and `n` identical `Initial`/`Idle`
     /// feedback events — which [`WindowController::on_idle_run`] applies
-    /// (or replays) exactly.
+    /// (or replays) exactly, in one call.
     ///
-    /// Without feedback faults no RNG stream is touched and no churn
-    /// transition happens before the bound (the churn process's next
-    /// transition, random crashes included), so the jump is O(1) plus the
-    /// controller's feedback cost. With faults each probe draws, and
-    /// [`Engine::step_idle_slots`] walks the slots one at a time, stopping
-    /// before the first faulted probe and after the first membership
-    /// transition.
+    /// Under feedback faults each probe draws: the jump ends before the
+    /// first probe that would be faulted, and takes the fault draws of
+    /// the slots the controller consumed
+    /// ([`FaultyMedium::clean_idle_run`]). A membership transition due
+    /// within the jump becomes its last slot, stepped through
+    /// [`Engine::churn_step`] with the clock at that slot's end, as the
+    /// slot-stepped round steps it. With an empty book only a restart
+    /// leaves work behind (`rejoining`), which the next `cycle` handles
+    /// as on the slow path.
     fn idle_jump(&mut self, limit: Time, tau: Dur, obs: &mut dyn EngineObserver) -> bool {
         // A sub-`tau` discard deadline would eat into the trailing gap at
         // every cycle; leave that pathology to the slow path.
@@ -924,27 +928,28 @@ impl<S: ArrivalSource> Engine<S> {
             // exhausted, so there is no arrival bound.
             None => debug_assert!(self.source_done),
         }
-        let per_slot = !self.medium.plan().is_none();
-        if !per_slot {
-            if let Some(s) = self.churn.next_scheduled_transition() {
-                n = n.min(s - self.churn.slot() - 1);
-            }
+        let due = self
+            .churn
+            .next_scheduled_transition()
+            .map(|s| s - self.churn.slot());
+        if let Some(d) = due {
+            n = n.min(d);
         }
-        if n == 0 {
-            return false;
-        }
-        let consumed = if per_slot {
-            self.step_idle_slots(now, tau, n, obs)
-        } else {
-            let consumed = self.controller.on_idle_run(now, tau_ticks, n, &self.policy);
-            self.churn.skip_slots(consumed);
-            consumed
-        };
+        let (controller, policy) = (&mut self.controller, &self.policy);
+        let consumed = self.medium.clean_idle_run(n, |clean| {
+            controller.on_idle_run(now, tau_ticks, clean, policy)
+        });
         if consumed == 0 {
             return false;
         }
         let to = now + Dur::from_ticks(consumed * tau_ticks);
         self.timeline.advance(to);
+        if due == Some(consumed) {
+            self.churn.skip_slots(consumed - 1);
+            self.churn_step(obs);
+        } else {
+            self.churn.skip_slots(consumed);
+        }
         self.timeline.mark_examined(Interval::new(
             gap.lo,
             now + Dur::from_ticks((consumed - 1) * tau_ticks),
@@ -955,49 +960,6 @@ impl<S: ArrivalSource> Engine<S> {
         self.horizon_stats.slots_skipped += consumed;
         obs.on_idle_jump(now, to, consumed);
         true
-    }
-
-    /// Up to `n` idle slots of the jump, one at a time, for runs with
-    /// feedback faults; returns the slots consumed.
-    /// Per slot, in three steps that each leave nothing to undo:
-    ///
-    /// 1. the probe's fault draw is peeked — a faulted probe ends the
-    ///    jump before its slot, with the fault stream untouched;
-    /// 2. the controller takes the slot's `Initial`/`Idle` feedback, or
-    ///    bails and ends the jump before the slot; then the fault draw is
-    ///    committed;
-    /// 3. churn steps through [`Engine::churn_step`], and a slot with a
-    ///    membership transition ends the jump after it. With an empty
-    ///    book only a restart leaves work behind (`rejoining`), which the
-    ///    next `cycle` handles as on the slow path.
-    ///
-    /// Fault, churn and controller state are independent, and each clean
-    /// idle slot takes one fault draw, one churn step and one feedback on
-    /// either path, so the two paths agree up to the stopping slot. The
-    /// clock moves per slot so churn callbacks carry the slow path's
-    /// times; `idle_jump` applies the rest in aggregate.
-    fn step_idle_slots(
-        &mut self,
-        now: Time,
-        tau: Dur,
-        n: u64,
-        obs: &mut dyn EngineObserver,
-    ) -> u64 {
-        let mut t = now;
-        for i in 0..n {
-            if !self.medium.idle_probe_is_clean()
-                || self.controller.on_idle_run(t, tau.ticks(), 1, &self.policy) == 0
-            {
-                return i;
-            }
-            self.medium.take_clean_idle();
-            t += tau;
-            self.timeline.advance(t);
-            if self.churn_step(obs) {
-                return i + 1;
-            }
-        }
-        n
     }
 
     /// Batched resolution kernel: under the Oldest (FCFS) position with a
@@ -1339,8 +1301,8 @@ impl<S: ArrivalSource> Engine<S> {
         obs: &mut dyn EngineObserver,
     ) {
         let round_start = self.timeline.now();
-        let churn = !self.churn.plan().is_none();
-        let faulty = !self.medium.plan().is_none();
+        let churn = self.churn.is_active();
+        let faulty = self.medium.is_faulty();
         let (tau, success) = {
             let channel = self.medium.config();
             (channel.tau(), channel.success_duration())
@@ -1596,12 +1558,11 @@ impl<S: ArrivalSource> Engine<S> {
     /// * **join** — nothing to do; the station simply starts buffering
     ///   arrivals.
     ///
-    /// With [`ChurnPlan::none`] only the slot counter moves. Returns
-    /// whether any transition happened.
-    fn churn_step(&mut self, obs: &mut dyn EngineObserver) -> bool {
+    /// With [`ChurnPlan::none`] only the slot counter moves.
+    fn churn_step(&mut self, obs: &mut dyn EngineObserver) {
         self.churn.step(&mut self.churn_events);
         if self.churn_events.is_empty() {
-            return false;
+            return;
         }
         let mut events = std::mem::take(&mut self.churn_events);
         let now = self.timeline.now();
@@ -1639,7 +1600,6 @@ impl<S: ArrivalSource> Engine<S> {
             }
         }
         self.churn_events = events;
-        true
     }
 
     /// Holds a capped-exponential quiet backoff before re-probing a window
@@ -1693,7 +1653,7 @@ impl<S: ArrivalSource> Engine<S> {
         // untouched.
         let mut futile: u32 = 0;
         loop {
-            if !self.churn.plan().is_none() {
+            if self.churn.is_active() {
                 // Departed stations' messages can never resolve; drop
                 // them from the cluster. If every surviving member's
                 // station is down, nothing can transmit: abandon — the
@@ -2572,6 +2532,85 @@ mod tests {
         assert_eq!(shadow.shrinks(), eng.controller().shrinks());
         assert_eq!(shadow.grows(), eng.controller().grows());
         assert!(!log.0.is_empty());
+    }
+
+    /// Under feedback faults and random crashes an idle jump calls the
+    /// controller once, not once per slot. Counted, not timed: each jump
+    /// is one `on_idle_run` call that consumed its slots, any other call
+    /// is an attempt that fell back to a decision cycle (`on_decision`),
+    /// and the calls see runs of many slots.
+    #[test]
+    fn faulty_idle_jumps_call_the_controller_once() {
+        use crate::controller::{AimdConfig, AimdController, WindowController};
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        /// AIMD that logs the `n` and the result of each idle-run call.
+        struct Counting {
+            aimd: AimdController,
+            calls: Rc<RefCell<Vec<(u64, u64)>>>,
+        }
+        impl WindowController for Counting {
+            fn next_length(&mut self, now: Time, backlog: Dur, policy: &ControlPolicy) -> u64 {
+                self.aimd.next_length(now, backlog, policy)
+            }
+            fn on_slot(&mut self, ctx: SlotContext, outcome: &SlotOutcome) {
+                self.aimd.on_slot(ctx, outcome);
+            }
+            fn on_idle_run(
+                &mut self,
+                now: Time,
+                width: u64,
+                n: u64,
+                policy: &ControlPolicy,
+            ) -> u64 {
+                let consumed = self.aimd.on_idle_run(now, width, n, policy);
+                self.calls.borrow_mut().push((n, consumed));
+                consumed
+            }
+            fn window_ticks(&self) -> u64 {
+                self.aimd.window_ticks()
+            }
+        }
+
+        #[derive(Default)]
+        struct Decisions(u64);
+        impl EngineObserver for Decisions {
+            fn on_decision(&mut self, _now: Time, _segments: Option<&[Interval]>) {
+                self.0 += 1;
+            }
+        }
+
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let mut eng = poisson_engine(
+            channel(),
+            ControlPolicy::controlled(Dur::from_ticks(300), Dur::from_ticks(12)),
+            measure(300),
+            0.05,
+            20,
+            5,
+        );
+        eng.set_fault_plan(FaultPlan::uniform(0.01));
+        eng.set_churn_plan(ChurnPlan::crash_restart(0.0005, 40, 50), 20);
+        eng.set_controller(Box::new(Counting {
+            aimd: AimdController::new(AimdConfig::around(12)),
+            calls: Rc::clone(&calls),
+        }));
+        let mut decisions = Decisions::default();
+        eng.run_until(Time::from_ticks(400_000), &mut decisions);
+        let (calls, h) = (calls.borrow(), eng.horizon_stats);
+        assert!(eng.metrics.corrupted_slots() > 0 && eng.churn().crashes() > 0);
+        assert_eq!(calls.iter().filter(|c| c.1 > 0).count() as u64, h.jumps);
+        assert_eq!(calls.iter().map(|c| c.1).sum::<u64>(), h.slots_skipped);
+        assert!(
+            calls.len() as u64 <= h.jumps + decisions.0,
+            "{} calls for {} jumps and {} decision cycles",
+            calls.len(),
+            h.jumps,
+            decisions.0
+        );
+        let mean = calls.iter().map(|c| c.0).sum::<u64>() as f64 / calls.len() as f64;
+        assert!(mean >= 8.0, "{mean} slots per call");
     }
 
     #[test]
